@@ -143,6 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="wall-clock and Newton-iteration benchmark")
     add_common(p, method_arg=False, methods_arg=True, t_end_arg=False)
 
+    for p in sub.choices.values():
+        # config-file values are checked by the actions of the same-named flags
+        p.set_defaults(actions={a.dest: a for a in p._actions})
     return parser
 
 
@@ -163,21 +166,38 @@ def _load_config_file(path: str, allowed: set[str]) -> dict:
     return data
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """A config-file value converted and checked as its flag's text would be.
+
+    A JSON list stands for the flag's comma-separated text; an int flag
+    takes only integral numbers.  null passes through unchecked.
+    """
+    if value is None:
+        return None
+    if isinstance(value, list):
+        value = ",".join(str(v) for v in value)
+    try:
+        if action.type is int and not isinstance(value, str) and (
+                isinstance(value, bool) or not float(value).is_integer()):
+            raise ValueError(f"expected an integer, got {value!r}")
+        if action.type is not None:
+            value = action.type(value)
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as err:
+        raise ConfigurationError(f"config key {key!r}: {err}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ConfigurationError(
+            f"config key {key!r}: invalid choice {value!r} "
+            f"(choose from {', '.join(action.choices)})")
+    return value
+
+
 def _resolve(args, defaults: dict) -> dict:
     """Effective settings: built-in defaults, then config file, then flags."""
     cfg = dict(defaults)
     if getattr(args, "config", None):
         file_cfg = _load_config_file(args.config, set(defaults))
         for key, value in file_cfg.items():
-            if key in ("x0", "v0"):
-                if isinstance(value, str):
-                    value = _parse_pair(value)
-                value = (float(value[0]), float(value[1]))
-            elif key in ("h_list",):
-                value = tuple(float(v) for v in value)
-            elif key in ("methods",):
-                value = tuple(MethodId.parse(v).value for v in value)
-            cfg[key] = value
+            cfg[key] = _config_value(args.actions[key], key, value)
     for key in defaults:
         flag = getattr(args, key, None)
         if flag is not None:

@@ -1,17 +1,13 @@
-"""Discrete-time schemes for xddot = -U'(x) on the planar Kepler potential.
+"""Discrete-time schemes for xddot = -U'(x) on the planar Kepler problem:
+one weighted two-step stencil plus fr.
 
-Six methods share one driver.  Five are two-step recurrences in position
-only (the velocity is implicit in consecutive positions); the sixth is the
-fourth-order triple-jump composition of leapfrog, a one-step map on (x, v).
+sv, mp, ml, lc and dec are two-step recurrences in position only (the
+velocity is implicit in consecutive positions).  They are one stencil that
+differs between methods only in the cycle of gradient weights it applies;
+see stencil_step and the table STENCILS.  fr is the fourth-order triple-jump
+composition of leapfrog, a one-step map on (x, v).
 
-    sv   explicit central difference (stormer-verlet)
-    mp   implicit midpoint-averaged gradient
-    ml   2/3 sv + 1/3 mp mixture of the gradient terms
-    lc   three-phase cycle: explicit lookback-midpoint, sv, implicit midpoint
-    dec  sv with every third step replaced by the mp relation
-    fr   triple-jump composition of leapfrog (fourth order)
-
-All implicit relations are solved by a damped-free Newton iteration with the
+Implicit relations are solved by a damped-free Newton iteration with the
 analytic Jacobian; iteration counts are recorded for benchmarking.
 """
 
@@ -20,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -58,9 +54,36 @@ class MethodId(Enum):
             ) from None
 
 
+# Gradient weights (a, b, c) of the two-step relation at x_cur, at the
+# backward midpoint and at the forward midpoint; see stencil_step.
+Weights = tuple[float, float, float]
+
+
+class Stencil(NamedTuple):
+    """A two-step method: the weights of its initializer, and the weights
+    cycle[k % len(cycle)] of the step that computes x_{k+1}."""
+
+    init: Weights
+    cycle: tuple[Weights, ...]
+
+
+_SV = (1.0, 0.0, 0.0)
+_MP = (0.0, 0.5, 0.5)
+_ML = (2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)
+
+STENCILS = {
+    MethodId.SV: Stencil(_SV, (_SV,)),  # explicit central difference (stormer-verlet)
+    MethodId.MP: Stencil(_MP, (_MP,)),  # implicit midpoint-averaged gradient
+    MethodId.ML: Stencil(_ML, (_ML,)),  # 2/3 sv + 1/3 mp mixture of the gradient terms
+    # explicit lookback-midpoint, sv, implicit forward midpoint
+    MethodId.LC: Stencil(_SV, ((0.5, 0.5, 0.0), _SV, (0.5, 0.0, 0.5))),
+    MethodId.DEC: Stencil(_SV, (_SV, _SV, _MP)),  # sv with every third step mp
+}
+
 # Methods whose every step needs a Newton solve.  lc and dec solve one
 # implicit relation per three steps and are not listed here.
-IMPLICIT_METHODS = frozenset({MethodId.MP, MethodId.ML})
+IMPLICIT_METHODS = frozenset(
+    m for m, s in STENCILS.items() if all(c for _, _, c in s.cycle))
 
 # Triple-jump composition weights: theta = 1/(2 - 2^(1/3)), the unique real
 # solution making the h^3 error terms of the three leapfrog substeps cancel.
@@ -166,136 +189,63 @@ def _newton2(residual, guess: tuple[float, float], cfg: SolverConfig,
     )
 
 
-def sv_step(x_prev: PlanarVector, x_cur: PlanarVector, h: float,
-            grad: GradientFn = potential_gradient) -> PlanarVector:
-    """x_next = 2 x_cur - x_prev - h^2 U'(x_cur)."""
-    g = grad(x_cur)
-    h2 = h * h
-    return PlanarVector(
-        2.0 * x_cur.x1 - x_prev.x1 - h2 * g.x1,
-        2.0 * x_cur.x2 - x_prev.x2 - h2 * g.x2,
-    )
+def _solve_forward_midpoint(anchor: PlanarVector, C: tuple[float, float], ch2: float,
+                            guess: tuple[float, float], cfg: SolverConfig,
+                            grad: GradientFn, grad_jac: JacobianFn,
+                            stats: Optional[IntegrationStats], label: str) -> PlanarVector:
+    """Solve z - C + ch2 U'((anchor + z)/2) = 0 for z.
 
-
-def mp_step(x_prev: PlanarVector, x_cur: PlanarVector, h: float,
-            cfg: SolverConfig = DEFAULT_SOLVER,
-            grad: GradientFn = potential_gradient,
-            grad_jac: JacobianFn = gradient_jacobian,
-            stats: Optional[IntegrationStats] = None) -> PlanarVector:
-    """Implicit relation with the gradient averaged at the two interval midpoints:
-
-    x_next - 2 x_cur + x_prev
-        = -(h^2/2) [U'((x_cur + x_next)/2) + U'((x_prev + x_cur)/2)].
+    The Jacobian is I + (ch2/2) J at the midpoint, J the Hessian of U.
     """
-    h2 = h * h
-    g_back = grad(PlanarVector(0.5 * (x_prev.x1 + x_cur.x1), 0.5 * (x_prev.x2 + x_cur.x2)))
-    c1 = 2.0 * x_cur.x1 - x_prev.x1 - 0.5 * h2 * g_back.x1
-    c2 = 2.0 * x_cur.x2 - x_prev.x2 - 0.5 * h2 * g_back.x2
-    quarter_h2 = 0.25 * h2
+    c1, c2 = C
+    half_ch2 = 0.5 * ch2
 
     def residual(z1: float, z2: float):
-        m = PlanarVector(0.5 * (x_cur.x1 + z1), 0.5 * (x_cur.x2 + z2))
+        m = PlanarVector(0.5 * (anchor.x1 + z1), 0.5 * (anchor.x2 + z2))
         g = grad(m)
         j11, j12, j22 = grad_jac(m)
         return (
-            z1 - c1 + 0.5 * h2 * g.x1,
-            z2 - c2 + 0.5 * h2 * g.x2,
-            1.0 + quarter_h2 * j11,
-            quarter_h2 * j12,
-            1.0 + quarter_h2 * j22,
+            z1 - c1 + ch2 * g.x1,
+            z2 - c2 + ch2 * g.x2,
+            1.0 + half_ch2 * j11,
+            half_ch2 * j12,
+            1.0 + half_ch2 * j22,
         )
 
-    guess = (2.0 * x_cur.x1 - x_prev.x1, 2.0 * x_cur.x2 - x_prev.x2)
-    return PlanarVector(*_newton2(residual, guess, cfg, stats, "mp step"))
+    return PlanarVector(*_newton2(residual, guess, cfg, stats, label))
 
 
-def ml_step(x_prev: PlanarVector, x_cur: PlanarVector, h: float,
-            cfg: SolverConfig = DEFAULT_SOLVER,
-            grad: GradientFn = potential_gradient,
-            grad_jac: JacobianFn = gradient_jacobian,
-            stats: Optional[IntegrationStats] = None) -> PlanarVector:
-    """Mixture step: gradient weights 2/3 at x_cur, 1/6 at each midpoint.
+def stencil_step(x_prev: PlanarVector, x_cur: PlanarVector, h: float,
+                 weights: Weights, cfg: SolverConfig = DEFAULT_SOLVER,
+                 grad: GradientFn = potential_gradient,
+                 grad_jac: JacobianFn = gradient_jacobian,
+                 stats: Optional[IntegrationStats] = None) -> PlanarVector:
+    """x_next from the weighted two-step relation, (a, b, c) = weights:
 
-    x_next - 2 x_cur + x_prev = -h^2 [ (2/3) U'(x_cur)
-        + (1/6) U'((x_prev + x_cur)/2) + (1/6) U'((x_cur + x_next)/2) ].
+    x_next - 2 x_cur + x_prev = -h^2 [ a U'(x_cur)
+        + b U'((x_prev + x_cur)/2) + c U'((x_cur + x_next)/2) ].
+
+    A gradient is evaluated only where its weight is nonzero; with c = 0
+    the step is explicit and needs no Newton solve.
     """
+    a, b, c = weights
     h2 = h * h
-    g_mid_back = grad(PlanarVector(0.5 * (x_prev.x1 + x_cur.x1), 0.5 * (x_prev.x2 + x_cur.x2)))
-    g_cur = grad(x_cur)
-    c1 = 2.0 * x_cur.x1 - x_prev.x1 - h2 * (g_cur.x1 * (2.0 / 3.0) + g_mid_back.x1 / 6.0)
-    c2 = 2.0 * x_cur.x2 - x_prev.x2 - h2 * (g_cur.x2 * (2.0 / 3.0) + g_mid_back.x2 / 6.0)
-    sixth_h2 = h2 / 6.0
-
-    def residual(z1: float, z2: float):
-        m = PlanarVector(0.5 * (x_cur.x1 + z1), 0.5 * (x_cur.x2 + z2))
-        g = grad(m)
-        j11, j12, j22 = grad_jac(m)
-        return (
-            z1 - c1 + sixth_h2 * g.x1,
-            z2 - c2 + sixth_h2 * g.x2,
-            1.0 + 0.5 * sixth_h2 * j11,
-            0.5 * sixth_h2 * j12,
-            1.0 + 0.5 * sixth_h2 * j22,
-        )
-
-    guess = (2.0 * x_cur.x1 - x_prev.x1, 2.0 * x_cur.x2 - x_prev.x2)
-    return PlanarVector(*_newton2(residual, guess, cfg, stats, "ml step"))
-
-
-def lc_step(step_index: int, x_prev: PlanarVector, x_cur: PlanarVector, h: float,
-            cfg: SolverConfig = DEFAULT_SOLVER,
-            grad: GradientFn = potential_gradient,
-            grad_jac: JacobianFn = gradient_jacobian,
-            stats: Optional[IntegrationStats] = None) -> PlanarVector:
-    """Three-phase composition cycle, dispatched on step_index mod 3.
-
-    index = 0:  explicit, gradient split between the lookback midpoint and x_cur:
-                x_next = 2 x_cur - x_prev - (h^2/2) [U'((x_prev + x_cur)/2) + U'(x_cur)]
-    index = 1:  plain sv step
-    index = 2:  implicit, gradient split between x_cur and the forward midpoint:
-                x_next - 2 x_cur + x_prev = -(h^2/2) [U'(x_cur) + U'((x_cur + x_next)/2)]
-    """
-    phase = step_index % 3
-    if phase == 1:
-        return sv_step(x_prev, x_cur, h, grad)
-    h2 = h * h
-    if phase == 0:
-        g_mid = grad(PlanarVector(0.5 * (x_prev.x1 + x_cur.x1), 0.5 * (x_prev.x2 + x_cur.x2)))
-        g_cur = grad(x_cur)
-        return PlanarVector(
-            2.0 * x_cur.x1 - x_prev.x1 - 0.5 * h2 * (g_mid.x1 + g_cur.x1),
-            2.0 * x_cur.x2 - x_prev.x2 - 0.5 * h2 * (g_mid.x2 + g_cur.x2),
-        )
-    g_cur = grad(x_cur)
-    c1 = 2.0 * x_cur.x1 - x_prev.x1 - 0.5 * h2 * g_cur.x1
-    c2 = 2.0 * x_cur.x2 - x_prev.x2 - 0.5 * h2 * g_cur.x2
-    quarter_h2 = 0.25 * h2
-
-    def residual(z1: float, z2: float):
-        m = PlanarVector(0.5 * (x_cur.x1 + z1), 0.5 * (x_cur.x2 + z2))
-        g = grad(m)
-        j11, j12, j22 = grad_jac(m)
-        return (
-            z1 - c1 + 0.5 * h2 * g.x1,
-            z2 - c2 + 0.5 * h2 * g.x2,
-            1.0 + quarter_h2 * j11,
-            quarter_h2 * j12,
-            1.0 + quarter_h2 * j22,
-        )
-
-    guess = (2.0 * x_cur.x1 - x_prev.x1, 2.0 * x_cur.x2 - x_prev.x2)
-    return PlanarVector(*_newton2(residual, guess, cfg, stats, "lc implicit step"))
-
-
-def dec_step(step_index: int, x_prev: PlanarVector, x_cur: PlanarVector, h: float,
-             cfg: SolverConfig = DEFAULT_SOLVER,
-             grad: GradientFn = potential_gradient,
-             grad_jac: JacobianFn = gradient_jacobian,
-             stats: Optional[IntegrationStats] = None) -> PlanarVector:
-    """sv recurrence with every step_index = 2 mod 3 replaced by the mp relation."""
-    if step_index % 3 == 2:
-        return mp_step(x_prev, x_cur, h, cfg, grad, grad_jac, stats)
-    return sv_step(x_prev, x_cur, h, grad)
+    r1 = 2.0 * x_cur.x1 - x_prev.x1
+    r2 = 2.0 * x_cur.x2 - x_prev.x2
+    f1 = f2 = 0.0
+    if a:
+        g = grad(x_cur)
+        f1 += a * g.x1
+        f2 += a * g.x2
+    if b:
+        g = grad(PlanarVector(0.5 * (x_prev.x1 + x_cur.x1), 0.5 * (x_prev.x2 + x_cur.x2)))
+        f1 += b * g.x1
+        f2 += b * g.x2
+    C = (r1 - h2 * f1, r2 - h2 * f2)
+    if not c:
+        return PlanarVector(*C)
+    return _solve_forward_midpoint(x_cur, C, c * h2, (r1, r2), cfg, grad, grad_jac,
+                                   stats, "implicit step")
 
 
 def fr_step(state: State, h: float, grad: GradientFn = potential_gradient) -> State:
@@ -320,53 +270,28 @@ def init_second_point(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: f
                       grad: GradientFn = potential_gradient,
                       grad_jac: JacobianFn = gradient_jacobian,
                       stats: Optional[IntegrationStats] = None) -> PlanarVector:
-    """First trajectory point after x0 for the two-step methods.
+    """First trajectory point after x0.
 
-    Chosen so the method's own discrete momentum at step 0 equals v0:
+    For a two-step method with initializer weights (a, b, c) it is chosen
+    so the method's own discrete momentum at step 0 equals v0:
 
-        sv/lc/dec:  (x1 - x0)/h + (h/2) U'(x0) = v0          (explicit)
-        mp:         (x1 - x0)/h + (h/2) U'((x0 + x1)/2) = v0  (implicit)
-        ml:         (x1 - x0)/h + (h/3) U'(x0)
-                                + (h/6) U'((x0 + x1)/2) = v0  (implicit)
+        (x1 - x0)/h + h [ (a/2) U'(x0) + c U'((x0 + x1)/2) ] = v0,
 
-    For fr the second point is simply the first triple-jump step.
+    explicit when c = 0.  For fr it is simply the first triple-jump step.
     """
     if method is MethodId.FR:
         return fr_step(State(x0, v0, 0.0), h, grad).position
+    a, _, c = STENCILS[method].init
     h2 = h * h
-    if method in (MethodId.SV, MethodId.LC, MethodId.DEC):
+    base = (x0.x1 + h * v0.x1, x0.x2 + h * v0.x2)
+    C = base
+    if a:
         g = grad(x0)
-        return PlanarVector(
-            x0.x1 + h * v0.x1 - 0.5 * h2 * g.x1,
-            x0.x2 + h * v0.x2 - 0.5 * h2 * g.x2,
-        )
-    if method is MethodId.MP:
-        c1 = x0.x1 + h * v0.x1
-        c2 = x0.x2 + h * v0.x2
-        mid_weight = 0.5 * h2
-    elif method is MethodId.ML:
-        g0 = grad(x0)
-        c1 = x0.x1 + h * v0.x1 - h2 * g0.x1 / 3.0
-        c2 = x0.x2 + h * v0.x2 - h2 * g0.x2 / 3.0
-        mid_weight = h2 / 6.0
-    else:
-        raise ConfigurationError(f"no initializer for method {method!r}")
-
-    def residual(z1: float, z2: float):
-        m = PlanarVector(0.5 * (x0.x1 + z1), 0.5 * (x0.x2 + z2))
-        g = grad(m)
-        j11, j12, j22 = grad_jac(m)
-        return (
-            z1 - c1 + mid_weight * g.x1,
-            z2 - c2 + mid_weight * g.x2,
-            1.0 + 0.5 * mid_weight * j11,
-            0.5 * mid_weight * j12,
-            1.0 + 0.5 * mid_weight * j22,
-        )
-
-    guess = (x0.x1 + h * v0.x1, x0.x2 + h * v0.x2)
-    return PlanarVector(*_newton2(residual, guess, cfg, stats,
-                                  f"{method.value} initialization"))
+        C = (base[0] - h2 * (0.5 * a * g.x1), base[1] - h2 * (0.5 * a * g.x2))
+    if not c:
+        return PlanarVector(*C)
+    return _solve_forward_midpoint(x0, C, c * h2, base, cfg, grad, grad_jac, stats,
+                                   "initialization")
 
 
 def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
@@ -405,24 +330,14 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
         velocities = np.array([s.velocity for s in states], dtype=float)
         return Trajectory(method, h, positions, v0, elements, velocities, stats)
 
+    cycle = STENCILS[method].cycle
     xs = [x0]
     k = 0
     try:
         xs.append(init_second_point(method, x0, v0, h, cfg, grad, grad_jac, stats))
         for k in range(1, n_steps):
-            if method is MethodId.SV:
-                nxt = sv_step(xs[-2], xs[-1], h, grad)
-            elif method is MethodId.MP:
-                nxt = mp_step(xs[-2], xs[-1], h, cfg, grad, grad_jac, stats)
-            elif method is MethodId.ML:
-                nxt = ml_step(xs[-2], xs[-1], h, cfg, grad, grad_jac, stats)
-            elif method is MethodId.LC:
-                nxt = lc_step(k, xs[-2], xs[-1], h, cfg, grad, grad_jac, stats)
-            elif method is MethodId.DEC:
-                nxt = dec_step(k, xs[-2], xs[-1], h, cfg, grad, grad_jac, stats)
-            else:
-                raise ConfigurationError(f"no stepper for method {method!r}")
-            xs.append(nxt)
+            xs.append(stencil_step(xs[-2], xs[-1], h, cycle[k % len(cycle)],
+                                   cfg, grad, grad_jac, stats))
     except (SolverFailure, NearSingularity) as err:
         _annotate_failure(err, method, k + 1, xs)
         raise
@@ -438,30 +353,10 @@ def _annotate_failure(err: Exception, method: MethodId, step_index: int,
     err.args = (f"{method.value} failed computing point {step_index}: {detail}",)
 
 
-def reconstruct_velocity(traj: Trajectory, k: int) -> PlanarVector:
-    """Finite-difference velocity at sample k of a position-only trajectory.
-
-    Central difference (second order) for interior samples; one-sided
-    three-point stencils at the ends.  A two-point trajectory falls back to
-    the single forward difference.
-    """
-    n = traj.n_steps
-    if not 0 <= k <= n:
-        raise IndexError(f"sample index {k} outside [0, {n}]")
-    X = traj.positions
-    if len(X) == 2:
-        v = (X[1] - X[0]) / traj.h
-    elif k == 0:
-        v = (-3.0 * X[0] + 4.0 * X[1] - X[2]) / (2.0 * traj.h)
-    elif k == n:
-        v = (3.0 * X[n] - 4.0 * X[n - 1] + X[n - 2]) / (2.0 * traj.h)
-    else:
-        v = (X[k + 1] - X[k - 1]) / (2.0 * traj.h)
-    return PlanarVector(float(v[0]), float(v[1]))
-
-
 def reconstruct_velocities(traj: Trajectory) -> np.ndarray:
-    """Vectorized reconstruct_velocity over every sample, shape (n+1, 2)."""
+    """Finite-difference velocities of a position-only trajectory, shape
+    (n+1, 2): second-order central differences inside, one-sided three-point
+    stencils at the ends, one forward difference for a two-point trajectory."""
     X = traj.positions
     h = traj.h
     V = np.empty_like(X)

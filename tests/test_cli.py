@@ -164,6 +164,16 @@ class TestConfigResolution:
         assert code == 1
         assert "bogus" in err
 
+    @pytest.mark.parametrize("key, value", [("format", "xml"), ("steps", 2.7)])
+    def test_config_values_are_validated_like_flags(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run_cli(capsys, "simulate", "--method", "sv",
+                                 "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert repr(key) in err
+
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

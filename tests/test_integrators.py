@@ -10,6 +10,7 @@ from keplerlab import (
     ExactOrbit,
     FR_THETA,
     IMPLICIT_METHODS,
+    STENCILS,
     MethodId,
     PlanarVector,
     SolverConfig,
@@ -17,23 +18,23 @@ from keplerlab import (
     State,
     Trajectory,
     UnboundOrbit,
-    dec_step,
     fr_step,
     init_second_point,
     integrate,
-    lc_step,
-    ml_step,
-    mp_step,
     potential_gradient,
     reconstruct_velocities,
-    reconstruct_velocity,
-    sv_step,
+    stencil_step,
 )
 
 from conftest import V0, X0, assert_close, assert_vector_close
 
 ALL_METHODS = list(MethodId)
 TWO_STEP_METHODS = [m for m in MethodId if m is not MethodId.FR]
+
+# step weights from the table: one triple for sv, mp, ml; one per phase for lc, dec
+SV, MP, ML = (STENCILS[m].cycle[0] for m in (MethodId.SV, MethodId.MP, MethodId.ML))
+LC = STENCILS[MethodId.LC].cycle
+DEC = STENCILS[MethodId.DEC].cycle
 
 
 def orbit_pair(t, h):
@@ -72,12 +73,12 @@ class TestSolverConfig:
 class TestSingleSteps:
     def test_sv_step_hand_value(self):
         # 2(1,0) - (0.9,0.1) - 0.04 * (1,0)/1 = (1.06, -0.1)
-        got = sv_step(PlanarVector(0.9, 0.1), PlanarVector(1.0, 0.0), 0.2)
+        got = stencil_step(PlanarVector(0.9, 0.1), PlanarVector(1.0, 0.0), 0.2, SV)
         assert_vector_close(got, (1.06, -0.1), tol=1e-15)
 
     def test_sv_step_free_flight_limit(self):
         # in a negligible field the recurrence continues the straight line
-        got = sv_step(PlanarVector(1e8, 0.0), PlanarVector(1e8 + 1.0, 0.0), 1.0)
+        got = stencil_step(PlanarVector(1e8, 0.0), PlanarVector(1e8 + 1.0, 0.0), 1.0, SV)
         assert abs(got.x1 - (1e8 + 2.0)) < 1e-6
         assert got.x2 == 0.0
 
@@ -90,14 +91,14 @@ class TestSingleSteps:
 
     def test_mp_step_satisfies_its_relation(self):
         xp, xc = orbit_pair(2.0, 0.3)
-        z = mp_step(xp, xc, 0.3)
+        z = stencil_step(xp, xc, 0.3, MP)
         assert self._relation_residual_mp(xp, xc, z, 0.3) < 1e-11
 
     def test_mp_step_time_reversal(self):
         # the relation is symmetric in (x_prev, x_next); stepping back returns
         xp, xc = orbit_pair(4.1, 0.25)
-        z = mp_step(xp, xc, 0.25)
-        back = mp_step(z, xc, 0.25)
+        z = stencil_step(xp, xc, 0.25, MP)
+        back = stencil_step(z, xc, 0.25, MP)
         assert_vector_close(back, xp, tol=1e-9)
 
     def _relation_residual_ml(self, xp, xc, z, h):
@@ -111,19 +112,19 @@ class TestSingleSteps:
 
     def test_ml_step_satisfies_its_relation(self):
         xp, xc = orbit_pair(1.3, 0.3)
-        z = ml_step(xp, xc, 0.3)
+        z = stencil_step(xp, xc, 0.3, ML)
         assert self._relation_residual_ml(xp, xc, z, 0.3) < 1e-11
 
     def test_ml_step_time_reversal(self):
         xp, xc = orbit_pair(7.6, 0.25)
-        z = ml_step(xp, xc, 0.25)
-        back = ml_step(z, xc, 0.25)
+        z = stencil_step(xp, xc, 0.25, ML)
+        back = stencil_step(z, xc, 0.25, ML)
         assert_vector_close(back, xp, tol=1e-9)
 
     def test_lc_phase_one_is_sv(self):
         xp, xc = orbit_pair(3.0, 0.4)
-        assert lc_step(4, xp, xc, 0.4) == sv_step(xp, xc, 0.4)
-        assert lc_step(1, xp, xc, 0.4) == sv_step(xp, xc, 0.4)
+        assert stencil_step(xp, xc, 0.4, LC[4 % 3]) == stencil_step(xp, xc, 0.4, SV)
+        assert stencil_step(xp, xc, 0.4, LC[1 % 3]) == stencil_step(xp, xc, 0.4, SV)
 
     def test_lc_phase_zero_explicit_formula(self):
         xp, xc = orbit_pair(3.0, 0.4)
@@ -132,11 +133,11 @@ class TestSingleSteps:
         g_c = potential_gradient(xc)
         want = (2 * xc.x1 - xp.x1 - 0.5 * h2 * (g_b.x1 + g_c.x1),
                 2 * xc.x2 - xp.x2 - 0.5 * h2 * (g_b.x2 + g_c.x2))
-        assert_vector_close(lc_step(3, xp, xc, 0.4), want, tol=1e-14)
+        assert_vector_close(stencil_step(xp, xc, 0.4, LC[3 % 3]), want, tol=1e-14)
 
     def test_lc_phase_two_satisfies_its_relation(self):
         xp, xc = orbit_pair(3.0, 0.4)
-        z = lc_step(2, xp, xc, 0.4)
+        z = stencil_step(xp, xc, 0.4, LC[2 % 3])
         g_c = potential_gradient(xc)
         g_f = potential_gradient(PlanarVector(0.5 * (xc.x1 + z.x1), 0.5 * (xc.x2 + z.x2)))
         r1 = z.x1 - 2 * xc.x1 + xp.x1 + 0.08 * (g_c.x1 + g_f.x1)
@@ -146,16 +147,16 @@ class TestSingleSteps:
     def test_lc_implicit_and_explicit_phases_are_adjoint(self):
         # undoing an implicit (phase 2) step is exactly an explicit (phase 0) step
         xp, xc = orbit_pair(5.2, 0.35)
-        z = lc_step(2, xp, xc, 0.35)
-        back = lc_step(0, z, xc, 0.35)
+        z = stencil_step(xp, xc, 0.35, LC[2 % 3])
+        back = stencil_step(z, xc, 0.35, LC[0 % 3])
         assert_vector_close(back, xp, tol=1e-10)
 
     def test_dec_dispatch(self):
         xp, xc = orbit_pair(2.4, 0.3)
         for j in (0, 1, 3, 4, 6):
-            assert dec_step(j, xp, xc, 0.3) == sv_step(xp, xc, 0.3)
+            assert stencil_step(xp, xc, 0.3, DEC[j % 3]) == stencil_step(xp, xc, 0.3, SV)
         for j in (2, 5, 8):
-            assert dec_step(j, xp, xc, 0.3) == mp_step(xp, xc, 0.3)
+            assert stencil_step(xp, xc, 0.3, DEC[j % 3]) == stencil_step(xp, xc, 0.3, MP)
 
     def test_mp_minus_sv_is_fourth_order_locally(self):
         # both steps share the h^2 leading term; their difference shrinks as h^4
@@ -163,7 +164,7 @@ class TestSingleSteps:
         steps = (0.2, 0.1, 0.05)
         for h in steps:
             xp, xc = orbit_pair(2.0, h)
-            d = mp_step(xp, xc, h) - sv_step(xp, xc, h)
+            d = stencil_step(xp, xc, h, MP) - stencil_step(xp, xc, h, SV)
             diffs.append(d.norm())
         slope = np.polyfit(np.log(steps), np.log(diffs), 1)[0]
         assert 3.7 < slope < 4.3
@@ -258,8 +259,8 @@ class TestIntegrate:
             assert traj.velocities is None
 
     def test_implicit_solve_counts(self):
-        # mp/ml solve every point including initialization; lc/dec solve the
-        # points with index = 2 mod 3; sv/fr never solve
+        # mp/ml solve every point including initialization; lc/dec solve at
+        # steps k = 2 (mod 3), which compute points 3, 6 and 9; sv/fr never solve
         n = 9
         counts = {m: integrate(m, X0, V0, 0.2, n).stats.implicit_solves
                   for m in ALL_METHODS}
@@ -267,8 +268,30 @@ class TestIntegrate:
         assert counts[MethodId.FR] == 0
         assert counts[MethodId.MP] == n
         assert counts[MethodId.ML] == n
-        assert counts[MethodId.LC] == 3  # points 2, 5, 8
+        assert counts[MethodId.LC] == 3  # points 3, 6, 9
         assert counts[MethodId.DEC] == 3
+
+    # final point and (implicit solves, Newton iterations) after 20k steps at
+    # h = 0.1, recorded from the per-method steppers the stencil replaced
+    PINNED = {
+        MethodId.SV: ((0.004561690668758225, -2.0354191067359113), (0, 0)),
+        MethodId.MP: ((-1.3456579201234935, -1.4489014981679165), (20000, 40000)),
+        MethodId.ML: ((-0.4940532853271621, -1.95492838061848), (20000, 40000)),
+        MethodId.LC: ((-0.4933907622882394, -1.955298523308498), (6666, 13332)),
+        MethodId.DEC: ((-0.43560522113387184, -1.94545539337288), (6666, 13332)),
+        MethodId.FR: ((-0.47205466802258966, -1.9531100056677566), (0, 0)),
+    }
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_pinned_final_point_and_counts(self, method):
+        traj = integrate(method, X0, V0, 0.1, 20000)
+        point, counts = self.PINNED[method]
+        if method is MethodId.ML:
+            # ml's weights 2/3, 1/6 round differently from the old h^2/6 form
+            assert np.abs(traj.positions[-1] - point).max() <= 1e-12
+        else:
+            assert tuple(traj.positions[-1]) == point
+        assert (traj.stats.implicit_solves, traj.stats.newton_iterations) == counts
 
     def test_newton_iteration_accounting(self):
         stats = integrate(MethodId.MP, X0, V0, 0.2, 50).stats
@@ -325,19 +348,6 @@ class TestVelocityReconstruction:
         X, V = orbit.states_at(h * np.arange(n + 1))
         traj = Trajectory(MethodId.SV, h, X, V0, orbit.elements)
         return traj, V
-
-    def test_matches_scalar_variant(self):
-        traj, _ = self.exact_position_trajectory(0.1, 20)
-        V = reconstruct_velocities(traj)
-        for k in (0, 1, 10, 19, 20):
-            assert_vector_close(reconstruct_velocity(traj, k), V[k], tol=1e-15)
-
-    def test_index_bounds(self):
-        traj, _ = self.exact_position_trajectory(0.1, 5)
-        with pytest.raises(IndexError):
-            reconstruct_velocity(traj, 6)
-        with pytest.raises(IndexError):
-            reconstruct_velocity(traj, -1)
 
     def test_two_point_fallback(self):
         orbit = ExactOrbit(State(X0, V0, 0.0))
