@@ -170,10 +170,11 @@ def _config_value(action: argparse.Action, key: str, value):
     """A config-file value converted and checked as its flag's text would be.
 
     A JSON list stands for the flag's comma-separated text; an int flag
-    takes only integral numbers.  null passes through unchecked.
+    takes only integral numbers.  null is rejected: leave a key out to keep
+    its default.
     """
     if value is None:
-        return None
+        raise ConfigurationError(f"config key {key!r}: null is not a value; omit the key")
     if isinstance(value, list):
         value = ",".join(str(v) for v in value)
     try:
@@ -470,7 +471,7 @@ def cmd_averages(args) -> None:
     for power in (5, 6, 7):
         closed = theory.orbit_average_closed_form(power, oriented)
         quad = theory.orbit_average(
-            lambda s, p=power: s.position.x2 / s.position.norm() ** p, oriented)
+            lambda X, V, p=power: X[:, 1] / np.hypot(X[:, 0], X[:, 1]) ** p, oriented)
         denom = abs(closed) if closed != 0.0 else 1.0
         rows.append([power, closed, quad, abs(quad - closed) / denom])
     meta = _metadata(cfg, elements={"a": elements.a, "e": elements.e, "L": elements.L})

@@ -92,13 +92,6 @@ def potential_gradient(x: PlanarVector, floor: float = SINGULARITY_FLOOR) -> Pla
     return PlanarVector(x.x1 / r3, x.x2 / r3)
 
 
-def force(x: PlanarVector, floor: float = SINGULARITY_FLOOR) -> PlanarVector:
-    """-U'(x) = -x/|x|^3."""
-    r = radius(x, floor)
-    r3 = r * r * r
-    return PlanarVector(-x.x1 / r3, -x.x2 / r3)
-
-
 def gradient_jacobian(x: PlanarVector, floor: float = SINGULARITY_FLOOR) -> tuple[float, float, float]:
     """Symmetric Jacobian of U', returned as (j11, j12, j22).
 
@@ -138,12 +131,6 @@ def lrl_vector(state: State, floor: float = SINGULARITY_FLOOR) -> PlanarVector:
         u * x.x1 - s * v.x1 - x.x1 / r,
         u * x.x2 - s * v.x2 - x.x2 / r,
     )
-
-
-def lrl_angle(state: State, floor: float = SINGULARITY_FLOOR) -> float:
-    """Orientation atan2(lrl2, lrl1) of the LRL vector, in (-pi, pi]."""
-    lrl = lrl_vector(state, floor)
-    return math.atan2(lrl.x2, lrl.x1)
 
 
 _ELEMENT_RTOL = 1e-12
@@ -253,57 +240,38 @@ def perihelion_state(elements: OrbitElements) -> State:
     return State(p.scaled(rp), q.scaled(speed), 0.0)
 
 
-def solve_kepler(mean_anomaly: float, e: float, tol: float = KEPLER_TOLERANCE,
-                 max_iterations: int = KEPLER_MAX_ITERATIONS) -> float:
+def solve_kepler(mean_anomaly, e: float, tol: float = KEPLER_TOLERANCE,
+                 max_iterations: int = KEPLER_MAX_ITERATIONS):
     """Solve M = Ecc - e sin(Ecc) for the eccentric anomaly in [0, 2 pi).
 
+    Elementwise over an array of mean anomalies; a scalar gives a float.
     Newton iteration from the classic guess M + e sin(M), safeguarded by a
     shrinking bisection bracket; g(Ecc) = Ecc - e sin(Ecc) is increasing for
-    e < 1 so the bracket is always valid.
+    e < 1 so the bracket is always valid.  A converged anomaly stays frozen
+    while the others iterate.
     """
     if not 0.0 <= e < 1.0:
         raise ValueError(f"eccentricity must lie in [0, 1), got {e}")
-    M = math.fmod(mean_anomaly, _TWO_PI)
-    if M < 0.0:
-        M += _TWO_PI
-    lo, hi = 0.0, _TWO_PI
-    ecc_anom = M + e * math.sin(M)
-    for _ in range(max_iterations):
-        f = ecc_anom - e * math.sin(ecc_anom) - M
-        if abs(f) < tol:
-            return ecc_anom
-        if f < 0.0:
-            lo = max(lo, ecc_anom)
-        else:
-            hi = min(hi, ecc_anom)
-        ecc_anom -= f / (1.0 - e * math.cos(ecc_anom))
-        if not lo <= ecc_anom <= hi:
-            ecc_anom = 0.5 * (lo + hi)
-    raise SolverFailure(
-        f"Kepler equation did not converge: M={mean_anomaly!r}, e={e!r}, "
-        f"residual tolerance {tol}, {max_iterations} iterations"
-    )
-
-
-def _solve_kepler_batch(mean_anomaly: np.ndarray, e: float, tol: float,
-                        max_iterations: int) -> np.ndarray:
-    """Vectorized variant of solve_kepler for arrays of mean anomalies."""
-    M = np.mod(np.asarray(mean_anomaly, dtype=float), _TWO_PI)
+    mean = np.asarray(mean_anomaly, dtype=float)
+    M = np.mod(mean, _TWO_PI)
     lo = np.zeros_like(M)
     hi = np.full_like(M, _TWO_PI)
     ecc = M + e * np.sin(M)
     for _ in range(max_iterations):
         f = ecc - e * np.sin(ecc) - M
-        done = np.abs(f) < tol
-        if done.all():
-            return ecc
-        lo = np.where(~done & (f < 0.0), np.maximum(lo, ecc), lo)
-        hi = np.where(~done & (f >= 0.0), np.minimum(hi, ecc), hi)
+        todo = ~(np.abs(f) < tol)
+        if not todo.any():
+            return ecc if ecc.ndim else float(ecc)
+        lo = np.where(todo & (f < 0.0), np.maximum(lo, ecc), lo)
+        hi = np.where(todo & (f >= 0.0), np.minimum(hi, ecc), hi)
         trial = ecc - f / (1.0 - e * np.cos(ecc))
-        trial = np.where((trial < lo) | (trial > hi), 0.5 * (lo + hi), trial)
-        ecc = np.where(done, ecc, trial)
+        trial = np.where((lo <= trial) & (trial <= hi), trial, 0.5 * (lo + hi))
+        ecc = np.where(todo, trial, ecc)
+    stuck = np.flatnonzero(todo)
     raise SolverFailure(
-        f"Kepler equation did not converge on a batch of {M.size} anomalies (e={e!r})"
+        f"Kepler equation did not converge for {stuck.size} of {todo.size} "
+        f"mean anomalies (first M={float(mean.flat[stuck[0]])!r}), e={e!r}, "
+        f"residual tolerance {tol}, iteration cap {max_iterations}"
     )
 
 
@@ -360,32 +328,14 @@ class ExactOrbit:
         self._rate = _TWO_PI / own.T
         self._t0 = initial.time
 
-    def state_at(self, t: float, tol: float = KEPLER_TOLERANCE,
-                 max_iterations: int = KEPLER_MAX_ITERATIONS) -> State:
-        el = self.elements
-        M = self._mean0 + self._rate * (t - self._t0)
-        ecc = solve_kepler(M, el.e, tol, max_iterations)
-        cos_e, sin_e = math.cos(ecc), math.sin(ecc)
-        xp = el.a * (cos_e - el.e)
-        xq = el.b * sin_e
-        r = el.a * (1.0 - el.e * cos_e)
-        fac = self._rate * el.a / r
-        vp = -el.a * sin_e * fac
-        vq = el.b * cos_e * fac
-        p, q = self._p, self._q
-        return State(
-            PlanarVector(xp * p.x1 + xq * q.x1, xp * p.x2 + xq * q.x2),
-            PlanarVector(vp * p.x1 + vq * q.x1, vp * p.x2 + vq * q.x2),
-            t,
-        )
-
     def states_at(self, times, tol: float = KEPLER_TOLERANCE,
                   max_iterations: int = KEPLER_MAX_ITERATIONS) -> tuple[np.ndarray, np.ndarray]:
-        """Positions and velocities at an array of times, shape (n, 2) each."""
+        """Positions and velocities at an array of times, shape (n, 2) each
+        (shape (2,) each for a scalar time)."""
         el = self.elements
         t = np.asarray(times, dtype=float)
         M = self._mean0 + self._rate * (t - self._t0)
-        ecc = _solve_kepler_batch(M, el.e, tol, max_iterations)
+        ecc = solve_kepler(M, el.e, tol, max_iterations)
         cos_e, sin_e = np.cos(ecc), np.sin(ecc)
         xp = el.a * (cos_e - el.e)
         xq = el.b * sin_e
@@ -398,13 +348,8 @@ class ExactOrbit:
         V = np.stack([vp * p.x1 + vq * q.x1, vp * p.x2 + vq * q.x2], axis=-1)
         return X, V
 
-
-def exact_state_at(elements: OrbitElements, initial: State, t: float,
-                   floor: float = SINGULARITY_FLOOR) -> State:
-    """Exact state at time t on the orbit through `initial`.
-
-    `elements` must agree with the initial state (energy and angular momentum
-    to 1e-10 relative); they are accepted as a cross-check, the propagation
-    itself re-derives everything from the state.
-    """
-    return ExactOrbit(initial, elements, floor).state_at(t)
+    def state_at(self, t: float, tol: float = KEPLER_TOLERANCE,
+                 max_iterations: int = KEPLER_MAX_ITERATIONS) -> State:
+        """The state at one time t: states_at on a single time."""
+        X, V = self.states_at(t, tol, max_iterations)
+        return State(PlanarVector(*X.tolist()), PlanarVector(*V.tolist()), t)

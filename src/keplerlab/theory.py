@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, SingularMassMatrix
+from .errors import ConfigurationError, NearSingularity, SingularMassMatrix
 from .integrators import MethodId
 from .kepler import (
     SINGULARITY_FLOOR,
@@ -218,58 +218,62 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
     return times, X, V
 
 
-def lrl_symmetry_field(state: State) -> PlanarVector:
+def lrl_symmetry_field(X: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Phase-space generator whose Noether charge is the first LRL component.
 
-    xi = (-x2 v2 / 2,  x1 v2 - v1 x2 / 2), evaluated along the motion.
+    xi = (-x2 v2 / 2,  x1 v2 - v1 x2 / 2), evaluated along the motion, for
+    positions and velocities of shape (..., 2).
     """
-    (x1, x2), (v1, v2) = state.position, state.velocity
-    return PlanarVector(-0.5 * x2 * v2, x1 * v2 - 0.5 * v1 * x2)
+    x1, x2 = X[..., 0], X[..., 1]
+    v1, v2 = V[..., 0], V[..., 1]
+    return np.stack([-0.5 * x2 * v2, x1 * v2 - 0.5 * v1 * x2], axis=-1)
 
 
-def perturbation_field(method: MethodId, state: State,
-                       floor: float = SINGULARITY_FLOOR) -> PlanarVector:
+def perturbation_field(method: MethodId, X: np.ndarray, V: np.ndarray,
+                       floor: float = SINGULARITY_FLOOR) -> np.ndarray:
     """Euler-Lagrange deficit of the scheme's h^2 correction on Kepler motion.
 
-    The h^2/24 prefactor is NOT included; multiply by model.epsilon to get
-    the physical perturbation.  Defined for sv and mp.
+    Positions and velocities have shape (..., 2), as does the result.  The
+    h^2/24 prefactor is NOT included; multiply by model.epsilon to get the
+    physical perturbation.  Defined for sv and mp.
     """
     if method not in _LAGRANGIAN_BRACKET:
         raise ConfigurationError(
             f"perturbation field available for sv and mp only, got {method.value}"
         )
     c6, cu, cs2, csv = _el_deficit_coefficients(_LAGRANGIAN_BRACKET[method])
-    x, v = state.position, state.velocity
-    r = radius(x, floor)
+    x1, x2 = X[..., 0], X[..., 1]
+    v1, v2 = V[..., 0], V[..., 1]
+    r = np.hypot(x1, x2)
+    if np.any(r < floor):
+        raise NearSingularity(
+            f"|x| = {np.min(r):.3e} inside the collision guard {floor:.3e}")
     r2 = r * r
     r5 = r2 * r2 * r
     r6 = r5 * r
     r7 = r6 * r
-    u = v.x1 * v.x1 + v.x2 * v.x2
-    s = x.x1 * v.x1 + x.x2 * v.x2
+    u = v1 * v1 + v2 * v2
+    s = x1 * v1 + x2 * v2
     common = c6 / r6 + cu * u / r5 + cs2 * s * s / r7
-    return PlanarVector(
-        common * x.x1 + csv * s * v.x1 / r5,
-        common * x.x2 + csv * s * v.x2 / r5,
-    )
+    return np.stack([common * x1 + csv * s * v1 / r5,
+                     common * x2 + csv * s * v2 / r5], axis=-1)
 
 
-def orbit_average(fn: Callable[[State], float], elements: OrbitElements,
+def orbit_average(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                  elements: OrbitElements,
                   nodes: int = DEFAULT_AVERAGE_NODES) -> float:
-    """Time average of fn over one period of the exact orbit.
+    """Time average of fn(X, V) over one period of the exact orbit.
 
-    Uniform sampling in time; for a periodic analytic integrand the
+    fn maps the (nodes, 2) positions and velocities to the integrand's
+    values.  Uniform sampling in time; for a periodic analytic integrand the
     rectangle rule converges spectrally, so the default node count leaves
     the Kepler-solve tolerance as the dominant error.
     """
     if nodes < MIN_AVERAGE_NODES:
         raise ConfigurationError(f"need at least {MIN_AVERAGE_NODES} nodes, got {nodes}")
     orbit = ExactOrbit(perihelion_state(elements))
-    period = orbit.elements.T
-    total = 0.0
-    for k in range(nodes):
-        total += fn(orbit.state_at(period * k / nodes))
-    return total / nodes
+    X, V = orbit.states_at(orbit.elements.T * np.arange(nodes) / nodes)
+    return float(np.mean(fn(X, V)))
 
 
 def orbit_average_closed_form(power: int, elements: OrbitElements) -> float:
@@ -327,10 +331,8 @@ def precession_quadrature(method: MethodId, elements: OrbitElements, h: float,
         raise ConfigurationError("quadrature prediction needs an eccentric orbit")
     oriented = elements.with_apsis_angle(0.5 * math.pi)
 
-    def integrand(state: State) -> float:
-        f = perturbation_field(method, state)
-        xi = lrl_symmetry_field(state)
-        return f.x1 * xi.x1 + f.x2 * xi.x2
+    def integrand(X: np.ndarray, V: np.ndarray) -> np.ndarray:
+        return np.sum(perturbation_field(method, X, V) * lrl_symmetry_field(X, V), axis=-1)
 
     avg = orbit_average(integrand, oriented, nodes)
     eps = h * h / 24.0

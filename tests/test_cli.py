@@ -164,7 +164,8 @@ class TestConfigResolution:
         assert code == 1
         assert "bogus" in err
 
-    @pytest.mark.parametrize("key, value", [("format", "xml"), ("steps", 2.7)])
+    @pytest.mark.parametrize("key, value", [("format", "xml"), ("steps", 2.7),
+                                            ("h", None)])
     def test_config_values_are_validated_like_flags(self, capsys, tmp_path, key, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))

@@ -12,15 +12,13 @@ from keplerlab import (
     NearSingularity,
     OrbitElements,
     PlanarVector,
+    SolverFailure,
     State,
     UnboundOrbit,
     angular_momentum,
     elements_from_state,
     energy,
-    exact_state_at,
-    force,
     gradient_jacobian,
-    lrl_angle,
     lrl_vector,
     perihelion_state,
     potential,
@@ -64,7 +62,7 @@ class TestPointwiseFunctions:
         x = PlanarVector(0.0, 2.0)
         assert potential(x) == -0.5
         assert_vector_close(potential_gradient(x), (0.0, 0.25))
-        assert_vector_close(force(x), (0.0, -0.25))
+        assert_vector_close(-potential_gradient(x), (0.0, -0.25))
 
     def test_energy_spot_value(self):
         state = State(PlanarVector(3.0, 0.0), PlanarVector(0.0, 0.5))
@@ -116,7 +114,7 @@ class TestLrlVector:
     def test_reference_state_lrl(self, default_state):
         lrl = lrl_vector(default_state)
         assert_vector_close(lrl, (0.3925, 0.0))
-        assert lrl_angle(default_state) == 0.0
+        assert math.atan2(lrl.x2, lrl.x1) == 0.0
 
     # atol: e from elements_from_state is sqrt(1 + 2 E L^2), whose
     # cancellation near circularity caps absolute accuracy at ~sqrt(eps)
@@ -223,6 +221,13 @@ class TestKeplerEquation:
         with pytest.raises(ValueError):
             solve_kepler(1.0, -0.2)
 
+    def test_failure_names_the_stuck_anomaly(self):
+        with pytest.raises(SolverFailure) as info:
+            solve_kepler(np.array([0.0, 3.0]), 0.99, max_iterations=1)
+        msg = str(info.value)
+        for part in ("1 of 2 mean anomalies", "M=3.0", "e=0.99", "1e-13", "iteration cap 1"):
+            assert part in msg, msg
+
     @given(mean=st.floats(0.0, TWO_PI, exclude_max=True), e=st.floats(0.0, 0.99))
     @settings(max_examples=150)
     def test_residual_below_tolerance(self, mean, e):
@@ -239,7 +244,7 @@ class TestExactOrbit:
     def test_perihelion_at_half_period(self, default_state, default_elements):
         # by symmetry the perihelion passage is T/2 after the aphelion start;
         # its radius and speed are exact rationals for the reference orbit
-        state = exact_state_at(default_elements, default_state, REF_T / 2.0)
+        state = ExactOrbit(default_state, default_elements).state_at(REF_T / 2.0)
         assert_close(state.position.norm(), REF_R_PERI, rtol=1e-10)
         assert_close(state.velocity.norm(), REF_SPEED_PERI, rtol=1e-10)
         assert_vector_close(state.position, (REF_R_PERI, 0.0), tol=1e-9)
@@ -267,7 +272,7 @@ class TestExactOrbit:
             xp = orbit.state_at(t + delta).position
             acc1 = (xp.x1 - 2 * x0.x1 + xm.x1) / delta ** 2
             acc2 = (xp.x2 - 2 * x0.x2 + xm.x2) / delta ** 2
-            f = force(x0)
+            f = -potential_gradient(x0)
             assert_close(acc1, f.x1, rtol=1e-6, atol=1e-8)
             assert_close(acc2, f.x2, rtol=1e-6, atol=1e-8)
 

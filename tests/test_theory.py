@@ -8,12 +8,12 @@ from keplerlab import (
     ExactOrbit,
     MethodId,
     ModifiedModel,
+    NearSingularity,
     OrbitElements,
     PlanarVector,
     PrecessionFormula,
     SingularMassMatrix,
     State,
-    force,
     integrate_modified,
     lrl_symmetry_field,
     modified_acceleration,
@@ -22,6 +22,7 @@ from keplerlab import (
     orbit_average_closed_form,
     perihelion_state,
     perturbation_field,
+    potential_gradient,
     precession_closed_form,
     precession_quadrature,
 )
@@ -89,7 +90,7 @@ class TestModifiedAcceleration:
         model = ModifiedModel(MethodId.SV, 0.0)
         for state in (MODLAG_STATE, State(X0, V0)):
             acc = modified_acceleration(model, state)
-            assert_vector_close(acc, force(state.position), tol=1e-14)
+            assert_vector_close(acc, -potential_gradient(state.position), tol=1e-14)
 
     def test_stays_within_three_percent_of_force(self, default_state):
         # even at the coarse headline step the correction is a small perturbation
@@ -99,7 +100,7 @@ class TestModifiedAcceleration:
             for t in np.linspace(0.0, orbit.elements.T, 24, endpoint=False):
                 s = orbit.state_at(float(t))
                 acc = modified_acceleration(model, s)
-                f = force(s.position)
+                f = -potential_gradient(s.position)
                 assert (acc - f).norm() <= 0.03 * f.norm()
 
     @pytest.mark.parametrize("method", [MethodId.SV, MethodId.MP])
@@ -156,22 +157,27 @@ class TestModifiedAcceleration:
 
 class TestSymmetryAndPerturbationFields:
     def test_lrl_symmetry_field_spot_value(self):
-        xi = lrl_symmetry_field(State(PlanarVector(1.5, -0.4), PlanarVector(0.3, 0.9)))
+        xi = lrl_symmetry_field(np.array([1.5, -0.4]), np.array([0.3, 0.9]))
         assert_vector_close(xi, (0.18, 1.41), tol=1e-15)
 
     def test_perturbation_field_spot_values(self):
         # x on the x1 axis, velocity transverse: the s-dependent terms drop
-        state = State(PlanarVector(2.0, 0.0), PlanarVector(0.0, 0.7))
-        f_sv = perturbation_field(MethodId.SV, state)
-        f_mp = perturbation_field(MethodId.MP, state)
+        x, v = np.array([2.0, 0.0]), np.array([0.0, 0.7])
+        f_sv = perturbation_field(MethodId.SV, x, v)
+        f_mp = perturbation_field(MethodId.MP, x, v)
         assert_vector_close(f_sv, (4.0 / 2 ** 5 - 6.0 * 0.49 / 2 ** 4, 0.0), tol=1e-15)
         assert_vector_close(f_mp, (-8.0 / 2 ** 5 + 3.0 * 0.49 / 2 ** 4, 0.0), tol=1e-15)
 
+    def test_perturbation_field_collision_guard(self):
+        X = np.array([[2.0, 0.0], [0.0, 1e-13]])
+        with pytest.raises(NearSingularity):
+            perturbation_field(MethodId.SV, X, np.ones_like(X))
+
     def test_perturbation_field_limited_to_sv_mp(self):
-        state = State(PlanarVector(2.0, 0.0), PlanarVector(0.0, 0.7))
+        x, v = np.array([2.0, 0.0]), np.array([0.0, 0.7])
         for m in (MethodId.ML, MethodId.LC, MethodId.DEC, MethodId.FR):
             with pytest.raises(ConfigurationError):
-                perturbation_field(m, state)
+                perturbation_field(m, x, v)
 
 
 class TestOrbitAverage:
@@ -183,7 +189,7 @@ class TestOrbitAverage:
     def test_quadrature_matches_closed_forms(self, oriented_elements):
         for power, want in AVG_ORACLE.items():
             got = orbit_average(
-                lambda s, p=power: s.position.x2 / s.position.norm() ** p,
+                lambda X, V, p=power: X[:, 1] / np.hypot(X[:, 0], X[:, 1]) ** p,
                 oriented_elements)
             assert_close(got, want, rtol=1e-10)
 
@@ -193,31 +199,32 @@ class TestOrbitAverage:
 
     def test_apsis_on_x1_axis_kills_odd_integrand(self, default_elements):
         # with the apsis on +x1 the orbit is symmetric under x2 -> -x2
-        got = orbit_average(lambda s: s.position.x2 / s.position.norm() ** 5,
+        got = orbit_average(lambda X, V: X[:, 1] / np.hypot(X[:, 0], X[:, 1]) ** 5,
                             default_elements)
         assert abs(got) < 1e-12
 
     def test_node_doubling_is_converged(self, oriented_elements):
-        f = lambda s: s.position.x2 / s.position.norm() ** 5
+        f = lambda X, V: X[:, 1] / np.hypot(X[:, 0], X[:, 1]) ** 5
         a = orbit_average(f, oriented_elements, nodes=2048)
         b = orbit_average(f, oriented_elements, nodes=4096)
         assert abs(a - b) < 1e-9
 
     def test_minimum_node_count(self, oriented_elements):
         with pytest.raises(ConfigurationError):
-            orbit_average(lambda s: 1.0, oriented_elements, nodes=32)
+            orbit_average(lambda X, V: np.ones(len(X)), oriented_elements, nodes=32)
 
     def test_total_derivative_averages_to_zero(self, oriented_elements):
         # <d/dt f> = 0 for periodic motion; f = v2/r^3 gives
         # df/dt = -x2/r^6 - 3 v2 <x,v> / r^5
-        def ddt(s):
-            r = s.position.norm()
-            svel = s.position.dot(s.velocity)
-            return -s.position.x2 / r ** 6 - 3.0 * s.velocity.x2 * svel / r ** 5
+        def ddt(X, V):
+            r = np.hypot(X[:, 0], X[:, 1])
+            svel = np.sum(X * V, axis=1)
+            return -X[:, 1] / r ** 6 - 3.0 * V[:, 1] * svel / r ** 5
         assert abs(orbit_average(ddt, oriented_elements)) < 1e-12
 
     def test_constant_averages_to_itself(self, oriented_elements):
-        assert_close(orbit_average(lambda s: 2.5, oriented_elements), 2.5, rtol=1e-15)
+        assert_close(orbit_average(lambda X, V: np.full(len(X), 2.5), oriented_elements),
+                     2.5, rtol=1e-15)
 
 
 class TestPrecessionClosedForm:
@@ -277,6 +284,23 @@ class TestPrecessionQuadrature:
         a = precession_quadrature(MethodId.SV, default_elements, 0.5)
         b = precession_quadrature(MethodId.SV, default_elements.with_apsis_angle(1.0), 0.5)
         assert_close(b.rate_per_revolution, a.rate_per_revolution, rtol=1e-12)
+
+    # rates at h = 0.1 as computed by the per-node scalar quadrature that
+    # preceded the array one
+    PINNED = [
+        (MethodId.SV, 1.5, 0.2, -0.005313170767367999),
+        (MethodId.SV, 2.0, 0.39, -0.0033435190156765986),
+        (MethodId.SV, 2.5, 0.6, -0.004180097646988698),
+        (MethodId.MP, 1.5, 0.2, 0.010626341534735921),
+        (MethodId.MP, 2.0, 0.39, 0.006687038031353168),
+        (MethodId.MP, 2.5, 0.6, 0.008360195293976757),
+    ]
+
+    @pytest.mark.parametrize("method, a, e, want", PINNED)
+    def test_pinned_rates(self, method, a, e, want):
+        el = OrbitElements.from_shape(a, e)
+        got = precession_quadrature(method, el, 0.1).rate_per_revolution
+        assert_close(got, want, rtol=1e-12)
 
     def test_rejects_circular_orbit(self):
         el = OrbitElements.from_shape(2.0, 0.0)
