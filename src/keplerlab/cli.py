@@ -7,6 +7,10 @@ Outputs are deterministic CSV (17-significant-digit decimals, LF endings,
 single header row) or JSON mirrors; effective settings are embedded in JSON
 payloads and echoed to stderr for CSV.
 
+Two tables drive the parser, the --config check and the metadata: _OPTIONS
+declares every setting once, and _COMMANDS gives each subcommand its
+handler and its settings with their defaults.
+
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
 """
 
@@ -17,6 +21,7 @@ import json
 import math
 import sys
 import time
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -79,73 +84,61 @@ def _parse_method_list(text: str) -> tuple[str, ...]:
     return names
 
 
+class _Option(NamedTuple):
+    """One setting: the parser of its flag's text (None keeps the text), its
+    help, its metadata key when that differs from the setting's name, and
+    the values it may take."""
+
+    type: Optional[Callable[[str], Any]]
+    help: str
+    key: Optional[str] = None
+    choices: Optional[tuple[str, ...]] = None
+
+
+# Every setting of every subcommand, in help order.  Setting k has the flag
+# --k (dashes for underscores) and the config-file key k.
+_OPTIONS = {
+    "method": _Option(str, f"integrator, one of: {', '.join(_ALL_METHODS)}"),
+    "methods": _Option(_parse_method_list, "comma-separated integrators (default: all)"),
+    "h": _Option(float, "step size"),
+    "h_list": _Option(_parse_float_list, "comma-separated step sizes", "hList"),
+    "steps": _Option(int, "number of steps"),
+    "t_end": _Option(float, "physical time span (overrides --steps)", "tEnd"),
+    "a": _Option(float, "semimajor axis (with --e)"),
+    "e": _Option(float, "eccentricity (with --a)"),
+    "x0": _Option(_parse_pair, "initial position a,b (default -3,0)"),
+    "v0": _Option(_parse_pair, "initial velocity a,b (default 0,0.45)"),
+    "tol": _Option(float, "Newton residual tolerance (default 1e-12)", "tolerance"),
+    "max_iter": _Option(int, "Newton iteration cap (default 50)", "maxIterations"),
+    "out": _Option(str, "output file (default stdout)"),
+    "format": _Option(None, "output format", choices=("csv", "json")),
+}
+
+# The default of a setting that its subcommand cannot run without.
+_REQUIRED = object()
+
+
+class _Command(NamedTuple):
+    handler: Callable[[dict], None]
+    help: str
+    settings: dict  # setting name -> default
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="keplerlab",
                      description="Experiment runner for planar Kepler integrators.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add_common(p, method_arg=True, methods_arg=False, h_arg=True,
-                   steps_arg=True, t_end_arg=True, h_list_arg=False):
-        if method_arg:
-            p.add_argument("--method", type=str, default=None,
-                           help=f"integrator, one of: {', '.join(_ALL_METHODS)}")
-        if methods_arg:
-            p.add_argument("--methods", type=_parse_method_list, default=None,
-                           help="comma-separated integrators (default: all)")
-        if h_arg:
-            p.add_argument("--h", type=float, default=None, help="step size")
-        if h_list_arg:
-            p.add_argument("--h-list", type=_parse_float_list, default=None,
-                           help="comma-separated step sizes")
-        if steps_arg:
-            p.add_argument("--steps", type=int, default=None, help="number of steps")
-        if t_end_arg:
-            p.add_argument("--t-end", type=float, default=None,
-                           help="physical time span (overrides --steps)")
-        p.add_argument("--x0", type=_parse_pair, default=None,
-                       help="initial position a,b (default -3,0)")
-        p.add_argument("--v0", type=_parse_pair, default=None,
-                       help="initial velocity a,b (default 0,0.45)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="Newton residual tolerance (default 1e-12)")
-        p.add_argument("--max-iter", type=int, default=None,
-                       help="Newton iteration cap (default 50)")
-        p.add_argument("--out", type=str, default=None,
-                       help="output file (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format")
-        p.add_argument("--config", type=str, default=None,
-                       help="JSON config file; flags override its keys")
-
-    p = sub.add_parser("simulate", help="dump one trajectory with observables")
-    add_common(p)
-
-    p = sub.add_parser("precession", help="measured vs predicted precession for one run")
-    add_common(p)
-
-    p = sub.add_parser("scan", help="precession rates across methods and step sizes")
-    add_common(p, method_arg=False, methods_arg=True, h_arg=False,
-               steps_arg=False, h_list_arg=True)
-
-    p = sub.add_parser("error-curve", help="position error against the exact orbit")
-    add_common(p)
-
-    p = sub.add_parser("predict", help="closed-form and quadrature precession predictions")
-    add_common(p, steps_arg=False, t_end_arg=False)
-    p.add_argument("--a", type=float, default=None, help="semimajor axis (with --e)")
-    p.add_argument("--e", type=float, default=None, help="eccentricity (with --a)")
-
-    p = sub.add_parser("averages", help="closed-form vs quadrature orbit averages")
-    add_common(p, method_arg=False, h_arg=False, steps_arg=False, t_end_arg=False)
-    p.add_argument("--a", type=float, default=None, help="semimajor axis (with --e)")
-    p.add_argument("--e", type=float, default=None, help="eccentricity (with --a)")
-
-    p = sub.add_parser("bench", help="wall-clock and Newton-iteration benchmark")
-    add_common(p, method_arg=False, methods_arg=True, t_end_arg=False)
-
-    for p in sub.choices.values():
-        # config-file values are checked by the actions of the same-named flags
-        p.set_defaults(actions={a.dest: a for a in p._actions})
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key, option in _OPTIONS.items():
+            if key in command.settings:
+                p.add_argument(_flag(key), type=option.type, choices=option.choices,
+                               help=option.help)
+        p.add_argument("--config", help="JSON config file; flags override its keys")
     return parser
 
 
@@ -166,7 +159,7 @@ def _load_config_file(path: str, allowed: set[str]) -> dict:
     return data
 
 
-def _config_value(action: argparse.Action, key: str, value):
+def _config_value(option: _Option, key: str, value):
     """A config-file value converted and checked as its flag's text would be.
 
     A JSON list stands for the flag's comma-separated text; an int flag
@@ -178,31 +171,34 @@ def _config_value(action: argparse.Action, key: str, value):
     if isinstance(value, list):
         value = ",".join(str(v) for v in value)
     try:
-        if action.type is int and not isinstance(value, str) and (
+        if option.type is int and not isinstance(value, str) and (
                 isinstance(value, bool) or not float(value).is_integer()):
             raise ValueError(f"expected an integer, got {value!r}")
-        if action.type is not None:
-            value = action.type(value)
+        if option.type is not None:
+            value = option.type(value)
     except (TypeError, ValueError, argparse.ArgumentTypeError) as err:
         raise ConfigurationError(f"config key {key!r}: {err}") from None
-    if action.choices is not None and value not in action.choices:
+    if option.choices is not None and value not in option.choices:
         raise ConfigurationError(
             f"config key {key!r}: invalid choice {value!r} "
-            f"(choose from {', '.join(action.choices)})")
+            f"(choose from {', '.join(option.choices)})")
     return value
 
 
-def _resolve(args, defaults: dict) -> dict:
+def _resolve(args) -> dict:
     """Effective settings: built-in defaults, then config file, then flags."""
+    defaults = _COMMANDS[args.command].settings
     cfg = dict(defaults)
-    if getattr(args, "config", None):
-        file_cfg = _load_config_file(args.config, set(defaults))
-        for key, value in file_cfg.items():
-            cfg[key] = _config_value(args.actions[key], key, value)
+    if args.config:
+        for key, value in _load_config_file(args.config, set(defaults)).items():
+            cfg[key] = _config_value(_OPTIONS[key], key, value)
     for key in defaults:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             cfg[key] = flag
+    for key, value in cfg.items():
+        if value is _REQUIRED:
+            raise ConfigurationError(f"{_flag(key)} is required")
     return cfg
 
 
@@ -214,15 +210,22 @@ def _initial_state(cfg: dict) -> tuple[PlanarVector, PlanarVector]:
     return PlanarVector(*cfg["x0"]), PlanarVector(*cfg["v0"])
 
 
+def _t_end(cfg: dict) -> Optional[float]:
+    """The t-end span, when one is set: positive and finite."""
+    t_end = cfg.get("t_end")
+    if t_end is not None and not 0.0 < t_end < math.inf:
+        raise ConfigurationError(f"t-end must be positive and finite, got {t_end}")
+    return t_end
+
+
 def _steps_from(cfg: dict, h: float) -> int:
-    if cfg.get("t_end") is not None:
-        if cfg["t_end"] <= 0:
-            raise ConfigurationError(f"t-end must be positive, got {cfg['t_end']}")
-        return max(1, round(cfg["t_end"] / h))
+    t_end = _t_end(cfg)
+    if t_end is not None:
+        return max(1, round(t_end / h))
     steps = cfg["steps"]
     if steps is None or steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
-    return int(steps)
+    return steps
 
 
 def _fmt(value) -> str:
@@ -241,13 +244,21 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(cfg: dict, payload: dict, header: list[str], rows: list[list]) -> None:
+def _emit(cfg: dict, meta: dict, columns: list[str], rows: list[list],
+          report: bool = False, **extra) -> None:
+    """Write the rows as CSV, with the metadata on stderr, or as JSON.
+
+    The JSON payload holds the metadata, any `extra` fields, and the rows as
+    objects keyed by column: a `report` is one row, merged into the payload
+    itself; other rows are listed under "rows".
+    """
     if cfg["format"] == "json":
+        records = [dict(zip(columns, row)) for row in rows]
+        payload = dict(records[0] if report else {"rows": records}, metadata=meta, **extra)
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        text = _csv_text(header, rows)
-        print(f"# metadata: {json.dumps(payload['metadata'], sort_keys=True)}",
-              file=sys.stderr)
+        text = _csv_text(columns, rows)
+        print(f"# metadata: {json.dumps(meta, sort_keys=True)}", file=sys.stderr)
     if cfg.get("out"):
         with open(cfg["out"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -256,23 +267,11 @@ def _emit(cfg: dict, payload: dict, header: list[str], rows: list[list]) -> None
 
 
 def _metadata(cfg: dict, **extra) -> dict:
-    meta = {}
-    for key, value in cfg.items():
-        if value is None:
-            continue
-        name = {"tol": "tolerance", "max_iter": "maxIterations", "t_end": "tEnd",
-                "h_list": "hList"}.get(key, key)
-        if isinstance(value, tuple):
-            value = list(value)
-        meta[name] = value
+    """The settings that have a value, under their metadata keys, then `extra`."""
+    meta = {_OPTIONS[key].key or key: list(value) if isinstance(value, tuple) else value
+            for key, value in cfg.items() if value is not None}
     meta.update(extra)
     return meta
-
-
-def _require_method(cfg: dict) -> MethodId:
-    if not cfg.get("method"):
-        raise ConfigurationError("--method is required")
-    return MethodId.parse(cfg["method"])
 
 
 def _elements_for_report(cfg: dict) -> OrbitElements:
@@ -286,87 +285,43 @@ def _elements_for_report(cfg: dict) -> OrbitElements:
     return elements_from_state(State(x0, v0, 0.0))
 
 
-_SIMULATE_DEFAULTS = {
-    "method": None, "h": DEFAULT_H, "steps": DEFAULT_STEPS, "t_end": None,
-    "x0": DEFAULT_X0, "v0": DEFAULT_V0, "tol": 1e-12, "max_iter": 50,
-    "out": None, "format": "csv",
-}
+def _run(cfg: dict) -> tuple[Trajectory, dict]:
+    """The one integration of simulate, precession and error-curve, and the
+    metadata of the run."""
+    method = MethodId.parse(cfg["method"])
+    x0, v0 = _initial_state(cfg)
+    steps = _steps_from(cfg, cfg["h"])
+    traj = integrate(method, x0, v0, cfg["h"], steps, _solver_from(cfg))
+    return traj, _metadata(cfg, method=method.value, steps=steps)
 
-_SIMULATE_COLUMNS = ["step", "t", "x1", "x2", "v1", "v2",
-                     "energy", "angmom", "lrlA", "lrlB", "omega"]
 
-
-def _simulate_rows(traj: Trajectory) -> list[list]:
+def cmd_simulate(cfg: dict) -> None:
+    traj, meta = _run(cfg)
     t, X, V = analysis.trajectory_arrays(traj)
     energy, angmom, lrl_a, lrl_b = analysis.observable_series(X, V)
     omega = np.arctan2(lrl_b, lrl_a)
     table = np.column_stack([t, X, V, energy, angmom, lrl_a, lrl_b, omega])
-    return [[k] + [float(v) for v in table[k]] for k in range(len(t))]
+    rows = [[k] + row for k, row in enumerate(table.tolist())]
+    _emit(cfg, meta, ["step", "t", "x1", "x2", "v1", "v2",
+                      "energy", "angmom", "lrlA", "lrlB", "omega"], rows)
 
 
-def cmd_simulate(args) -> None:
-    cfg = _resolve(args, _SIMULATE_DEFAULTS)
-    method = _require_method(cfg)
-    x0, v0 = _initial_state(cfg)
-    h = float(cfg["h"])
-    steps = _steps_from(cfg, h)
-    traj = integrate(method, x0, v0, h, steps, _solver_from(cfg))
-    rows = _simulate_rows(traj)
-    meta = _metadata(cfg, method=method.value, steps=steps)
-    payload = {"metadata": meta,
-               "rows": [dict(zip(_SIMULATE_COLUMNS, row)) for row in rows]}
-    _emit(cfg, payload, _SIMULATE_COLUMNS, rows)
-
-
-_PRECESSION_DEFAULTS = dict(_SIMULATE_DEFAULTS, format="json")
-
-_PRECESSION_COLUMNS = ["method", "h", "predictedClosedForm", "predictedQuadrature",
-                       "measured", "fitResidualRms", "revolutions"]
-
-
-def _precession_report(method: MethodId, traj: Trajectory, h: float) -> dict:
+def cmd_precession(cfg: dict) -> None:
+    traj, meta = _run(cfg)
+    method, h = traj.method, traj.h
     estimate = analysis.measure_precession(traj)
     closed = theory.precession_closed_form(method, traj.elements, h)
     quad = None
     if method in _QUADRATURE_METHODS:
         quad = theory.precession_quadrature(method, traj.elements, h).rate_per_revolution
-    return {
-        "method": method.value,
-        "h": h,
-        "predictedClosedForm": closed.rate_per_revolution,
-        "predictedQuadrature": quad,
-        "measured": estimate.rate_per_revolution,
-        "fitResidualRms": estimate.fit_residual_rms,
-        "revolutions": estimate.revolutions_observed,
-    }
+    row = [method.value, h, closed.rate_per_revolution, quad, estimate.rate_per_revolution,
+           estimate.fit_residual_rms, estimate.revolutions_observed]
+    _emit(cfg, meta, ["method", "h", "predictedClosedForm", "predictedQuadrature",
+                      "measured", "fitResidualRms", "revolutions"], [row], report=True)
 
 
-def cmd_precession(args) -> None:
-    cfg = _resolve(args, _PRECESSION_DEFAULTS)
-    method = _require_method(cfg)
-    x0, v0 = _initial_state(cfg)
-    h = float(cfg["h"])
-    steps = _steps_from(cfg, h)
-    traj = integrate(method, x0, v0, h, steps, _solver_from(cfg))
-    report = _precession_report(method, traj, h)
-    meta = _metadata(cfg, method=method.value, steps=steps)
-    payload = dict(report, metadata=meta)
-    rows = [[report[col] for col in _PRECESSION_COLUMNS]]
-    _emit(cfg, payload, _PRECESSION_COLUMNS, rows)
-
-
-_SCAN_DEFAULTS = {
-    "methods": _ALL_METHODS, "h_list": DEFAULT_SCAN_H, "t_end": None,
-    "x0": DEFAULT_X0, "v0": DEFAULT_V0, "tol": 1e-12, "max_iter": 50,
-    "out": None, "format": "csv",
-}
-
-_SCAN_COLUMNS = ["method", "h", "measuredRate", "predictedRate"]
-
-
-def cmd_scan(args) -> None:
-    cfg = _resolve(args, _SCAN_DEFAULTS)
-    h_list = tuple(float(h) for h in cfg["h_list"])
+def cmd_scan(cfg: dict) -> None:
+    h_list = cfg["h_list"]
     if len(h_list) < 2:
         raise ConfigurationError("scan needs at least 2 step sizes")
     if any(h <= 0 for h in h_list):
@@ -374,14 +329,9 @@ def cmd_scan(args) -> None:
     methods = [MethodId.parse(m) for m in cfg["methods"]]
     x0, v0 = _initial_state(cfg)
     elements = elements_from_state(State(x0, v0, 0.0))
-    h_max = max(h_list)
-    if cfg.get("t_end") is not None:
-        raw_span = float(cfg["t_end"])
-        if raw_span <= 0:
-            raise ConfigurationError(f"t-end must be positive, got {raw_span}")
-    else:
-        raw_span = DEFAULT_SCAN_REVOLUTIONS * elements.T
+    raw_span = _t_end(cfg) or DEFAULT_SCAN_REVOLUTIONS * elements.T
     # common physical span, aligned to the coarsest step
+    h_max = max(h_list)
     t_span = math.ceil(raw_span / h_max) * h_max
     solver = _solver_from(cfg)
     rows = []
@@ -396,75 +346,33 @@ def cmd_scan(args) -> None:
                 print(f"warning: {method.value} at h={h:g} failed: {err}",
                       file=sys.stderr)
             rows.append([method.value, h, measured, predicted])
-    meta = _metadata(cfg, methods=[m.value for m in methods], hList=list(h_list),
-                     tSpan=t_span, revolutions=t_span / elements.T)
-    payload = {"metadata": meta,
-               "rows": [dict(zip(_SCAN_COLUMNS, row)) for row in rows]}
-    _emit(cfg, payload, _SCAN_COLUMNS, rows)
+    meta = _metadata(cfg, tSpan=t_span, revolutions=t_span / elements.T)
+    _emit(cfg, meta, ["method", "h", "measuredRate", "predictedRate"], rows)
 
 
-_ERROR_DEFAULTS = dict(_SIMULATE_DEFAULTS, steps=None, t_end=DEFAULT_ERROR_T_END)
-
-_ERROR_COLUMNS = ["method", "t", "errorNorm"]
-
-
-def cmd_error_curve(args) -> None:
-    cfg = _resolve(args, _ERROR_DEFAULTS)
-    method = _require_method(cfg)
-    x0, v0 = _initial_state(cfg)
-    h = float(cfg["h"])
-    steps = _steps_from(cfg, h)
-    traj = integrate(method, x0, v0, h, steps, _solver_from(cfg))
+def cmd_error_curve(cfg: dict) -> None:
+    traj, meta = _run(cfg)
     t, err = analysis.error_curve(traj)
-    rows = [[method.value, float(t[k]), float(err[k])] for k in range(len(t))]
-    meta = _metadata(cfg, method=method.value, steps=steps)
-    payload = {"metadata": meta,
-               "rows": [dict(zip(_ERROR_COLUMNS, row)) for row in rows]}
-    _emit(cfg, payload, _ERROR_COLUMNS, rows)
+    rows = [[traj.method.value, tk, ek] for tk, ek in zip(t.tolist(), err.tolist())]
+    _emit(cfg, meta, ["method", "t", "errorNorm"], rows)
 
 
-_PREDICT_DEFAULTS = {
-    "method": None, "h": DEFAULT_H, "x0": DEFAULT_X0, "v0": DEFAULT_V0,
-    "a": None, "e": None, "tol": 1e-12, "max_iter": 50, "out": None,
-    "format": "json",
-}
-
-_PREDICT_COLUMNS = ["method", "h", "predictedClosedForm", "predictedQuadrature",
-                    "leadingOrder"]
-
-
-def cmd_predict(args) -> None:
-    cfg = _resolve(args, _PREDICT_DEFAULTS)
-    method = _require_method(cfg)
-    h = float(cfg["h"])
+def cmd_predict(cfg: dict) -> None:
+    method = MethodId.parse(cfg["method"])
+    h = cfg["h"]
     elements = _elements_for_report(cfg)
     closed = theory.precession_closed_form(method, elements, h)
     quad = None
     if method in _QUADRATURE_METHODS and elements.e > 0:
         quad = theory.precession_quadrature(method, elements, h).rate_per_revolution
-    report = {
-        "method": method.value,
-        "h": h,
-        "predictedClosedForm": closed.rate_per_revolution,
-        "predictedQuadrature": quad,
-        "leadingOrder": closed.leading_order,
-    }
+    row = [method.value, h, closed.rate_per_revolution, quad, closed.leading_order]
     meta = _metadata(cfg, method=method.value,
                      elements={"a": elements.a, "e": elements.e, "L": elements.L})
-    payload = dict(report, metadata=meta)
-    _emit(cfg, payload, _PREDICT_COLUMNS, [[report[c] for c in _PREDICT_COLUMNS]])
+    _emit(cfg, meta, ["method", "h", "predictedClosedForm", "predictedQuadrature",
+                      "leadingOrder"], [row], report=True)
 
 
-_AVERAGES_DEFAULTS = {
-    "x0": DEFAULT_X0, "v0": DEFAULT_V0, "a": None, "e": None,
-    "tol": 1e-12, "max_iter": 50, "out": None, "format": "json",
-}
-
-_AVERAGES_COLUMNS = ["power", "closedForm", "quadrature", "relDiff"]
-
-
-def cmd_averages(args) -> None:
-    cfg = _resolve(args, _AVERAGES_DEFAULTS)
+def cmd_averages(cfg: dict) -> None:
     elements = _elements_for_report(cfg)
     oriented = elements.with_apsis_angle(0.5 * math.pi)
     rows = []
@@ -475,60 +383,60 @@ def cmd_averages(args) -> None:
         denom = abs(closed) if closed != 0.0 else 1.0
         rows.append([power, closed, quad, abs(quad - closed) / denom])
     meta = _metadata(cfg, elements={"a": elements.a, "e": elements.e, "L": elements.L})
-    payload = {"metadata": meta,
-               "rows": [dict(zip(_AVERAGES_COLUMNS, row)) for row in rows]}
-    _emit(cfg, payload, _AVERAGES_COLUMNS, rows)
+    _emit(cfg, meta, ["power", "closedForm", "quadrature", "relDiff"], rows)
 
 
-_BENCH_DEFAULTS = {
-    "methods": _ALL_METHODS, "h": DEFAULT_BENCH_H, "steps": DEFAULT_BENCH_STEPS,
-    "x0": DEFAULT_X0, "v0": DEFAULT_V0, "tol": 1e-12, "max_iter": 50,
-    "out": None, "format": "json",
-}
-
-_BENCH_COLUMNS = ["method", "steps", "wallSeconds", "implicitSolveCount",
-                  "avgNewtonIterations"]
-
-
-def cmd_bench(args) -> None:
-    cfg = _resolve(args, _BENCH_DEFAULTS)
+def cmd_bench(cfg: dict) -> None:
     methods = [MethodId.parse(m) for m in cfg["methods"]]
     x0, v0 = _initial_state(cfg)
-    h = float(cfg["h"])
-    steps = int(cfg["steps"])
-    if steps < 1:
-        raise ConfigurationError(f"steps must be >= 1, got {steps}")
+    steps = _steps_from(cfg, cfg["h"])
     solver = _solver_from(cfg)
     rows = []
     for method in methods:
         start = time.perf_counter()
-        traj = integrate(method, x0, v0, h, steps, solver)
+        traj = integrate(method, x0, v0, cfg["h"], steps, solver)
         wall = time.perf_counter() - start
         rows.append([method.value, steps, wall, traj.stats.implicit_solves,
                      traj.stats.avg_newton_iterations])
-    meta = _metadata(cfg, methods=[m.value for m in methods], steps=steps)
-    payload = {"metadata": meta,
-               "note": "wall-clock timings are machine-dependent and informative only",
-               "rows": [dict(zip(_BENCH_COLUMNS, row)) for row in rows]}
-    _emit(cfg, payload, _BENCH_COLUMNS, rows)
+    _emit(cfg, _metadata(cfg), ["method", "steps", "wallSeconds", "implicitSolveCount",
+                                "avgNewtonIterations"], rows,
+          note="wall-clock timings are machine-dependent and informative only")
 
 
-_HANDLERS = {
-    "simulate": cmd_simulate,
-    "precession": cmd_precession,
-    "scan": cmd_scan,
-    "error-curve": cmd_error_curve,
-    "predict": cmd_predict,
-    "averages": cmd_averages,
-    "bench": cmd_bench,
+def _settings(output_format: str, **own) -> dict:
+    """A subcommand's settings and their defaults: its own, then the initial
+    state and the output, which every subcommand has."""
+    return dict(own, x0=DEFAULT_X0, v0=DEFAULT_V0, out=None, format=output_format)
+
+
+_SOLVER = {"tol": 1e-12, "max_iter": 50}
+_RUN = dict(method=_REQUIRED, h=DEFAULT_H, steps=DEFAULT_STEPS, t_end=None, **_SOLVER)
+
+_COMMANDS = {
+    "simulate": _Command(cmd_simulate, "dump one trajectory with observables",
+                         _settings("csv", **_RUN)),
+    "precession": _Command(cmd_precession, "measured vs predicted precession for one run",
+                           _settings("json", **_RUN)),
+    "scan": _Command(cmd_scan, "precession rates across methods and step sizes",
+                     _settings("csv", methods=_ALL_METHODS, h_list=DEFAULT_SCAN_H,
+                               t_end=None, **_SOLVER)),
+    "error-curve": _Command(cmd_error_curve, "position error against the exact orbit",
+                            _settings("csv", **dict(_RUN, steps=None,
+                                                    t_end=DEFAULT_ERROR_T_END))),
+    "predict": _Command(cmd_predict, "closed-form and quadrature precession predictions",
+                        _settings("json", method=_REQUIRED, h=DEFAULT_H, a=None, e=None)),
+    "averages": _Command(cmd_averages, "closed-form vs quadrature orbit averages",
+                         _settings("json", a=None, e=None)),
+    "bench": _Command(cmd_bench, "wall-clock and Newton-iteration benchmark",
+                      _settings("json", methods=_ALL_METHODS, h=DEFAULT_BENCH_H,
+                                steps=DEFAULT_BENCH_STEPS, **_SOLVER)),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _HANDLERS[args.command](args)
+        _COMMANDS[args.command].handler(_resolve(args))
     except NumericalFailure as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

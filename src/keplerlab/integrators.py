@@ -16,13 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, NearSingularity, SolverFailure
 from .kepler import (
-    SINGULARITY_FLOOR,
     OrbitElements,
     PlanarVector,
     State,
@@ -30,10 +29,6 @@ from .kepler import (
     gradient_jacobian,
     potential_gradient,
 )
-
-GradientFn = Callable[[PlanarVector], PlanarVector]
-JacobianFn = Callable[[PlanarVector], tuple[float, float, float]]
-
 
 class MethodId(Enum):
     SV = "sv"
@@ -191,7 +186,6 @@ def _newton2(residual, guess: tuple[float, float], cfg: SolverConfig,
 
 def _solve_forward_midpoint(anchor: PlanarVector, C: tuple[float, float], ch2: float,
                             guess: tuple[float, float], cfg: SolverConfig,
-                            grad: GradientFn, grad_jac: JacobianFn,
                             stats: Optional[IntegrationStats], label: str) -> PlanarVector:
     """Solve z - C + ch2 U'((anchor + z)/2) = 0 for z.
 
@@ -202,8 +196,8 @@ def _solve_forward_midpoint(anchor: PlanarVector, C: tuple[float, float], ch2: f
 
     def residual(z1: float, z2: float):
         m = PlanarVector(0.5 * (anchor.x1 + z1), 0.5 * (anchor.x2 + z2))
-        g = grad(m)
-        j11, j12, j22 = grad_jac(m)
+        g = potential_gradient(m)
+        j11, j12, j22 = gradient_jacobian(m)
         return (
             z1 - c1 + ch2 * g.x1,
             z2 - c2 + ch2 * g.x2,
@@ -217,8 +211,6 @@ def _solve_forward_midpoint(anchor: PlanarVector, C: tuple[float, float], ch2: f
 
 def stencil_step(x_prev: PlanarVector, x_cur: PlanarVector, h: float,
                  weights: Weights, cfg: SolverConfig = DEFAULT_SOLVER,
-                 grad: GradientFn = potential_gradient,
-                 grad_jac: JacobianFn = gradient_jacobian,
                  stats: Optional[IntegrationStats] = None) -> PlanarVector:
     """x_next from the weighted two-step relation, (a, b, c) = weights:
 
@@ -234,21 +226,21 @@ def stencil_step(x_prev: PlanarVector, x_cur: PlanarVector, h: float,
     r2 = 2.0 * x_cur.x2 - x_prev.x2
     f1 = f2 = 0.0
     if a:
-        g = grad(x_cur)
+        g = potential_gradient(x_cur)
         f1 += a * g.x1
         f2 += a * g.x2
     if b:
-        g = grad(PlanarVector(0.5 * (x_prev.x1 + x_cur.x1), 0.5 * (x_prev.x2 + x_cur.x2)))
+        g = potential_gradient(PlanarVector(0.5 * (x_prev.x1 + x_cur.x1),
+                                            0.5 * (x_prev.x2 + x_cur.x2)))
         f1 += b * g.x1
         f2 += b * g.x2
     C = (r1 - h2 * f1, r2 - h2 * f2)
     if not c:
         return PlanarVector(*C)
-    return _solve_forward_midpoint(x_cur, C, c * h2, (r1, r2), cfg, grad, grad_jac,
-                                   stats, "implicit step")
+    return _solve_forward_midpoint(x_cur, C, c * h2, (r1, r2), cfg, stats, "implicit step")
 
 
-def fr_step(state: State, h: float, grad: GradientFn = potential_gradient) -> State:
+def fr_step(state: State, h: float) -> State:
     """One triple-jump step: three leapfrog substeps with weights
     (theta, 1 - 2 theta, theta)."""
     x1, x2 = state.position
@@ -257,7 +249,7 @@ def fr_step(state: State, h: float, grad: GradientFn = potential_gradient) -> St
         dt = w * h
         x1 += 0.5 * dt * v1
         x2 += 0.5 * dt * v2
-        g = grad(PlanarVector(x1, x2))
+        g = potential_gradient(PlanarVector(x1, x2))
         v1 -= dt * g.x1
         v2 -= dt * g.x2
         x1 += 0.5 * dt * v1
@@ -267,8 +259,6 @@ def fr_step(state: State, h: float, grad: GradientFn = potential_gradient) -> St
 
 def init_second_point(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
                       cfg: SolverConfig = DEFAULT_SOLVER,
-                      grad: GradientFn = potential_gradient,
-                      grad_jac: JacobianFn = gradient_jacobian,
                       stats: Optional[IntegrationStats] = None) -> PlanarVector:
     """First trajectory point after x0.
 
@@ -280,23 +270,21 @@ def init_second_point(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: f
     explicit when c = 0.  For fr it is simply the first triple-jump step.
     """
     if method is MethodId.FR:
-        return fr_step(State(x0, v0, 0.0), h, grad).position
+        return fr_step(State(x0, v0, 0.0), h).position
     a, _, c = STENCILS[method].init
     h2 = h * h
     base = (x0.x1 + h * v0.x1, x0.x2 + h * v0.x2)
     C = base
     if a:
-        g = grad(x0)
+        g = potential_gradient(x0)
         C = (base[0] - h2 * (0.5 * a * g.x1), base[1] - h2 * (0.5 * a * g.x2))
     if not c:
         return PlanarVector(*C)
-    return _solve_forward_midpoint(x0, C, c * h2, base, cfg, grad, grad_jac, stats,
-                                   "initialization")
+    return _solve_forward_midpoint(x0, C, c * h2, base, cfg, stats, "initialization")
 
 
 def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
-              n_steps: int, cfg: SolverConfig = DEFAULT_SOLVER,
-              floor: float = SINGULARITY_FLOOR) -> Trajectory:
+              n_steps: int, cfg: SolverConfig = DEFAULT_SOLVER) -> Trajectory:
     """Run n_steps of a scheme from (x0, v0) with fixed step h.
 
     The initial condition must describe a bound, non-radial orbit (the exact
@@ -310,11 +298,7 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
         raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
     x0 = PlanarVector(*x0)
     v0 = PlanarVector(*v0)
-    elements = elements_from_state(State(x0, v0, 0.0), floor)
-    grad = potential_gradient if floor == SINGULARITY_FLOOR else (
-        lambda x: potential_gradient(x, floor))
-    grad_jac = gradient_jacobian if floor == SINGULARITY_FLOOR else (
-        lambda x: gradient_jacobian(x, floor))
+    elements = elements_from_state(State(x0, v0, 0.0))
     stats = IntegrationStats()
 
     if method is MethodId.FR:
@@ -322,7 +306,7 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
         k = 0
         try:
             for k in range(n_steps):
-                states.append(fr_step(states[-1], h, grad))
+                states.append(fr_step(states[-1], h))
         except (SolverFailure, NearSingularity) as err:
             _annotate_failure(err, method, k + 1, [s.position for s in states])
             raise
@@ -334,10 +318,9 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
     xs = [x0]
     k = 0
     try:
-        xs.append(init_second_point(method, x0, v0, h, cfg, grad, grad_jac, stats))
+        xs.append(init_second_point(method, x0, v0, h, cfg, stats))
         for k in range(1, n_steps):
-            xs.append(stencil_step(xs[-2], xs[-1], h, cycle[k % len(cycle)],
-                                   cfg, grad, grad_jac, stats))
+            xs.append(stencil_step(xs[-2], xs[-1], h, cycle[k % len(cycle)], cfg, stats))
     except (SolverFailure, NearSingularity) as err:
         _annotate_failure(err, method, k + 1, xs)
         raise

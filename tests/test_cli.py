@@ -1,5 +1,8 @@
+import argparse
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,12 +10,62 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from keplerlab.cli import main
+from keplerlab.cli import build_parser, main
 
-SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA_DIR = ROOT / "schemas"
 
 # spans long enough for the two-revolution minimum of the rate fit
 TWO_REVS = ["--steps", "100"]  # 100 * 0.5 = 50 > 2T = 39.7
+
+_RUN_FLAGS = {"--method", "--h", "--steps", "--t-end", "--x0", "--v0", "--tol",
+              "--max-iter", "--out", "--format", "--config"}
+PINNED_FLAGS = {
+    "simulate": _RUN_FLAGS,
+    "precession": _RUN_FLAGS,
+    "scan": {"--methods", "--h-list", "--t-end", "--x0", "--v0", "--tol", "--max-iter",
+             "--out", "--format", "--config"},
+    "error-curve": _RUN_FLAGS,
+    "predict": {"--method", "--h", "--a", "--e", "--x0", "--v0", "--out", "--format",
+                "--config"},
+    "averages": {"--a", "--e", "--x0", "--v0", "--out", "--format", "--config"},
+    "bench": {"--methods", "--h", "--steps", "--x0", "--v0", "--tol", "--max-iter",
+              "--out", "--format", "--config"},
+}
+
+_RUN_METADATA = {"format", "h", "maxIterations", "method", "steps", "tolerance", "v0", "x0"}
+# a small JSON run of each subcommand, and the keys of its metadata
+PINNED_METADATA = {
+    "simulate": (["--method", "sv", "--steps", "5"], _RUN_METADATA),
+    "precession": (["--method", "sv", *TWO_REVS], _RUN_METADATA),
+    "scan": (["--methods", "sv", "--h-list", "0.4,0.5", "--t-end", "45"],
+             {"format", "hList", "maxIterations", "methods", "revolutions", "tEnd",
+              "tSpan", "tolerance", "v0", "x0"}),
+    "error-curve": (["--method", "sv", "--h", "0.1", "--t-end", "3"], _RUN_METADATA | {"tEnd"}),
+    "predict": (["--method", "sv"], {"elements", "format", "h", "method", "v0", "x0"}),
+    "averages": ([], {"elements", "format", "v0", "x0"}),
+    "bench": (["--methods", "sv", "--steps", "10"],
+              {"format", "h", "maxIterations", "methods", "steps", "tolerance", "v0", "x0"}),
+}
+
+# one value other than the default for every setting of a subcommand but
+# --out, as a config file would hold it
+_STATE = {"x0": [-2.5, 0.0], "v0": [0.0, 0.5]}
+_SOLVER = {"tol": 1e-11, "max_iter": 30}
+NON_DEFAULT_SETTINGS = {
+    "simulate": {"method": "mp", "h": 0.25, "steps": 12, "t_end": 3.0, **_STATE, **_SOLVER,
+                 "format": "json"},
+    "precession": {"method": "sv", "h": 0.4, "steps": 100, "t_end": 48.0, **_STATE,
+                   **_SOLVER, "format": "csv"},
+    "scan": {"methods": ["sv", "mp"], "h_list": [0.25, 0.5], "t_end": 45.0, **_STATE,
+             **_SOLVER, "format": "json"},
+    "error-curve": {"method": "dec", "h": 0.2, "steps": 7, "t_end": 4.0, **_STATE, **_SOLVER,
+                    "format": "json"},
+    "predict": {"method": "mp", "h": 0.3, "a": 2.0, "e": 0.5, **_STATE, "format": "csv"},
+    "averages": {"a": 1.5, "e": 0.39, **_STATE, "format": "csv"},
+    "bench": {"methods": ["sv", "mp"], "h": 0.2, "steps": 50, **_STATE, **_SOLVER,
+              "format": "csv"},
+}
 
 
 def run_cli(capsys, *argv):
@@ -195,6 +248,62 @@ class TestConfigResolution:
         assert payload["metadata"]["steps"] == 10
         assert len(payload["rows"]) == 11
 
+    @pytest.mark.parametrize("command", list(NON_DEFAULT_SETTINGS))
+    def test_config_writes_the_same_bytes_as_flags(self, capsys, tmp_path, command):
+        target = tmp_path / "out.txt"
+        values = dict(NON_DEFAULT_SETTINGS[command], out=str(target))
+        assert {"--" + k.replace("_", "-") for k in values} | {"--config"} == \
+            PINNED_FLAGS[command]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+
+        def run(*argv):
+            code, out, err = run_cli(capsys, command, *argv)
+            assert code == 0, err
+            text = target.read_text()
+            if command == "bench":  # the wall-clock column is the one nondeterminism
+                text = re.sub(r"^(\w+,\d+),[^,]+,", r"\1,W,", text, flags=re.M)
+            return out, err, text
+
+        flags = ["--{}={}".format(k.replace("_", "-"),
+                                  ",".join(map(str, v)) if isinstance(v, list) else v)
+                 for k, v in values.items()]
+        assert run("--config", str(cfg)) == run(*flags)
+
+    @pytest.mark.parametrize("command", ["predict", "averages"])
+    @pytest.mark.parametrize("key", ["tol", "max_iter"])
+    def test_no_newton_settings_without_a_newton_solve(self, capsys, tmp_path,
+                                                       command, key):
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, flag, "5"])
+        _, err = capsys.readouterr()
+        assert excinfo.value.code == 1
+        assert f"unrecognized arguments: {flag} 5" in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 5}))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert key in err
+
+    @pytest.mark.parametrize("command", ["simulate", "scan"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_non_finite_t_end_is_a_configuration_error(self, capsys, tmp_path,
+                                                       command, value, via):
+        argv = [command, "--method" if command == "simulate" else "--methods", "sv"]
+        if via == "flag":
+            argv += ["--t-end", str(value)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"t_end": value}))
+            argv += ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "t-end" in err
+
 
 class TestExitCodes:
     def test_success(self, capsys):
@@ -257,19 +366,42 @@ class TestExitCodes:
         assert "failed" in err
 
 
+class TestContract:
+    """The flags and metadata keys of every subcommand, pinned."""
+
+    def test_flags(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {name: {flag for action in p._actions for flag in action.option_strings
+                      if flag not in ("-h", "--help")}
+               for name, p in sub.choices.items()}
+        assert got == PINNED_FLAGS
+
+    @pytest.mark.parametrize("command", list(PINNED_METADATA))
+    def test_metadata_keys(self, capsys, command):
+        argv, keys = PINNED_METADATA[command]
+        payload = check_json(capsys, command, *argv)
+        assert set(payload["metadata"]) == keys
+
+
+def run_module(*argv):
+    """`python -m keplerlab`, importing the package from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "keplerlab", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 class TestConsoleEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "keplerlab", "predict", "--method", "sv"],
-            capture_output=True, text=True)
+        proc = run_module("predict", "--method", "sv")
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["method"] == "sv"
 
     def test_help_exits_zero(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "keplerlab", "--help"],
-            capture_output=True, text=True)
+        proc = run_module("--help")
         assert proc.returncode == 0
         for sub in ("simulate", "precession", "scan", "error-curve",
                     "predict", "averages", "bench"):
