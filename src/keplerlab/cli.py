@@ -210,15 +210,20 @@ def _initial_state(cfg: dict) -> tuple[PlanarVector, PlanarVector]:
     return PlanarVector(*cfg["x0"]), PlanarVector(*cfg["v0"])
 
 
+def _positive_finite(name: str, value: float) -> float:
+    if not 0.0 < value < math.inf:
+        raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 def _t_end(cfg: dict) -> Optional[float]:
     """The t-end span, when one is set: positive and finite."""
     t_end = cfg.get("t_end")
-    if t_end is not None and not 0.0 < t_end < math.inf:
-        raise ConfigurationError(f"t-end must be positive and finite, got {t_end}")
-    return t_end
+    return None if t_end is None else _positive_finite("t-end", t_end)
 
 
 def _steps_from(cfg: dict, h: float) -> int:
+    _positive_finite("h", h)
     t_end = _t_end(cfg)
     if t_end is not None:
         return max(1, round(t_end / h))
@@ -324,8 +329,8 @@ def cmd_scan(cfg: dict) -> None:
     h_list = cfg["h_list"]
     if len(h_list) < 2:
         raise ConfigurationError("scan needs at least 2 step sizes")
-    if any(h <= 0 for h in h_list):
-        raise ConfigurationError("step sizes must be positive")
+    for h in h_list:
+        _positive_finite("h-list entry", h)
     methods = [MethodId.parse(m) for m in cfg["methods"]]
     x0, v0 = _initial_state(cfg)
     elements = elements_from_state(State(x0, v0, 0.0))

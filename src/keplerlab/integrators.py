@@ -7,8 +7,10 @@ differs between methods only in the cycle of gradient weights it applies;
 see stencil_step and the table STENCILS.  fr is the fourth-order triple-jump
 composition of leapfrog, a one-step map on (x, v).
 
-Implicit relations are solved by a damped-free Newton iteration with the
-analytic Jacobian; iteration counts are recorded for benchmarking.
+Both step on plain floats: _stencil advances the stencil one step, with an
+undamped Newton solve inline, and _fr takes one fr step; stencil_step,
+init_second_point and fr_step wrap them for PlanarVector callers.  Newton
+iteration counts are recorded for benchmarking.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .kepler import (
     PlanarVector,
     State,
     elements_from_state,
-    gradient_jacobian,
-    potential_gradient,
+    gradient_jacobian_xy,
+    potential_gradient_xy,
 )
 
 class MethodId(Enum):
@@ -155,58 +157,59 @@ class Trajectory:
         return self.h * np.arange(len(self.positions))
 
 
-def _newton2(residual, guess: tuple[float, float], cfg: SolverConfig,
-             stats: Optional[IntegrationStats], label: str) -> tuple[float, float]:
-    """Solve residual(z1, z2) = 0 for a symmetric-Jacobian 2x2 system.
-
-    `residual` returns (f1, f2, j11, j12, j22).  Convergence is declared on
-    the residual norm; the iteration count (iterations actually applied) is
-    charged to `stats` as one implicit solve.
+def _stencil(p1: float, p2: float, q1: float, q2: float, r1: float, r2: float,
+             h2: float, a: float, b: float, c: float, cfg: SolverConfig,
+             label: str) -> tuple[float, float, int]:
+    """z = x_next of stencil_step from x_prev = p, x_cur = q, the free flight
+    r = 2q - p and h2 = h^2.  With C = r - h2 [a U'(q) + b U'((p + q)/2)],
+    z - C + c h2 U'((q + z)/2) = 0 is solved from z = r by Newton's method
+    (Jacobian I + (c h2/2) J, J the Hessian of U; converged on the residual
+    norm).  Returns (z1, z2, iterations applied), or -1 iterations if c = 0.
     """
-    z1, z2 = guess
-    for applied in range(cfg.max_iterations + 1):
-        f1, f2, j11, j12, j22 = residual(z1, z2)
-        if math.hypot(f1, f2) < cfg.tolerance:
-            if stats is not None:
-                stats.implicit_solves += 1
-                stats.newton_iterations += applied
-            return z1, z2
-        if applied == cfg.max_iterations:
+    f1 = f2 = 0.0
+    if a:
+        g1, g2 = potential_gradient_xy(q1, q2)
+        f1 += a * g1
+        f2 += a * g2
+    if b:
+        g1, g2 = potential_gradient_xy(0.5 * (p1 + q1), 0.5 * (p2 + q2))
+        f1 += b * g1
+        f2 += b * g2
+    c1 = r1 - h2 * f1
+    c2 = r2 - h2 * f2
+    if not c:
+        return c1, c2, -1
+    ch2 = c * h2
+    half_ch2 = 0.5 * ch2
+    tol, max_iter = cfg.tolerance, cfg.max_iterations
+    z1, z2 = r1, r2
+    for applied in range(max_iter + 1):
+        m1 = 0.5 * (q1 + z1)
+        m2 = 0.5 * (q2 + z2)
+        g1, g2 = potential_gradient_xy(m1, m2)
+        f1 = z1 - c1 + ch2 * g1
+        f2 = z2 - c2 + ch2 * g2
+        if math.hypot(f1, f2) < tol:
+            return z1, z2, applied
+        if applied == max_iter:
             break
+        j11, j12, j22 = gradient_jacobian_xy(m1, m2)
+        j11 = 1.0 + half_ch2 * j11
+        j12 = half_ch2 * j12
+        j22 = 1.0 + half_ch2 * j22
         det = j11 * j22 - j12 * j12
         if det == 0.0 or not math.isfinite(det):
             raise SolverFailure(f"{label}: singular Newton system (det={det!r})")
         z1 -= (j22 * f1 - j12 * f2) / det
         z2 -= (j11 * f2 - j12 * f1) / det
-    raise SolverFailure(
-        f"{label}: Newton residual stayed above {cfg.tolerance} "
-        f"after {cfg.max_iterations} iterations"
-    )
+    raise SolverFailure(f"{label}: Newton residual stayed above {tol} "
+                        f"after {max_iter} iterations")
 
 
-def _solve_forward_midpoint(anchor: PlanarVector, C: tuple[float, float], ch2: float,
-                            guess: tuple[float, float], cfg: SolverConfig,
-                            stats: Optional[IntegrationStats], label: str) -> PlanarVector:
-    """Solve z - C + ch2 U'((anchor + z)/2) = 0 for z.
-
-    The Jacobian is I + (ch2/2) J at the midpoint, J the Hessian of U.
-    """
-    c1, c2 = C
-    half_ch2 = 0.5 * ch2
-
-    def residual(z1: float, z2: float):
-        m = PlanarVector(0.5 * (anchor.x1 + z1), 0.5 * (anchor.x2 + z2))
-        g = potential_gradient(m)
-        j11, j12, j22 = gradient_jacobian(m)
-        return (
-            z1 - c1 + ch2 * g.x1,
-            z2 - c2 + ch2 * g.x2,
-            1.0 + half_ch2 * j11,
-            half_ch2 * j12,
-            1.0 + half_ch2 * j22,
-        )
-
-    return PlanarVector(*_newton2(residual, guess, cfg, stats, label))
+def _count(stats: Optional[IntegrationStats], iterations: int) -> None:
+    if stats is not None and iterations >= 0:
+        stats.implicit_solves += 1
+        stats.newton_iterations += iterations
 
 
 def stencil_step(x_prev: PlanarVector, x_cur: PlanarVector, h: float,
@@ -220,40 +223,33 @@ def stencil_step(x_prev: PlanarVector, x_cur: PlanarVector, h: float,
     A gradient is evaluated only where its weight is nonzero; with c = 0
     the step is explicit and needs no Newton solve.
     """
-    a, b, c = weights
-    h2 = h * h
-    r1 = 2.0 * x_cur.x1 - x_prev.x1
-    r2 = 2.0 * x_cur.x2 - x_prev.x2
-    f1 = f2 = 0.0
-    if a:
-        g = potential_gradient(x_cur)
-        f1 += a * g.x1
-        f2 += a * g.x2
-    if b:
-        g = potential_gradient(PlanarVector(0.5 * (x_prev.x1 + x_cur.x1),
-                                            0.5 * (x_prev.x2 + x_cur.x2)))
-        f1 += b * g.x1
-        f2 += b * g.x2
-    C = (r1 - h2 * f1, r2 - h2 * f2)
-    if not c:
-        return PlanarVector(*C)
-    return _solve_forward_midpoint(x_cur, C, c * h2, (r1, r2), cfg, stats, "implicit step")
+    (p1, p2), (q1, q2) = x_prev, x_cur
+    z1, z2, n = _stencil(p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2, h * h, *weights,
+                         cfg, "implicit step")
+    _count(stats, n)
+    return PlanarVector(z1, z2)
+
+
+def _fr(x1: float, x2: float, v1: float, v2: float,
+        h: float) -> tuple[float, float, float, float]:
+    """The float kernel of one triple-jump step: three leapfrog substeps
+    (drift dt/2, kick dt, drift dt/2) with dt = (theta, 1 - 2 theta, theta) h."""
+    for w in _FR_WEIGHTS:
+        dt = w * h
+        x1 += 0.5 * dt * v1
+        x2 += 0.5 * dt * v2
+        g1, g2 = potential_gradient_xy(x1, x2)
+        v1 -= dt * g1
+        v2 -= dt * g2
+        x1 += 0.5 * dt * v1
+        x2 += 0.5 * dt * v2
+    return x1, x2, v1, v2
 
 
 def fr_step(state: State, h: float) -> State:
     """One triple-jump step: three leapfrog substeps with weights
     (theta, 1 - 2 theta, theta)."""
-    x1, x2 = state.position
-    v1, v2 = state.velocity
-    for w in _FR_WEIGHTS:
-        dt = w * h
-        x1 += 0.5 * dt * v1
-        x2 += 0.5 * dt * v2
-        g = potential_gradient(PlanarVector(x1, x2))
-        v1 -= dt * g.x1
-        v2 -= dt * g.x2
-        x1 += 0.5 * dt * v1
-        x2 += 0.5 * dt * v2
+    x1, x2, v1, v2 = _fr(*state.position, *state.velocity, h)
     return State(PlanarVector(x1, x2), PlanarVector(v1, v2), state.time + h)
 
 
@@ -267,20 +263,17 @@ def init_second_point(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: f
 
         (x1 - x0)/h + h [ (a/2) U'(x0) + c U'((x0 + x1)/2) ] = v0,
 
-    explicit when c = 0.  For fr it is simply the first triple-jump step.
+    explicit when c = 0: the stencil at x0 with weights (a/2, 0, c) and the
+    free flight x0 + h v0.  For fr it is simply the first triple-jump step.
     """
     if method is MethodId.FR:
         return fr_step(State(x0, v0, 0.0), h).position
     a, _, c = STENCILS[method].init
-    h2 = h * h
-    base = (x0.x1 + h * v0.x1, x0.x2 + h * v0.x2)
-    C = base
-    if a:
-        g = potential_gradient(x0)
-        C = (base[0] - h2 * (0.5 * a * g.x1), base[1] - h2 * (0.5 * a * g.x2))
-    if not c:
-        return PlanarVector(*C)
-    return _solve_forward_midpoint(x0, C, c * h2, base, cfg, stats, "initialization")
+    (x1, x2), (v1, v2) = x0, v0
+    z1, z2, n = _stencil(x1, x2, x1, x2, x1 + h * v1, x2 + h * v2, h * h, 0.5 * a, 0.0, c,
+                         cfg, "initialization")
+    _count(stats, n)
+    return PlanarVector(z1, z2)
 
 
 def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
@@ -296,44 +289,51 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
         raise ConfigurationError(f"step size must be positive, got {h}")
     if n_steps < 1:
         raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
-    x0 = PlanarVector(*x0)
-    v0 = PlanarVector(*v0)
+    x0, v0 = PlanarVector(*x0), PlanarVector(*v0)
     elements = elements_from_state(State(x0, v0, 0.0))
     stats = IntegrationStats()
-
-    if method is MethodId.FR:
-        states = [State(x0, v0, 0.0)]
-        k = 0
-        try:
-            for k in range(n_steps):
-                states.append(fr_step(states[-1], h))
-        except (SolverFailure, NearSingularity) as err:
-            _annotate_failure(err, method, k + 1, [s.position for s in states])
-            raise
-        positions = np.array([s.position for s in states], dtype=float)
-        velocities = np.array([s.velocity for s in states], dtype=float)
-        return Trajectory(method, h, positions, v0, elements, velocities, stats)
-
-    cycle = STENCILS[method].cycle
-    xs = [x0]
+    # positions (and fr's velocities) as flat float lists, x1 x2 per point
+    xs = list(x0)
     k = 0
     try:
-        xs.append(init_second_point(method, x0, v0, h, cfg, stats))
+        if method is MethodId.FR:
+            vs = list(v0)
+            (x1, x2), (v1, v2) = x0, v0
+            for k in range(n_steps):
+                x1, x2, v1, v2 = _fr(x1, x2, v1, v2, h)
+                xs.append(x1)
+                xs.append(x2)
+                vs.append(v1)
+                vs.append(v2)
+            return Trajectory(method, h, _points(xs), v0, elements, _points(vs), stats)
+        cycle = STENCILS[method].cycle
+        h2 = h * h
+        (p1, p2), (q1, q2) = x0, init_second_point(method, x0, v0, h, cfg, stats)
+        xs.append(q1)
+        xs.append(q2)
         for k in range(1, n_steps):
-            xs.append(stencil_step(xs[-2], xs[-1], h, cycle[k % len(cycle)], cfg, stats))
+            a, b, c = cycle[k % len(cycle)]
+            z1, z2, n = _stencil(p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2, h2, a, b, c,
+                                 cfg, "implicit step")
+            if n >= 0:
+                stats.implicit_solves += 1
+                stats.newton_iterations += n
+            xs.append(z1)
+            xs.append(z2)
+            p1, p2, q1, q2 = q1, q2, z1, z2
     except (SolverFailure, NearSingularity) as err:
-        _annotate_failure(err, method, k + 1, xs)
+        err.method = method
+        err.step_index = k + 1
+        err.partial_positions = _points(xs)
+        detail = err.args[0] if err.args else err.__class__.__name__
+        err.args = (f"{method.value} failed computing point {k + 1}: {detail}",)
         raise
-    return Trajectory(method, h, np.array(xs, dtype=float), v0, elements, None, stats)
+    return Trajectory(method, h, _points(xs), v0, elements, None, stats)
 
 
-def _annotate_failure(err: Exception, method: MethodId, step_index: int,
-                      positions) -> None:
-    err.method = method
-    err.step_index = step_index
-    err.partial_positions = np.array(positions, dtype=float)
-    detail = err.args[0] if err.args else err.__class__.__name__
-    err.args = (f"{method.value} failed computing point {step_index}: {detail}",)
+def _points(flat: list[float]) -> np.ndarray:
+    """A flat x1 x2 list as an (n, 2) array."""
+    return np.array(flat, dtype=float).reshape(-1, 2)
 
 
 def reconstruct_velocities(traj: Trajectory) -> np.ndarray:

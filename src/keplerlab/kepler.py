@@ -72,11 +72,15 @@ class State(NamedTuple):
     time: float = 0.0
 
 
+def _collision(r: float, floor: float) -> NearSingularity:
+    return NearSingularity(f"|x| = {r:.3e} inside the collision guard {floor:.3e}")
+
+
 def radius(x: PlanarVector, floor: float = SINGULARITY_FLOOR) -> float:
     """|x| with a collision guard: raises NearSingularity below the floor."""
     r = math.hypot(x.x1, x.x2)
     if r < floor:
-        raise NearSingularity(f"|x| = {r:.3e} inside the collision guard {floor:.3e}")
+        raise _collision(r, floor)
     return r
 
 
@@ -85,28 +89,38 @@ def potential(x: PlanarVector, floor: float = SINGULARITY_FLOOR) -> float:
     return -1.0 / radius(x, floor)
 
 
-def potential_gradient(x: PlanarVector, floor: float = SINGULARITY_FLOOR) -> PlanarVector:
-    """U'(x) = x/|x|^3.  The force is the negative of this."""
-    r = radius(x, floor)
+def potential_gradient_xy(x1: float, x2: float,
+                          floor: float = SINGULARITY_FLOOR) -> tuple[float, float]:
+    """U'(x) = x/|x|^3 on plain floats, with the collision guard."""
+    r = math.hypot(x1, x2)
+    if r < floor:
+        raise _collision(r, floor)
     r3 = r * r * r
-    return PlanarVector(x.x1 / r3, x.x2 / r3)
+    return x1 / r3, x2 / r3
 
 
-def gradient_jacobian(x: PlanarVector, floor: float = SINGULARITY_FLOOR) -> tuple[float, float, float]:
-    """Symmetric Jacobian of U', returned as (j11, j12, j22).
+def gradient_jacobian_xy(x1: float, x2: float,
+                         floor: float = SINGULARITY_FLOOR) -> tuple[float, float, float]:
+    """Symmetric Jacobian of U' on plain floats, as (j11, j12, j22):
 
     d U'/dx = (|x|^2 I - 3 x x^T) / |x|^5.
     """
-    r2 = x.x1 * x.x1 + x.x2 * x.x2
+    r2 = x1 * x1 + x2 * x2
     r = math.sqrt(r2)
     if r < floor:
-        raise NearSingularity(f"|x| = {r:.3e} inside the collision guard {floor:.3e}")
+        raise _collision(r, floor)
     r5 = r2 * r2 * r
-    return (
-        (r2 - 3.0 * x.x1 * x.x1) / r5,
-        -3.0 * x.x1 * x.x2 / r5,
-        (r2 - 3.0 * x.x2 * x.x2) / r5,
-    )
+    return (r2 - 3.0 * x1 * x1) / r5, -3.0 * x1 * x2 / r5, (r2 - 3.0 * x2 * x2) / r5
+
+
+def potential_gradient(x: PlanarVector, floor: float = SINGULARITY_FLOOR) -> PlanarVector:
+    """U'(x) = x/|x|^3.  The force is the negative of this."""
+    return PlanarVector(*potential_gradient_xy(x.x1, x.x2, floor))
+
+
+def gradient_jacobian(x: PlanarVector, floor: float = SINGULARITY_FLOOR) -> tuple[float, float, float]:
+    """Symmetric Jacobian of U' at a point, as (j11, j12, j22)."""
+    return gradient_jacobian_xy(x.x1, x.x2, floor)
 
 
 def energy(state: State, floor: float = SINGULARITY_FLOOR) -> float:

@@ -304,6 +304,30 @@ class TestConfigResolution:
         assert out == ""
         assert "t-end" in err
 
+    # h divides t-end into a step count before any integration runs
+    @pytest.mark.parametrize("command, key, value", [
+        *[(command, "h", value) for command in ("simulate", "error-curve")
+          for value in (0.0, math.nan, math.inf)],
+        *[("scan", "h_list", [0.5, value]) for value in (0.0, math.nan, math.inf)],
+    ])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_step_size_must_be_positive_and_finite(self, capsys, tmp_path,
+                                                   command, key, value, via):
+        argv = [command, "--method" if command != "scan" else "--methods", "sv",
+                "--t-end", "5"]
+        if via == "flag":
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv.append("--{}={}".format(key.replace("_", "-"), text))
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            argv += ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: {} ".format(key.replace("_", "-")))
+        assert "must be positive and finite" in err
+
 
 class TestExitCodes:
     def test_success(self, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from keplerlab import (
     IMPLICIT_METHODS,
     STENCILS,
     MethodId,
+    NearSingularity,
     PlanarVector,
     SolverConfig,
     SolverFailure,
@@ -293,6 +295,30 @@ class TestIntegrate:
             assert tuple(traj.positions[-1]) == point
         assert (traj.stats.implicit_solves, traj.stats.newton_iterations) == counts
 
+    # SHA-256 of positions.tobytes() (and velocities.tobytes() for fr) after
+    # 5000 steps at h = 0.25, recorded from the PlanarVector steppers that
+    # the float kernels replaced: every point of every trajectory is pinned
+    DIGESTS = {
+        MethodId.SV: ("b6403cde774ea69cf25a10cc91504d5c73254c6626717cd041dcb581bf66ebdb",
+                      None),
+        MethodId.MP: ("a6e75fb1fd69046c2e102c60ce0c47a2867ac75b02ec32ef76457f541aaf3678",
+                      None),
+        MethodId.ML: ("1ba2c24200fa0d1155fc18a7f7da3ead4171ce0fd724de05fba3483a42c1e94a",
+                      None),
+        MethodId.LC: ("12c84e3aab3cd2ab2af28d001f7db1636910c045071ab9f21d413c0972d80853",
+                      None),
+        MethodId.DEC: ("3e12ef7af322e806b2c4f9ef477d06ee0eafa642ae15500935432b92a52aa3d7",
+                       None),
+        MethodId.FR: ("b25f0f57d497208b384e5bc659717f7e0c6bcaf9a355d65c19b7432e7a03cff2",
+                      "37092ee078b07cdd76f98ff30885d3d70559043e437394c503bf9daabfd7e28e"),
+    }
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_pinned_trajectory_digest(self, method):
+        traj = integrate(method, X0, V0, 0.25, 5000)
+        digest = lambda a: None if a is None else hashlib.sha256(a.tobytes()).hexdigest()
+        assert (digest(traj.positions), digest(traj.velocities)) == self.DIGESTS[method]
+
     def test_newton_iteration_accounting(self):
         stats = integrate(MethodId.MP, X0, V0, 0.2, 50).stats
         assert stats.newton_iterations > 0
@@ -334,12 +360,45 @@ class TestIntegrate:
         assert err.partial_positions.shape == (1, 2)
         assert "mp failed computing point 1" in str(err)
 
+    @pytest.mark.parametrize("method, point, stage", [
+        (MethodId.MP, 1, "initialization"), (MethodId.ML, 1, "initialization"),
+        (MethodId.LC, 3, "implicit step"), (MethodId.DEC, 3, "implicit step")])
+    def test_newton_failure_names_method_point_stage_and_tolerance(self, method, point,
+                                                                   stage):
+        # one Newton iteration is too few for any solve at h = 0.25
+        with pytest.raises(SolverFailure) as excinfo:
+            integrate(method, X0, V0, 0.25, 10, SolverConfig(max_iterations=1))
+        err = excinfo.value
+        assert (err.method, err.step_index) == (method, point)
+        assert err.partial_positions.shape == (point, 2)
+        assert str(err) == (f"{method.value} failed computing point {point}: {stage}: "
+                            "Newton residual stayed above 1e-12 after 1 iterations")
+
     def test_failure_mid_run_keeps_partial(self):
         with pytest.raises(SolverFailure) as excinfo:
             integrate(MethodId.ML, X0, V0, 50.0, 500)
         err = excinfo.value
         assert err.step_index >= 1
         assert err.partial_positions.shape == (err.step_index, 2)
+
+
+class TestCollisionGuard:
+    # 1e-13 and 5e-13 lie inside the 1e-12 floor; so does their midpoint
+    @pytest.mark.parametrize("weights", [SV, MP, ML, LC[0]])
+    def test_stencil_step(self, weights):
+        with pytest.raises(NearSingularity, match="inside the collision guard"):
+            stencil_step(PlanarVector(1e-13, 0.0), PlanarVector(5e-13, 0.0), 0.1, weights)
+
+    def test_fr_step(self):
+        # at rest the first drift stays put, so the first kick is at 1e-13
+        state = State(PlanarVector(1e-13, 0.0), PlanarVector(0.0, 0.0), 0.0)
+        with pytest.raises(NearSingularity, match="inside the collision guard"):
+            fr_step(state, 0.1)
+
+    def test_stencil_step_newton_failure_names_the_stage(self):
+        xp, xc = orbit_pair(2.0, 0.3)
+        with pytest.raises(SolverFailure, match="^implicit step: Newton residual"):
+            stencil_step(xp, xc, 0.3, MP, SolverConfig(max_iterations=1))
 
 
 class TestVelocityReconstruction:
