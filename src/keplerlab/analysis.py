@@ -9,15 +9,14 @@ the per-sample angle and exposes the secular drift.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import SignChange, TooFewRevolutions
-from .integrators import MethodId, Trajectory, reconstruct_velocities
+from .integrators import STENCILS, Trajectory, reconstruct_velocities
 from .kepler import ExactOrbit, PlanarVector, State
 
 
@@ -133,19 +132,21 @@ def discrete_angular_momentum(traj: Trajectory) -> np.ndarray:
     """Per-interval discrete angular momentum, in the form the scheme conserves.
 
     The base quantity is cross(x_k, x_{k+1})/h, which sv conserves exactly.
-    mp conserves the cross product of x_k with its own discrete momentum,
-    which adds the midpoint-gradient term
-        cross(x_k, (h/2) U'((x_k + x_{k+1})/2)) = (h/4) cross(x_k, x_{k+1}) / |m_k|^3.
-    Other methods get the base quantity (only piecewise conserved for lc/dec).
+    A stencil adds (c h/2) cross(x_k, x_{k+1}) / |m_k|^3, with m_k the midpoint
+    and c the forward weight of the step that computed x_{k+1} (the
+    initializer's for k = 0).  That is conserved while c equals the next
+    step's b: for sv, mp, ml and lc; not for dec (phase-1 c = 0, phase-2 b = 1/2).
     """
     X = traj.positions
     h = traj.h
     cross = X[:-1, 0] * X[1:, 1] - X[:-1, 1] * X[1:, 0]
     ell = cross / h
-    if traj.method is MethodId.MP:
-        mid = 0.5 * (X[:-1] + X[1:])
-        rm3 = np.hypot(mid[:, 0], mid[:, 1]) ** 3
-        ell = ell + 0.25 * h * cross / rm3
+    stencil = STENCILS.get(traj.method)
+    if stencil is not None:
+        c = np.array([w[2] for w in stencil.cycle])[np.arange(len(cross)) % len(stencil.cycle)]
+        c[0] = stencil.init[2]
+        rm3 = np.hypot(*(0.5 * (X[:-1] + X[1:])).T) ** 3
+        ell = ell + 0.5 * c * h * cross / rm3
     return ell
 
 

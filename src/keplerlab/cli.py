@@ -27,7 +27,7 @@ import numpy as np
 
 from . import analysis, theory
 from .errors import ConfigurationError, KeplerLabError, NumericalFailure
-from .integrators import MethodId, SolverConfig, Trajectory, integrate
+from .integrators import STENCILS, MethodId, SolverConfig, Trajectory, integrate
 from .kepler import OrbitElements, PlanarVector, State, elements_from_state
 
 DEFAULT_X0 = (-3.0, 0.0)
@@ -44,7 +44,6 @@ DEFAULT_BENCH_H = 0.1
 DEFAULT_ERROR_T_END = 500.0
 
 _ALL_METHODS = tuple(m.value for m in MethodId)
-_QUADRATURE_METHODS = (MethodId.SV, MethodId.MP)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -272,9 +271,10 @@ def _emit(cfg: dict, meta: dict, columns: list[str], rows: list[list],
 
 
 def _metadata(cfg: dict, **extra) -> dict:
-    """The settings that have a value, under their metadata keys, then `extra`."""
+    """The settings that have a value, under their metadata keys, then `extra`.
+    The output path is left out, so that the bytes written do not depend on it."""
     meta = {_OPTIONS[key].key or key: list(value) if isinstance(value, tuple) else value
-            for key, value in cfg.items() if value is not None}
+            for key, value in cfg.items() if value is not None and key != "out"}
     meta.update(extra)
     return meta
 
@@ -311,14 +311,20 @@ def cmd_simulate(cfg: dict) -> None:
                       "energy", "angmom", "lrlA", "lrlB", "omega"], rows)
 
 
+def _predictions(method: MethodId, elements: OrbitElements,
+                 h: float) -> tuple[theory.PrecessionPrediction, Optional[float]]:
+    """The closed-form prediction and the quadrature rate: None for fr, which
+    has no two-step stencil, and for a circular orbit, which has no apsis."""
+    quad = (theory.precession_quadrature(method, elements, h).rate_per_revolution
+            if method in STENCILS and elements.e > 0 else None)
+    return theory.precession_closed_form(method, elements, h), quad
+
+
 def cmd_precession(cfg: dict) -> None:
     traj, meta = _run(cfg)
     method, h = traj.method, traj.h
     estimate = analysis.measure_precession(traj)
-    closed = theory.precession_closed_form(method, traj.elements, h)
-    quad = None
-    if method in _QUADRATURE_METHODS:
-        quad = theory.precession_quadrature(method, traj.elements, h).rate_per_revolution
+    closed, quad = _predictions(method, traj.elements, h)
     row = [method.value, h, closed.rate_per_revolution, quad, estimate.rate_per_revolution,
            estimate.fit_residual_rms, estimate.revolutions_observed]
     _emit(cfg, meta, ["method", "h", "predictedClosedForm", "predictedQuadrature",
@@ -364,12 +370,9 @@ def cmd_error_curve(cfg: dict) -> None:
 
 def cmd_predict(cfg: dict) -> None:
     method = MethodId.parse(cfg["method"])
-    h = cfg["h"]
+    h = _positive_finite("h", cfg["h"])
     elements = _elements_for_report(cfg)
-    closed = theory.precession_closed_form(method, elements, h)
-    quad = None
-    if method in _QUADRATURE_METHODS and elements.e > 0:
-        quad = theory.precession_quadrature(method, elements, h).rate_per_revolution
+    closed, quad = _predictions(method, elements, h)
     row = [method.value, h, closed.rate_per_revolution, quad, closed.leading_order]
     meta = _metadata(cfg, method=method.value,
                      elements={"a": elements.a, "e": elements.e, "L": elements.L})

@@ -1,28 +1,30 @@
-"""Step-size perturbation theory for the second-order schemes.
+"""Step-size perturbation theory for every two-step stencil.
 
 Backward error analysis gives each scheme a modified Lagrangian
 
     L_h = |xdot|^2/2 + 1/|x| + (h^2/24) * correction(x, xdot) + O(h^4),
 
 whose flow the discrete trajectory follows one order deeper than the exact
-one.  The correction breaks the hidden symmetry that freezes the Kepler
-apsis line, and the resulting apsis drift per revolution follows from the
-orbit average of the correction's Euler-Lagrange deficit paired against the
-symmetry generator of the Laplace-Runge-Lenz component.  This module
-carries those objects plus closed forms of the orbit averages they need.
+one.  Every two-step stencil has one, with a correction linear in the cycle
+mean beta of its midpoint weights (cycle-averaged for lc and dec); fr has
+none and so no quadrature.  The correction breaks the hidden symmetry that
+freezes the Kepler apsis line, and the resulting apsis drift per revolution
+follows from the orbit average of the correction's Euler-Lagrange deficit
+paired against the symmetry generator of the Laplace-Runge-Lenz component.
+This module carries those objects plus closed forms of the orbit averages.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, NearSingularity, SingularMassMatrix
-from .integrators import MethodId
+from .integrators import STENCILS, MethodId
 from .kepler import (
     SINGULARITY_FLOOR,
     ExactOrbit,
@@ -37,12 +39,22 @@ REFERENCE_STEP = 0.005
 DEFAULT_AVERAGE_NODES = 2048
 MIN_AVERAGE_NODES = 64
 
-# Correction terms (coefficient of 1/r^4, |v|^2/r^3, <x,v>^2/r^5) that enter
-# the modified Lagrangian at order h^2/24.
-_LAGRANGIAN_BRACKET = {
-    MethodId.SV: (1.0, -2.0, 6.0),
-    MethodId.MP: (1.0, 1.0, -3.0),
-}
+
+def mean_midpoint_weight(method: MethodId) -> float:
+    """beta, the mean of (b + c)/2 over the stencil's weight cycle: 0 for sv,
+    1/2 for mp and 1/6 for ml, lc and dec.  ConfigurationError for fr."""
+    stencil = STENCILS.get(method)
+    if stencil is None:
+        raise ConfigurationError(
+            f"{method.value} has no two-step stencil and no h^2 modified equation")
+    return sum(b + c for _, b, c in stencil.cycle) / (2.0 * len(stencil.cycle))
+
+
+def lagrangian_bracket(beta: float) -> tuple[float, float, float]:
+    """Coefficients of 1/r^4, |v|^2/r^3, <x,v>^2/r^5 in the h^2/24 correction:
+    linear in beta, as the two midpoint gradients expand to 2 U' plus an h^2
+    term linear in beta, and sv's at beta = 0, mp's at 1/2."""
+    return (1.0, -2.0 + 6.0 * beta, 6.0 - 18.0 * beta)
 
 
 def _el_deficit_coefficients(bracket: tuple[float, float, float]) -> tuple[float, float, float, float]:
@@ -73,22 +85,21 @@ class PrecessionPrediction:
 
 @dataclass(frozen=True)
 class ModifiedModel:
-    """Continuous system interpolating a second-order scheme to O(h^4).
+    """Continuous system interpolating a two-step stencil to O(h^4).
 
-    Only sv and mp have closed-form corrections here; h = 0 is allowed and
-    reduces everything to the exact Kepler problem.
+    The cycle-averaged one for lc and dec; fr has none.  h = 0 is allowed
+    and reduces everything to the exact Kepler problem.
     """
 
     method: MethodId
     h: float
+    bracket: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.method not in _LAGRANGIAN_BRACKET:
-            raise ConfigurationError(
-                f"modified Lagrangian available for sv and mp only, got {self.method.value}"
-            )
         if not (self.h >= 0.0 and math.isfinite(self.h)):
             raise ConfigurationError(f"step size must be nonnegative, got {self.h}")
+        object.__setattr__(self, "bracket",
+                           lagrangian_bracket(mean_midpoint_weight(self.method)))
 
     @property
     def epsilon(self) -> float:
@@ -102,28 +113,32 @@ def modified_lagrangian(model: ModifiedModel, state: State,
     r = radius(x, floor)
     u = v.x1 * v.x1 + v.x2 * v.x2
     s = x.x1 * v.x1 + x.x2 * v.x2
-    alpha, beta, gamma = _LAGRANGIAN_BRACKET[model.method]
+    alpha, beta, gamma = model.bracket
     r3 = r * r * r
     correction = alpha / (r3 * r) + beta * u / r3 + gamma * s * s / (r3 * r * r)
     return 0.5 * u + 1.0 / r + model.epsilon * correction
 
 
-def _modified_acceleration_scalar(model: ModifiedModel, x1: float, x2: float,
-                                  v1: float, v2: float,
-                                  floor: float) -> tuple[float, float]:
+def modified_acceleration_xy(eps: float, alpha: float, beta: float, gamma: float,
+                             x1: float, x2: float, v1: float, v2: float,
+                             floor: float = SINGULARITY_FLOOR) -> tuple[float, float]:
+    """Acceleration of the modified flow with epsilon eps and bracket (alpha,
+    beta, gamma): solve M(x, v) xddot = rhs(x, v), on plain floats.
+
+    At h = 0 this is exactly -x/|x|^3.  Raises SingularMassMatrix when the
+    velocity Hessian is not safely invertible (condition number above 1e8).
+    """
     r2 = x1 * x1 + x2 * x2
     r = math.sqrt(r2)
     if r < floor:
         raise SingularMassMatrix(
             f"|x| = {r:.3e} inside the collision guard {floor:.3e}")
-    eps = model.epsilon
     r3 = r2 * r
     r5 = r3 * r2
     r6 = r3 * r3
     r7 = r5 * r2
     u = v1 * v1 + v2 * v2
     s = x1 * v1 + x2 * v2
-    alpha, beta, gamma = _LAGRANGIAN_BRACKET[model.method]
 
     # velocity Hessian: M = I + eps (2 beta I / r^3 + 2 gamma x x^T / r^5)
     m11 = 1.0 + eps * (2.0 * beta / r3 + 2.0 * gamma * x1 * x1 / r5)
@@ -155,19 +170,6 @@ def _modified_acceleration_scalar(model: ModifiedModel, x1: float, x2: float,
     return ((m22 * b1 - m12 * b2) / det, (m11 * b2 - m12 * b1) / det)
 
 
-def modified_acceleration(model: ModifiedModel, state: State,
-                          floor: float = SINGULARITY_FLOOR) -> PlanarVector:
-    """Acceleration of the modified flow: solve M(x, v) xddot = rhs(x, v).
-
-    At h = 0 this is exactly -x/|x|^3.  Raises SingularMassMatrix when the
-    velocity Hessian is not safely invertible (condition number above 1e8).
-    """
-    a1, a2 = _modified_acceleration_scalar(
-        model, state.position.x1, state.position.x2,
-        state.velocity.x1, state.velocity.x2, floor)
-    return PlanarVector(a1, a2)
-
-
 def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
                        t_end: float, n_samples: int,
                        reference_step: float = REFERENCE_STEP,
@@ -195,20 +197,21 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
     v1, v2 = float(v0[0]), float(v0[1])
     X[0] = (x1, x2)
     V[0] = (v1, v2)
+    acc, eps, (alpha, beta, gamma) = modified_acceleration_xy, model.epsilon, model.bracket
     half = 0.5 * dt
     sixth = dt / 6.0
     for i in range(1, n_samples + 1):
         for _ in range(substeps):
-            a1, b1 = _modified_acceleration_scalar(model, x1, x2, v1, v2, floor)
+            a1, b1 = acc(eps, alpha, beta, gamma, x1, x2, v1, v2, floor)
             px, py = x1 + half * v1, x2 + half * v2
             pv1, pv2 = v1 + half * a1, v2 + half * b1
-            a2_, b2_ = _modified_acceleration_scalar(model, px, py, pv1, pv2, floor)
+            a2_, b2_ = acc(eps, alpha, beta, gamma, px, py, pv1, pv2, floor)
             qx, qy = x1 + half * pv1, x2 + half * pv2
             qv1, qv2 = v1 + half * a2_, v2 + half * b2_
-            a3, b3 = _modified_acceleration_scalar(model, qx, qy, qv1, qv2, floor)
+            a3, b3 = acc(eps, alpha, beta, gamma, qx, qy, qv1, qv2, floor)
             rx, ry = x1 + dt * qv1, x2 + dt * qv2
             rv1, rv2 = v1 + dt * a3, v2 + dt * b3
-            a4, b4 = _modified_acceleration_scalar(model, rx, ry, rv1, rv2, floor)
+            a4, b4 = acc(eps, alpha, beta, gamma, rx, ry, rv1, rv2, floor)
             x1 += sixth * (v1 + 2.0 * pv1 + 2.0 * qv1 + rv1)
             x2 += sixth * (v2 + 2.0 * pv2 + 2.0 * qv2 + rv2)
             v1 += sixth * (a1 + 2.0 * a2_ + 2.0 * a3 + a4)
@@ -235,13 +238,9 @@ def perturbation_field(method: MethodId, X: np.ndarray, V: np.ndarray,
 
     Positions and velocities have shape (..., 2), as does the result.  The
     h^2/24 prefactor is NOT included; multiply by model.epsilon to get the
-    physical perturbation.  Defined for sv and mp.
+    physical perturbation.  Defined for every two-step stencil.
     """
-    if method not in _LAGRANGIAN_BRACKET:
-        raise ConfigurationError(
-            f"perturbation field available for sv and mp only, got {method.value}"
-        )
-    c6, cu, cs2, csv = _el_deficit_coefficients(_LAGRANGIAN_BRACKET[method])
+    c6, cu, cs2, csv = _el_deficit_coefficients(lagrangian_bracket(mean_midpoint_weight(method)))
     x1, x2 = X[..., 0], X[..., 1]
     v1, v2 = V[..., 0], V[..., 1]
     r = np.hypot(x1, x2)
@@ -299,18 +298,19 @@ def precession_closed_form(method: MethodId, elements: OrbitElements,
     """Leading-order apsis rotation per revolution at step h.
 
     sv:  -sign(L) (pi/24) (15 a^3/b^6 - 3 a/b^4) h^2
-    mp:  exactly -2 times the sv rate
-    ml, lc, dec, fr: zero at this order (leading error order 4).
+    a stencil with mean midpoint weight beta: (1 - 6 beta) times sv's, so mp
+    is exactly -2 times it.  ml, lc and dec (beta = 1/6) and fr are zero at
+    this order (leading error order 4).
     """
     if not (h >= 0.0 and math.isfinite(h)):
         raise ConfigurationError(f"step size must be nonnegative, got {h}")
-    if method in (MethodId.SV, MethodId.MP):
-        a, b = elements.a, elements.b
-        shape = 15.0 * a ** 3 / b ** 6 - 3.0 * a / b ** 4
-        base = -math.copysign(1.0, elements.L) * math.pi / 24.0 * shape * h * h
-        rate = base if method is MethodId.SV else -2.0 * base
-        return PrecessionPrediction(method, rate, 2, PrecessionFormula.CLOSED_FORM)
-    return PrecessionPrediction(method, 0.0, 4, PrecessionFormula.CLOSED_FORM)
+    factor = 1.0 - 6.0 * mean_midpoint_weight(method) if method in STENCILS else 0.0
+    if factor == 0.0:
+        return PrecessionPrediction(method, 0.0, 4, PrecessionFormula.CLOSED_FORM)
+    a, b = elements.a, elements.b
+    shape = 15.0 * a ** 3 / b ** 6 - 3.0 * a / b ** 4
+    base = -math.copysign(1.0, elements.L) * math.pi / 24.0 * shape * h * h
+    return PrecessionPrediction(method, factor * base, 2, PrecessionFormula.CLOSED_FORM)
 
 
 def precession_quadrature(method: MethodId, elements: OrbitElements, h: float,
@@ -319,14 +319,10 @@ def precession_quadrature(method: MethodId, elements: OrbitElements, h: float,
 
     rate = -(2 eps T / e) <field . xi>  with eps = h^2/24, the average taken
     with the apsis line rotated onto the +x2 axis (where the closed-form
-    averages live).  The result is orientation independent.
+    averages live).  The result is orientation independent; for ml, lc and
+    dec it is zero up to round-off.  fr has no quadrature.
     """
-    if method not in _LAGRANGIAN_BRACKET:
-        raise ConfigurationError(
-            f"quadrature prediction available for sv and mp only, got {method.value}"
-        )
-    if not (h >= 0.0 and math.isfinite(h)):
-        raise ConfigurationError(f"step size must be nonnegative, got {h}")
+    model = ModifiedModel(method, h)
     if elements.e <= 0.0:
         raise ConfigurationError("quadrature prediction needs an eccentric orbit")
     oriented = elements.with_apsis_angle(0.5 * math.pi)
@@ -335,6 +331,5 @@ def precession_quadrature(method: MethodId, elements: OrbitElements, h: float,
         return np.sum(perturbation_field(method, X, V) * lrl_symmetry_field(X, V), axis=-1)
 
     avg = orbit_average(integrand, oriented, nodes)
-    eps = h * h / 24.0
-    rate = -2.0 * eps * oriented.T / oriented.e * avg
+    rate = -2.0 * model.epsilon * oriented.T / oriented.e * avg
     return PrecessionPrediction(method, rate, 2, PrecessionFormula.QUADRATURE)

@@ -5,8 +5,10 @@ and asserts the same condition, so the suite doubles as a human-readable
 scorecard and a hard gate.
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from keplerlab import (
     precession_closed_form,
     precession_quadrature,
 )
+from keplerlab.cli import main
+from keplerlab.integrators import STENCILS, Stencil
 
 from conftest import REF_A, REF_T, V0, X0
 
@@ -45,6 +49,9 @@ LONG_H = 0.1
 
 SECOND_ORDER = (MethodId.SV, MethodId.MP)
 FOURTH_ORDER = (MethodId.ML, MethodId.LC, MethodId.DEC)
+SCAN_RESULTS = Path(__file__).resolve().parent.parent / "results" / "precession_scan.json"
+SWEEP_H = 0.125
+SWEEP_REVOLUTIONS = 20
 
 
 def report(num, label, checks):
@@ -67,17 +74,19 @@ def long_runs():
 
 @pytest.fixture(scope="module")
 def scan_slopes():
-    """Measured-precession convergence slopes over a fixed physical span."""
+    """Measured-precession convergence slopes over a fixed physical span, and
+    the measured rates {(method, h): rate} they are fitted to."""
     t_span = math.ceil(SCAN_REVOLUTIONS * REF_T / max(SCAN_H)) * max(SCAN_H)
     start = time.perf_counter()
-    slopes = {}
+    slopes, rates = {}, {}
     for method in SECOND_ORDER + FOURTH_ORDER:
         points = []
         for h in SCAN_H:
             traj = integrate(method, X0, V0, h, round(t_span / h))
-            points.append((h, measure_precession(traj).rate_per_revolution))
+            rates[method, h] = measure_precession(traj).rate_per_revolution
+            points.append((h, rates[method, h]))
         slopes[method] = convergence_slope(points)
-    return slopes, time.perf_counter() - start
+    return slopes, rates, time.perf_counter() - start
 
 
 def test_criterion_01_sv_closed_form_prediction(default_elements):
@@ -152,7 +161,7 @@ def test_criterion_05_orbit_averages():
 
 
 def test_criterion_06_convergence_slopes(scan_slopes):
-    slopes, elapsed = scan_slopes
+    slopes, _, elapsed = scan_slopes
     checks = []
     for method in SECOND_ORDER:
         s = slopes[method]
@@ -263,3 +272,66 @@ def test_criterion_12_work_counters(long_runs):
          f"wall sv {long_runs[MethodId.SV][1]:.3f} s < mp {long_runs[MethodId.MP][1]:.3f} s"),
     ]
     report(12, "implicit-solve counters and relative cost", checks)
+
+
+def test_criterion_13_rate_follows_the_mean_midpoint_weight(monkeypatch, default_elements):
+    # stencils in ml's place: the h^2 rate is (1 - 6 beta) times sv's, with
+    # beta the cycle mean of (b + c)/2
+    sv, mp = STENCILS[MethodId.SV].cycle[0], STENCILS[MethodId.MP].cycle[0]
+    triples = [(1.0 - 2.0 * beta, beta, beta) for beta in (1.0 / 12.0, 0.25, 1.0 / 3.0)]
+    stencils = {f"triple {w[1]:.4f}": Stencil(w, (w,)) for w in triples}
+    stencils["(sv, mp)"] = Stencil(sv, (sv, mp))
+    stencils["(sv, sv, sv, mp)"] = Stencil(sv, (sv, sv, sv, mp))
+    n = round(SWEEP_REVOLUTIONS * REF_T / SWEEP_H)
+    sv_rate = precession_closed_form(MethodId.SV, default_elements, SWEEP_H).rate_per_revolution
+    start = time.perf_counter()
+    checks = []
+    for name, stencil in stencils.items():
+        monkeypatch.setitem(STENCILS, MethodId.ML, stencil)
+        beta = sum(b + c for _, b, c in stencil.cycle) / (2.0 * len(stencil.cycle))
+        predicted = precession_closed_form(MethodId.ML, default_elements, SWEEP_H)
+        traj = integrate(MethodId.ML, X0, V0, SWEEP_H, n)
+        ratio = measure_precession(traj).rate_per_revolution / ((1.0 - 6.0 * beta) * sv_rate)
+        checks.append((abs(ratio - 1.0) <= 0.01 and predicted.rate_per_revolution
+                       == (1.0 - 6.0 * beta) * sv_rate,
+                       f"{name}: measured / ((1 - 6 beta) sv closed form) {ratio:.4f}"))
+    elapsed = time.perf_counter() - start
+    checks.append((elapsed < 5.0, f"runtime {elapsed:.2f} s < 5 s"))
+    report(13, "rate follows the mean midpoint weight", checks)
+
+
+def test_criterion_14_no_h2_precession_at_beta_one_sixth(default_elements, capsys):
+    def flow_rate(method):
+        model = ModifiedModel(method, 0.1)
+        _, X, V = integrate_modified(model, X0, V0, 100.0, 1000)
+        traj = Trajectory(method, 0.1, X, V0, default_elements, velocities=V)
+        return measure_precession(traj).rate_per_revolution
+
+    ml_rate, sv_rate = flow_rate(MethodId.ML), flow_rate(MethodId.SV)
+    code = main(["predict", "--method", "ml", "--a", "2.0", "--e", "0.5"])
+    out = capsys.readouterr().out
+    quad = json.loads(out)["predictedQuadrature"]
+    report(14, "no h^2 precession at beta = 1/6", [
+        (abs(ml_rate) <= 1e-2 * abs(sv_rate),
+         f"ml modified flow rate {ml_rate:.2e} within 1e-2 of sv's {sv_rate:.2e}"),
+        (code == 0 and '"predictedClosedForm": 0.0,' in out,
+         "predict --method ml writes a closed form of 0.0, not -0.0"),
+        (isinstance(quad, float), f"predict --method ml writes a quadrature ({quad!r})"),
+    ])
+
+
+def test_criterion_15_scan_results_reproduce(scan_slopes, default_elements):
+    # results/precession_scan.json as scripts/precession_scan.py writes it
+    _, rates, _ = scan_slopes
+    rows = json.loads(SCAN_RESULTS.read_text())["rows"]
+    gaps, mismatched = [], 0
+    for row in rows:
+        method, h = MethodId(row["method"]), row["h"]
+        gaps.append(abs(row["measuredRate"] / rates[method, h] - 1.0))
+        predicted = precession_closed_form(method, default_elements, h).rate_per_revolution
+        mismatched += row["predictedRate"] != predicted
+    report(15, "committed scan results reproduce", [
+        (len(rows) == len(rates), f"{len(rows)} rows for {len(rates)} scanned cells"),
+        (max(gaps) <= 1e-12, f"worst measured-rate gap {max(gaps):.1e} <= 1e-12"),
+        (mismatched == 0, f"{mismatched} predicted rates differ from the closed form"),
+    ])

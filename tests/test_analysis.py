@@ -178,6 +178,13 @@ class TestDiscreteAngularMomentum:
         ell = discrete_angular_momentum(traj)
         assert np.abs(ell - ell[0]).max() / abs(ell[0]) < 1e-11
 
+    @pytest.mark.parametrize("method", [MethodId.ML, MethodId.LC])
+    def test_stencils_conserve_their_forward_weight_form(self, method):
+        # the c of the step that computed x_{k+1} equals the next step's b
+        traj = integrate(method, X0, V0, 0.1, 2000)
+        ell = discrete_angular_momentum(traj)
+        assert np.abs(ell - ell[0]).max() / abs(ell[0]) < 1e-12
+
     def test_mp_base_form_oscillates(self):
         # without the midpoint-gradient term the mp cross product visibly
         # oscillates, which is what the corrected form removes

@@ -104,6 +104,11 @@ class TestJsonPayloadsAgainstSchemas:
         assert payload["predictedQuadrature"] is None
         assert payload["predictedClosedForm"] == 0.0
 
+    def test_precession_quadrature_for_every_stencil(self, capsys):
+        payload = check_json(capsys, "precession", "--method", "lc", *TWO_REVS)
+        assert payload["predictedClosedForm"] == 0.0
+        assert abs(payload["predictedQuadrature"]) < 1e-15
+
     def test_scan(self, capsys):
         payload = check_json(capsys, "scan", "--methods", "sv,mp",
                              "--h-list", "0.25,0.5", "--t-end", "45")
@@ -186,6 +191,17 @@ class TestCsvContract:
         data = target.read_bytes()
         assert b"\r" not in data
         assert data.decode("utf-8").splitlines()[0].startswith("step,")
+
+    def test_output_path_does_not_change_the_bytes(self, capsys, tmp_path):
+        # the metadata leaves the output path out
+        targets = [tmp_path / "a.json", tmp_path / "some" / "deeper" / "name.json"]
+        targets[1].parent.mkdir(parents=True)
+        for target in targets:
+            code, _, err = run_cli(capsys, "predict", "--method", "sv", "--format", "json",
+                                   "--out", str(target))
+            assert code == 0, err
+        assert targets[0].read_bytes() == targets[1].read_bytes()
+        assert "out" not in json.loads(targets[0].read_text())["metadata"]
 
     def test_reruns_are_bit_identical(self, capsys):
         a = run_cli(capsys, "precession", "--method", "mp", *TWO_REVS)
@@ -304,17 +320,19 @@ class TestConfigResolution:
         assert out == ""
         assert "t-end" in err
 
-    # h divides t-end into a step count before any integration runs
+    # h divides t-end into a step count before any integration runs, and
+    # predict's schema requires a positive h
     @pytest.mark.parametrize("command, key, value", [
-        *[(command, "h", value) for command in ("simulate", "error-curve")
+        *[(command, "h", value) for command in ("simulate", "error-curve", "predict")
           for value in (0.0, math.nan, math.inf)],
         *[("scan", "h_list", [0.5, value]) for value in (0.0, math.nan, math.inf)],
     ])
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_step_size_must_be_positive_and_finite(self, capsys, tmp_path,
                                                    command, key, value, via):
-        argv = [command, "--method" if command != "scan" else "--methods", "sv",
-                "--t-end", "5"]
+        argv = [command, "--method" if command != "scan" else "--methods", "sv"]
+        if command != "predict":
+            argv += ["--t-end", "5"]
         if via == "flag":
             text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
             argv.append("--{}={}".format(key.replace("_", "-"), text))

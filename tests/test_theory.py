@@ -16,7 +16,7 @@ from keplerlab import (
     State,
     integrate_modified,
     lrl_symmetry_field,
-    modified_acceleration,
+    modified_acceleration_xy,
     modified_lagrangian,
     orbit_average,
     orbit_average_closed_form,
@@ -26,6 +26,9 @@ from keplerlab import (
     precession_closed_form,
     precession_quadrature,
 )
+
+from keplerlab.integrators import STENCILS, Stencil
+from keplerlab.theory import lagrangian_bracket, mean_midpoint_weight
 
 from conftest import V0, X0, assert_close, assert_vector_close
 
@@ -47,6 +50,14 @@ AVG_ORACLE = {5: 0.02768099789439036, 6: 0.023660169199471011,
               7: 0.018593564858287481}
 
 
+TWO_STEP = (MethodId.SV, MethodId.MP, MethodId.ML, MethodId.LC, MethodId.DEC)
+
+
+def modified_acceleration(model, state):
+    return PlanarVector(*modified_acceleration_xy(
+        model.epsilon, *model.bracket, *state.position, *state.velocity))
+
+
 @pytest.fixture(scope="module")
 def oriented_elements(default_elements):
     return default_elements.with_apsis_angle(HALF_PI)
@@ -57,16 +68,50 @@ class TestModifiedModel:
         assert ModifiedModel(MethodId.SV, 0.5).epsilon == 0.25 / 24.0
         assert ModifiedModel(MethodId.MP, 0.0).epsilon == 0.0
 
-    def test_only_sv_and_mp(self):
-        for m in (MethodId.ML, MethodId.LC, MethodId.DEC, MethodId.FR):
-            with pytest.raises(ConfigurationError):
-                ModifiedModel(m, 0.5)
+    def test_every_two_step_stencil_but_not_fr(self):
+        for m in TWO_STEP:
+            ModifiedModel(m, 0.5)
+        with pytest.raises(ConfigurationError):
+            ModifiedModel(MethodId.FR, 0.5)
 
     def test_step_validation(self):
         with pytest.raises(ConfigurationError):
             ModifiedModel(MethodId.SV, -0.1)
         with pytest.raises(ConfigurationError):
             ModifiedModel(MethodId.SV, math.nan)
+
+
+class TestStencilTheory:
+    def test_mean_midpoint_weight(self):
+        assert mean_midpoint_weight(MethodId.SV) == 0.0
+        assert mean_midpoint_weight(MethodId.MP) == 0.5
+        for m in (MethodId.ML, MethodId.LC, MethodId.DEC):
+            assert 1.0 - 6.0 * mean_midpoint_weight(m) == 0.0
+        with pytest.raises(ConfigurationError):
+            mean_midpoint_weight(MethodId.FR)
+
+    def test_bracket_is_sv_and_mp_at_the_ends(self):
+        assert lagrangian_bracket(0.0) == (1.0, -2.0, 6.0)
+        assert lagrangian_bracket(0.5) == (1.0, 1.0, -3.0)
+        assert ModifiedModel(MethodId.MP, 0.5).bracket == (1.0, 1.0, -3.0)
+
+    def test_weights_enter_only_through_their_cycle_mean(self, monkeypatch):
+        # a cycle of sv and mp steps has mp's bracket scaled by its share
+        monkeypatch.setitem(STENCILS, MethodId.ML, Stencil(STENCILS[MethodId.SV].init, (
+            STENCILS[MethodId.SV].cycle[0], STENCILS[MethodId.MP].cycle[0])))
+        assert mean_midpoint_weight(MethodId.ML) == 0.25
+        assert ModifiedModel(MethodId.ML, 0.5).bracket == (1.0, -0.5, 1.5)
+
+    @pytest.mark.parametrize("method", TWO_STEP)
+    def test_rates_are_one_minus_six_beta_times_sv(self, default_elements, method):
+        factor = 1.0 - 6.0 * mean_midpoint_weight(method)
+        sv_closed = precession_closed_form(MethodId.SV, default_elements, 0.5)
+        sv_quad = precession_quadrature(MethodId.SV, default_elements, 0.5)
+        closed = precession_closed_form(method, default_elements, 0.5)
+        quad = precession_quadrature(method, default_elements, 0.5)
+        assert closed.rate_per_revolution == factor * sv_closed.rate_per_revolution
+        assert abs(quad.rate_per_revolution - factor * sv_quad.rate_per_revolution) <= \
+            1e-12 * abs(sv_quad.rate_per_revolution)
 
 
 class TestModifiedLagrangian:
@@ -103,7 +148,7 @@ class TestModifiedAcceleration:
                 f = -potential_gradient(s.position)
                 assert (acc - f).norm() <= 0.03 * f.norm()
 
-    @pytest.mark.parametrize("method", [MethodId.SV, MethodId.MP])
+    @pytest.mark.parametrize("method", [MethodId.SV, MethodId.MP, MethodId.ML])
     def test_euler_lagrange_residual_vanishes(self, method):
         # independent check of the whole algebra: along a trajectory driven by
         # modified_acceleration, d/dt dL/dv - dL/dx must vanish, with both
@@ -173,11 +218,12 @@ class TestSymmetryAndPerturbationFields:
         with pytest.raises(NearSingularity):
             perturbation_field(MethodId.SV, X, np.ones_like(X))
 
-    def test_perturbation_field_limited_to_sv_mp(self):
+    def test_perturbation_field_needs_a_two_step_stencil(self):
         x, v = np.array([2.0, 0.0]), np.array([0.0, 0.7])
-        for m in (MethodId.ML, MethodId.LC, MethodId.DEC, MethodId.FR):
-            with pytest.raises(ConfigurationError):
-                perturbation_field(m, x, v)
+        for m in TWO_STEP:
+            perturbation_field(m, x, v)
+        with pytest.raises(ConfigurationError):
+            perturbation_field(MethodId.FR, x, v)
 
 
 class TestOrbitAverage:
@@ -243,10 +289,15 @@ class TestPrecessionClosedForm:
             assert mp.rate_per_revolution == -2.0 * sv.rate_per_revolution
 
     def test_higher_order_methods_have_zero_leading_rate(self, default_elements):
-        for m in (MethodId.ML, MethodId.LC, MethodId.DEC, MethodId.FR):
-            pred = precession_closed_form(m, default_elements, 0.5)
-            assert pred.rate_per_revolution == 0.0
-            assert pred.leading_order == 4
+        # +0.0 on both orbit senses: a counterclockwise orbit's sv rate is
+        # negative, and 0 times it would be -0.0
+        ccw = OrbitElements.from_shape(default_elements.a, default_elements.e)
+        for elements in (default_elements, ccw):
+            for m in (MethodId.ML, MethodId.LC, MethodId.DEC, MethodId.FR):
+                pred = precession_closed_form(m, elements, 0.5)
+                assert pred.rate_per_revolution == 0.0
+                assert math.copysign(1.0, pred.rate_per_revolution) == 1.0
+                assert pred.leading_order == 4
 
     def test_quadratic_step_scaling(self, default_elements):
         r1 = precession_closed_form(MethodId.SV, default_elements, 0.25).rate_per_revolution
@@ -307,9 +358,9 @@ class TestPrecessionQuadrature:
         with pytest.raises(ConfigurationError):
             precession_quadrature(MethodId.SV, el, 0.5)
 
-    def test_rejects_higher_order_methods(self, default_elements):
+    def test_rejects_fr(self, default_elements):
         with pytest.raises(ConfigurationError):
-            precession_quadrature(MethodId.ML, default_elements, 0.5)
+            precession_quadrature(MethodId.FR, default_elements, 0.5)
 
 
 class TestIntegrateModified:
