@@ -25,11 +25,8 @@ from .kepler import (
     angular_momentum,
     elements_from_state,
     energy,
-    gradient_jacobian,
     lrl_vector,
     perihelion_state,
-    potential,
-    potential_gradient,
     radius,
     solve_kepler,
 )
@@ -42,11 +39,9 @@ from .integrators import (
     STENCILS,
     SolverConfig,
     Trajectory,
-    fr_step,
     init_second_point,
     integrate,
     reconstruct_velocities,
-    stencil_step,
 )
 from .theory import (
     DEFAULT_AVERAGE_NODES,

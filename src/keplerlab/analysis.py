@@ -131,13 +131,18 @@ def invariant_drift(traj: Trajectory, quantity: ConservedQuantity) -> DriftRepor
 def discrete_angular_momentum(traj: Trajectory) -> np.ndarray:
     """Per-interval discrete angular momentum, in the form the scheme conserves.
 
-    The base quantity is cross(x_k, x_{k+1})/h, which sv conserves exactly.
+    With velocities (fr) it is cross(x_k, v_k) for k = 0 .. N-1, which every
+    leapfrog substep conserves.  Without, the base quantity is
+    cross(x_k, x_{k+1})/h, which sv conserves exactly.
     A stencil adds (c h/2) cross(x_k, x_{k+1}) / |m_k|^3, with m_k the midpoint
     and c the forward weight of the step that computed x_{k+1} (the
     initializer's for k = 0).  That is conserved while c equals the next
     step's b: for sv, mp, ml and lc; not for dec (phase-1 c = 0, phase-2 b = 1/2).
     """
     X = traj.positions
+    if traj.velocities is not None:
+        V = traj.velocities
+        return X[:-1, 0] * V[:-1, 1] - X[:-1, 1] * V[:-1, 0]
     h = traj.h
     cross = X[:-1, 0] * X[1:, 1] - X[:-1, 1] * X[1:, 0]
     ell = cross / h

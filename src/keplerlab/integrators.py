@@ -4,13 +4,13 @@ one weighted two-step stencil plus fr.
 sv, mp, ml, lc and dec are two-step recurrences in position only (the
 velocity is implicit in consecutive positions).  They are one stencil that
 differs between methods only in the cycle of gradient weights it applies;
-see stencil_step and the table STENCILS.  fr is the fourth-order triple-jump
+see _stencil and the table STENCILS.  fr is the fourth-order triple-jump
 composition of leapfrog, a one-step map on (x, v).
 
 Both step on plain floats: _stencil advances the stencil one step, with an
-undamped Newton solve inline, and _fr takes one fr step; stencil_step,
-init_second_point and fr_step wrap them for PlanarVector callers.  Newton
-iteration counts are recorded for benchmarking.
+undamped Newton solve inline, and _fr takes one fr step.  integrate and
+init_second_point call them directly.  Newton iteration counts are recorded
+for benchmarking.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class MethodId(Enum):
 
 
 # Gradient weights (a, b, c) of the two-step relation at x_cur, at the
-# backward midpoint and at the forward midpoint; see stencil_step.
+# backward midpoint and at the forward midpoint; see _stencil.
 Weights = tuple[float, float, float]
 
 
@@ -160,11 +160,14 @@ class Trajectory:
 def _stencil(p1: float, p2: float, q1: float, q2: float, r1: float, r2: float,
              h2: float, a: float, b: float, c: float, cfg: SolverConfig,
              label: str) -> tuple[float, float, int]:
-    """z = x_next of stencil_step from x_prev = p, x_cur = q, the free flight
-    r = 2q - p and h2 = h^2.  With C = r - h2 [a U'(q) + b U'((p + q)/2)],
-    z - C + c h2 U'((q + z)/2) = 0 is solved from z = r by Newton's method
-    (Jacobian I + (c h2/2) J, J the Hessian of U; converged on the residual
-    norm).  Returns (z1, z2, iterations applied), or -1 iterations if c = 0.
+    """z = x_next of the two-step relation with weights (a, b, c),
+    z - 2q + p = -h2 [a U'(q) + b U'((p + q)/2) + c U'((q + z)/2)],
+    from x_prev = p, x_cur = q, the free flight r = 2q - p and h2 = h^2.
+    A gradient is evaluated only where its weight is nonzero.  With
+    C = r - h2 [a U'(q) + b U'((p + q)/2)], z - C + c h2 U'((q + z)/2) = 0 is
+    solved from z = r by Newton's method (Jacobian I + (c h2/2) J, J the
+    Hessian of U; converged on the residual norm).  Returns (z1, z2,
+    iterations applied), or -1 iterations if c = 0 (an explicit step).
     """
     f1 = f2 = 0.0
     if a:
@@ -206,30 +209,6 @@ def _stencil(p1: float, p2: float, q1: float, q2: float, r1: float, r2: float,
                         f"after {max_iter} iterations")
 
 
-def _count(stats: Optional[IntegrationStats], iterations: int) -> None:
-    if stats is not None and iterations >= 0:
-        stats.implicit_solves += 1
-        stats.newton_iterations += iterations
-
-
-def stencil_step(x_prev: PlanarVector, x_cur: PlanarVector, h: float,
-                 weights: Weights, cfg: SolverConfig = DEFAULT_SOLVER,
-                 stats: Optional[IntegrationStats] = None) -> PlanarVector:
-    """x_next from the weighted two-step relation, (a, b, c) = weights:
-
-    x_next - 2 x_cur + x_prev = -h^2 [ a U'(x_cur)
-        + b U'((x_prev + x_cur)/2) + c U'((x_cur + x_next)/2) ].
-
-    A gradient is evaluated only where its weight is nonzero; with c = 0
-    the step is explicit and needs no Newton solve.
-    """
-    (p1, p2), (q1, q2) = x_prev, x_cur
-    z1, z2, n = _stencil(p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2, h * h, *weights,
-                         cfg, "implicit step")
-    _count(stats, n)
-    return PlanarVector(z1, z2)
-
-
 def _fr(x1: float, x2: float, v1: float, v2: float,
         h: float) -> tuple[float, float, float, float]:
     """The float kernel of one triple-jump step: three leapfrog substeps
@@ -246,13 +225,6 @@ def _fr(x1: float, x2: float, v1: float, v2: float,
     return x1, x2, v1, v2
 
 
-def fr_step(state: State, h: float) -> State:
-    """One triple-jump step: three leapfrog substeps with weights
-    (theta, 1 - 2 theta, theta)."""
-    x1, x2, v1, v2 = _fr(*state.position, *state.velocity, h)
-    return State(PlanarVector(x1, x2), PlanarVector(v1, v2), state.time + h)
-
-
 def init_second_point(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
                       cfg: SolverConfig = DEFAULT_SOLVER,
                       stats: Optional[IntegrationStats] = None) -> PlanarVector:
@@ -267,12 +239,15 @@ def init_second_point(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: f
     free flight x0 + h v0.  For fr it is simply the first triple-jump step.
     """
     if method is MethodId.FR:
-        return fr_step(State(x0, v0, 0.0), h).position
+        x1, x2, _, _ = _fr(*x0, *v0, h)
+        return PlanarVector(x1, x2)
     a, _, c = STENCILS[method].init
     (x1, x2), (v1, v2) = x0, v0
     z1, z2, n = _stencil(x1, x2, x1, x2, x1 + h * v1, x2 + h * v2, h * h, 0.5 * a, 0.0, c,
                          cfg, "initialization")
-    _count(stats, n)
+    if stats is not None and n >= 0:
+        stats.implicit_solves += 1
+        stats.newton_iterations += n
     return PlanarVector(z1, z2)
 
 

@@ -38,31 +38,6 @@ class PlanarVector(NamedTuple):
     x1: float
     x2: float
 
-    def norm(self) -> float:
-        return math.hypot(self.x1, self.x2)
-
-    def dot(self, other: "PlanarVector") -> float:
-        return self.x1 * other.x1 + self.x2 * other.x2
-
-    def cross(self, other: "PlanarVector") -> float:
-        return self.x1 * other.x2 - self.x2 * other.x1
-
-    def scaled(self, factor: float) -> "PlanarVector":
-        return PlanarVector(factor * self.x1, factor * self.x2)
-
-    def rotated(self, angle: float) -> "PlanarVector":
-        c, s = math.cos(angle), math.sin(angle)
-        return PlanarVector(c * self.x1 - s * self.x2, s * self.x1 + c * self.x2)
-
-    def __add__(self, other):  # type: ignore[override]
-        return PlanarVector(self.x1 + other.x1, self.x2 + other.x2)
-
-    def __sub__(self, other):
-        return PlanarVector(self.x1 - other.x1, self.x2 - other.x2)
-
-    def __neg__(self):
-        return PlanarVector(-self.x1, -self.x2)
-
 
 class State(NamedTuple):
     """Phase-space point (position, velocity) at a time."""
@@ -82,11 +57,6 @@ def radius(x: PlanarVector, floor: float = SINGULARITY_FLOOR) -> float:
     if r < floor:
         raise _collision(r, floor)
     return r
-
-
-def potential(x: PlanarVector, floor: float = SINGULARITY_FLOOR) -> float:
-    """U(x) = -1/|x|."""
-    return -1.0 / radius(x, floor)
 
 
 def potential_gradient_xy(x1: float, x2: float,
@@ -111,16 +81,6 @@ def gradient_jacobian_xy(x1: float, x2: float,
         raise _collision(r, floor)
     r5 = r2 * r2 * r
     return (r2 - 3.0 * x1 * x1) / r5, -3.0 * x1 * x2 / r5, (r2 - 3.0 * x2 * x2) / r5
-
-
-def potential_gradient(x: PlanarVector, floor: float = SINGULARITY_FLOOR) -> PlanarVector:
-    """U'(x) = x/|x|^3.  The force is the negative of this."""
-    return PlanarVector(*potential_gradient_xy(x.x1, x.x2, floor))
-
-
-def gradient_jacobian(x: PlanarVector, floor: float = SINGULARITY_FLOOR) -> tuple[float, float, float]:
-    """Symmetric Jacobian of U' at a point, as (j11, j12, j22)."""
-    return gradient_jacobian_xy(x.x1, x.x2, floor)
 
 
 def energy(state: State, floor: float = SINGULARITY_FLOOR) -> float:
@@ -251,7 +211,8 @@ def perihelion_state(elements: OrbitElements) -> State:
         q = PlanarVector(-p.x2, p.x1)
     else:
         q = PlanarVector(p.x2, -p.x1)
-    return State(p.scaled(rp), q.scaled(speed), 0.0)
+    return State(PlanarVector(rp * p.x1, rp * p.x2),
+                 PlanarVector(speed * q.x1, speed * q.x2), 0.0)
 
 
 def solve_kepler(mean_anomaly, e: float, tol: float = KEPLER_TOLERANCE,
@@ -327,7 +288,7 @@ class ExactOrbit:
         if m > CIRCULAR_ECCENTRICITY and e > CIRCULAR_ECCENTRICITY:
             p = PlanarVector(lrl.x1 / m, lrl.x2 / m)
             cos_e0 = (1.0 - r0 / a) / e
-            sin_e0 = x.dot(v) / (e * math.sqrt(a))
+            sin_e0 = (x.x1 * v.x1 + x.x2 * v.x2) / (e * math.sqrt(a))
             ecc0 = math.atan2(sin_e0, cos_e0)
         else:
             p = PlanarVector(x.x1 / r0, x.x2 / r0)

@@ -293,6 +293,11 @@ def orbit_average_closed_form(power: int, elements: OrbitElements) -> float:
     raise ConfigurationError(f"closed forms cover powers 5, 6, 7; got {power}")
 
 
+def _h2_factor(method: MethodId) -> float:
+    """1 - 6 beta, the stencil's h^2 rate in units of sv's; 0 for fr."""
+    return 1.0 - 6.0 * mean_midpoint_weight(method) if method in STENCILS else 0.0
+
+
 def precession_closed_form(method: MethodId, elements: OrbitElements,
                            h: float) -> PrecessionPrediction:
     """Leading-order apsis rotation per revolution at step h.
@@ -304,7 +309,7 @@ def precession_closed_form(method: MethodId, elements: OrbitElements,
     """
     if not (h >= 0.0 and math.isfinite(h)):
         raise ConfigurationError(f"step size must be nonnegative, got {h}")
-    factor = 1.0 - 6.0 * mean_midpoint_weight(method) if method in STENCILS else 0.0
+    factor = _h2_factor(method)
     if factor == 0.0:
         return PrecessionPrediction(method, 0.0, 4, PrecessionFormula.CLOSED_FORM)
     a, b = elements.a, elements.b
@@ -320,7 +325,8 @@ def precession_quadrature(method: MethodId, elements: OrbitElements, h: float,
     rate = -(2 eps T / e) <field . xi>  with eps = h^2/24, the average taken
     with the apsis line rotated onto the +x2 axis (where the closed-form
     averages live).  The result is orientation independent; for ml, lc and
-    dec it is zero up to round-off.  fr has no quadrature.
+    dec it is zero up to round-off, with leading order 4 as in the closed
+    form.  fr has no quadrature.
     """
     model = ModifiedModel(method, h)
     if elements.e <= 0.0:
@@ -332,4 +338,5 @@ def precession_quadrature(method: MethodId, elements: OrbitElements, h: float,
 
     avg = orbit_average(integrand, oriented, nodes)
     rate = -2.0 * model.epsilon * oriented.T / oriented.e * avg
-    return PrecessionPrediction(method, rate, 2, PrecessionFormula.QUADRATURE)
+    order = 2 if _h2_factor(method) else 4
+    return PrecessionPrediction(method, rate, order, PrecessionFormula.QUADRATURE)

@@ -202,13 +202,14 @@ def test_criterion_09_exact_solution_oracle(default_state):
     orbit = ExactOrbit(default_state)
     el = orbit.elements
     back = orbit.state_at(el.T)
-    return_gap = max((back.position - default_state.position).norm(),
-                     (back.velocity - default_state.velocity).norm())
+    return_gap = max(math.dist(back.position, default_state.position),
+                     math.dist(back.velocity, default_state.velocity))
     h = 0.25
     n = int(round(4.0 * el.T / h))
     times = h * np.arange(n + 1)
     X, V = orbit.states_at(times)
-    lrl_gap = max(abs(lrl_vector(State(PlanarVector(*X[k]), PlanarVector(*V[k]))).norm() - el.e)
+    lrl_gap = max(abs(math.hypot(*lrl_vector(State(PlanarVector(*X[k]), PlanarVector(*V[k]))))
+                      - el.e)
                   for k in range(0, n + 1, 7))
     traj = Trajectory(MethodId.FR, h, X, PlanarVector(*V[0]), el, velocities=V)
     rate = measure_precession(traj).rate_per_revolution

@@ -185,6 +185,13 @@ class TestDiscreteAngularMomentum:
         ell = discrete_angular_momentum(traj)
         assert np.abs(ell - ell[0]).max() / abs(ell[0]) < 1e-12
 
+    def test_fr_conserves_cross_of_position_and_velocity(self):
+        # fr carries velocities, and every leapfrog substep conserves x cross v
+        traj = integrate(MethodId.FR, X0, V0, 0.1, 2000)
+        ell = discrete_angular_momentum(traj)
+        assert ell.shape == (2000,)
+        assert np.abs(ell - ell[0]).max() / abs(ell[0]) < 1e-12
+
     def test_mp_base_form_oscillates(self):
         # without the midpoint-gradient term the mp cross product visibly
         # oscillates, which is what the corrected form removes

@@ -20,13 +20,12 @@ from keplerlab import (
     State,
     Trajectory,
     UnboundOrbit,
-    fr_step,
     init_second_point,
     integrate,
-    potential_gradient,
     reconstruct_velocities,
-    stencil_step,
 )
+from keplerlab.integrators import DEFAULT_SOLVER, _fr, _stencil
+from keplerlab.kepler import potential_gradient_xy
 
 from conftest import V0, X0, assert_close, assert_vector_close
 
@@ -37,6 +36,19 @@ TWO_STEP_METHODS = [m for m in MethodId if m is not MethodId.FR]
 SV, MP, ML = (STENCILS[m].cycle[0] for m in (MethodId.SV, MethodId.MP, MethodId.ML))
 LC = STENCILS[MethodId.LC].cycle
 DEC = STENCILS[MethodId.DEC].cycle
+
+
+def step(xp, xc, h, weights, cfg=DEFAULT_SOLVER):
+    """x_next of the weighted two-step stencil from x_prev, x_cur."""
+    (p1, p2), (q1, q2) = xp, xc
+    z1, z2, _ = _stencil(p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2, h * h, *weights,
+                         cfg, "implicit step")
+    return PlanarVector(z1, z2)
+
+
+def grad(x):
+    """U'(x) as a PlanarVector."""
+    return PlanarVector(*potential_gradient_xy(*x))
 
 
 def orbit_pair(t, h):
@@ -75,38 +87,38 @@ class TestSolverConfig:
 class TestSingleSteps:
     def test_sv_step_hand_value(self):
         # 2(1,0) - (0.9,0.1) - 0.04 * (1,0)/1 = (1.06, -0.1)
-        got = stencil_step(PlanarVector(0.9, 0.1), PlanarVector(1.0, 0.0), 0.2, SV)
+        got = step(PlanarVector(0.9, 0.1), PlanarVector(1.0, 0.0), 0.2, SV)
         assert_vector_close(got, (1.06, -0.1), tol=1e-15)
 
     def test_sv_step_free_flight_limit(self):
         # in a negligible field the recurrence continues the straight line
-        got = stencil_step(PlanarVector(1e8, 0.0), PlanarVector(1e8 + 1.0, 0.0), 1.0, SV)
+        got = step(PlanarVector(1e8, 0.0), PlanarVector(1e8 + 1.0, 0.0), 1.0, SV)
         assert abs(got.x1 - (1e8 + 2.0)) < 1e-6
         assert got.x2 == 0.0
 
     def _relation_residual_mp(self, xp, xc, z, h):
-        g_b = potential_gradient(PlanarVector(0.5 * (xp.x1 + xc.x1), 0.5 * (xp.x2 + xc.x2)))
-        g_f = potential_gradient(PlanarVector(0.5 * (xc.x1 + z.x1), 0.5 * (xc.x2 + z.x2)))
+        g_b = grad(PlanarVector(0.5 * (xp.x1 + xc.x1), 0.5 * (xp.x2 + xc.x2)))
+        g_f = grad(PlanarVector(0.5 * (xc.x1 + z.x1), 0.5 * (xc.x2 + z.x2)))
         r1 = z.x1 - 2 * xc.x1 + xp.x1 + 0.5 * h * h * (g_b.x1 + g_f.x1)
         r2 = z.x2 - 2 * xc.x2 + xp.x2 + 0.5 * h * h * (g_b.x2 + g_f.x2)
         return math.hypot(r1, r2)
 
     def test_mp_step_satisfies_its_relation(self):
         xp, xc = orbit_pair(2.0, 0.3)
-        z = stencil_step(xp, xc, 0.3, MP)
+        z = step(xp, xc, 0.3, MP)
         assert self._relation_residual_mp(xp, xc, z, 0.3) < 1e-11
 
     def test_mp_step_time_reversal(self):
         # the relation is symmetric in (x_prev, x_next); stepping back returns
         xp, xc = orbit_pair(4.1, 0.25)
-        z = stencil_step(xp, xc, 0.25, MP)
-        back = stencil_step(z, xc, 0.25, MP)
+        z = step(xp, xc, 0.25, MP)
+        back = step(z, xc, 0.25, MP)
         assert_vector_close(back, xp, tol=1e-9)
 
     def _relation_residual_ml(self, xp, xc, z, h):
-        g_c = potential_gradient(xc)
-        g_b = potential_gradient(PlanarVector(0.5 * (xp.x1 + xc.x1), 0.5 * (xp.x2 + xc.x2)))
-        g_f = potential_gradient(PlanarVector(0.5 * (xc.x1 + z.x1), 0.5 * (xc.x2 + z.x2)))
+        g_c = grad(xc)
+        g_b = grad(PlanarVector(0.5 * (xp.x1 + xc.x1), 0.5 * (xp.x2 + xc.x2)))
+        g_f = grad(PlanarVector(0.5 * (xc.x1 + z.x1), 0.5 * (xc.x2 + z.x2)))
         h2 = h * h
         r1 = z.x1 - 2 * xc.x1 + xp.x1 + h2 * (2 * g_c.x1 / 3 + g_b.x1 / 6 + g_f.x1 / 6)
         r2 = z.x2 - 2 * xc.x2 + xp.x2 + h2 * (2 * g_c.x2 / 3 + g_b.x2 / 6 + g_f.x2 / 6)
@@ -114,34 +126,34 @@ class TestSingleSteps:
 
     def test_ml_step_satisfies_its_relation(self):
         xp, xc = orbit_pair(1.3, 0.3)
-        z = stencil_step(xp, xc, 0.3, ML)
+        z = step(xp, xc, 0.3, ML)
         assert self._relation_residual_ml(xp, xc, z, 0.3) < 1e-11
 
     def test_ml_step_time_reversal(self):
         xp, xc = orbit_pair(7.6, 0.25)
-        z = stencil_step(xp, xc, 0.25, ML)
-        back = stencil_step(z, xc, 0.25, ML)
+        z = step(xp, xc, 0.25, ML)
+        back = step(z, xc, 0.25, ML)
         assert_vector_close(back, xp, tol=1e-9)
 
     def test_lc_phase_one_is_sv(self):
         xp, xc = orbit_pair(3.0, 0.4)
-        assert stencil_step(xp, xc, 0.4, LC[4 % 3]) == stencil_step(xp, xc, 0.4, SV)
-        assert stencil_step(xp, xc, 0.4, LC[1 % 3]) == stencil_step(xp, xc, 0.4, SV)
+        assert step(xp, xc, 0.4, LC[4 % 3]) == step(xp, xc, 0.4, SV)
+        assert step(xp, xc, 0.4, LC[1 % 3]) == step(xp, xc, 0.4, SV)
 
     def test_lc_phase_zero_explicit_formula(self):
         xp, xc = orbit_pair(3.0, 0.4)
         h2 = 0.16
-        g_b = potential_gradient(PlanarVector(0.5 * (xp.x1 + xc.x1), 0.5 * (xp.x2 + xc.x2)))
-        g_c = potential_gradient(xc)
+        g_b = grad(PlanarVector(0.5 * (xp.x1 + xc.x1), 0.5 * (xp.x2 + xc.x2)))
+        g_c = grad(xc)
         want = (2 * xc.x1 - xp.x1 - 0.5 * h2 * (g_b.x1 + g_c.x1),
                 2 * xc.x2 - xp.x2 - 0.5 * h2 * (g_b.x2 + g_c.x2))
-        assert_vector_close(stencil_step(xp, xc, 0.4, LC[3 % 3]), want, tol=1e-14)
+        assert_vector_close(step(xp, xc, 0.4, LC[3 % 3]), want, tol=1e-14)
 
     def test_lc_phase_two_satisfies_its_relation(self):
         xp, xc = orbit_pair(3.0, 0.4)
-        z = stencil_step(xp, xc, 0.4, LC[2 % 3])
-        g_c = potential_gradient(xc)
-        g_f = potential_gradient(PlanarVector(0.5 * (xc.x1 + z.x1), 0.5 * (xc.x2 + z.x2)))
+        z = step(xp, xc, 0.4, LC[2 % 3])
+        g_c = grad(xc)
+        g_f = grad(PlanarVector(0.5 * (xc.x1 + z.x1), 0.5 * (xc.x2 + z.x2)))
         r1 = z.x1 - 2 * xc.x1 + xp.x1 + 0.08 * (g_c.x1 + g_f.x1)
         r2 = z.x2 - 2 * xc.x2 + xp.x2 + 0.08 * (g_c.x2 + g_f.x2)
         assert math.hypot(r1, r2) < 1e-11
@@ -149,16 +161,16 @@ class TestSingleSteps:
     def test_lc_implicit_and_explicit_phases_are_adjoint(self):
         # undoing an implicit (phase 2) step is exactly an explicit (phase 0) step
         xp, xc = orbit_pair(5.2, 0.35)
-        z = stencil_step(xp, xc, 0.35, LC[2 % 3])
-        back = stencil_step(z, xc, 0.35, LC[0 % 3])
+        z = step(xp, xc, 0.35, LC[2 % 3])
+        back = step(z, xc, 0.35, LC[0 % 3])
         assert_vector_close(back, xp, tol=1e-10)
 
     def test_dec_dispatch(self):
         xp, xc = orbit_pair(2.4, 0.3)
         for j in (0, 1, 3, 4, 6):
-            assert stencil_step(xp, xc, 0.3, DEC[j % 3]) == stencil_step(xp, xc, 0.3, SV)
+            assert step(xp, xc, 0.3, DEC[j % 3]) == step(xp, xc, 0.3, SV)
         for j in (2, 5, 8):
-            assert stencil_step(xp, xc, 0.3, DEC[j % 3]) == stencil_step(xp, xc, 0.3, MP)
+            assert step(xp, xc, 0.3, DEC[j % 3]) == step(xp, xc, 0.3, MP)
 
     def test_mp_minus_sv_is_fourth_order_locally(self):
         # both steps share the h^2 leading term; their difference shrinks as h^4
@@ -166,8 +178,8 @@ class TestSingleSteps:
         steps = (0.2, 0.1, 0.05)
         for h in steps:
             xp, xc = orbit_pair(2.0, h)
-            d = stencil_step(xp, xc, h, MP) - stencil_step(xp, xc, h, SV)
-            diffs.append(d.norm())
+            z, w = step(xp, xc, h, MP), step(xp, xc, h, SV)
+            diffs.append(math.hypot(z.x1 - w.x1, z.x2 - w.x2))
         slope = np.polyfit(np.log(steps), np.log(diffs), 1)[0]
         assert 3.7 < slope < 4.3
 
@@ -183,14 +195,10 @@ class TestForestRuth:
     def test_time_symmetry(self, t, h):
         orbit = ExactOrbit(State(X0, V0, 0.0))
         s0 = orbit.state_at(t)
-        s1 = fr_step(s0, h)
-        back = fr_step(s1, -h)
-        assert_vector_close(back.position, s0.position, tol=1e-12)
-        assert_vector_close(back.velocity, s0.velocity, tol=1e-12)
-
-    def test_advances_time(self):
-        s1 = fr_step(State(X0, V0, 1.5), 0.25)
-        assert s1.time == 1.75
+        s1 = _fr(*s0.position, *s0.velocity, h)
+        back = _fr(*s1, -h)
+        assert_vector_close(back[:2], s0.position, tol=1e-12)
+        assert_vector_close(back[2:], s0.velocity, tol=1e-12)
 
     def test_local_error_is_fifth_order(self):
         orbit = ExactOrbit(State(X0, V0, 0.0))
@@ -198,9 +206,9 @@ class TestForestRuth:
         errs = []
         for h in steps:
             s0 = orbit.state_at(3.0)
-            got = fr_step(s0, h)
-            want = orbit.state_at(3.0 + h)
-            errs.append((got.position - want.position).norm())
+            got = _fr(*s0.position, *s0.velocity, h)
+            want = orbit.state_at(3.0 + h).position
+            errs.append(math.hypot(got[0] - want.x1, got[1] - want.x2))
         slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
         assert 4.5 < slope < 5.5
 
@@ -208,7 +216,7 @@ class TestForestRuth:
 class TestInitialization:
     def test_sv_explicit_formula(self):
         h = 0.3
-        g = potential_gradient(X0)
+        g = grad(X0)
         want = (X0.x1 + h * V0.x1 - 0.5 * h * h * g.x1,
                 X0.x2 + h * V0.x2 - 0.5 * h * h * g.x2)
         for method in (MethodId.SV, MethodId.LC, MethodId.DEC):
@@ -221,25 +229,25 @@ class TestInitialization:
         x1 = init_second_point(method, X0, V0, h)
         mid = PlanarVector(0.5 * (X0.x1 + x1.x1), 0.5 * (X0.x2 + x1.x2))
         if method is MethodId.MP:
-            g = potential_gradient(mid)
+            g = grad(mid)
             p = ((x1.x1 - X0.x1) / h + 0.5 * h * g.x1,
                  (x1.x2 - X0.x2) / h + 0.5 * h * g.x2)
         elif method is MethodId.ML:
-            g0 = potential_gradient(X0)
-            gm = potential_gradient(mid)
+            g0 = grad(X0)
+            gm = grad(mid)
             p = ((x1.x1 - X0.x1) / h + h * g0.x1 / 3 + h * gm.x1 / 6,
                  (x1.x2 - X0.x2) / h + h * g0.x2 / 3 + h * gm.x2 / 6)
         else:
-            g0 = potential_gradient(X0)
+            g0 = grad(X0)
             p = ((x1.x1 - X0.x1) / h + 0.5 * h * g0.x1,
                  (x1.x2 - X0.x2) / h + 0.5 * h * g0.x2)
         assert_vector_close(PlanarVector(*p), V0, tol=1e-10)
 
     def test_fr_initialization_is_one_step(self):
         traj = integrate(MethodId.FR, X0, V0, 0.25, 1)
-        want = fr_step(State(X0, V0, 0.0), 0.25)
-        assert_vector_close(traj.positions[1], want.position, tol=1e-15)
-        assert_vector_close(traj.velocities[1], want.velocity, tol=1e-15)
+        want = _fr(*X0, *V0, 0.25)
+        assert_vector_close(traj.positions[1], want[:2], tol=1e-15)
+        assert_vector_close(traj.velocities[1], want[2:], tol=1e-15)
 
 
 class TestIntegrate:
@@ -385,20 +393,14 @@ class TestIntegrate:
 class TestCollisionGuard:
     # 1e-13 and 5e-13 lie inside the 1e-12 floor; so does their midpoint
     @pytest.mark.parametrize("weights", [SV, MP, ML, LC[0]])
-    def test_stencil_step(self, weights):
+    def test_stencil_kernel(self, weights):
         with pytest.raises(NearSingularity, match="inside the collision guard"):
-            stencil_step(PlanarVector(1e-13, 0.0), PlanarVector(5e-13, 0.0), 0.1, weights)
+            step(PlanarVector(1e-13, 0.0), PlanarVector(5e-13, 0.0), 0.1, weights)
 
-    def test_fr_step(self):
+    def test_fr_kernel(self):
         # at rest the first drift stays put, so the first kick is at 1e-13
-        state = State(PlanarVector(1e-13, 0.0), PlanarVector(0.0, 0.0), 0.0)
         with pytest.raises(NearSingularity, match="inside the collision guard"):
-            fr_step(state, 0.1)
-
-    def test_stencil_step_newton_failure_names_the_stage(self):
-        xp, xc = orbit_pair(2.0, 0.3)
-        with pytest.raises(SolverFailure, match="^implicit step: Newton residual"):
-            stencil_step(xp, xc, 0.3, MP, SolverConfig(max_iterations=1))
+            _fr(1e-13, 0.0, 0.0, 0.0, 0.1)
 
 
 class TestVelocityReconstruction:
