@@ -3,13 +3,15 @@
 Each subcommand reproduces one study as machine-readable data: trajectory
 dumps, precession measurements against theory, step-size scans, error
 curves, closed-form versus quadrature checks, and a timing benchmark.
-Outputs are deterministic CSV (17-significant-digit decimals, LF endings,
-single header row) or JSON mirrors; effective settings are embedded in JSON
-payloads and echoed to stderr for CSV.
+Outputs are deterministic CSV ("%.17g" floats, LF endings, single header
+row) or JSON mirrors (shortest-repr floats, laid out as json.dumps with
+indent=2 and sorted keys); effective settings are embedded in JSON payloads
+and echoed to stderr for CSV.
 
 Two tables drive the parser, the --config check and the metadata: _OPTIONS
 declares every setting once, and _COMMANDS gives each subcommand its
-handler and its settings with their defaults.
+handler and its settings with their defaults.  Handlers hand _emit their
+tables column by column; it formats each column in one pass.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
 """
@@ -242,26 +244,60 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_cells(column) -> list[str]:
+    """One column's CSV cells, formatted in one pass: "%.17g" for floats,
+    str for ints, and _fmt cell by cell for anything else (None, strings)."""
+    kinds = set(map(type, column))
+    if kinds <= {float}:
+        return list(map("%.17g".__mod__, column))
+    if kinds <= {int}:
+        return list(map(str, column))
+    return list(map(_fmt, column))
 
 
-def _emit(cfg: dict, meta: dict, columns: list[str], rows: list[list],
+def _json_cells(column) -> list[str]:
+    """One column's JSON cells, encoded in one json.dumps call.  A newline
+    separates the cells, because no encoded scalar can hold one."""
+    text = json.dumps(list(column), separators=("\n", ": "))
+    return text[1:-1].split("\n") if len(text) > 2 else []
+
+
+def _json_rows(columns: list[str], table: list) -> str:
+    """The "rows" list as json.dumps(..., indent=2, sort_keys=True) lays it
+    out at the top level of a payload: one object per row, keys sorted."""
+    order = sorted(range(len(columns)), key=columns.__getitem__)
+    fields = ",\n".join("      " + json.dumps(columns[i]).replace("%", "%%") + ": %s"
+                        for i in order)
+    cells = zip(*(_json_cells(table[i]) for i in order))
+    rows = ",\n".join(map(("    {\n" + fields + "\n    }").__mod__, cells))
+    return "[\n" + rows + "\n  ]" if rows else "[]"
+
+
+def _emit(cfg: dict, meta: dict, columns: list[str], table: list,
           report: bool = False, **extra) -> None:
-    """Write the rows as CSV, with the metadata on stderr, or as JSON.
+    """Write a table as CSV, with the metadata on stderr, or as JSON.
 
-    The JSON payload holds the metadata, any `extra` fields, and the rows as
-    objects keyed by column: a `report` is one row, merged into the payload
-    itself; other rows are listed under "rows".
+    `table` holds one sequence of scalars per column, in the order of
+    `columns`.  Each column is formatted in one pass and each row joined
+    from its cells: CSV cells as _fmt writes them, JSON laid out exactly as
+    json.dumps(payload, indent=2, sort_keys=True).  The payload holds the
+    metadata, any `extra` fields and the rows as objects keyed by column: a
+    `report` is one row, merged into the payload itself; other rows replace
+    the payload's top-level "rows": null line.
     """
     if cfg["format"] == "json":
-        records = [dict(zip(columns, row)) for row in rows]
-        payload = dict(records[0] if report else {"rows": records}, metadata=meta, **extra)
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        if report:
+            row = {name: column[0] for name, column in zip(columns, table)}
+            text = json.dumps(dict(row, metadata=meta, **extra), indent=2, sort_keys=True)
+        else:
+            text = json.dumps(dict(rows=None, metadata=meta, **extra), indent=2,
+                              sort_keys=True)
+            text = text.replace('\n  "rows": null',
+                                '\n  "rows": ' + _json_rows(columns, table), 1)
+        text += "\n"
     else:
-        text = _csv_text(columns, rows)
+        lines = map(",".join, zip(*map(_csv_cells, table)))
+        text = "\n".join([",".join(columns), *lines]) + "\n"
         print(f"# metadata: {json.dumps(meta, sort_keys=True)}", file=sys.stderr)
     if cfg.get("out"):
         with open(cfg["out"], "w", encoding="utf-8", newline="\n") as fh:
@@ -306,9 +342,9 @@ def cmd_simulate(cfg: dict) -> None:
     energy, angmom, lrl_a, lrl_b = analysis.observable_series(X, V)
     omega = np.arctan2(lrl_b, lrl_a)
     table = np.column_stack([t, X, V, energy, angmom, lrl_a, lrl_b, omega])
-    rows = [[k] + row for k, row in enumerate(table.tolist())]
     _emit(cfg, meta, ["step", "t", "x1", "x2", "v1", "v2",
-                      "energy", "angmom", "lrlA", "lrlB", "omega"], rows)
+                      "energy", "angmom", "lrlA", "lrlB", "omega"],
+          [range(len(t))] + table.T.tolist())
 
 
 def _predictions(method: MethodId, elements: OrbitElements,
@@ -328,7 +364,8 @@ def cmd_precession(cfg: dict) -> None:
     row = [method.value, h, closed.rate_per_revolution, quad, estimate.rate_per_revolution,
            estimate.fit_residual_rms, estimate.revolutions_observed]
     _emit(cfg, meta, ["method", "h", "predictedClosedForm", "predictedQuadrature",
-                      "measured", "fitResidualRms", "revolutions"], [row], report=True)
+                      "measured", "fitResidualRms", "revolutions"], list(zip(row)),
+          report=True)
 
 
 def cmd_scan(cfg: dict) -> None:
@@ -341,8 +378,12 @@ def cmd_scan(cfg: dict) -> None:
     x0, v0 = _initial_state(cfg)
     elements = elements_from_state(State(x0, v0, 0.0))
     raw_span = _t_end(cfg) or DEFAULT_SCAN_REVOLUTIONS * elements.T
-    # common physical span, aligned to the coarsest step
     h_max = max(h_list)
+    if h_max > raw_span:
+        raise ConfigurationError(
+            f"--h-list entry {h_max} exceeds the scan span {raw_span} "
+            f"(--t-end, or {DEFAULT_SCAN_REVOLUTIONS} revolutions)")
+    # common physical span, aligned to the coarsest step
     t_span = math.ceil(raw_span / h_max) * h_max
     solver = _solver_from(cfg)
     rows = []
@@ -358,14 +399,16 @@ def cmd_scan(cfg: dict) -> None:
                       file=sys.stderr)
             rows.append([method.value, h, measured, predicted])
     meta = _metadata(cfg, tSpan=t_span, revolutions=t_span / elements.T)
-    _emit(cfg, meta, ["method", "h", "measuredRate", "predictedRate"], rows)
+    _emit(cfg, meta, ["method", "h", "measuredRate", "predictedRate"], list(zip(*rows)))
 
 
 def cmd_error_curve(cfg: dict) -> None:
+    if cfg["steps"] is None and cfg["t_end"] is None:
+        cfg = dict(cfg, t_end=DEFAULT_ERROR_T_END)
     traj, meta = _run(cfg)
     t, err = analysis.error_curve(traj)
-    rows = [[traj.method.value, tk, ek] for tk, ek in zip(t.tolist(), err.tolist())]
-    _emit(cfg, meta, ["method", "t", "errorNorm"], rows)
+    _emit(cfg, meta, ["method", "t", "errorNorm"],
+          [[traj.method.value] * len(t), t.tolist(), err.tolist()])
 
 
 def cmd_predict(cfg: dict) -> None:
@@ -377,7 +420,7 @@ def cmd_predict(cfg: dict) -> None:
     meta = _metadata(cfg, method=method.value,
                      elements={"a": elements.a, "e": elements.e, "L": elements.L})
     _emit(cfg, meta, ["method", "h", "predictedClosedForm", "predictedQuadrature",
-                      "leadingOrder"], [row], report=True)
+                      "leadingOrder"], list(zip(row)), report=True)
 
 
 def cmd_averages(cfg: dict) -> None:
@@ -391,7 +434,7 @@ def cmd_averages(cfg: dict) -> None:
         denom = abs(closed) if closed != 0.0 else 1.0
         rows.append([power, closed, quad, abs(quad - closed) / denom])
     meta = _metadata(cfg, elements={"a": elements.a, "e": elements.e, "L": elements.L})
-    _emit(cfg, meta, ["power", "closedForm", "quadrature", "relDiff"], rows)
+    _emit(cfg, meta, ["power", "closedForm", "quadrature", "relDiff"], list(zip(*rows)))
 
 
 def cmd_bench(cfg: dict) -> None:
@@ -407,7 +450,7 @@ def cmd_bench(cfg: dict) -> None:
         rows.append([method.value, steps, wall, traj.stats.implicit_solves,
                      traj.stats.avg_newton_iterations])
     _emit(cfg, _metadata(cfg), ["method", "steps", "wallSeconds", "implicitSolveCount",
-                                "avgNewtonIterations"], rows,
+                                "avgNewtonIterations"], list(zip(*rows)),
           note="wall-clock timings are machine-dependent and informative only")
 
 
@@ -429,8 +472,7 @@ _COMMANDS = {
                      _settings("csv", methods=_ALL_METHODS, h_list=DEFAULT_SCAN_H,
                                t_end=None, **_SOLVER)),
     "error-curve": _Command(cmd_error_curve, "position error against the exact orbit",
-                            _settings("csv", **dict(_RUN, steps=None,
-                                                    t_end=DEFAULT_ERROR_T_END))),
+                            _settings("csv", **dict(_RUN, steps=None))),
     "predict": _Command(cmd_predict, "closed-form and quadrature precession predictions",
                         _settings("json", method=_REQUIRED, h=DEFAULT_H, a=None, e=None)),
     "averages": _Command(cmd_averages, "closed-form vs quadrature orbit averages",

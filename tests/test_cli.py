@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -8,9 +9,10 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from keplerlab.cli import build_parser, main
+from keplerlab.cli import _emit, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = ROOT / "schemas"
@@ -209,6 +211,84 @@ class TestCsvContract:
         assert a == b
 
 
+# SHA-256 of stdout as the row-by-row emitter wrote it: output bytes must not move
+PINNED_STDOUT = [
+    (["simulate", "--method", "fr", "--steps", "2000", "--format", "json"],
+     "5745bd7167a26d1b9527f6331f9d0b0024265ebbaab42766cf86c97bf65b94db"),
+    (["simulate", "--method", "mp", "--h", "0.1", "--steps", "2000"],
+     "b0b224214ff71b65f3c3c8efe9805a92c78848e3fb439aa123c5be6b24de34f7"),
+    (["error-curve", "--method", "dec", "--h", "0.1", "--t-end", "200"],
+     "ab56598d9c78349693487d2359cca4935879d1053fdb6d62d0085b9f0fe826b3"),
+    (["error-curve", "--method", "dec", "--h", "0.1", "--t-end", "200", "--format", "json"],
+     "3682d849bb7f8d08ea561b0b6f087e3cc8bf58c8aaeec98d0fd536201374d50f"),
+    # half a revolution: every measured cell is null
+    (["scan", "--methods", "sv,mp", "--t-end", "10"],
+     "d1d7715cccde8ba4bf87217f642eb062c726302d89f52fbc6e7ac00e42baa7f0"),
+    (["scan", "--methods", "sv,mp", "--t-end", "10", "--format", "json"],
+     "d7c77e01cb1ac26d8a9d281a67b61af49b711ed002d4653ad90a3352a1e08395"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT,
+                         ids=[" ".join(a) for a, _ in PINNED_STDOUT])
+def test_pinned_stdout(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestEmit:
+    """The column-by-column emitter writes the bytes of the row-by-row one."""
+
+    COLUMNS = ["value", "maybe", "count", "label", "rate%"]
+    ROWS = [
+        [math.nan, None, 0, 'say "hi"', 1],
+        [math.inf, 1.5, -2, "\u03c9 = 2\u03c0/T", 2.5],
+        [-math.inf, np.float64(0.1), 10 ** 17, "", -0.0],
+        [-0.0, None, 7, "a, b", None],
+        [5e-324, -7.25, 1, "tab\there", 3],
+        [1e16, math.nan, 2, "line\nbreak", 4],
+        [1e-05, 2, 3, "\\", 5],
+    ]
+
+    @staticmethod
+    def old_cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, str):
+            return value
+        if isinstance(value, int):
+            return str(value)
+        return format(float(value), ".17g")
+
+    def emit(self, capsys, output_format, rows, **kwargs):
+        table = [[row[i] for row in rows] for i in range(len(self.COLUMNS))]
+        _emit({"format": output_format}, {"h": 0.5, "methods": ["sv"]}, self.COLUMNS,
+              table, **kwargs)
+        return capsys.readouterr()
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 7])
+    def test_json_equals_the_payload_dump(self, capsys, n_rows):
+        rows = self.ROWS[:n_rows]
+        out, _ = self.emit(capsys, "json", rows, note="x")
+        payload = {"rows": [dict(zip(self.COLUMNS, row)) for row in rows],
+                   "metadata": {"h": 0.5, "methods": ["sv"]}, "note": "x"}
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_json_report_merges_the_row(self, capsys):
+        out, _ = self.emit(capsys, "json", self.ROWS[1:2], report=True)
+        payload = dict(zip(self.COLUMNS, self.ROWS[1]), metadata={"h": 0.5, "methods": ["sv"]})
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 7])
+    def test_csv_equals_the_cell_by_cell_text(self, capsys, n_rows):
+        rows = self.ROWS[:n_rows]
+        out, err = self.emit(capsys, "csv", rows)
+        lines = [",".join(self.COLUMNS)] + [",".join(map(self.old_cell, row)) for row in rows]
+        assert out == "\n".join(lines) + "\n"
+        assert err == '# metadata: {"h": 0.5, "methods": ["sv"]}\n'
+
+
 class TestConfigResolution:
     def test_config_file_supplies_values(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -263,6 +343,46 @@ class TestConfigResolution:
                              "--h", "0.5", "--steps", "999", "--t-end", "5")
         assert payload["metadata"]["steps"] == 10
         assert len(payload["rows"]) == 11
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_error_curve_steps_sets_the_step_count(self, capsys, tmp_path, via):
+        argv = ["--method", "sv", "--h", "0.5"]
+        if via == "flag":
+            argv += ["--steps", "7"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"steps": 7}))
+            argv += ["--config", str(cfg)]
+        payload = check_json(capsys, "error-curve", *argv)
+        assert len(payload["rows"]) == 8
+        assert payload["metadata"]["steps"] == 7
+        assert "tEnd" not in payload["metadata"]
+        # --t-end still overrides --steps
+        payload = check_json(capsys, "error-curve", *argv, "--t-end", "2")
+        assert len(payload["rows"]) == 5
+        assert payload["metadata"]["tEnd"] == 2.0
+
+    def test_error_curve_spans_t_500_without_steps_or_t_end(self, capsys):
+        code, out, err = run_cli(capsys, "error-curve", "--method", "sv", "--h", "0.5")
+        assert code == 0, err
+        assert len(out.splitlines()) == 1002
+        meta = json.loads(err.split("# metadata: ", 1)[1])
+        assert (meta["steps"], meta["tEnd"]) == (1000, 500.0)
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_scan_step_larger_than_the_span_is_rejected(self, capsys, tmp_path, via):
+        argv = ["scan", "--methods", "sv", "--t-end", "45"]
+        if via == "flag":
+            argv.append("--h-list=0.5,100")
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"h_list": [0.5, 100]}))
+            argv += ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == ("error: --h-list entry 100.0 exceeds the scan span 45.0 "
+                       "(--t-end, or 100 revolutions)\n")
 
     @pytest.mark.parametrize("command", list(NON_DEFAULT_SETTINGS))
     def test_config_writes_the_same_bytes_as_flags(self, capsys, tmp_path, command):
