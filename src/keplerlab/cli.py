@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -129,7 +130,9 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing leaves it as it is."""
     parser = _Parser(prog="keplerlab",
                      description="Experiment runner for planar Kepler integrators.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -125,8 +125,16 @@ def modified_acceleration_xy(eps: float, alpha: float, beta: float, gamma: float
     """Acceleration of the modified flow with epsilon eps and bracket (alpha,
     beta, gamma): solve M(x, v) xddot = rhs(x, v), on plain floats.
 
-    At h = 0 this is exactly -x/|x|^3.  Raises SingularMassMatrix when the
-    velocity Hessian is not safely invertible (condition number above 1e8).
+    The velocity Hessian is a multiple of the identity plus a rank-one term
+    along x, M = lam_perp I + (lam_par - lam_perp) x x^T / r^2, so its
+    eigenvalues are closed forms: |v|^2/2 + eps beta |v|^2/r^3 gives
+    lam_perp = 1 + 2 eps beta/r^3 in every direction, and eps gamma s^2/r^5
+    adds 2 eps gamma/r^3 along x, lam_par = lam_perp + 2 eps gamma/r^3.
+    The rhs dL/dx - (d/dx dL/dv) v collapses to P x + Q v, and M^-1 divides
+    the part along x by lam_par and the part normal to x by lam_perp.
+
+    At h = 0 this is exactly -x/|x|^3.  Raises SingularMassMatrix when M is
+    not safely invertible (condition number above 1e8).
     """
     r2 = x1 * x1 + x2 * x2
     r = math.sqrt(r2)
@@ -134,40 +142,24 @@ def modified_acceleration_xy(eps: float, alpha: float, beta: float, gamma: float
         raise SingularMassMatrix(
             f"|x| = {r:.3e} inside the collision guard {floor:.3e}")
     r3 = r2 * r
-    r5 = r3 * r2
-    r6 = r3 * r3
-    r7 = r5 * r2
-    u = v1 * v1 + v2 * v2
-    s = x1 * v1 + x2 * v2
-
-    # velocity Hessian: M = I + eps (2 beta I / r^3 + 2 gamma x x^T / r^5)
-    m11 = 1.0 + eps * (2.0 * beta / r3 + 2.0 * gamma * x1 * x1 / r5)
-    m12 = eps * 2.0 * gamma * x1 * x2 / r5
-    m22 = 1.0 + eps * (2.0 * beta / r3 + 2.0 * gamma * x2 * x2 / r5)
-    trace = m11 + m22
-    spread = math.hypot(m11 - m22, 2.0 * m12)
-    lam_min = 0.5 * (trace - spread)
-    lam_max = 0.5 * (trace + spread)
-    if lam_min <= 0.0 or lam_max > 1e8 * lam_min:
+    e3 = eps / r3
+    lam_perp = 1.0 + 2.0 * beta * e3
+    lam_par = lam_perp + 2.0 * gamma * e3
+    lo, hi = (lam_perp, lam_par) if lam_perp <= lam_par else (lam_par, lam_perp)
+    if lo <= 0.0 or hi > 1e8 * lo:
         raise SingularMassMatrix(
             f"velocity Hessian not safely invertible at |x| = {r:.3e} "
-            f"(eigenvalues {lam_min:.3e}, {lam_max:.3e})"
+            f"(eigenvalues {lo:.3e}, {hi:.3e})"
         )
-
-    # position gradient of the Lagrangian
-    g1 = -x1 / r3 + eps * (-4.0 * alpha * x1 / r6 - 3.0 * beta * u * x1 / r5
-                           + 2.0 * gamma * s * v1 / r5 - 5.0 * gamma * s * s * x1 / r7)
-    g2 = -x2 / r3 + eps * (-4.0 * alpha * x2 / r6 - 3.0 * beta * u * x2 / r5
-                           + 2.0 * gamma * s * v2 / r5 - 5.0 * gamma * s * s * x2 / r7)
-    # mixed term: (d/dx of dL/dv) contracted with v
-    c1 = eps * (-6.0 * beta * s * v1 / r5 + 2.0 * gamma * (u * x1 + s * v1) / r5
-                - 10.0 * gamma * s * s * x1 / r7)
-    c2 = eps * (-6.0 * beta * s * v2 / r5 + 2.0 * gamma * (u * x2 + s * v2) / r5
-                - 10.0 * gamma * s * s * x2 / r7)
-    b1 = g1 - c1
-    b2 = g2 - c2
-    det = m11 * m22 - m12 * m12
-    return ((m22 * b1 - m12 * b2) / det, (m11 * b2 - m12 * b1) / det)
+    u = v1 * v1 + v2 * v2
+    s = x1 * v1 + x2 * v2
+    p = -1.0 / r3 + e3 * (-4.0 * alpha / r3 - (3.0 * beta + 2.0 * gamma) * u / r2
+                          + 5.0 * gamma * s * s / (r2 * r2))
+    q = 6.0 * beta * e3 * s / r2
+    qs = q * s / r2
+    kx = (p + qs) / lam_par - qs / lam_perp
+    kv = q / lam_perp
+    return (kx * x1 + kv * v1, kx * x2 + kv * v2)
 
 
 def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
@@ -180,6 +172,7 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
     Samples are returned at the n_samples + 1 uniform times covering
     [0, t_end]; each sample segment is subdivided so the internal step never
     exceeds reference_step.  Returns (times, positions, velocities).
+    SingularMassMatrix names the method, h and the start of the failing substep.
     """
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ConfigurationError(f"t_end must be positive, got {t_end}")
@@ -200,24 +193,29 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
     acc, eps, (alpha, beta, gamma) = modified_acceleration_xy, model.epsilon, model.bracket
     half = 0.5 * dt
     sixth = dt / 6.0
-    for i in range(1, n_samples + 1):
-        for _ in range(substeps):
-            a1, b1 = acc(eps, alpha, beta, gamma, x1, x2, v1, v2, floor)
-            px, py = x1 + half * v1, x2 + half * v2
-            pv1, pv2 = v1 + half * a1, v2 + half * b1
-            a2_, b2_ = acc(eps, alpha, beta, gamma, px, py, pv1, pv2, floor)
-            qx, qy = x1 + half * pv1, x2 + half * pv2
-            qv1, qv2 = v1 + half * a2_, v2 + half * b2_
-            a3, b3 = acc(eps, alpha, beta, gamma, qx, qy, qv1, qv2, floor)
-            rx, ry = x1 + dt * qv1, x2 + dt * qv2
-            rv1, rv2 = v1 + dt * a3, v2 + dt * b3
-            a4, b4 = acc(eps, alpha, beta, gamma, rx, ry, rv1, rv2, floor)
-            x1 += sixth * (v1 + 2.0 * pv1 + 2.0 * qv1 + rv1)
-            x2 += sixth * (v2 + 2.0 * pv2 + 2.0 * qv2 + rv2)
-            v1 += sixth * (a1 + 2.0 * a2_ + 2.0 * a3 + a4)
-            v2 += sixth * (b1 + 2.0 * b2_ + 2.0 * b3 + b4)
-        X[i] = (x1, x2)
-        V[i] = (v1, v2)
+    try:
+        for i in range(1, n_samples + 1):
+            for j in range(substeps):
+                a1, b1 = acc(eps, alpha, beta, gamma, x1, x2, v1, v2, floor)
+                px, py = x1 + half * v1, x2 + half * v2
+                pv1, pv2 = v1 + half * a1, v2 + half * b1
+                a2_, b2_ = acc(eps, alpha, beta, gamma, px, py, pv1, pv2, floor)
+                qx, qy = x1 + half * pv1, x2 + half * pv2
+                qv1, qv2 = v1 + half * a2_, v2 + half * b2_
+                a3, b3 = acc(eps, alpha, beta, gamma, qx, qy, qv1, qv2, floor)
+                rx, ry = x1 + dt * qv1, x2 + dt * qv2
+                rv1, rv2 = v1 + dt * a3, v2 + dt * b3
+                a4, b4 = acc(eps, alpha, beta, gamma, rx, ry, rv1, rv2, floor)
+                x1 += sixth * (v1 + 2.0 * pv1 + 2.0 * qv1 + rv1)
+                x2 += sixth * (v2 + 2.0 * pv2 + 2.0 * qv2 + rv2)
+                v1 += sixth * (a1 + 2.0 * a2_ + 2.0 * a3 + a4)
+                v2 += sixth * (b1 + 2.0 * b2_ + 2.0 * b3 + b4)
+            X[i] = (x1, x2)
+            V[i] = (v1, v2)
+    except SingularMassMatrix as err:
+        t = (i - 1) * segment + j * dt
+        raise SingularMassMatrix(f"{model.method.value} modified flow at h = {model.h:g}, "
+                                 f"substep from t = {t:.6g}: {err}") from err
     return times, X, V
 
 

@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from keplerlab.cli import _emit, build_parser, main
+from keplerlab.cli import DEFAULT_H, _emit, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = ROOT / "schemas"
@@ -305,6 +305,21 @@ class TestConfigResolution:
                              "--method", "sv")
         assert payload["metadata"]["method"] == "sv"
         assert len(payload["rows"]) == 13
+
+    def test_parser_keeps_no_state_between_calls(self, capsys, tmp_path):
+        # the parser is built once per process: a config value must not
+        # become the next call's default, and usage errors still exit 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h": 0.3}))
+        assert check_json(capsys, "predict", "--method", "sv",
+                          "--config", str(cfg))["metadata"]["h"] == 0.3
+        assert check_json(capsys, "predict", "--method", "sv")["metadata"]["h"] == DEFAULT_H
+        with pytest.raises(SystemExit) as excinfo:
+            main(["predict", "--method", "sv", "--h", "abc"])
+        _, err = capsys.readouterr()
+        assert excinfo.value.code == 1
+        assert err.startswith("usage: keplerlab predict")
+        assert "argument --h" in err
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -26,6 +26,7 @@ from keplerlab import (
     precession_quadrature,
 )
 
+from keplerlab import theory
 from keplerlab.integrators import STENCILS, Stencil
 from keplerlab.kepler import potential_gradient_xy
 from keplerlab.theory import lagrangian_bracket, mean_midpoint_weight
@@ -56,6 +57,28 @@ TWO_STEP = (MethodId.SV, MethodId.MP, MethodId.ML, MethodId.LC, MethodId.DEC)
 def modified_acceleration(model, state):
     return PlanarVector(*modified_acceleration_xy(
         model.epsilon, *model.bracket, *state.position, *state.velocity))
+
+
+def mass_matrix_and_rhs(eps, bracket, x, v):
+    """M xddot = rhs in long form: the velocity Hessian of L_h entry by entry,
+    and the position gradient minus the mixed term (d/dx dL/dv) v."""
+    alpha, beta, gamma = bracket
+    r = math.hypot(*x)
+    u, s = v @ v, x @ v
+    mass = np.eye(2) + eps * (2.0 * beta / r**3 * np.eye(2) + 2.0 * gamma * np.outer(x, x) / r**5)
+    grad = -x / r**3 + eps * (-4.0 * alpha * x / r**6 - 3.0 * beta * u * x / r**5
+                              + 2.0 * gamma * s * v / r**5 - 5.0 * gamma * s * s * x / r**7)
+    mixed = eps * (-6.0 * beta * s * v / r**5 + 2.0 * gamma * (u * x + s * v) / r**5
+                   - 10.0 * gamma * s * s * x / r**7)
+    return mass, grad - mixed
+
+
+def random_states(seed, count):
+    """Phase-space points at radius 0.7 to 3 in every direction, speed up to 1.5."""
+    rng = np.random.default_rng(seed)
+    radius_, angle = rng.uniform(0.7, 3.0, count), rng.uniform(0.0, 2.0 * math.pi, count)
+    X = np.stack([radius_ * np.cos(angle), radius_ * np.sin(angle)], axis=-1)
+    return X, rng.uniform(-1.5, 1.5, (count, 2))
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +222,42 @@ class TestModifiedAcceleration:
         r = (4.0 * model.epsilon) ** (1.0 / 3.0)
         with pytest.raises(SingularMassMatrix):
             modified_acceleration(model, State(PlanarVector(r, 0.0), PlanarVector(0.0, 1.0)))
+
+    def test_singular_along_x_detected(self):
+        # mp's zero eigenvalue is lam_par = 1 - 4 eps/r^3, along x; lam_perp
+        # = 1 + 2 eps/r^3 stays at 3/2
+        model = ModifiedModel(MethodId.MP, 0.5)
+        r = (4.0 * model.epsilon) ** (1.0 / 3.0)
+        with pytest.raises(SingularMassMatrix, match="1.500e"):
+            modified_acceleration(model, State(PlanarVector(0.0, r), PlanarVector(1.0, 0.0)))
+        modified_acceleration(model, State(PlanarVector(0.0, 1.01 * r), PlanarVector(1.0, 0.0)))
+
+    @pytest.mark.parametrize("method", TWO_STEP)
+    def test_closed_form_eigenvalues(self, method):
+        # lam_perp = 1 + 2 eps beta/r^3 normal to x and lam_par = lam_perp +
+        # 2 eps gamma/r^3 along x are the eigenvalues of the explicit M
+        model = ModifiedModel(method, 0.5)
+        eps, (_, beta, gamma) = model.epsilon, model.bracket
+        X, V = random_states(11, 40)
+        for x, v in zip(X, V):
+            mass, _ = mass_matrix_and_rhs(eps, model.bracket, x, v)
+            r3 = math.hypot(*x) ** 3
+            lam_perp = 1.0 + 2.0 * eps * beta / r3
+            lam_par = lam_perp + 2.0 * eps * gamma / r3
+            np.testing.assert_allclose(np.linalg.eigvalsh(mass),
+                                       sorted((lam_perp, lam_par)), rtol=1e-14)
+            np.testing.assert_allclose(mass @ x, lam_par * x, rtol=1e-14)
+
+    @pytest.mark.parametrize("method", TWO_STEP)
+    def test_solves_the_long_form_system(self, method):
+        model = ModifiedModel(method, 0.5)
+        X, V = random_states(12, 40)
+        for x, v in zip(X, V):
+            mass, rhs = mass_matrix_and_rhs(model.epsilon, model.bracket, x, v)
+            want = np.linalg.solve(mass, rhs)
+            got = np.array(modified_acceleration_xy(model.epsilon, *model.bracket, *x, *v))
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+            assert np.linalg.norm(mass @ got - rhs) <= 1e-13 * np.linalg.norm(rhs)
 
 
 class TestSymmetryAndPerturbationFields:
@@ -406,6 +465,45 @@ class TestIntegrateModified:
             values.append(v.x1 * dv1 + v.x2 * dv2 - lag)
         values = np.array(values)
         assert np.abs(values - values[0]).max() < 1e-8
+
+    # final state at h = 0.1, t = 100, 1000 samples, recorded before the
+    # mass matrix was solved in closed form
+    PINNED_FINAL = {
+        MethodId.SV: ((-2.9788836923779245, 0.2602594117553999),
+                      (0.06838395552343025, 0.44721559784743214)),
+        MethodId.MP: ((-2.9677779702656415, 0.3708735536090112),
+                      (0.08399901427102771, 0.44438856855399483)),
+    }
+
+    @pytest.mark.parametrize("method", list(PINNED_FINAL))
+    def test_pinned_final_state(self, method):
+        _, X, V = integrate_modified(ModifiedModel(method, 0.1), X0, V0, 100.0, 1000)
+        x_want, v_want = self.PINNED_FINAL[method]
+        np.testing.assert_allclose(X[-1], x_want, rtol=1e-10)
+        np.testing.assert_allclose(V[-1], v_want, rtol=1e-10)
+
+    def test_four_accelerations_per_substep(self, monkeypatch):
+        # each of the n_samples segments takes ceil(segment/reference_step)
+        # RK4 substeps of four stages: 7 * ceil((1/7)/0.03) * 4 = 140
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return modified_acceleration_xy(*args)
+
+        monkeypatch.setattr(theory, "modified_acceleration_xy", counted)
+        integrate_modified(ModifiedModel(MethodId.MP, 0.5), X0, V0, 1.0, 7,
+                           reference_step=0.03)
+        assert len(calls) == 4 * 7 * math.ceil((1.0 / 7) / 0.03) == 140
+
+    def test_singular_flow_names_method_h_and_time(self):
+        # mp at h = 1 falls inside r^3 = 4 eps = 1/6 on its way in from 0.6
+        model = ModifiedModel(MethodId.MP, 1.0)
+        with pytest.raises(SingularMassMatrix) as excinfo:
+            integrate_modified(model, PlanarVector(0.6, 0.0), PlanarVector(0.0, 1.5), 10.0, 100)
+        message = str(excinfo.value)
+        assert message.startswith("mp modified flow at h = 1, substep from t = 0.08: ")
+        assert "|x| = 5.490e-01" in message
 
     def test_validation(self):
         model = ModifiedModel(MethodId.SV, 0.5)
