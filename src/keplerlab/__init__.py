@@ -33,7 +33,6 @@ from .kepler import (
 from .integrators import (
     DEFAULT_SOLVER,
     FR_THETA,
-    IMPLICIT_METHODS,
     IntegrationStats,
     MethodId,
     STENCILS,
@@ -47,7 +46,6 @@ from .theory import (
     DEFAULT_AVERAGE_NODES,
     REFERENCE_STEP,
     ModifiedModel,
-    PrecessionFormula,
     PrecessionPrediction,
     integrate_modified,
     lrl_symmetry_field,

@@ -19,6 +19,12 @@ from .errors import SignChange, TooFewRevolutions
 from .integrators import STENCILS, Trajectory, reconstruct_velocities
 from .kepler import ExactOrbit, PlanarVector, State
 
+# Coarser sampling aliases the LRL angle.  On the default orbit sv's rate
+# over 100 revolutions rises monotonically from 40 to 7 samples per
+# revolution (0.064 to 1.10), collapses to about 0 at 6 to 4 and reads -4.09
+# at 3; 8 keeps one sample of margin.
+MIN_SAMPLES_PER_REVOLUTION = 8
+
 
 class ConservedQuantity(Enum):
     ENERGY = "energy"
@@ -70,10 +76,12 @@ def observable_series(X: np.ndarray, V: np.ndarray):
 def measure_precession(traj: Trajectory) -> PrecessionEstimate:
     """Least-squares secular rate of the unwrapped LRL angle.
 
-    Needs at least two revolutions of the underlying orbit.  When velocities
-    are reconstructed by differences, the one-sided endpoint samples are
-    dropped from the fit (their reconstruction error is an order larger than
-    the interior one and they would bias short fits).
+    Needs at least two revolutions of the underlying orbit, sampled at least
+    MIN_SAMPLES_PER_REVOLUTION times per revolution (T / h); raises
+    TooFewRevolutions for a trajectory too short or too coarse.  When
+    velocities are reconstructed by differences, the one-sided endpoint
+    samples are dropped from the fit (their reconstruction error is an order
+    larger than the interior one and they would bias short fits).
     """
     t, X, V = trajectory_arrays(traj)
     period = traj.elements.T
@@ -81,6 +89,12 @@ def measure_precession(traj: Trajectory) -> PrecessionEstimate:
     if span < 2.0 * period:
         raise TooFewRevolutions(
             f"trajectory covers {span / period:.2f} revolutions; need at least 2"
+        )
+    samples = period / traj.h
+    if samples < MIN_SAMPLES_PER_REVOLUTION:
+        raise TooFewRevolutions(
+            f"trajectory has {samples:.2f} samples per revolution (T / h); "
+            f"need at least {MIN_SAMPLES_PER_REVOLUTION}"
         )
     if traj.velocities is None and len(t) > 4:
         t, X, V = t[1:-1], X[1:-1], V[1:-1]

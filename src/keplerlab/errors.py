@@ -23,7 +23,7 @@ class DegenerateOrbit(KeplerLabError, ValueError):
 
 
 class TooFewRevolutions(KeplerLabError, ValueError):
-    """Trajectory too short for a meaningful secular fit."""
+    """Trajectory too short or too coarse for a meaningful secular fit."""
 
 
 class SignChange(KeplerLabError, ValueError):

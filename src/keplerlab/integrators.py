@@ -77,11 +77,6 @@ STENCILS = {
     MethodId.DEC: Stencil(_SV, (_SV, _SV, _MP)),  # sv with every third step mp
 }
 
-# Methods whose every step needs a Newton solve.  lc and dec solve one
-# implicit relation per three steps and are not listed here.
-IMPLICIT_METHODS = frozenset(
-    m for m, s in STENCILS.items() if all(c for _, _, c in s.cycle))
-
 # Triple-jump composition weights: theta = 1/(2 - 2^(1/3)), the unique real
 # solution making the h^3 error terms of the three leapfrog substeps cancel.
 FR_THETA = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))

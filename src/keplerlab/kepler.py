@@ -18,10 +18,14 @@ import numpy as np
 from .errors import (
     DegenerateOrbit,
     NearSingularity,
+    NumericalFailure,
     SolverFailure,
     UnboundOrbit,
 )
 
+# Numerical guards, fixed constants read at call time: the collision radius
+# below which |x| raises, and the residual and iteration budget of the Kepler
+# solve.
 SINGULARITY_FLOOR = 1e-12
 KEPLER_TOLERANCE = 1e-13
 KEPLER_MAX_ITERATIONS = 50
@@ -47,46 +51,45 @@ class State(NamedTuple):
     time: float = 0.0
 
 
-def _collision(r: float, floor: float) -> NearSingularity:
-    return NearSingularity(f"|x| = {r:.3e} inside the collision guard {floor:.3e}")
+def _collision(r: float, error: type[NumericalFailure] = NearSingularity) -> NumericalFailure:
+    """The one collision-guard error: |x| = r fell below SINGULARITY_FLOOR."""
+    return error(f"|x| = {r:.3e} inside the collision guard {SINGULARITY_FLOOR:.3e}")
 
 
-def radius(x: PlanarVector, floor: float = SINGULARITY_FLOOR) -> float:
-    """|x| with a collision guard: raises NearSingularity below the floor."""
+def radius(x: PlanarVector) -> float:
+    """|x| with a collision guard: raises NearSingularity below SINGULARITY_FLOOR."""
     r = math.hypot(x.x1, x.x2)
-    if r < floor:
-        raise _collision(r, floor)
+    if r < SINGULARITY_FLOOR:
+        raise _collision(r)
     return r
 
 
-def potential_gradient_xy(x1: float, x2: float,
-                          floor: float = SINGULARITY_FLOOR) -> tuple[float, float]:
+def potential_gradient_xy(x1: float, x2: float) -> tuple[float, float]:
     """U'(x) = x/|x|^3 on plain floats, with the collision guard."""
     r = math.hypot(x1, x2)
-    if r < floor:
-        raise _collision(r, floor)
+    if r < SINGULARITY_FLOOR:
+        raise _collision(r)
     r3 = r * r * r
     return x1 / r3, x2 / r3
 
 
-def gradient_jacobian_xy(x1: float, x2: float,
-                         floor: float = SINGULARITY_FLOOR) -> tuple[float, float, float]:
+def gradient_jacobian_xy(x1: float, x2: float) -> tuple[float, float, float]:
     """Symmetric Jacobian of U' on plain floats, as (j11, j12, j22):
 
     d U'/dx = (|x|^2 I - 3 x x^T) / |x|^5.
     """
     r2 = x1 * x1 + x2 * x2
     r = math.sqrt(r2)
-    if r < floor:
-        raise _collision(r, floor)
+    if r < SINGULARITY_FLOOR:
+        raise _collision(r)
     r5 = r2 * r2 * r
     return (r2 - 3.0 * x1 * x1) / r5, -3.0 * x1 * x2 / r5, (r2 - 3.0 * x2 * x2) / r5
 
 
-def energy(state: State, floor: float = SINGULARITY_FLOOR) -> float:
+def energy(state: State) -> float:
     """E = |v|^2/2 - 1/|x|; negative exactly on bound orbits."""
     v = state.velocity
-    return 0.5 * (v.x1 * v.x1 + v.x2 * v.x2) - 1.0 / radius(state.position, floor)
+    return 0.5 * (v.x1 * v.x1 + v.x2 * v.x2) - 1.0 / radius(state.position)
 
 
 def angular_momentum(state: State) -> float:
@@ -95,10 +98,10 @@ def angular_momentum(state: State) -> float:
     return x.x1 * v.x2 - v.x1 * x.x2
 
 
-def lrl_vector(state: State, floor: float = SINGULARITY_FLOOR) -> PlanarVector:
+def lrl_vector(state: State) -> PlanarVector:
     """Laplace-Runge-Lenz vector; |lrl| = e and it points at the perihelion."""
     x, v = state.position, state.velocity
-    r = radius(x, floor)
+    r = radius(x)
     u = v.x1 * v.x1 + v.x2 * v.x2
     s = x.x1 * v.x1 + x.x2 * v.x2
     return PlanarVector(
@@ -175,12 +178,12 @@ class OrbitElements:
         return replace(self, apsis_angle=angle)
 
 
-def elements_from_state(state: State, floor: float = SINGULARITY_FLOOR) -> OrbitElements:
+def elements_from_state(state: State) -> OrbitElements:
     """Orbital elements of the bound orbit through a phase-space point.
 
     Raises UnboundOrbit when E >= 0 and DegenerateOrbit when L = 0.
     """
-    E = energy(state, floor)
+    E = energy(state)
     L = angular_momentum(state)
     if E >= 0.0:
         raise UnboundOrbit(f"energy {E:.6g} is nonnegative; orbit is not bound")
@@ -189,7 +192,7 @@ def elements_from_state(state: State, floor: float = SINGULARITY_FLOOR) -> Orbit
     a = -1.0 / (2.0 * E)
     b = math.sqrt(L * L * a)
     e = math.sqrt(max(0.0, 1.0 - (b / a) ** 2))
-    lrl = lrl_vector(state, floor)
+    lrl = lrl_vector(state)
     if math.hypot(lrl.x1, lrl.x2) > CIRCULAR_ECCENTRICITY:
         apsis = math.atan2(lrl.x2, lrl.x1)
     else:
@@ -215,15 +218,15 @@ def perihelion_state(elements: OrbitElements) -> State:
                  PlanarVector(speed * q.x1, speed * q.x2), 0.0)
 
 
-def solve_kepler(mean_anomaly, e: float, tol: float = KEPLER_TOLERANCE,
-                 max_iterations: int = KEPLER_MAX_ITERATIONS):
+def solve_kepler(mean_anomaly, e: float):
     """Solve M = Ecc - e sin(Ecc) for the eccentric anomaly in [0, 2 pi).
 
     Elementwise over an array of mean anomalies; a scalar gives a float.
     Newton iteration from the classic guess M + e sin(M), safeguarded by a
     shrinking bisection bracket; g(Ecc) = Ecc - e sin(Ecc) is increasing for
-    e < 1 so the bracket is always valid.  A converged anomaly stays frozen
-    while the others iterate.
+    e < 1 so the bracket is always valid.  An anomaly has converged once
+    its residual is below KEPLER_TOLERANCE and then stays frozen while the
+    others iterate; SolverFailure after KEPLER_MAX_ITERATIONS iterations.
     """
     if not 0.0 <= e < 1.0:
         raise ValueError(f"eccentricity must lie in [0, 1), got {e}")
@@ -232,9 +235,9 @@ def solve_kepler(mean_anomaly, e: float, tol: float = KEPLER_TOLERANCE,
     lo = np.zeros_like(M)
     hi = np.full_like(M, _TWO_PI)
     ecc = M + e * np.sin(M)
-    for _ in range(max_iterations):
+    for _ in range(KEPLER_MAX_ITERATIONS):
         f = ecc - e * np.sin(ecc) - M
-        todo = ~(np.abs(f) < tol)
+        todo = ~(np.abs(f) < KEPLER_TOLERANCE)
         if not todo.any():
             return ecc if ecc.ndim else float(ecc)
         lo = np.where(todo & (f < 0.0), np.maximum(lo, ecc), lo)
@@ -246,7 +249,7 @@ def solve_kepler(mean_anomaly, e: float, tol: float = KEPLER_TOLERANCE,
     raise SolverFailure(
         f"Kepler equation did not converge for {stuck.size} of {todo.size} "
         f"mean anomalies (first M={float(mean.flat[stuck[0]])!r}), e={e!r}, "
-        f"residual tolerance {tol}, iteration cap {max_iterations}"
+        f"residual tolerance {KEPLER_TOLERANCE}, iteration cap {KEPLER_MAX_ITERATIONS}"
     )
 
 
@@ -264,9 +267,8 @@ class ExactOrbit:
     for the apsis direction.
     """
 
-    def __init__(self, initial: State, elements: OrbitElements | None = None,
-                 floor: float = SINGULARITY_FLOOR):
-        own = elements_from_state(initial, floor)
+    def __init__(self, initial: State, elements: OrbitElements | None = None):
+        own = elements_from_state(initial)
         if elements is not None:
             for name, got, want in (("E", elements.E, own.E), ("L", elements.L, own.L)):
                 if abs(got - want) > 1e-10 * max(1.0, abs(want)):
@@ -277,9 +279,9 @@ class ExactOrbit:
         self.initial = initial
         self.elements = own
         x, v = initial.position, initial.velocity
-        r0 = radius(x, floor)
+        r0 = radius(x)
         a, e = own.a, own.e
-        lrl = lrl_vector(initial, floor)
+        lrl = lrl_vector(initial)
         m = math.hypot(lrl.x1, lrl.x2)
         # branch on the LRL magnitude itself: for a state circular to
         # roundoff, e recovered from the elements sits at its ~sqrt(eps)
@@ -303,14 +305,13 @@ class ExactOrbit:
         self._rate = _TWO_PI / own.T
         self._t0 = initial.time
 
-    def states_at(self, times, tol: float = KEPLER_TOLERANCE,
-                  max_iterations: int = KEPLER_MAX_ITERATIONS) -> tuple[np.ndarray, np.ndarray]:
+    def states_at(self, times) -> tuple[np.ndarray, np.ndarray]:
         """Positions and velocities at an array of times, shape (n, 2) each
         (shape (2,) each for a scalar time)."""
         el = self.elements
         t = np.asarray(times, dtype=float)
         M = self._mean0 + self._rate * (t - self._t0)
-        ecc = solve_kepler(M, el.e, tol, max_iterations)
+        ecc = solve_kepler(M, el.e)
         cos_e, sin_e = np.cos(ecc), np.sin(ecc)
         xp = el.a * (cos_e - el.e)
         xq = el.b * sin_e
@@ -323,8 +324,7 @@ class ExactOrbit:
         V = np.stack([vp * p.x1 + vq * q.x1, vp * p.x2 + vq * q.x2], axis=-1)
         return X, V
 
-    def state_at(self, t: float, tol: float = KEPLER_TOLERANCE,
-                 max_iterations: int = KEPLER_MAX_ITERATIONS) -> State:
+    def state_at(self, t: float) -> State:
         """The state at one time t: states_at on a single time."""
-        X, V = self.states_at(t, tol, max_iterations)
+        X, V = self.states_at(t)
         return State(PlanarVector(*X.tolist()), PlanarVector(*V.tolist()), t)

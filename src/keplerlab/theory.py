@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, NearSingularity, SingularMassMatrix
+from .errors import ConfigurationError, SingularMassMatrix
 from .integrators import STENCILS, MethodId
 from .kepler import (
     SINGULARITY_FLOOR,
@@ -31,13 +30,15 @@ from .kepler import (
     OrbitElements,
     PlanarVector,
     State,
+    _collision,
     perihelion_state,
     radius,
 )
 
+# Largest RK4 step of the modified flow (integrate_modified's default), and
+# the rectangle-rule nodes of every orbit average.
 REFERENCE_STEP = 0.005
 DEFAULT_AVERAGE_NODES = 2048
-MIN_AVERAGE_NODES = 64
 
 
 def mean_midpoint_weight(method: MethodId) -> float:
@@ -68,11 +69,6 @@ def _el_deficit_coefficients(bracket: tuple[float, float, float]) -> tuple[float
     return (-4.0 * a_ + 2.0 * b_ + 2.0 * c_, -3.0 * b_ - 2.0 * c_, 5.0 * c_, 6.0 * b_)
 
 
-class PrecessionFormula(Enum):
-    CLOSED_FORM = "closed_form"
-    QUADRATURE = "quadrature"
-
-
 @dataclass(frozen=True)
 class PrecessionPrediction:
     """Leading-order apsis rotation per revolution for a scheme at step h."""
@@ -80,7 +76,6 @@ class PrecessionPrediction:
     method: MethodId
     rate_per_revolution: float
     leading_order: int
-    formula: PrecessionFormula
 
 
 @dataclass(frozen=True)
@@ -106,11 +101,10 @@ class ModifiedModel:
         return self.h * self.h / 24.0
 
 
-def modified_lagrangian(model: ModifiedModel, state: State,
-                        floor: float = SINGULARITY_FLOOR) -> float:
+def modified_lagrangian(model: ModifiedModel, state: State) -> float:
     """Value of the truncated modified Lagrangian at a phase-space point."""
     x, v = state.position, state.velocity
-    r = radius(x, floor)
+    r = radius(x)
     u = v.x1 * v.x1 + v.x2 * v.x2
     s = x.x1 * v.x1 + x.x2 * v.x2
     alpha, beta, gamma = model.bracket
@@ -120,8 +114,7 @@ def modified_lagrangian(model: ModifiedModel, state: State,
 
 
 def modified_acceleration_xy(eps: float, alpha: float, beta: float, gamma: float,
-                             x1: float, x2: float, v1: float, v2: float,
-                             floor: float = SINGULARITY_FLOOR) -> tuple[float, float]:
+                             x1: float, x2: float, v1: float, v2: float) -> tuple[float, float]:
     """Acceleration of the modified flow with epsilon eps and bracket (alpha,
     beta, gamma): solve M(x, v) xddot = rhs(x, v), on plain floats.
 
@@ -138,9 +131,8 @@ def modified_acceleration_xy(eps: float, alpha: float, beta: float, gamma: float
     """
     r2 = x1 * x1 + x2 * x2
     r = math.sqrt(r2)
-    if r < floor:
-        raise SingularMassMatrix(
-            f"|x| = {r:.3e} inside the collision guard {floor:.3e}")
+    if r < SINGULARITY_FLOOR:
+        raise _collision(r, SingularMassMatrix)
     r3 = r2 * r
     e3 = eps / r3
     lam_perp = 1.0 + 2.0 * beta * e3
@@ -164,15 +156,15 @@ def modified_acceleration_xy(eps: float, alpha: float, beta: float, gamma: float
 
 def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
                        t_end: float, n_samples: int,
-                       reference_step: float = REFERENCE_STEP,
-                       floor: float = SINGULARITY_FLOOR
+                       reference_step: float = REFERENCE_STEP
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate the modified flow with classical RK4 at a fixed small step.
 
     Samples are returned at the n_samples + 1 uniform times covering
     [0, t_end]; each sample segment is subdivided so the internal step never
     exceeds reference_step.  Returns (times, positions, velocities).
-    SingularMassMatrix names the method, h and the start of the failing substep.
+    SingularMassMatrix, also for |x| inside the collision guard, names the
+    method, h and the start of the failing substep.
     """
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ConfigurationError(f"t_end must be positive, got {t_end}")
@@ -196,16 +188,16 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
     try:
         for i in range(1, n_samples + 1):
             for j in range(substeps):
-                a1, b1 = acc(eps, alpha, beta, gamma, x1, x2, v1, v2, floor)
+                a1, b1 = acc(eps, alpha, beta, gamma, x1, x2, v1, v2)
                 px, py = x1 + half * v1, x2 + half * v2
                 pv1, pv2 = v1 + half * a1, v2 + half * b1
-                a2_, b2_ = acc(eps, alpha, beta, gamma, px, py, pv1, pv2, floor)
+                a2_, b2_ = acc(eps, alpha, beta, gamma, px, py, pv1, pv2)
                 qx, qy = x1 + half * pv1, x2 + half * pv2
                 qv1, qv2 = v1 + half * a2_, v2 + half * b2_
-                a3, b3 = acc(eps, alpha, beta, gamma, qx, qy, qv1, qv2, floor)
+                a3, b3 = acc(eps, alpha, beta, gamma, qx, qy, qv1, qv2)
                 rx, ry = x1 + dt * qv1, x2 + dt * qv2
                 rv1, rv2 = v1 + dt * a3, v2 + dt * b3
-                a4, b4 = acc(eps, alpha, beta, gamma, rx, ry, rv1, rv2, floor)
+                a4, b4 = acc(eps, alpha, beta, gamma, rx, ry, rv1, rv2)
                 x1 += sixth * (v1 + 2.0 * pv1 + 2.0 * qv1 + rv1)
                 x2 += sixth * (v2 + 2.0 * pv2 + 2.0 * qv2 + rv2)
                 v1 += sixth * (a1 + 2.0 * a2_ + 2.0 * a3 + a4)
@@ -230,8 +222,7 @@ def lrl_symmetry_field(X: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.stack([-0.5 * x2 * v2, x1 * v2 - 0.5 * v1 * x2], axis=-1)
 
 
-def perturbation_field(method: MethodId, X: np.ndarray, V: np.ndarray,
-                       floor: float = SINGULARITY_FLOOR) -> np.ndarray:
+def perturbation_field(method: MethodId, X: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Euler-Lagrange deficit of the scheme's h^2 correction on Kepler motion.
 
     Positions and velocities have shape (..., 2), as does the result.  The
@@ -242,9 +233,8 @@ def perturbation_field(method: MethodId, X: np.ndarray, V: np.ndarray,
     x1, x2 = X[..., 0], X[..., 1]
     v1, v2 = V[..., 0], V[..., 1]
     r = np.hypot(x1, x2)
-    if np.any(r < floor):
-        raise NearSingularity(
-            f"|x| = {np.min(r):.3e} inside the collision guard {floor:.3e}")
+    if np.any(r < SINGULARITY_FLOOR):
+        raise _collision(float(np.min(r)))
     r2 = r * r
     r5 = r2 * r2 * r
     r6 = r5 * r
@@ -257,19 +247,17 @@ def perturbation_field(method: MethodId, X: np.ndarray, V: np.ndarray,
 
 
 def orbit_average(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                  elements: OrbitElements,
-                  nodes: int = DEFAULT_AVERAGE_NODES) -> float:
+                  elements: OrbitElements) -> float:
     """Time average of fn(X, V) over one period of the exact orbit.
 
-    fn maps the (nodes, 2) positions and velocities to the integrand's
-    values.  Uniform sampling in time; for a periodic analytic integrand the
-    rectangle rule converges spectrally, so the default node count leaves
-    the Kepler-solve tolerance as the dominant error.
+    fn maps the (DEFAULT_AVERAGE_NODES, 2) positions and velocities to the
+    integrand's values.  Uniform sampling in time; for a periodic analytic
+    integrand the rectangle rule converges spectrally, so DEFAULT_AVERAGE_NODES
+    nodes leave the Kepler-solve tolerance as the dominant error.
     """
-    if nodes < MIN_AVERAGE_NODES:
-        raise ConfigurationError(f"need at least {MIN_AVERAGE_NODES} nodes, got {nodes}")
     orbit = ExactOrbit(perihelion_state(elements))
-    X, V = orbit.states_at(orbit.elements.T * np.arange(nodes) / nodes)
+    n = DEFAULT_AVERAGE_NODES
+    X, V = orbit.states_at(orbit.elements.T * np.arange(n) / n)
     return float(np.mean(fn(X, V)))
 
 
@@ -309,15 +297,15 @@ def precession_closed_form(method: MethodId, elements: OrbitElements,
         raise ConfigurationError(f"step size must be nonnegative, got {h}")
     factor = _h2_factor(method)
     if factor == 0.0:
-        return PrecessionPrediction(method, 0.0, 4, PrecessionFormula.CLOSED_FORM)
+        return PrecessionPrediction(method, 0.0, 4)
     a, b = elements.a, elements.b
     shape = 15.0 * a ** 3 / b ** 6 - 3.0 * a / b ** 4
     base = -math.copysign(1.0, elements.L) * math.pi / 24.0 * shape * h * h
-    return PrecessionPrediction(method, factor * base, 2, PrecessionFormula.CLOSED_FORM)
+    return PrecessionPrediction(method, factor * base, 2)
 
 
-def precession_quadrature(method: MethodId, elements: OrbitElements, h: float,
-                          nodes: int = DEFAULT_AVERAGE_NODES) -> PrecessionPrediction:
+def precession_quadrature(method: MethodId, elements: OrbitElements,
+                          h: float) -> PrecessionPrediction:
     """Apsis rotation per revolution from the orbit-averaged perturbation.
 
     rate = -(2 eps T / e) <field . xi>  with eps = h^2/24, the average taken
@@ -334,7 +322,7 @@ def precession_quadrature(method: MethodId, elements: OrbitElements, h: float,
     def integrand(X: np.ndarray, V: np.ndarray) -> np.ndarray:
         return np.sum(perturbation_field(method, X, V) * lrl_symmetry_field(X, V), axis=-1)
 
-    avg = orbit_average(integrand, oriented, nodes)
+    avg = orbit_average(integrand, oriented)
     rate = -2.0 * model.epsilon * oriented.T / oriented.e * avg
     order = 2 if _h2_factor(method) else 4
-    return PrecessionPrediction(method, rate, order, PrecessionFormula.QUADRATURE)
+    return PrecessionPrediction(method, rate, order)

@@ -106,6 +106,11 @@ class TestMeasurePrecession:
         with pytest.raises(TooFewRevolutions):
             measure_precession(traj)
 
+    def test_needs_eight_samples_per_revolution(self):
+        measure_precession(exact_trajectory(h=REF_T / 8.1))
+        with pytest.raises(TooFewRevolutions, match="7.90 samples per revolution"):
+            measure_precession(exact_trajectory(h=REF_T / 7.9))
+
     def test_measured_sv_rate_near_prediction(self):
         traj = integrate(MethodId.SV, X0, V0, 0.5, 1000)
         est = measure_precession(traj)

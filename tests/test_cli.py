@@ -542,6 +542,23 @@ class TestExitCodes:
         assert rates[5.0] is None
         assert "failed" in err
 
+    # under 8 samples per revolution the LRL angle aliases: at h = 40 the
+    # span stretches to 80 and three samples read a rate of 0.160; at h = 15
+    # under 2 samples per revolution read 0.587, against 0.069 at h = 0.5
+    @pytest.mark.parametrize("h_list, samples, fine_rate", [
+        ("0.5,40", "0.50", 0.06700782594127877),
+        ("0.5,15", "1.32", 0.06920028862564427),
+    ])
+    def test_scan_refuses_a_coarse_step(self, capsys, h_list, samples, fine_rate):
+        code, out, err = run_cli(capsys, "scan", "--format", "json", "--methods", "sv",
+                                 "--h-list", h_list, "--t-end", "45")
+        assert code == 0
+        fine, coarse = json.loads(out)["rows"]
+        assert fine == {"method": "sv", "h": 0.5, "measuredRate": fine_rate,
+                        "predictedRate": 0.06737048229578152}
+        assert coarse["measuredRate"] is None
+        assert f"has {samples} samples per revolution (T / h); need at least 8" in err
+
 
 class TestContract:
     """The flags and metadata keys of every subcommand, pinned."""

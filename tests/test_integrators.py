@@ -10,7 +10,6 @@ from keplerlab import (
     ConfigurationError,
     ExactOrbit,
     FR_THETA,
-    IMPLICIT_METHODS,
     STENCILS,
     MethodId,
     NearSingularity,
@@ -66,9 +65,6 @@ class TestMethodId:
     def test_parse_unknown_name(self):
         with pytest.raises(ConfigurationError):
             MethodId.parse("rk4")
-
-    def test_implicit_set(self):
-        assert IMPLICIT_METHODS == {MethodId.MP, MethodId.ML}
 
 
 class TestSolverConfig:

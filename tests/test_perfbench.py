@@ -3,6 +3,7 @@ attributes and ExactOrbit methods).  A deleted or renamed target breaks the
 traced pass, so the bindings are resolved here, without running the
 benchmark."""
 
+import math
 from pathlib import Path
 
 import keplerlab
@@ -29,3 +30,20 @@ def test_tracer_bindings_resolve_install_and_restore(monkeypatch):
     assert tracer.calls["integrators.init_second_point"] == 1
     assert tracer.calls["kepler.state_at"] == 1
     assert tracer.counts["integrators.steps"] == 3
+
+
+def test_rk4_counter_follows_the_substep_rule(monkeypatch):
+    # the counter binds integrate_modified's reference_step, t_end and
+    # n_samples by name; a renamed or dropped one breaks the traced theory pass
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    t_end, n_samples = 1.0, 7
+    tracer = tracing.Tracer(keplerlab)
+    with tracer.installed():
+        keplerlab.theory.integrate_modified(
+            keplerlab.ModifiedModel(MethodId.SV, 0.1), X0, V0, t_end, n_samples)
+    segment = t_end / n_samples
+    want = n_samples * math.ceil(segment / keplerlab.theory.REFERENCE_STEP)
+    assert tracer.calls["theory.integrate_modified"] == 1
+    assert tracer.counts["theory.rk4_substeps"] == want == 7 * 29

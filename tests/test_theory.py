@@ -11,10 +11,13 @@ from keplerlab import (
     NearSingularity,
     OrbitElements,
     PlanarVector,
-    PrecessionFormula,
+    SINGULARITY_FLOOR,
     SingularMassMatrix,
     State,
+    elements_from_state,
+    energy,
     integrate_modified,
+    lrl_vector,
     lrl_symmetry_field,
     modified_acceleration_xy,
     modified_lagrangian,
@@ -24,11 +27,12 @@ from keplerlab import (
     perturbation_field,
     precession_closed_form,
     precession_quadrature,
+    radius,
 )
 
 from keplerlab import theory
 from keplerlab.integrators import STENCILS, Stencil
-from keplerlab.kepler import potential_gradient_xy
+from keplerlab.kepler import gradient_jacobian_xy, potential_gradient_xy
 from keplerlab.theory import lagrangian_bracket, mean_midpoint_weight
 
 from conftest import V0, X0, assert_close, assert_vector_close
@@ -309,15 +313,12 @@ class TestOrbitAverage:
                             default_elements)
         assert abs(got) < 1e-12
 
-    def test_node_doubling_is_converged(self, oriented_elements):
+    def test_node_doubling_is_converged(self, oriented_elements, monkeypatch):
         f = lambda X, V: X[:, 1] / np.hypot(X[:, 0], X[:, 1]) ** 5
-        a = orbit_average(f, oriented_elements, nodes=2048)
-        b = orbit_average(f, oriented_elements, nodes=4096)
+        a = orbit_average(f, oriented_elements)
+        monkeypatch.setattr(theory, "DEFAULT_AVERAGE_NODES", 2 * theory.DEFAULT_AVERAGE_NODES)
+        b = orbit_average(f, oriented_elements)
         assert abs(a - b) < 1e-9
-
-    def test_minimum_node_count(self, oriented_elements):
-        with pytest.raises(ConfigurationError):
-            orbit_average(lambda X, V: np.ones(len(X)), oriented_elements, nodes=32)
 
     def test_total_derivative_averages_to_zero(self, oriented_elements):
         # <d/dt f> = 0 for periodic motion; f = v2/r^3 gives
@@ -340,7 +341,6 @@ class TestPrecessionClosedForm:
         assert_close(sv.rate_per_revolution, RATE_SV_HALF, rtol=1e-13)
         assert_close(mp.rate_per_revolution, RATE_MP_HALF, rtol=1e-13)
         assert sv.leading_order == 2 and mp.leading_order == 2
-        assert sv.formula is PrecessionFormula.CLOSED_FORM
 
     def test_mp_is_exactly_minus_two_sv(self, default_elements):
         for h in (0.125, 0.25, 0.5, 1.0):
@@ -388,7 +388,6 @@ class TestPrecessionQuadrature:
                 closed = precession_closed_form(method, default_elements, h)
                 assert_close(quad.rate_per_revolution, closed.rate_per_revolution,
                              rtol=1e-10)
-                assert quad.formula is PrecessionFormula.QUADRATURE
                 assert quad.leading_order == 2
 
     @pytest.mark.parametrize("method", TWO_STEP)
@@ -513,3 +512,39 @@ class TestIntegrateModified:
             integrate_modified(model, X0, V0, 10.0, 0)
         with pytest.raises(ConfigurationError):
             integrate_modified(model, X0, V0, 10.0, 10, reference_step=0.0)
+
+
+def _circular(r):
+    """State on the circular orbit of radius r, starting on the +x1 axis."""
+    return State(PlanarVector(r, 0.0), PlanarVector(0.0, r ** -0.5))
+
+
+# Every entry point behind the collision guard, called at |x| = r, with the
+# class it raises.  h = 0 keeps the modified mass matrix at the identity, so
+# only the guard can fail there.
+_EXACT = ModifiedModel(MethodId.SV, 0.0)
+GUARDED = {
+    "radius": (NearSingularity, lambda r: radius(PlanarVector(r, 0.0))),
+    "potential_gradient_xy": (NearSingularity, lambda r: potential_gradient_xy(r, 0.0)),
+    "gradient_jacobian_xy": (NearSingularity, lambda r: gradient_jacobian_xy(r, 0.0)),
+    "energy": (NearSingularity, lambda r: energy(_circular(r))),
+    "lrl_vector": (NearSingularity, lambda r: lrl_vector(_circular(r))),
+    "elements_from_state": (NearSingularity, lambda r: elements_from_state(_circular(r))),
+    "ExactOrbit": (NearSingularity, lambda r: ExactOrbit(_circular(r))),
+    "modified_lagrangian": (NearSingularity,
+                            lambda r: modified_lagrangian(_EXACT, _circular(r))),
+    "modified_acceleration_xy": (SingularMassMatrix, lambda r: modified_acceleration_xy(
+        _EXACT.epsilon, *_EXACT.bracket, *_circular(r).position, *_circular(r).velocity)),
+    "integrate_modified": (SingularMassMatrix, lambda r: integrate_modified(
+        _EXACT, _circular(r).position, _circular(r).velocity, 1e-20, 1)),
+    "perturbation_field": (NearSingularity, lambda r: perturbation_field(
+        MethodId.SV, np.array(_circular(r).position), np.array(_circular(r).velocity))),
+}
+
+
+@pytest.mark.parametrize("name", GUARDED)
+def test_one_collision_guard_at_every_entry_point(name):
+    error, call = GUARDED[name]
+    with pytest.raises(error, match="inside the collision guard 1.000e-12"):
+        call(0.5 * SINGULARITY_FLOOR)
+    call(2.0 * SINGULARITY_FLOOR)
