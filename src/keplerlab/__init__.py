@@ -22,10 +22,8 @@ from .kepler import (
     OrbitElements,
     PlanarVector,
     State,
-    angular_momentum,
     elements_from_state,
-    energy,
-    lrl_vector,
+    observable_series,
     perihelion_state,
     radius,
     solve_kepler,
@@ -66,7 +64,6 @@ from .analysis import (
     error_curve,
     invariant_drift,
     measure_precession,
-    observable_series,
     series_drift,
     trajectory_arrays,
 )

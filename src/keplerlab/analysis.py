@@ -2,9 +2,11 @@
 
 Position-only trajectories get velocities by second-order finite
 differences; methods that carry velocities (fr) use them directly.  The
-apsis angle is read off the Laplace-Runge-Lenz vector per sample, unwrapped,
-and fitted linearly in time, which averages out the O(h^2) oscillation of
-the per-sample angle and exposes the secular drift.
+invariants per sample come from kepler.observable_series, the one formula
+for E, L and the Laplace-Runge-Lenz vector.  The apsis angle is read off the
+LRL vector per sample, unwrapped, and fitted linearly in time, which averages
+out the O(h^2) oscillation of the per-sample angle and exposes the secular
+drift.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import SignChange, TooFewRevolutions
 from .integrators import STENCILS, Trajectory, reconstruct_velocities
-from .kepler import ExactOrbit, PlanarVector, State
+from .kepler import ExactOrbit, PlanarVector, State, observable_series
 
 # Coarser sampling aliases the LRL angle.  On the default orbit sv's rate
 # over 100 revolutions rises monotonically from 40 to 7 samples per
@@ -61,16 +63,10 @@ def trajectory_arrays(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndar
     return traj.times, traj.positions, V
 
 
-def observable_series(X: np.ndarray, V: np.ndarray):
-    """energy, angular momentum, and the two LRL components, vectorized."""
-    r = np.hypot(X[:, 0], X[:, 1])
-    u = V[:, 0] ** 2 + V[:, 1] ** 2
-    s = X[:, 0] * V[:, 0] + X[:, 1] * V[:, 1]
-    energy = 0.5 * u - 1.0 / r
-    angmom = X[:, 0] * V[:, 1] - V[:, 0] * X[:, 1]
-    lrl_a = u * X[:, 0] - s * V[:, 0] - X[:, 0] / r
-    lrl_b = u * X[:, 1] - s * V[:, 1] - X[:, 1] / r
-    return energy, angmom, lrl_a, lrl_b
+def well_sampled(period: float, h: float) -> bool:
+    """Whether a step h samples each revolution of the given period at least
+    MIN_SAMPLES_PER_REVOLUTION times (T / h), as measure_precession needs."""
+    return period / h >= MIN_SAMPLES_PER_REVOLUTION
 
 
 def measure_precession(traj: Trajectory) -> PrecessionEstimate:
@@ -90,10 +86,9 @@ def measure_precession(traj: Trajectory) -> PrecessionEstimate:
         raise TooFewRevolutions(
             f"trajectory covers {span / period:.2f} revolutions; need at least 2"
         )
-    samples = period / traj.h
-    if samples < MIN_SAMPLES_PER_REVOLUTION:
+    if not well_sampled(period, traj.h):
         raise TooFewRevolutions(
-            f"trajectory has {samples:.2f} samples per revolution (T / h); "
+            f"trajectory has {period / traj.h:.2f} samples per revolution (T / h); "
             f"need at least {MIN_SAMPLES_PER_REVOLUTION}"
         )
     if traj.velocities is None and len(t) > 4:
@@ -155,8 +150,7 @@ def discrete_angular_momentum(traj: Trajectory) -> np.ndarray:
     """
     X = traj.positions
     if traj.velocities is not None:
-        V = traj.velocities
-        return X[:-1, 0] * V[:-1, 1] - X[:-1, 1] * V[:-1, 0]
+        return observable_series(X[:-1], traj.velocities[:-1])[1]
     h = traj.h
     cross = X[:-1, 0] * X[1:, 1] - X[:-1, 1] * X[1:, 0]
     ell = cross / h

@@ -386,8 +386,9 @@ def cmd_scan(cfg: dict) -> None:
         raise ConfigurationError(
             f"--h-list entry {h_max} exceeds the scan span {raw_span} "
             f"(--t-end, or {DEFAULT_SCAN_REVOLUTIONS} revolutions)")
-    # common physical span, aligned to the coarsest step
-    t_span = math.ceil(raw_span / h_max) * h_max
+    # common physical span, aligned to the coarsest step the fit accepts
+    h_align = max((h for h in h_list if analysis.well_sampled(elements.T, h)), default=h_max)
+    t_span = math.ceil(raw_span / h_align) * h_align
     solver = _solver_from(cfg)
     rows = []
     for method in methods:

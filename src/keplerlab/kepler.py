@@ -1,10 +1,10 @@
 """Planar gravitational two-body problem with unit masses and unit coupling.
 
 Potential U(x) = -1/|x|, Lagrangian L = |xdot|^2/2 + 1/|x|.  This module
-carries the conserved quantities (energy, angular momentum, the
-Laplace-Runge-Lenz vector), conversion to orbital elements, and a
-closed-form Kepler propagator used as the reference solution everywhere
-else in the package.
+carries the one formula for the conserved quantities (energy, angular
+momentum, the Laplace-Runge-Lenz vector), shared by single points and whole
+trajectories, conversion to orbital elements, and a closed-form Kepler
+propagator used as the reference solution everywhere else in the package.
 """
 
 from __future__ import annotations
@@ -86,28 +86,25 @@ def gradient_jacobian_xy(x1: float, x2: float) -> tuple[float, float, float]:
     return (r2 - 3.0 * x1 * x1) / r5, -3.0 * x1 * x2 / r5, (r2 - 3.0 * x2 * x2) / r5
 
 
-def energy(state: State) -> float:
-    """E = |v|^2/2 - 1/|x|; negative exactly on bound orbits."""
-    v = state.velocity
-    return 0.5 * (v.x1 * v.x1 + v.x2 * v.x2) - 1.0 / radius(state.position)
+def observable_series(X: np.ndarray, V: np.ndarray):
+    """Energy, angular momentum and the two LRL components, (E, L, A1, A2).
 
-
-def angular_momentum(state: State) -> float:
-    """L = x1 v2 - v1 x2 (scalar in the plane)."""
-    x, v = state.position, state.velocity
-    return x.x1 * v.x2 - v.x1 * x.x2
-
-
-def lrl_vector(state: State) -> PlanarVector:
-    """Laplace-Runge-Lenz vector; |lrl| = e and it points at the perihelion."""
-    x, v = state.position, state.velocity
-    r = radius(x)
-    u = v.x1 * v.x1 + v.x2 * v.x2
-    s = x.x1 * v.x1 + x.x2 * v.x2
-    return PlanarVector(
-        u * x.x1 - s * v.x1 - x.x1 / r,
-        u * x.x2 - s * v.x2 - x.x2 / r,
-    )
+    Positions and velocities have shape (..., 2): one point (2,) or a whole
+    trajectory (n, 2); each result has shape X.shape[:-1].  E = |v|^2/2 - 1/|x|
+    is negative exactly on bound orbits, L = x1 v2 - v1 x2, and the
+    Laplace-Runge-Lenz vector A = |v|^2 x - (x.v) v - x/|x| has |A| = e and
+    points at the perihelion.  Raises NearSingularity when any |x| falls below
+    SINGULARITY_FLOOR.
+    """
+    x1, x2 = X[..., 0], X[..., 1]
+    v1, v2 = V[..., 0], V[..., 1]
+    r = np.hypot(x1, x2)
+    if np.any(r < SINGULARITY_FLOOR):
+        raise _collision(float(np.min(r)))
+    u = v1 * v1 + v2 * v2
+    s = x1 * v1 + x2 * v2
+    return (0.5 * u - 1.0 / r, x1 * v2 - v1 * x2,
+            u * x1 - s * v1 - x1 / r, u * x2 - s * v2 - x2 / r)
 
 
 _ELEMENT_RTOL = 1e-12
@@ -183,8 +180,8 @@ def elements_from_state(state: State) -> OrbitElements:
 
     Raises UnboundOrbit when E >= 0 and DegenerateOrbit when L = 0.
     """
-    E = energy(state)
-    L = angular_momentum(state)
+    E, L, A1, A2 = map(float, observable_series(np.asarray(state.position),
+                                                 np.asarray(state.velocity)))
     if E >= 0.0:
         raise UnboundOrbit(f"energy {E:.6g} is nonnegative; orbit is not bound")
     if L == 0.0:
@@ -192,9 +189,8 @@ def elements_from_state(state: State) -> OrbitElements:
     a = -1.0 / (2.0 * E)
     b = math.sqrt(L * L * a)
     e = math.sqrt(max(0.0, 1.0 - (b / a) ** 2))
-    lrl = lrl_vector(state)
-    if math.hypot(lrl.x1, lrl.x2) > CIRCULAR_ECCENTRICITY:
-        apsis = math.atan2(lrl.x2, lrl.x1)
+    if math.hypot(A1, A2) > CIRCULAR_ECCENTRICITY:
+        apsis = math.atan2(A2, A1)
     else:
         apsis = 0.0
     return OrbitElements(a=a, b=min(b, a), e=e, T=_TWO_PI * a ** 1.5, E=E, L=L,
@@ -281,14 +277,14 @@ class ExactOrbit:
         x, v = initial.position, initial.velocity
         r0 = radius(x)
         a, e = own.a, own.e
-        lrl = lrl_vector(initial)
-        m = math.hypot(lrl.x1, lrl.x2)
+        _, _, A1, A2 = map(float, observable_series(np.asarray(x), np.asarray(v)))
+        m = math.hypot(A1, A2)
         # branch on the LRL magnitude itself: for a state circular to
         # roundoff, e recovered from the elements sits at its ~sqrt(eps)
         # noise floor while the LRL vector is exactly zero, so dividing by
         # it would blow up even though e > CIRCULAR_ECCENTRICITY
         if m > CIRCULAR_ECCENTRICITY and e > CIRCULAR_ECCENTRICITY:
-            p = PlanarVector(lrl.x1 / m, lrl.x2 / m)
+            p = PlanarVector(A1 / m, A2 / m)
             cos_e0 = (1.0 - r0 / a) / e
             sin_e0 = (x.x1 * v.x1 + x.x2 * v.x2) / (e * math.sqrt(a))
             ecc0 = math.atan2(sin_e0, cos_e0)

@@ -237,6 +237,16 @@ def test_pinned_stdout(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("method", ["sv", "mp", "ml", "lc", "dec", "fr"])
+def test_committed_error_curve_reproduces(tmp_path, method):
+    # the run of scripts/error_curves.py, against the file it committed
+    target = tmp_path / f"error_curve_{method}.csv"
+    assert main(["error-curve", "--method", method, "--h", "0.1", "--t-end", "500.0",
+                 "--out", str(target)]) == 0
+    committed = ROOT / "results" / f"error_curve_{method}.csv"
+    assert target.read_bytes() == committed.read_bytes()
+
+
 class TestEmit:
     """The column-by-column emitter writes the bytes of the row-by-row one."""
 
@@ -542,19 +552,19 @@ class TestExitCodes:
         assert rates[5.0] is None
         assert "failed" in err
 
-    # under 8 samples per revolution the LRL angle aliases: at h = 40 the
-    # span stretches to 80 and three samples read a rate of 0.160; at h = 15
-    # under 2 samples per revolution read 0.587, against 0.069 at h = 0.5
-    @pytest.mark.parametrize("h_list, samples, fine_rate", [
-        ("0.5,40", "0.50", 0.06700782594127877),
-        ("0.5,15", "1.32", 0.06920028862564427),
-    ])
-    def test_scan_refuses_a_coarse_step(self, capsys, h_list, samples, fine_rate):
+    # under 8 samples per revolution the LRL angle aliases (h = 15, under 2
+    # samples per revolution, reads 0.587 against 0.069 at h = 0.5), so both
+    # coarse steps are refused; the span aligns to the coarsest step the fit
+    # accepts, so a refused step leaves the span and the h = 0.5 row alone
+    @pytest.mark.parametrize("h_list, samples", [("0.5,40", "0.50"), ("0.5,15", "1.32")])
+    def test_scan_refuses_a_coarse_step(self, capsys, h_list, samples):
         code, out, err = run_cli(capsys, "scan", "--format", "json", "--methods", "sv",
                                  "--h-list", h_list, "--t-end", "45")
         assert code == 0
-        fine, coarse = json.loads(out)["rows"]
-        assert fine == {"method": "sv", "h": 0.5, "measuredRate": fine_rate,
+        payload = json.loads(out)
+        assert payload["metadata"]["tSpan"] == 45.0
+        fine, coarse = payload["rows"]
+        assert fine == {"method": "sv", "h": 0.5, "measuredRate": 0.06920028862564427,
                         "predictedRate": 0.06737048229578152}
         assert coarse["measuredRate"] is None
         assert f"has {samples} samples per revolution (T / h); need at least 8" in err

@@ -15,10 +15,8 @@ from keplerlab import (
     SolverFailure,
     State,
     UnboundOrbit,
-    angular_momentum,
     elements_from_state,
-    energy,
-    lrl_vector,
+    observable_series,
     perihelion_state,
     radius,
     solve_kepler,
@@ -47,6 +45,11 @@ def rotated(v, angle):
     return PlanarVector(c * v[0] - s * v[1], s * v[0] + c * v[1])
 
 
+def invariants(state):
+    """(E, L, A1, A2) of one State, through the array kernel on a (2,) point."""
+    return observable_series(np.asarray(state.position), np.asarray(state.velocity))
+
+
 # strategies for generic bound, non-radial states: sample shape + phase
 # and construct the state from the closed-form orbit so boundedness is
 # guaranteed by construction
@@ -64,18 +67,18 @@ def bound_states(draw):
 class TestPointwiseFunctions:
     def test_potential_and_gradient_spot_values(self):
         # U = -1/|x| is the energy at rest
-        assert energy(State(PlanarVector(0.0, 2.0), PlanarVector(0.0, 0.0))) == -0.5
+        assert invariants(State(PlanarVector(0.0, 2.0), PlanarVector(0.0, 0.0)))[0] == -0.5
         g1, g2 = potential_gradient_xy(0.0, 2.0)
         assert_vector_close((g1, g2), (0.0, 0.25))
         assert_vector_close((-g1, -g2), (0.0, -0.25))
 
     def test_energy_spot_value(self):
         state = State(PlanarVector(3.0, 0.0), PlanarVector(0.0, 0.5))
-        assert_close(energy(state), 0.125 - 1.0 / 3.0)
+        assert_close(invariants(state)[0], 0.125 - 1.0 / 3.0)
 
     def test_angular_momentum_is_cross_product(self):
         state = State(PlanarVector(-3.0, 0.0), PlanarVector(0.0, 0.45))
-        assert angular_momentum(state) == -1.35
+        assert invariants(state)[1] == -1.35
 
     def test_gradient_jacobian_spot_value(self):
         j11, j12, j22 = gradient_jacobian_xy(0.0, 2.0)
@@ -98,6 +101,8 @@ class TestPointwiseFunctions:
         with pytest.raises(NearSingularity):
             radius(PlanarVector(1e-15, 0.0))
         with pytest.raises(NearSingularity):
+            observable_series(np.array([1e-15, 0.0]), np.array([0.0, 1.0]))
+        with pytest.raises(NearSingularity):
             potential_gradient_xy(0.0, 0.0)
         with pytest.raises(NearSingularity):
             gradient_jacobian_xy(1e-13, 1e-13)
@@ -113,9 +118,9 @@ class TestPointwiseFunctions:
 
 class TestLrlVector:
     def test_reference_state_lrl(self, default_state):
-        lrl = lrl_vector(default_state)
-        assert_vector_close(lrl, (0.3925, 0.0))
-        assert math.atan2(lrl.x2, lrl.x1) == 0.0
+        _, _, a1, a2 = invariants(default_state)
+        assert_vector_close((a1, a2), (0.3925, 0.0))
+        assert math.atan2(a2, a1) == 0.0
 
     # atol: e from elements_from_state is sqrt(1 + 2 E L^2), whose
     # cancellation near circularity caps absolute accuracy at ~sqrt(eps)
@@ -123,18 +128,29 @@ class TestLrlVector:
     @settings(max_examples=60)
     def test_magnitude_equals_eccentricity(self, state):
         el = elements_from_state(state)
-        assert_close(math.hypot(*lrl_vector(state)), el.e, rtol=1e-9, atol=5e-8)
+        assert_close(math.hypot(*invariants(state)[2:]), el.e, rtol=1e-9, atol=5e-8)
 
     @given(bound_states(), st.floats(-math.pi, math.pi))
     @settings(max_examples=40)
     def test_rotation_equivariance(self, state, angle):
         turned = State(rotated(state.position, angle),
                        rotated(state.velocity, angle), state.time)
-        assert_close(energy(turned), energy(state), rtol=1e-10, atol=1e-12)
-        assert_close(angular_momentum(turned), angular_momentum(state),
-                     rtol=1e-10, atol=1e-12)
-        assert_vector_close(lrl_vector(turned), rotated(lrl_vector(state), angle),
-                            tol=1e-10)
+        E, L, *lrl = invariants(state)
+        E_turned, L_turned, *lrl_turned = invariants(turned)
+        assert_close(E_turned, E, rtol=1e-10, atol=1e-12)
+        assert_close(L_turned, L, rtol=1e-10, atol=1e-12)
+        assert_vector_close(lrl_turned, rotated(lrl, angle), tol=1e-10)
+
+    @given(bound_states())
+    @settings(max_examples=30)
+    def test_point_equals_its_row_of_the_batch(self, state):
+        # one code path: a (2,) point gives bit for bit its row of (n, 2)
+        orbit = ExactOrbit(state)
+        X, V = orbit.states_at(np.linspace(0.0, 1.5 * orbit.elements.T, 11))
+        batch = observable_series(X, V)
+        for k in range(len(X)):
+            point = observable_series(X[k], V[k])
+            assert all(p == b[k] for p, b in zip(point, batch))
 
 
 class TestOrbitElements:
@@ -283,9 +299,10 @@ class TestExactOrbit:
         el = orbit.elements
         for t in np.linspace(0.0, 2.5 * el.T, 40):
             s = orbit.state_at(float(t))
-            assert_close(energy(s), el.E, rtol=1e-11)
-            assert_close(angular_momentum(s), el.L, rtol=1e-11)
-            assert_close(math.hypot(*lrl_vector(s)), el.e, rtol=1e-10)
+            E, L, a1, a2 = invariants(s)
+            assert_close(E, el.E, rtol=1e-11)
+            assert_close(L, el.L, rtol=1e-11)
+            assert_close(math.hypot(a1, a2), el.e, rtol=1e-10)
 
     def test_batch_matches_scalar_propagation(self, default_state):
         orbit = ExactOrbit(default_state)
@@ -336,5 +353,6 @@ class TestExactOrbit:
     def test_perihelion_state_matches_elements(self, default_elements):
         state = perihelion_state(default_elements)
         assert_close(math.hypot(*state.position), REF_R_PERI, rtol=1e-12)
-        assert_close(angular_momentum(state), REF_L, rtol=1e-12)
-        assert_close(energy(state), REF_E, rtol=1e-12)
+        E, L, _, _ = invariants(state)
+        assert_close(L, REF_L, rtol=1e-12)
+        assert_close(E, REF_E, rtol=1e-12)

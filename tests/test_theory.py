@@ -15,12 +15,11 @@ from keplerlab import (
     SingularMassMatrix,
     State,
     elements_from_state,
-    energy,
     integrate_modified,
-    lrl_vector,
     lrl_symmetry_field,
     modified_acceleration_xy,
     modified_lagrangian,
+    observable_series,
     orbit_average,
     orbit_average_closed_form,
     perihelion_state,
@@ -527,8 +526,11 @@ GUARDED = {
     "radius": (NearSingularity, lambda r: radius(PlanarVector(r, 0.0))),
     "potential_gradient_xy": (NearSingularity, lambda r: potential_gradient_xy(r, 0.0)),
     "gradient_jacobian_xy": (NearSingularity, lambda r: gradient_jacobian_xy(r, 0.0)),
-    "energy": (NearSingularity, lambda r: energy(_circular(r))),
-    "lrl_vector": (NearSingularity, lambda r: lrl_vector(_circular(r))),
+    "observable_series point": (NearSingularity, lambda r: observable_series(
+        np.array(_circular(r).position), np.array(_circular(r).velocity))),
+    "observable_series batch": (NearSingularity, lambda r: observable_series(
+        np.array([[1.0, 0.0], _circular(r).position, [0.0, 2.0]]),
+        np.array([[0.0, 1.0], _circular(r).velocity, [-0.5, 0.0]]))),
     "elements_from_state": (NearSingularity, lambda r: elements_from_state(_circular(r))),
     "ExactOrbit": (NearSingularity, lambda r: ExactOrbit(_circular(r))),
     "modified_lagrangian": (NearSingularity,
