@@ -69,6 +69,15 @@ def well_sampled(period: float, h: float) -> bool:
     return period / h >= MIN_SAMPLES_PER_REVOLUTION
 
 
+def require_well_sampled(period: float, h: float) -> None:
+    """Raise TooFewRevolutions unless well_sampled(period, h)."""
+    if not well_sampled(period, h):
+        raise TooFewRevolutions(
+            f"trajectory has {period / h:.2f} samples per revolution (T / h); "
+            f"need at least {MIN_SAMPLES_PER_REVOLUTION}"
+        )
+
+
 def measure_precession(traj: Trajectory) -> PrecessionEstimate:
     """Least-squares secular rate of the unwrapped LRL angle.
 
@@ -86,11 +95,7 @@ def measure_precession(traj: Trajectory) -> PrecessionEstimate:
         raise TooFewRevolutions(
             f"trajectory covers {span / period:.2f} revolutions; need at least 2"
         )
-    if not well_sampled(period, traj.h):
-        raise TooFewRevolutions(
-            f"trajectory has {period / traj.h:.2f} samples per revolution (T / h); "
-            f"need at least {MIN_SAMPLES_PER_REVOLUTION}"
-        )
+    require_well_sampled(period, traj.h)
     if traj.velocities is None and len(t) > 4:
         t, X, V = t[1:-1], X[1:-1], V[1:-1]
     _, _, lrl_a, lrl_b = observable_series(X, V)

@@ -396,6 +396,7 @@ def cmd_scan(cfg: dict) -> None:
             predicted = theory.precession_closed_form(method, elements, h).rate_per_revolution
             measured = None
             try:
+                analysis.require_well_sampled(elements.T, h)  # before integrating h
                 traj = integrate(method, x0, v0, h, round(t_span / h), solver)
                 measured = analysis.measure_precession(traj).rate_per_revolution
             except (NumericalFailure, KeplerLabError) as err:

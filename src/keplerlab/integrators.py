@@ -7,10 +7,13 @@ differs between methods only in the cycle of gradient weights it applies;
 see _stencil and the table STENCILS.  fr is the fourth-order triple-jump
 composition of leapfrog, a one-step map on (x, v).
 
-Both step on plain floats: _stencil advances the stencil one step, with an
-undamped Newton solve inline, and _fr takes one fr step.  integrate and
-init_second_point call them directly.  Newton iteration counts are recorded
-for benchmarking.
+Both are run-level kernels on plain floats that append n points to flat
+lists: _stencil evaluates U' and its Hessian inline, solves each implicit
+step by an undamped Newton iteration and carries the converged midpoint
+gradient into the next step's b-term; _fr takes n fr steps.  integrate calls
+one of them once per run, after init_second_point (the stencil kernel with
+n = 1) for a two-step method.  Newton iterations and gradient and Hessian
+evaluations are counted for benchmarking.
 """
 
 from __future__ import annotations
@@ -24,11 +27,12 @@ import numpy as np
 
 from .errors import ConfigurationError, NearSingularity, SolverFailure
 from .kepler import (
+    SINGULARITY_FLOOR,
     OrbitElements,
     PlanarVector,
     State,
+    _collision,
     elements_from_state,
-    gradient_jacobian_xy,
     potential_gradient_xy,
 )
 
@@ -102,10 +106,13 @@ DEFAULT_SOLVER = SolverConfig()
 
 @dataclass
 class IntegrationStats:
-    """Newton bookkeeping accumulated over a run."""
+    """Work counters accumulated over a run: implicit solves, Newton
+    iterations, and the gradient and Hessian evaluations actually made."""
 
     implicit_solves: int = 0
     newton_iterations: int = 0
+    gradient_evaluations: int = 0
+    hessian_evaluations: int = 0
 
     @property
     def avg_newton_iterations(self) -> float:
@@ -152,72 +159,134 @@ class Trajectory:
         return self.h * np.arange(len(self.positions))
 
 
-def _stencil(p1: float, p2: float, q1: float, q2: float, r1: float, r2: float,
-             h2: float, a: float, b: float, c: float, cfg: SolverConfig,
-             label: str) -> tuple[float, float, int]:
-    """z = x_next of the two-step relation with weights (a, b, c),
-    z - 2q + p = -h2 [a U'(q) + b U'((p + q)/2) + c U'((q + z)/2)],
-    from x_prev = p, x_cur = q, the free flight r = 2q - p and h2 = h^2.
-    A gradient is evaluated only where its weight is nonzero.  With
-    C = r - h2 [a U'(q) + b U'((p + q)/2)], z - C + c h2 U'((q + z)/2) = 0 is
-    solved from z = r by Newton's method (Jacobian I + (c h2/2) J, J the
-    Hessian of U; converged on the residual norm).  Returns (z1, z2,
-    iterations applied), or -1 iterations if c = 0 (an explicit step).
+def _stencil(xs: list[float], n: int, p1: float, p2: float, q1: float, q2: float,
+             r1: float, r2: float, h: float, cycle: tuple[Weights, ...], phase: int,
+             cfg: SolverConfig, label: str, stats: IntegrationStats) -> None:
+    """Append n points of the two-step relation with weights (a, b, c),
+
+        z - 2q + p = -h^2 [a U'(q) + b U'((p + q)/2) + c U'((q + z)/2)],
+
+    to the flat list xs: step k = phase, ..., phase + n - 1 takes the
+    weights cycle[k % len(cycle)] and advances (p, q) to (q, z).  The first
+    step starts from x_prev = p, x_cur = q and the free flight r, later ones
+    from r = 2q - p.  A gradient is evaluated only where its weight is
+    nonzero; U' = x/|x|^3 and its Hessian (|x|^2 I - 3 x x^T)/|x|^5 are
+    written out with the guard and operations of kepler.potential_gradient_xy
+    and gradient_jacobian_xy.  With C = r - h^2 [a U'(q) + b U'((p + q)/2)],
+    z - C + c h^2 U'((q + z)/2) = 0 is solved from z = r by Newton's method
+    (Jacobian I + (c h^2/2) J, J the Hessian; converged on the residual
+    norm).  Its last iterate evaluated U'((q + z)/2), bit for bit the next
+    step's U'((p + q)/2), so a b-term right after an implicit step reuses it.
+    Failures raise NearSingularity or SolverFailure (prefixed with label).
+    The run's implicit solves, Newton iterations and gradient and Hessian
+    evaluations are added to stats at the end.
     """
-    f1 = f2 = 0.0
-    if a:
-        g1, g2 = potential_gradient_xy(q1, q2)
-        f1 += a * g1
-        f2 += a * g2
-    if b:
-        g1, g2 = potential_gradient_xy(0.5 * (p1 + q1), 0.5 * (p2 + q2))
-        f1 += b * g1
-        f2 += b * g2
-    c1 = r1 - h2 * f1
-    c2 = r2 - h2 * f2
-    if not c:
-        return c1, c2, -1
-    ch2 = c * h2
-    half_ch2 = 0.5 * ch2
     tol, max_iter = cfg.tolerance, cfg.max_iterations
-    z1, z2 = r1, r2
-    for applied in range(max_iter + 1):
-        m1 = 0.5 * (q1 + z1)
-        m2 = 0.5 * (q2 + z2)
-        g1, g2 = potential_gradient_xy(m1, m2)
-        f1 = z1 - c1 + ch2 * g1
-        f2 = z2 - c2 + ch2 * g2
-        if math.hypot(f1, f2) < tol:
-            return z1, z2, applied
-        if applied == max_iter:
-            break
-        j11, j12, j22 = gradient_jacobian_xy(m1, m2)
-        j11 = 1.0 + half_ch2 * j11
-        j12 = half_ch2 * j12
-        j22 = 1.0 + half_ch2 * j22
-        det = j11 * j22 - j12 * j12
-        if det == 0.0 or not math.isfinite(det):
-            raise SolverFailure(f"{label}: singular Newton system (det={det!r})")
-        z1 -= (j22 * f1 - j12 * f2) / det
-        z2 -= (j11 * f2 - j12 * f1) / det
-    raise SolverFailure(f"{label}: Newton residual stayed above {tol} "
-                        f"after {max_iter} iterations")
+    hypot, sqrt, isfinite, floor = math.hypot, math.sqrt, math.isfinite, SINGULARITY_FLOOR
+    h2 = h * h
+    period = len(cycle)
+    append = xs.append
+    solves = iterations = gradients = 0
+    c_prev = 0.0  # nonzero when (gb1, gb2) already holds U'((p + q)/2)
+    gb1 = gb2 = 0.0
+    for k in range(phase, phase + n):
+        a, b, c = cycle[k % period]
+        f1 = f2 = 0.0
+        if a:
+            r = hypot(q1, q2)
+            if r < floor:
+                raise _collision(r)
+            r3 = r * r * r
+            f1 += a * (q1 / r3)
+            f2 += a * (q2 / r3)
+            gradients += 1
+        if b:
+            if not c_prev:
+                m1 = 0.5 * (p1 + q1)
+                m2 = 0.5 * (p2 + q2)
+                r = hypot(m1, m2)
+                if r < floor:
+                    raise _collision(r)
+                r3 = r * r * r
+                gb1 = m1 / r3
+                gb2 = m2 / r3
+                gradients += 1
+            f1 += b * gb1
+            f2 += b * gb2
+        c1 = r1 - h2 * f1
+        c2 = r2 - h2 * f2
+        if c:
+            ch2 = c * h2
+            half_ch2 = 0.5 * ch2
+            z1, z2 = r1, r2
+            for applied in range(max_iter + 1):
+                m1 = 0.5 * (q1 + z1)
+                m2 = 0.5 * (q2 + z2)
+                r = hypot(m1, m2)
+                if r < floor:
+                    raise _collision(r)
+                r3 = r * r * r
+                gb1 = m1 / r3
+                gb2 = m2 / r3
+                f1 = z1 - c1 + ch2 * gb1
+                f2 = z2 - c2 + ch2 * gb2
+                if hypot(f1, f2) < tol:
+                    break
+                if applied == max_iter:
+                    raise SolverFailure(f"{label}: Newton residual stayed above {tol} "
+                                        f"after {max_iter} iterations")
+                rr = m1 * m1 + m2 * m2
+                r = sqrt(rr)
+                if r < floor:
+                    raise _collision(r)
+                r5 = rr * rr * r
+                j11 = 1.0 + half_ch2 * ((rr - 3.0 * m1 * m1) / r5)
+                j12 = half_ch2 * (-3.0 * m1 * m2 / r5)
+                j22 = 1.0 + half_ch2 * ((rr - 3.0 * m2 * m2) / r5)
+                det = j11 * j22 - j12 * j12
+                if det == 0.0 or not isfinite(det):
+                    raise SolverFailure(f"{label}: singular Newton system (det={det!r})")
+                z1 -= (j22 * f1 - j12 * f2) / det
+                z2 -= (j11 * f2 - j12 * f1) / det
+            solves += 1
+            iterations += applied
+            gradients += applied + 1
+        else:
+            z1, z2 = c1, c2
+        append(z1)
+        append(z2)
+        p1, p2 = q1, q2
+        q1, q2 = z1, z2
+        c_prev = c
+        r1 = 2.0 * q1 - p1
+        r2 = 2.0 * q2 - p2
+    stats.implicit_solves += solves
+    stats.newton_iterations += iterations
+    stats.hessian_evaluations += iterations
+    stats.gradient_evaluations += gradients
 
 
-def _fr(x1: float, x2: float, v1: float, v2: float,
-        h: float) -> tuple[float, float, float, float]:
-    """The float kernel of one triple-jump step: three leapfrog substeps
-    (drift dt/2, kick dt, drift dt/2) with dt = (theta, 1 - 2 theta, theta) h."""
-    for w in _FR_WEIGHTS:
-        dt = w * h
-        x1 += 0.5 * dt * v1
-        x2 += 0.5 * dt * v2
-        g1, g2 = potential_gradient_xy(x1, x2)
-        v1 -= dt * g1
-        v2 -= dt * g2
-        x1 += 0.5 * dt * v1
-        x2 += 0.5 * dt * v2
-    return x1, x2, v1, v2
+def _fr(xs: list[float], vs: list[float], n: int, x1: float, x2: float, v1: float,
+        v2: float, h: float, stats: IntegrationStats) -> None:
+    """Append n triple-jump steps from (x, v) to the flat lists xs and vs;
+    each is three leapfrog substeps (drift dt/2, kick dt, drift dt/2) with
+    dt = (theta, 1 - 2 theta, theta) h, one gradient per kick, counted in
+    stats."""
+    for _ in range(n):
+        for w in _FR_WEIGHTS:
+            dt = w * h
+            x1 += 0.5 * dt * v1
+            x2 += 0.5 * dt * v2
+            g1, g2 = potential_gradient_xy(x1, x2)
+            v1 -= dt * g1
+            v2 -= dt * g2
+            x1 += 0.5 * dt * v1
+            x2 += 0.5 * dt * v2
+        xs.append(x1)
+        xs.append(x2)
+        vs.append(v1)
+        vs.append(v2)
+    stats.gradient_evaluations += len(_FR_WEIGHTS) * n
 
 
 def init_second_point(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
@@ -230,20 +299,21 @@ def init_second_point(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: f
 
         (x1 - x0)/h + h [ (a/2) U'(x0) + c U'((x0 + x1)/2) ] = v0,
 
-    explicit when c = 0: the stencil at x0 with weights (a/2, 0, c) and the
-    free flight x0 + h v0.  For fr it is simply the first triple-jump step.
+    explicit when c = 0: one stencil step with the weights (a/2, 0, c) from
+    p = q = x0 and the free flight x0 + h v0.  For fr it is simply the first
+    triple-jump step.
     """
-    if method is MethodId.FR:
-        x1, x2, _, _ = _fr(*x0, *v0, h)
-        return PlanarVector(x1, x2)
-    a, _, c = STENCILS[method].init
+    if stats is None:
+        stats = IntegrationStats()
     (x1, x2), (v1, v2) = x0, v0
-    z1, z2, n = _stencil(x1, x2, x1, x2, x1 + h * v1, x2 + h * v2, h * h, 0.5 * a, 0.0, c,
-                         cfg, "initialization")
-    if stats is not None and n >= 0:
-        stats.implicit_solves += 1
-        stats.newton_iterations += n
-    return PlanarVector(z1, z2)
+    z: list[float] = []
+    if method is MethodId.FR:
+        _fr(z, [], 1, x1, x2, v1, v2, h, stats)
+    else:
+        a, _, c = STENCILS[method].init
+        _stencil(z, 1, x1, x2, x1, x2, x1 + h * v1, x2 + h * v2, h, ((0.5 * a, 0.0, c),), 0,
+                 cfg, "initialization", stats)
+    return PlanarVector(*z)
 
 
 def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
@@ -264,39 +334,23 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
     stats = IntegrationStats()
     # positions (and fr's velocities) as flat float lists, x1 x2 per point
     xs = list(x0)
-    k = 0
     try:
         if method is MethodId.FR:
             vs = list(v0)
-            (x1, x2), (v1, v2) = x0, v0
-            for k in range(n_steps):
-                x1, x2, v1, v2 = _fr(x1, x2, v1, v2, h)
-                xs.append(x1)
-                xs.append(x2)
-                vs.append(v1)
-                vs.append(v2)
+            _fr(xs, vs, n_steps, *x0, *v0, h, stats)
             return Trajectory(method, h, _points(xs), v0, elements, _points(vs), stats)
-        cycle = STENCILS[method].cycle
-        h2 = h * h
         (p1, p2), (q1, q2) = x0, init_second_point(method, x0, v0, h, cfg, stats)
         xs.append(q1)
         xs.append(q2)
-        for k in range(1, n_steps):
-            a, b, c = cycle[k % len(cycle)]
-            z1, z2, n = _stencil(p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2, h2, a, b, c,
-                                 cfg, "implicit step")
-            if n >= 0:
-                stats.implicit_solves += 1
-                stats.newton_iterations += n
-            xs.append(z1)
-            xs.append(z2)
-            p1, p2, q1, q2 = q1, q2, z1, z2
+        _stencil(xs, n_steps - 1, p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2, h,
+                 STENCILS[method].cycle, 1, cfg, "implicit step", stats)
     except (SolverFailure, NearSingularity) as err:
+        point = len(xs) // 2
         err.method = method
-        err.step_index = k + 1
+        err.step_index = point
         err.partial_positions = _points(xs)
         detail = err.args[0] if err.args else err.__class__.__name__
-        err.args = (f"{method.value} failed computing point {k + 1}: {detail}",)
+        err.args = (f"{method.value} failed computing point {point}: {detail}",)
         raise
     return Trajectory(method, h, _points(xs), v0, elements, None, stats)
 

@@ -12,6 +12,8 @@ import jsonschema
 import numpy as np
 import pytest
 
+import keplerlab
+import keplerlab.cli
 from keplerlab.cli import DEFAULT_H, _emit, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -554,20 +556,37 @@ class TestExitCodes:
 
     # under 8 samples per revolution the LRL angle aliases (h = 15, under 2
     # samples per revolution, reads 0.587 against 0.069 at h = 0.5), so both
-    # coarse steps are refused; the span aligns to the coarsest step the fit
-    # accepts, so a refused step leaves the span and the h = 0.5 row alone
-    @pytest.mark.parametrize("h_list, samples", [("0.5,40", "0.50"), ("0.5,15", "1.32")])
-    def test_scan_refuses_a_coarse_step(self, capsys, h_list, samples):
-        code, out, err = run_cli(capsys, "scan", "--format", "json", "--methods", "sv",
+    # coarse steps are refused before they are integrated; the span aligns to
+    # the coarsest step the fit accepts, so a refused step leaves the span and
+    # the h = 0.5 row alone.  An implicit method gets the same refusal, not the
+    # Newton failure that integrating h = 40 ends in.
+    FINE_ROWS = {"sv": (0.06920028862564427, 0.06737048229578152),
+                 "mp": (-0.15895305852772498, -0.13474096459156304)}
+
+    @pytest.mark.parametrize("method, h_list, samples", [
+        ("sv", "0.5,40", "0.50"), ("sv", "0.5,15", "1.32"), ("mp", "0.5,40", "0.50")])
+    def test_scan_refuses_a_coarse_step(self, capsys, monkeypatch, method, h_list, samples):
+        integrated = []
+
+        def integrate(method, x0, v0, h, *args):
+            integrated.append(h)
+            return keplerlab.integrate(method, x0, v0, h, *args)
+
+        monkeypatch.setattr(keplerlab.cli, "integrate", integrate)
+        code, out, err = run_cli(capsys, "scan", "--format", "json", "--methods", method,
                                  "--h-list", h_list, "--t-end", "45")
         assert code == 0
+        assert integrated == [0.5]
         payload = json.loads(out)
         assert payload["metadata"]["tSpan"] == 45.0
         fine, coarse = payload["rows"]
-        assert fine == {"method": "sv", "h": 0.5, "measuredRate": 0.06920028862564427,
-                        "predictedRate": 0.06737048229578152}
+        measured, predicted = self.FINE_ROWS[method]
+        assert fine == {"method": method, "h": 0.5, "measuredRate": measured,
+                        "predictedRate": predicted}
         assert coarse["measuredRate"] is None
-        assert f"has {samples} samples per revolution (T / h); need at least 8" in err
+        assert err == (f"warning: {method} at h={float(h_list.split(',')[1]):g} failed: "
+                       f"trajectory has {samples} samples per revolution (T / h); "
+                       "need at least 8\n")
 
 
 class TestContract:

@@ -23,8 +23,9 @@ from keplerlab import (
     integrate,
     reconstruct_velocities,
 )
-from keplerlab.integrators import DEFAULT_SOLVER, _fr, _stencil
-from keplerlab.kepler import potential_gradient_xy
+from keplerlab import kepler
+from keplerlab.integrators import DEFAULT_SOLVER, IntegrationStats, _fr, _stencil
+from keplerlab.kepler import gradient_jacobian_xy, potential_gradient_xy
 
 from conftest import V0, X0, assert_close, assert_vector_close
 
@@ -40,14 +41,80 @@ DEC = STENCILS[MethodId.DEC].cycle
 def step(xp, xc, h, weights, cfg=DEFAULT_SOLVER):
     """x_next of the weighted two-step stencil from x_prev, x_cur."""
     (p1, p2), (q1, q2) = xp, xc
-    z1, z2, _ = _stencil(p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2, h * h, *weights,
-                         cfg, "implicit step")
-    return PlanarVector(z1, z2)
+    z = []
+    _stencil(z, 1, p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2, h, (weights,), 0, cfg,
+             "implicit step", IntegrationStats())
+    return PlanarVector(*z)
+
+
+def fr_step(x1, x2, v1, v2, h):
+    """One triple-jump step from (x, v), as (x1, x2, v1, v2)."""
+    xs, vs = [], []
+    _fr(xs, vs, 1, x1, x2, v1, v2, h, IntegrationStats())
+    return (*xs, *vs)
 
 
 def grad(x):
     """U'(x) as a PlanarVector."""
     return PlanarVector(*potential_gradient_xy(*x))
+
+
+def reference_step(p, q, r, h, weights, cfg=DEFAULT_SOLVER):
+    """x_next of the two-step relation with weights (a, b, c),
+    z - 2q + p = -h^2 [a U'(q) + b U'((p + q)/2) + c U'((q + z)/2)],
+    from p, q and the free flight r: every gradient and Hessian through the
+    kepler kernels, none reused, in the operation order of the stencil
+    kernel."""
+    (p1, p2), (q1, q2), (r1, r2) = p, q, r
+    a, b, c = weights
+    h2 = h * h
+    f1 = f2 = 0.0
+    if a:
+        g1, g2 = potential_gradient_xy(q1, q2)
+        f1 += a * g1
+        f2 += a * g2
+    if b:
+        g1, g2 = potential_gradient_xy(0.5 * (p1 + q1), 0.5 * (p2 + q2))
+        f1 += b * g1
+        f2 += b * g2
+    c1 = r1 - h2 * f1
+    c2 = r2 - h2 * f2
+    if not c:
+        return c1, c2
+    ch2 = c * h2
+    half_ch2 = 0.5 * ch2
+    z1, z2 = r1, r2
+    for _ in range(cfg.max_iterations):
+        m1 = 0.5 * (q1 + z1)
+        m2 = 0.5 * (q2 + z2)
+        g1, g2 = potential_gradient_xy(m1, m2)
+        f1 = z1 - c1 + ch2 * g1
+        f2 = z2 - c2 + ch2 * g2
+        if math.hypot(f1, f2) < cfg.tolerance:
+            return z1, z2
+        j11, j12, j22 = gradient_jacobian_xy(m1, m2)
+        j11 = 1.0 + half_ch2 * j11
+        j12 = half_ch2 * j12
+        j22 = 1.0 + half_ch2 * j22
+        det = j11 * j22 - j12 * j12
+        z1 -= (j22 * f1 - j12 * f2) / det
+        z2 -= (j11 * f2 - j12 * f1) / det
+    raise AssertionError("the reference Newton solve did not converge")
+
+
+def reference_positions(method, x0, v0, h, n_steps):
+    """x_0 .. x_N of a stencil, one reference_step per point: the
+    initializer (a/2, 0, c) from p = q = x0 and the free flight x0 + h v0,
+    then step k with cycle[k % len(cycle)] from r = 2q - p."""
+    a, _, c = STENCILS[method].init
+    cycle = STENCILS[method].cycle
+    points = [tuple(x0), reference_step(x0, x0, (x0[0] + h * v0[0], x0[1] + h * v0[1]), h,
+                                        (0.5 * a, 0.0, c))]
+    for k in range(1, n_steps):
+        p, q = points[-2], points[-1]
+        points.append(reference_step(p, q, (2.0 * q[0] - p[0], 2.0 * q[1] - p[1]), h,
+                                     cycle[k % len(cycle)]))
+    return np.array(points)
 
 
 def orbit_pair(t, h):
@@ -180,6 +247,33 @@ class TestSingleSteps:
         assert 3.7 < slope < 4.3
 
 
+class TestKernelReference:
+    """The run-level kernel evaluates U' and its Hessian inline and carries
+    the converged midpoint gradient into the next b-term; both must leave
+    every bit of the one-step reference above unchanged."""
+
+    # the default start, and one turned by 0.7 rad and scaled by 2.5
+    # (x -> 2.5 R x, v -> 2.5^(-1/2) R v, h -> 2.5^(3/2) h)
+    TURN = (math.cos(0.7), math.sin(0.7))
+    STARTS = {
+        "default": (X0, V0, 0.1),
+        "turned and scaled": (
+            PlanarVector(2.5 * (TURN[0] * X0.x1 - TURN[1] * X0.x2),
+                         2.5 * (TURN[1] * X0.x1 + TURN[0] * X0.x2)),
+            PlanarVector(2.5 ** -0.5 * (TURN[0] * V0.x1 - TURN[1] * V0.x2),
+                         2.5 ** -0.5 * (TURN[1] * V0.x1 + TURN[0] * V0.x2)),
+            0.1 * 2.5 ** 1.5),
+    }
+
+    @pytest.mark.parametrize("start", STARTS)
+    @pytest.mark.parametrize("method", TWO_STEP_METHODS)
+    def test_integrate_equals_the_reference(self, method, start):
+        x0, v0, h = self.STARTS[start]
+        want = reference_positions(method, x0, v0, h, 300)
+        assert np.array_equal(integrate(method, x0, v0, h, 300).positions, want)
+        assert init_second_point(method, x0, v0, h) == tuple(want[1])
+
+
 class TestForestRuth:
     def test_theta_value(self):
         assert_close(FR_THETA, 1.0 / (2.0 - 2.0 ** (1.0 / 3.0)), rtol=1e-15)
@@ -191,8 +285,8 @@ class TestForestRuth:
     def test_time_symmetry(self, t, h):
         orbit = ExactOrbit(State(X0, V0, 0.0))
         s0 = orbit.state_at(t)
-        s1 = _fr(*s0.position, *s0.velocity, h)
-        back = _fr(*s1, -h)
+        s1 = fr_step(*s0.position, *s0.velocity, h)
+        back = fr_step(*s1, -h)
         assert_vector_close(back[:2], s0.position, tol=1e-12)
         assert_vector_close(back[2:], s0.velocity, tol=1e-12)
 
@@ -202,7 +296,7 @@ class TestForestRuth:
         errs = []
         for h in steps:
             s0 = orbit.state_at(3.0)
-            got = _fr(*s0.position, *s0.velocity, h)
+            got = fr_step(*s0.position, *s0.velocity, h)
             want = orbit.state_at(3.0 + h).position
             errs.append(math.hypot(got[0] - want.x1, got[1] - want.x2))
         slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
@@ -241,7 +335,7 @@ class TestInitialization:
 
     def test_fr_initialization_is_one_step(self):
         traj = integrate(MethodId.FR, X0, V0, 0.25, 1)
-        want = _fr(*X0, *V0, 0.25)
+        want = fr_step(*X0, *V0, 0.25)
         assert_vector_close(traj.positions[1], want[:2], tol=1e-15)
         assert_vector_close(traj.velocities[1], want[2:], tol=1e-15)
 
@@ -323,6 +417,27 @@ class TestIntegrate:
         digest = lambda a: None if a is None else hashlib.sha256(a.tobytes()).hexdigest()
         assert (digest(traj.positions), digest(traj.velocities)) == self.DIGESTS[method]
 
+    # gradient and Hessian evaluations of 300 points at h = 0.1, where every
+    # solve takes 2 Newton iterations (3 gradients, 2 Hessians).  mp: the
+    # initializer's 3, one b-term at point 2, then the gradient of the last
+    # Newton iterate is reused as the next b-term, so 3 per step, not 4; ml
+    # adds an a-term per point; lc's (1/2, 1/2, 0) phase reuses it too.
+    EVALUATIONS = {
+        MethodId.SV: (300, 0),  # one a-term per point
+        MethodId.MP: (3 * 300 + 1, 600),
+        MethodId.ML: (4 * 300 + 1, 600),
+        MethodId.LC: (1 + 100 * 1 + 100 * 4 + 99 * 1, 200),  # init, phases 1, 2, 0
+        MethodId.DEC: (1 + 100 * 1 + 100 * 4 + 99 * 1, 200),  # no reuse: mp follows sv
+        MethodId.FR: (3 * 300, 0),  # three kicks per step
+    }
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_evaluation_counts(self, method):
+        stats = integrate(method, X0, V0, 0.1, 300).stats
+        assert stats.newton_iterations == 2 * stats.implicit_solves
+        assert (stats.gradient_evaluations, stats.hessian_evaluations) == \
+            self.EVALUATIONS[method]
+
     def test_newton_iteration_accounting(self):
         stats = integrate(MethodId.MP, X0, V0, 0.2, 50).stats
         assert stats.newton_iterations > 0
@@ -354,16 +469,6 @@ class TestIntegrate:
         with pytest.raises(UnboundOrbit):
             integrate(MethodId.SV, PlanarVector(3.0, 0.0), PlanarVector(0.0, 1.0), 0.5, 10)
 
-    def test_failure_annotation(self):
-        # a step size far above the stability limit defeats the mp Newton solve
-        with pytest.raises(SolverFailure) as excinfo:
-            integrate(MethodId.MP, X0, V0, 5.0, 10)
-        err = excinfo.value
-        assert err.method is MethodId.MP
-        assert err.step_index == 1
-        assert err.partial_positions.shape == (1, 2)
-        assert "mp failed computing point 1" in str(err)
-
     @pytest.mark.parametrize("method, point, stage", [
         (MethodId.MP, 1, "initialization"), (MethodId.ML, 1, "initialization"),
         (MethodId.LC, 3, "implicit step"), (MethodId.DEC, 3, "implicit step")])
@@ -378,12 +483,23 @@ class TestIntegrate:
         assert str(err) == (f"{method.value} failed computing point {point}: {stage}: "
                             "Newton residual stayed above 1e-12 after 1 iterations")
 
-    def test_failure_mid_run_keeps_partial(self):
-        with pytest.raises(SolverFailure) as excinfo:
-            integrate(MethodId.ML, X0, V0, 50.0, 500)
+    # an mp initialization that Newton cannot solve (a step far above the
+    # stability limit), ml's Newton solve failing mid-run, and fr meeting a
+    # collision guard that, raised to |x| = 2, the default orbit (perihelion
+    # 1.31) crosses mid-run
+    @pytest.mark.parametrize("method, h, floor, error, point", [
+        (MethodId.MP, 5.0, None, SolverFailure, 1),
+        (MethodId.ML, 50.0, None, SolverFailure, 179),
+        (MethodId.FR, 0.1, 2.0, NearSingularity, 69)])
+    def test_failure_mid_run_keeps_partial(self, monkeypatch, method, h, floor, error, point):
+        if floor is not None:
+            monkeypatch.setattr(kepler, "SINGULARITY_FLOOR", floor)
+        with pytest.raises(error) as excinfo:
+            integrate(method, X0, V0, h, 500)
         err = excinfo.value
-        assert err.step_index >= 1
-        assert err.partial_positions.shape == (err.step_index, 2)
+        assert (err.method, err.step_index) == (method, point)
+        assert err.partial_positions.shape == (point, 2)
+        assert f"{method.value} failed computing point {point}: " in str(err)
 
 
 class TestCollisionGuard:
@@ -393,10 +509,18 @@ class TestCollisionGuard:
         with pytest.raises(NearSingularity, match="inside the collision guard"):
             step(PlanarVector(1e-13, 0.0), PlanarVector(5e-13, 0.0), 0.1, weights)
 
+    # q = (1, 0) is clear of the guard: from p = (-1, 0) the backward midpoint
+    # is the origin (the b-site), from p = (3, 0) the first Newton midpoint
+    # (q + 2q - p)/2 is (the Newton site)
+    @pytest.mark.parametrize("p1, weights", [(-1.0, MP), (-1.0, LC[0]), (3.0, MP), (3.0, ML)])
+    def test_stencil_kernel_midpoints(self, p1, weights):
+        with pytest.raises(NearSingularity, match="inside the collision guard"):
+            step(PlanarVector(p1, 0.0), PlanarVector(1.0, 0.0), 0.1, weights)
+
     def test_fr_kernel(self):
         # at rest the first drift stays put, so the first kick is at 1e-13
         with pytest.raises(NearSingularity, match="inside the collision guard"):
-            _fr(1e-13, 0.0, 0.0, 0.0, 0.1)
+            fr_step(1e-13, 0.0, 0.0, 0.0, 0.1)
 
 
 class TestVelocityReconstruction:
