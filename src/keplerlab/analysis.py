@@ -39,7 +39,6 @@ class PrecessionEstimate:
     """Secular apsis-rotation measurement from a trajectory."""
 
     rate_per_revolution: float
-    slope_per_time: float
     fit_residual_rms: float
     revolutions_observed: float
 
@@ -104,7 +103,6 @@ def measure_precession(traj: Trajectory) -> PrecessionEstimate:
     residual = omega - (slope * t + intercept)
     return PrecessionEstimate(
         rate_per_revolution=float(slope * period),
-        slope_per_time=float(slope),
         fit_residual_rms=float(np.sqrt(np.mean(residual ** 2))),
         revolutions_observed=float(span / period),
     )
@@ -171,7 +169,7 @@ def discrete_angular_momentum(traj: Trajectory) -> np.ndarray:
 def error_curve(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean position error against the closed-form orbit per sample."""
     initial = State(PlanarVector(*traj.positions[0]), traj.start_velocity, 0.0)
-    orbit = ExactOrbit(initial, traj.elements)
+    orbit = ExactOrbit(initial)
     t = traj.times
     X_exact, _ = orbit.states_at(t)
     err = np.hypot(traj.positions[:, 0] - X_exact[:, 0],

@@ -12,8 +12,8 @@ lists: _stencil evaluates U' and its Hessian inline, solves each implicit
 step by an undamped Newton iteration and carries the converged midpoint
 gradient into the next step's b-term; _fr takes n fr steps.  integrate calls
 one of them once per run, after init_second_point (the stencil kernel with
-n = 1) for a two-step method.  Newton iterations and gradient and Hessian
-evaluations are counted for benchmarking.
+n = 1) for a two-step method.  Implicit solves, Newton iterations and
+gradient evaluations are counted for benchmarking.
 """
 
 from __future__ import annotations
@@ -106,13 +106,12 @@ DEFAULT_SOLVER = SolverConfig()
 
 @dataclass
 class IntegrationStats:
-    """Work counters accumulated over a run: implicit solves, Newton
-    iterations, and the gradient and Hessian evaluations actually made."""
+    """Work counters of a run: implicit solves, Newton iterations (one
+    Hessian evaluation each) and the gradient evaluations actually made."""
 
     implicit_solves: int = 0
     newton_iterations: int = 0
     gradient_evaluations: int = 0
-    hessian_evaluations: int = 0
 
     @property
     def avg_newton_iterations(self) -> float:
@@ -171,15 +170,16 @@ def _stencil(xs: list[float], n: int, p1: float, p2: float, q1: float, q2: float
     step starts from x_prev = p, x_cur = q and the free flight r, later ones
     from r = 2q - p.  A gradient is evaluated only where its weight is
     nonzero; U' = x/|x|^3 and its Hessian (|x|^2 I - 3 x x^T)/|x|^5 are
-    written out with the guard and operations of kepler.potential_gradient_xy
-    and gradient_jacobian_xy.  With C = r - h^2 [a U'(q) + b U'((p + q)/2)],
+    written out with the operations of kepler.potential_gradient_xy and
+    gradient_jacobian_xy; the gradient's collision guard covers the Hessian
+    at the same midpoint.  With C = r - h^2 [a U'(q) + b U'((p + q)/2)],
     z - C + c h^2 U'((q + z)/2) = 0 is solved from z = r by Newton's method
     (Jacobian I + (c h^2/2) J, J the Hessian; converged on the residual
     norm).  Its last iterate evaluated U'((q + z)/2), bit for bit the next
     step's U'((p + q)/2), so a b-term right after an implicit step reuses it.
     Failures raise NearSingularity or SolverFailure (prefixed with label).
-    The run's implicit solves, Newton iterations and gradient and Hessian
-    evaluations are added to stats at the end.
+    The run's implicit solves, Newton iterations and gradient evaluations
+    are added to stats at the end.
     """
     tol, max_iter = cfg.tolerance, cfg.max_iterations
     hypot, sqrt, isfinite, floor = math.hypot, math.sqrt, math.isfinite, SINGULARITY_FLOOR
@@ -237,8 +237,6 @@ def _stencil(xs: list[float], n: int, p1: float, p2: float, q1: float, q2: float
                                         f"after {max_iter} iterations")
                 rr = m1 * m1 + m2 * m2
                 r = sqrt(rr)
-                if r < floor:
-                    raise _collision(r)
                 r5 = rr * rr * r
                 j11 = 1.0 + half_ch2 * ((rr - 3.0 * m1 * m1) / r5)
                 j12 = half_ch2 * (-3.0 * m1 * m2 / r5)
@@ -262,7 +260,6 @@ def _stencil(xs: list[float], n: int, p1: float, p2: float, q1: float, q2: float
         r2 = 2.0 * q2 - p2
     stats.implicit_solves += solves
     stats.newton_iterations += iterations
-    stats.hessian_evaluations += iterations
     stats.gradient_evaluations += gradients
 
 
@@ -300,19 +297,18 @@ def init_second_point(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: f
         (x1 - x0)/h + h [ (a/2) U'(x0) + c U'((x0 + x1)/2) ] = v0,
 
     explicit when c = 0: one stencil step with the weights (a/2, 0, c) from
-    p = q = x0 and the free flight x0 + h v0.  For fr it is simply the first
-    triple-jump step.
+    p = q = x0 and the free flight x0 + h v0.  fr, a one-step map, has no
+    initializer and raises ConfigurationError.
     """
+    if method is MethodId.FR:
+        raise ConfigurationError("fr is a one-step method: it has no second-point initializer")
     if stats is None:
         stats = IntegrationStats()
     (x1, x2), (v1, v2) = x0, v0
     z: list[float] = []
-    if method is MethodId.FR:
-        _fr(z, [], 1, x1, x2, v1, v2, h, stats)
-    else:
-        a, _, c = STENCILS[method].init
-        _stencil(z, 1, x1, x2, x1, x2, x1 + h * v1, x2 + h * v2, h, ((0.5 * a, 0.0, c),), 0,
-                 cfg, "initialization", stats)
+    a, _, c = STENCILS[method].init
+    _stencil(z, 1, x1, x2, x1, x2, x1 + h * v1, x2 + h * v2, h, ((0.5 * a, 0.0, c),), 0,
+             cfg, "initialization", stats)
     return PlanarVector(*z)
 
 

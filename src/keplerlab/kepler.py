@@ -197,6 +197,11 @@ def elements_from_state(state: State) -> OrbitElements:
                          apsis_angle=apsis)
 
 
+def _ahead(p: PlanarVector, L: float) -> PlanarVector:
+    """p turned 90 degrees in the sense of the angular momentum L."""
+    return PlanarVector(-p.x2, p.x1) if L > 0.0 else PlanarVector(p.x2, -p.x1)
+
+
 def perihelion_state(elements: OrbitElements) -> State:
     """State at perihelion passage, taken as time 0.
 
@@ -206,10 +211,7 @@ def perihelion_state(elements: OrbitElements) -> State:
     rp = elements.a * (1.0 - elements.e)
     speed = abs(elements.L) / rp
     p = PlanarVector(math.cos(elements.apsis_angle), math.sin(elements.apsis_angle))
-    if elements.L > 0.0:
-        q = PlanarVector(-p.x2, p.x1)
-    else:
-        q = PlanarVector(p.x2, -p.x1)
+    q = _ahead(p, elements.L)
     return State(PlanarVector(rp * p.x1, rp * p.x2),
                  PlanarVector(speed * q.x1, speed * q.x2), 0.0)
 
@@ -260,22 +262,16 @@ class ExactOrbit:
 
     with the Kepler equation inverted per sample.  For near-circular orbits
     (e below CIRCULAR_ECCENTRICITY) the initial position direction stands in
-    for the apsis direction.
+    for the apsis direction.  .elements is elements_from_state(initial),
+    whose collision guard also covers |x0|.
     """
 
-    def __init__(self, initial: State, elements: OrbitElements | None = None):
+    def __init__(self, initial: State):
         own = elements_from_state(initial)
-        if elements is not None:
-            for name, got, want in (("E", elements.E, own.E), ("L", elements.L, own.L)):
-                if abs(got - want) > 1e-10 * max(1.0, abs(want)):
-                    raise ValueError(
-                        f"provided elements disagree with the initial state: "
-                        f"{name} = {got}, state gives {want}"
-                    )
         self.initial = initial
         self.elements = own
         x, v = initial.position, initial.velocity
-        r0 = radius(x)
+        r0 = math.hypot(x.x1, x.x2)
         a, e = own.a, own.e
         _, _, A1, A2 = map(float, observable_series(np.asarray(x), np.asarray(v)))
         m = math.hypot(A1, A2)
@@ -291,12 +287,8 @@ class ExactOrbit:
         else:
             p = PlanarVector(x.x1 / r0, x.x2 / r0)
             ecc0 = 0.0
-        if own.L > 0.0:
-            q = PlanarVector(-p.x2, p.x1)
-        else:
-            q = PlanarVector(p.x2, -p.x1)
         self._p = p
-        self._q = q
+        self._q = _ahead(p, own.L)
         self._mean0 = ecc0 - e * math.sin(ecc0)
         self._rate = _TWO_PI / own.T
         self._t0 = initial.time

@@ -513,13 +513,31 @@ class TestExitCodes:
                                "--x0", "3,0", "--v0", "0,1")
         assert code == 1
 
-    def test_bad_pair_syntax(self, capsys):
-        # malformed pair values are argparse type errors, so they exit like bad flags
+    # malformed pair and list values are argparse type errors, so they exit
+    # like bad flags
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--method", "sv", "--x0", "3;0"], "expected two comma-separated reals"),
+        (["simulate", "--method", "sv", "--x0", "a,b"], "expected two comma-separated reals"),
+        (["scan", "--h-list", "0.5,x"], "expected comma-separated reals, got '0.5,x'"),
+        (["scan", "--h-list", ","], "argument --h-list: empty list"),
+        (["scan", "--methods", ","], "argument --methods: empty method list")])
+    def test_bad_pair_syntax(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:
-            main(["simulate", "--method", "sv", "--x0", "3;0"])
+            main(argv)
         _, err = capsys.readouterr()
         assert excinfo.value.code == 1
-        assert "comma-separated" in err
+        assert message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--method", "sv", "--steps", "0"], "steps must be >= 1, got 0"),
+        (["simulate", "--method", "sv", "--steps", "-3"], "steps must be >= 1, got -3"),
+        (["scan", "--methods", "sv", "--h-list", "0.5"], "scan needs at least 2 step sizes"),
+        (["simulate", "--method", "sv", "--config", "no-such-dir/config.json"],
+         "cannot read config file 'no-such-dir/config.json'")])
+    def test_refused_settings_exit_one(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert message in err
 
     def test_bad_flag_exits_one(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

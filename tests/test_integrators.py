@@ -333,6 +333,10 @@ class TestInitialization:
                  (x1.x2 - X0.x2) / h + 0.5 * h * g0.x2)
         assert_vector_close(PlanarVector(*p), V0, tol=1e-10)
 
+    def test_fr_has_no_initializer(self):
+        with pytest.raises(ConfigurationError, match="fr is a one-step method"):
+            init_second_point(MethodId.FR, X0, V0, 0.25)
+
     def test_fr_initialization_is_one_step(self):
         traj = integrate(MethodId.FR, X0, V0, 0.25, 1)
         want = fr_step(*X0, *V0, 0.25)
@@ -417,26 +421,25 @@ class TestIntegrate:
         digest = lambda a: None if a is None else hashlib.sha256(a.tobytes()).hexdigest()
         assert (digest(traj.positions), digest(traj.velocities)) == self.DIGESTS[method]
 
-    # gradient and Hessian evaluations of 300 points at h = 0.1, where every
-    # solve takes 2 Newton iterations (3 gradients, 2 Hessians).  mp: the
-    # initializer's 3, one b-term at point 2, then the gradient of the last
-    # Newton iterate is reused as the next b-term, so 3 per step, not 4; ml
-    # adds an a-term per point; lc's (1/2, 1/2, 0) phase reuses it too.
+    # gradient evaluations of 300 points at h = 0.1, where every solve takes
+    # 2 Newton iterations (3 gradients).  mp: the initializer's 3, one b-term
+    # at point 2, then the gradient of the last Newton iterate is reused as
+    # the next b-term, so 3 per step, not 4; ml adds an a-term per point;
+    # lc's (1/2, 1/2, 0) phase reuses it too.
     EVALUATIONS = {
-        MethodId.SV: (300, 0),  # one a-term per point
-        MethodId.MP: (3 * 300 + 1, 600),
-        MethodId.ML: (4 * 300 + 1, 600),
-        MethodId.LC: (1 + 100 * 1 + 100 * 4 + 99 * 1, 200),  # init, phases 1, 2, 0
-        MethodId.DEC: (1 + 100 * 1 + 100 * 4 + 99 * 1, 200),  # no reuse: mp follows sv
-        MethodId.FR: (3 * 300, 0),  # three kicks per step
+        MethodId.SV: 300,  # one a-term per point
+        MethodId.MP: 3 * 300 + 1,
+        MethodId.ML: 4 * 300 + 1,
+        MethodId.LC: 1 + 100 * 1 + 100 * 4 + 99 * 1,  # init, phases 1, 2, 0
+        MethodId.DEC: 1 + 100 * 1 + 100 * 4 + 99 * 1,  # no reuse: mp follows sv
+        MethodId.FR: 3 * 300,  # three kicks per step
     }
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_evaluation_counts(self, method):
         stats = integrate(method, X0, V0, 0.1, 300).stats
         assert stats.newton_iterations == 2 * stats.implicit_solves
-        assert (stats.gradient_evaluations, stats.hessian_evaluations) == \
-            self.EVALUATIONS[method]
+        assert stats.gradient_evaluations == self.EVALUATIONS[method]
 
     def test_newton_iteration_accounting(self):
         stats = integrate(MethodId.MP, X0, V0, 0.2, 50).stats
@@ -469,6 +472,16 @@ class TestIntegrate:
         with pytest.raises(UnboundOrbit):
             integrate(MethodId.SV, PlanarVector(3.0, 0.0), PlanarVector(0.0, 1.0), 0.5, 10)
 
+    @pytest.mark.parametrize("positions, velocities, message", [
+        (np.zeros((3, 3)), None, r"positions must have shape \(n, 2\)"),
+        (np.zeros(4), None, r"positions must have shape \(n, 2\)"),
+        (np.zeros((1, 2)), None, "a trajectory needs at least two points"),
+        (np.zeros((3, 2)), np.zeros((2, 2)), "velocities must match positions in shape")])
+    def test_trajectory_validation(self, positions, velocities, message):
+        elements = kepler.elements_from_state(State(X0, V0, 0.0))
+        with pytest.raises(ValueError, match=message):
+            Trajectory(MethodId.FR, 0.1, positions, V0, elements, velocities)
+
     @pytest.mark.parametrize("method, point, stage", [
         (MethodId.MP, 1, "initialization"), (MethodId.ML, 1, "initialization"),
         (MethodId.LC, 3, "implicit step"), (MethodId.DEC, 3, "implicit step")])
@@ -484,14 +497,23 @@ class TestIntegrate:
                             "Newton residual stayed above 1e-12 after 1 iterations")
 
     # an mp initialization that Newton cannot solve (a step far above the
-    # stability limit), ml's Newton solve failing mid-run, and fr meeting a
+    # stability limit), ml's Newton solve failing mid-run, fr meeting a
     # collision guard that, raised to |x| = 2, the default orbit (perihelion
-    # 1.31) crosses mid-run
-    @pytest.mark.parametrize("method, h, floor, error, point", [
-        (MethodId.MP, 5.0, None, SolverFailure, 1),
-        (MethodId.ML, 50.0, None, SolverFailure, 179),
-        (MethodId.FR, 0.1, 2.0, NearSingularity, 69)])
-    def test_failure_mid_run_keeps_partial(self, monkeypatch, method, h, floor, error, point):
+    # 1.31) crosses mid-run, and at h = 1e200, where h^2 overflows to inf, a
+    # NaN Newton system in mp's initializer and in lc's first implicit step
+    @pytest.mark.parametrize("method, h, floor, error, point, detail", [
+        (MethodId.MP, 5.0, None, SolverFailure, 1,
+         "initialization: Newton residual stayed above 1e-12 after 50 iterations"),
+        (MethodId.ML, 50.0, None, SolverFailure, 179,
+         "implicit step: Newton residual stayed above 1e-12 after 50 iterations"),
+        (MethodId.FR, 0.1, 2.0, NearSingularity, 69,
+         "|x| = 1.972e+00 inside the collision guard 2.000e+00"),
+        (MethodId.MP, 1e200, None, SolverFailure, 1,
+         "initialization: singular Newton system (det=nan)"),
+        (MethodId.LC, 1e200, None, SolverFailure, 3,
+         "implicit step: singular Newton system (det=nan)")])
+    def test_failure_mid_run_keeps_partial(self, monkeypatch, method, h, floor, error, point,
+                                           detail):
         if floor is not None:
             monkeypatch.setattr(kepler, "SINGULARITY_FLOOR", floor)
         with pytest.raises(error) as excinfo:
@@ -499,7 +521,7 @@ class TestIntegrate:
         err = excinfo.value
         assert (err.method, err.step_index) == (method, point)
         assert err.partial_positions.shape == (point, 2)
-        assert f"{method.value} failed computing point {point}: " in str(err)
+        assert str(err) == f"{method.value} failed computing point {point}: {detail}"
 
 
 class TestCollisionGuard:

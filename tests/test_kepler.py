@@ -174,6 +174,22 @@ class TestOrbitElements:
             with pytest.raises(ValueError):
                 OrbitElements(**kw)
 
+    # built directly, past from_shape's own checks of a and e
+    @pytest.mark.parametrize("field, bad, message", [
+        ("a", 0.0, "semi-major axis must be positive"),
+        ("a", -2.0, "semi-major axis must be positive"),
+        ("a", math.inf, "semi-major axis must be positive"),
+        ("b", 0.0, r"semi-minor axis must lie in \(0, a\]"),
+        ("b", 2.01, r"semi-minor axis must lie in \(0, a\]"),
+        ("e", -0.1, r"eccentricity must lie in \[0, 1\)"),
+        ("e", 1.0, r"eccentricity must lie in \[0, 1\)")])
+    def test_constructor_domain_validation(self, field, bad, message):
+        good = OrbitElements.from_shape(2.0, 0.5)
+        kw = dict(a=good.a, b=good.b, e=good.e, T=good.T, E=good.E, L=good.L)
+        kw[field] = bad
+        with pytest.raises(ValueError, match=message):
+            OrbitElements(**kw)
+
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             OrbitElements.from_shape(-1.0, 0.5)
@@ -259,10 +275,10 @@ class TestExactOrbit:
         el = elements_from_state(default_state)
         assert_close(math.hypot(*default_state.position), el.a * (1.0 + el.e), rtol=1e-13)
 
-    def test_perihelion_at_half_period(self, default_state, default_elements):
+    def test_perihelion_at_half_period(self, default_state):
         # by symmetry the perihelion passage is T/2 after the aphelion start;
         # its radius and speed are exact rationals for the reference orbit
-        state = ExactOrbit(default_state, default_elements).state_at(REF_T / 2.0)
+        state = ExactOrbit(default_state).state_at(REF_T / 2.0)
         assert_close(math.hypot(*state.position), REF_R_PERI, rtol=1e-10)
         assert_close(math.hypot(*state.velocity), REF_SPEED_PERI, rtol=1e-10)
         assert_vector_close(state.position, (REF_R_PERI, 0.0), tol=1e-9)
@@ -344,11 +360,6 @@ class TestExactOrbit:
         ang1 = math.atan2(s1.position.x2, s1.position.x1)
         diff = (ang1 - ang0 + math.pi) % TWO_PI - math.pi
         assert diff < 0.0
-
-    def test_mismatched_elements_rejected(self, default_state):
-        wrong = OrbitElements.from_shape(2.0, 0.1)
-        with pytest.raises(ValueError):
-            ExactOrbit(default_state, wrong)
 
     def test_perihelion_state_matches_elements(self, default_elements):
         state = perihelion_state(default_elements)
