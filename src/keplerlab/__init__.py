@@ -47,7 +47,6 @@ from .theory import (
     PrecessionPrediction,
     integrate_modified,
     lrl_symmetry_field,
-    modified_acceleration_xy,
     modified_lagrangian,
     orbit_average,
     orbit_average_closed_form,

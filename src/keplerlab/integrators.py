@@ -10,10 +10,10 @@ composition of leapfrog, a one-step map on (x, v).
 Both are run-level kernels on plain floats that append n points to flat
 lists: _stencil evaluates U' and its Hessian inline, solves each implicit
 step by an undamped Newton iteration and carries the converged midpoint
-gradient into the next step's b-term; _fr takes n fr steps.  integrate calls
-one of them once per run, after init_second_point (the stencil kernel with
-n = 1) for a two-step method.  Implicit solves, Newton iterations and
-gradient evaluations are counted for benchmarking.
+gradient into the next step's b-term; _fr takes n fr steps with U' inline.
+integrate calls one of them once per run, after init_second_point (the
+stencil kernel with n = 1) for a two-step method, refuses a non-finite point
+and counts implicit solves, Newton iterations and gradient evaluations.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, NearSingularity, SolverFailure
+from .errors import ConfigurationError, NumericalFailure, SolverFailure
 from .kepler import (
     SINGULARITY_FLOOR,
     OrbitElements,
@@ -33,7 +33,6 @@ from .kepler import (
     State,
     _collision,
     elements_from_state,
-    potential_gradient_xy,
 )
 
 class MethodId(Enum):
@@ -170,8 +169,7 @@ def _stencil(xs: list[float], n: int, p1: float, p2: float, q1: float, q2: float
     step starts from x_prev = p, x_cur = q and the free flight r, later ones
     from r = 2q - p.  A gradient is evaluated only where its weight is
     nonzero; U' = x/|x|^3 and its Hessian (|x|^2 I - 3 x x^T)/|x|^5 are
-    written out with the operations of kepler.potential_gradient_xy and
-    gradient_jacobian_xy; the gradient's collision guard covers the Hessian
+    written out inline, and the gradient's collision guard covers the Hessian
     at the same midpoint.  With C = r - h^2 [a U'(q) + b U'((p + q)/2)],
     z - C + c h^2 U'((q + z)/2) = 0 is solved from z = r by Newton's method
     (Jacobian I + (c h^2/2) J, J the Hessian; converged on the residual
@@ -268,15 +266,19 @@ def _fr(xs: list[float], vs: list[float], n: int, x1: float, x2: float, v1: floa
     """Append n triple-jump steps from (x, v) to the flat lists xs and vs;
     each is three leapfrog substeps (drift dt/2, kick dt, drift dt/2) with
     dt = (theta, 1 - 2 theta, theta) h, one gradient per kick, counted in
-    stats."""
+    stats; U' = x/|x|^3 is written out in the kick, behind the collision guard."""
+    hypot, floor = math.hypot, SINGULARITY_FLOOR
     for _ in range(n):
         for w in _FR_WEIGHTS:
             dt = w * h
             x1 += 0.5 * dt * v1
             x2 += 0.5 * dt * v2
-            g1, g2 = potential_gradient_xy(x1, x2)
-            v1 -= dt * g1
-            v2 -= dt * g2
+            r = hypot(x1, x2)
+            if r < floor:
+                raise _collision(r)
+            r3 = r * r * r
+            v1 -= dt * (x1 / r3)
+            v2 -= dt * (x2 / r3)
             x1 += 0.5 * dt * v1
             x2 += 0.5 * dt * v2
         xs.append(x1)
@@ -317,9 +319,9 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
     """Run n_steps of a scheme from (x0, v0) with fixed step h.
 
     The initial condition must describe a bound, non-radial orbit (the exact
-    elements are recorded on the trajectory).  On a numerical failure the
-    raised error carries .step_index (index of the point that could not be
-    computed) and .partial_positions.
+    elements are recorded on the trajectory).  A numerical failure, a
+    non-finite point too, carries .step_index (the first point not computed
+    or not finite) and .partial_positions, the points before it.
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ConfigurationError(f"step size must be positive, got {h}")
@@ -330,17 +332,23 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
     stats = IntegrationStats()
     # positions (and fr's velocities) as flat float lists, x1 x2 per point
     xs = list(x0)
+    vs = list(v0) if method is MethodId.FR else None
     try:
-        if method is MethodId.FR:
-            vs = list(v0)
+        if vs is not None:
             _fr(xs, vs, n_steps, *x0, *v0, h, stats)
-            return Trajectory(method, h, _points(xs), v0, elements, _points(vs), stats)
-        (p1, p2), (q1, q2) = x0, init_second_point(method, x0, v0, h, cfg, stats)
-        xs.append(q1)
-        xs.append(q2)
-        _stencil(xs, n_steps - 1, p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2, h,
-                 STENCILS[method].cycle, 1, cfg, "implicit step", stats)
-    except (SolverFailure, NearSingularity) as err:
+        else:
+            (p1, p2), (q1, q2) = x0, init_second_point(method, x0, v0, h, cfg, stats)
+            xs.append(q1)
+            xs.append(q2)
+            _stencil(xs, n_steps - 1, p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2, h,
+                     STENCILS[method].cycle, 1, cfg, "implicit step", stats)
+        positions = _points(xs)
+        velocities = None if vs is None else _points(vs)
+        finite = np.isfinite(positions if vs is None else np.hstack((positions, velocities)))
+        if not finite.all():
+            del xs[2 * int(np.argmin(finite.all(axis=1))):]
+            raise NumericalFailure("the state is no longer finite")
+    except NumericalFailure as err:
         point = len(xs) // 2
         err.method = method
         err.step_index = point
@@ -348,7 +356,7 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
         detail = err.args[0] if err.args else err.__class__.__name__
         err.args = (f"{method.value} failed computing point {point}: {detail}",)
         raise
-    return Trajectory(method, h, _points(xs), v0, elements, None, stats)
+    return Trajectory(method, h, positions, v0, elements, velocities, stats)
 
 
 def _points(flat: list[float]) -> np.ndarray:

@@ -64,28 +64,6 @@ def radius(x: PlanarVector) -> float:
     return r
 
 
-def potential_gradient_xy(x1: float, x2: float) -> tuple[float, float]:
-    """U'(x) = x/|x|^3 on plain floats, with the collision guard."""
-    r = math.hypot(x1, x2)
-    if r < SINGULARITY_FLOOR:
-        raise _collision(r)
-    r3 = r * r * r
-    return x1 / r3, x2 / r3
-
-
-def gradient_jacobian_xy(x1: float, x2: float) -> tuple[float, float, float]:
-    """Symmetric Jacobian of U' on plain floats, as (j11, j12, j22):
-
-    d U'/dx = (|x|^2 I - 3 x x^T) / |x|^5.
-    """
-    r2 = x1 * x1 + x2 * x2
-    r = math.sqrt(r2)
-    if r < SINGULARITY_FLOOR:
-        raise _collision(r)
-    r5 = r2 * r2 * r
-    return (r2 - 3.0 * x1 * x1) / r5, -3.0 * x1 * x2 / r5, (r2 - 3.0 * x2 * x2) / r5
-
-
 def observable_series(X: np.ndarray, V: np.ndarray):
     """Energy, angular momentum and the two LRL components, (E, L, A1, A2).
 

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, SingularMassMatrix
+from .errors import ConfigurationError, NumericalFailure, SingularMassMatrix
 from .integrators import STENCILS, MethodId
 from .kepler import (
     SINGULARITY_FLOOR,
@@ -113,45 +113,10 @@ def modified_lagrangian(model: ModifiedModel, state: State) -> float:
     return 0.5 * u + 1.0 / r + model.epsilon * correction
 
 
-def modified_acceleration_xy(eps: float, alpha: float, beta: float, gamma: float,
-                             x1: float, x2: float, v1: float, v2: float) -> tuple[float, float]:
-    """Acceleration of the modified flow with epsilon eps and bracket (alpha,
-    beta, gamma): solve M(x, v) xddot = rhs(x, v), on plain floats.
-
-    The velocity Hessian is a multiple of the identity plus a rank-one term
-    along x, M = lam_perp I + (lam_par - lam_perp) x x^T / r^2, so its
-    eigenvalues are closed forms: |v|^2/2 + eps beta |v|^2/r^3 gives
-    lam_perp = 1 + 2 eps beta/r^3 in every direction, and eps gamma s^2/r^5
-    adds 2 eps gamma/r^3 along x, lam_par = lam_perp + 2 eps gamma/r^3.
-    The rhs dL/dx - (d/dx dL/dv) v collapses to P x + Q v, and M^-1 divides
-    the part along x by lam_par and the part normal to x by lam_perp.
-
-    At h = 0 this is exactly -x/|x|^3.  Raises SingularMassMatrix when M is
-    not safely invertible (condition number above 1e8).
-    """
-    r2 = x1 * x1 + x2 * x2
-    r = math.sqrt(r2)
-    if r < SINGULARITY_FLOOR:
-        raise _collision(r, SingularMassMatrix)
-    r3 = r2 * r
-    e3 = eps / r3
-    lam_perp = 1.0 + 2.0 * beta * e3
-    lam_par = lam_perp + 2.0 * gamma * e3
-    lo, hi = (lam_perp, lam_par) if lam_perp <= lam_par else (lam_par, lam_perp)
-    if lo <= 0.0 or hi > 1e8 * lo:
-        raise SingularMassMatrix(
-            f"velocity Hessian not safely invertible at |x| = {r:.3e} "
-            f"(eigenvalues {lo:.3e}, {hi:.3e})"
-        )
-    u = v1 * v1 + v2 * v2
-    s = x1 * v1 + x2 * v2
-    p = -1.0 / r3 + e3 * (-4.0 * alpha / r3 - (3.0 * beta + 2.0 * gamma) * u / r2
-                          + 5.0 * gamma * s * s / (r2 * r2))
-    q = 6.0 * beta * e3 * s / r2
-    qs = q * s / r2
-    kx = (p + qs) / lam_par - qs / lam_perp
-    kv = q / lam_perp
-    return (kx * x1 + kv * v1, kx * x2 + kv * v2)
+def _ill_conditioned(r: float, lo: float, hi: float) -> SingularMassMatrix:
+    """The one refusal of a velocity Hessian with eigenvalues lo <= hi at |x| = r."""
+    return SingularMassMatrix(f"velocity Hessian not safely invertible at |x| = {r:.3e} "
+                              f"(eigenvalues {lo:.3e}, {hi:.3e})")
 
 
 def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
@@ -163,8 +128,17 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
     Samples are returned at the n_samples + 1 uniform times covering
     [0, t_end]; each sample segment is subdivided so the internal step never
     exceeds reference_step.  Returns (times, positions, velocities).
-    SingularMassMatrix, also for |x| inside the collision guard, names the
-    method, h and the start of the failing substep.
+
+    Each stage solves M(x, v) xddot = rhs(x, v) inline, on plain floats.  M
+    is a multiple of the identity plus a rank-one term along x, so its
+    eigenvalues are closed forms: |v|^2/2 + eps beta |v|^2/r^3 gives lam_perp
+    = 1 + 2 eps beta/r^3 in every direction, and eps gamma s^2/r^5 adds
+    2 eps gamma/r^3 along x, lam_par = lam_perp + 2 eps gamma/r^3.  The rhs
+    dL/dx - (d/dx dL/dv) v collapses to P x + Q v, and M^-1 divides the part
+    along x by lam_par and the part normal to x by lam_perp; at h = 0 that
+    is exactly -x/|x|^3.  SingularMassMatrix (a stage inside the collision
+    guard, or M above condition number 1e8) names the method, h and the
+    failing substep's start; NumericalFailure the first non-finite sample.
     """
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ConfigurationError(f"t_end must be positive, got {t_end}")
@@ -182,32 +156,113 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
     v1, v2 = float(v0[0]), float(v0[1])
     X[0] = (x1, x2)
     V[0] = (v1, v2)
-    acc, eps, (alpha, beta, gamma) = modified_acceleration_xy, model.epsilon, model.bracket
+    sqrt, floor = math.sqrt, SINGULARITY_FLOOR
+    eps, (alpha, beta, gamma) = model.epsilon, model.bracket
+    # per-run factors of the stage formula; Python multiplies left to right,
+    # so 2.0 * beta * e3 is (2.0 * beta) * e3 and every stage keeps its bits
+    beta2, gamma2, alpha4 = 2.0 * beta, 2.0 * gamma, -4.0 * alpha
+    beta_gamma, gamma5, beta6 = 3.0 * beta + 2.0 * gamma, 5.0 * gamma, 6.0 * beta
     half = 0.5 * dt
     sixth = dt / 6.0
     try:
         for i in range(1, n_samples + 1):
             for j in range(substeps):
-                a1, b1 = acc(eps, alpha, beta, gamma, x1, x2, v1, v2)
+                r2 = x1 * x1 + x2 * x2
+                r = sqrt(r2)
+                if r < floor:
+                    raise _collision(r, SingularMassMatrix)
+                r3 = r2 * r
+                e3 = eps / r3
+                lam_perp = 1.0 + beta2 * e3
+                lam_par = lam_perp + gamma2 * e3
+                lo, hi = (lam_perp, lam_par) if lam_perp <= lam_par else (lam_par, lam_perp)
+                if lo <= 0.0 or hi > 1e8 * lo:
+                    raise _ill_conditioned(r, lo, hi)
+                s = x1 * v1 + x2 * v2
+                p = -1.0 / r3 + e3 * (alpha4 / r3 - beta_gamma * (v1 * v1 + v2 * v2) / r2
+                                      + gamma5 * s * s / (r2 * r2))
+                q = beta6 * e3 * s / r2
+                qs = q * s / r2
+                kx = (p + qs) / lam_par - qs / lam_perp
+                kv = q / lam_perp
+                a1, b1 = kx * x1 + kv * v1, kx * x2 + kv * v2
                 px, py = x1 + half * v1, x2 + half * v2
                 pv1, pv2 = v1 + half * a1, v2 + half * b1
-                a2_, b2_ = acc(eps, alpha, beta, gamma, px, py, pv1, pv2)
+                r2 = px * px + py * py
+                r = sqrt(r2)
+                if r < floor:
+                    raise _collision(r, SingularMassMatrix)
+                r3 = r2 * r
+                e3 = eps / r3
+                lam_perp = 1.0 + beta2 * e3
+                lam_par = lam_perp + gamma2 * e3
+                lo, hi = (lam_perp, lam_par) if lam_perp <= lam_par else (lam_par, lam_perp)
+                if lo <= 0.0 or hi > 1e8 * lo:
+                    raise _ill_conditioned(r, lo, hi)
+                s = px * pv1 + py * pv2
+                p = -1.0 / r3 + e3 * (alpha4 / r3 - beta_gamma * (pv1 * pv1 + pv2 * pv2) / r2
+                                      + gamma5 * s * s / (r2 * r2))
+                q = beta6 * e3 * s / r2
+                qs = q * s / r2
+                kx = (p + qs) / lam_par - qs / lam_perp
+                kv = q / lam_perp
+                a2, b2 = kx * px + kv * pv1, kx * py + kv * pv2
                 qx, qy = x1 + half * pv1, x2 + half * pv2
-                qv1, qv2 = v1 + half * a2_, v2 + half * b2_
-                a3, b3 = acc(eps, alpha, beta, gamma, qx, qy, qv1, qv2)
+                qv1, qv2 = v1 + half * a2, v2 + half * b2
+                r2 = qx * qx + qy * qy
+                r = sqrt(r2)
+                if r < floor:
+                    raise _collision(r, SingularMassMatrix)
+                r3 = r2 * r
+                e3 = eps / r3
+                lam_perp = 1.0 + beta2 * e3
+                lam_par = lam_perp + gamma2 * e3
+                lo, hi = (lam_perp, lam_par) if lam_perp <= lam_par else (lam_par, lam_perp)
+                if lo <= 0.0 or hi > 1e8 * lo:
+                    raise _ill_conditioned(r, lo, hi)
+                s = qx * qv1 + qy * qv2
+                p = -1.0 / r3 + e3 * (alpha4 / r3 - beta_gamma * (qv1 * qv1 + qv2 * qv2) / r2
+                                      + gamma5 * s * s / (r2 * r2))
+                q = beta6 * e3 * s / r2
+                qs = q * s / r2
+                kx = (p + qs) / lam_par - qs / lam_perp
+                kv = q / lam_perp
+                a3, b3 = kx * qx + kv * qv1, kx * qy + kv * qv2
                 rx, ry = x1 + dt * qv1, x2 + dt * qv2
                 rv1, rv2 = v1 + dt * a3, v2 + dt * b3
-                a4, b4 = acc(eps, alpha, beta, gamma, rx, ry, rv1, rv2)
+                r2 = rx * rx + ry * ry
+                r = sqrt(r2)
+                if r < floor:
+                    raise _collision(r, SingularMassMatrix)
+                r3 = r2 * r
+                e3 = eps / r3
+                lam_perp = 1.0 + beta2 * e3
+                lam_par = lam_perp + gamma2 * e3
+                lo, hi = (lam_perp, lam_par) if lam_perp <= lam_par else (lam_par, lam_perp)
+                if lo <= 0.0 or hi > 1e8 * lo:
+                    raise _ill_conditioned(r, lo, hi)
+                s = rx * rv1 + ry * rv2
+                p = -1.0 / r3 + e3 * (alpha4 / r3 - beta_gamma * (rv1 * rv1 + rv2 * rv2) / r2
+                                      + gamma5 * s * s / (r2 * r2))
+                q = beta6 * e3 * s / r2
+                qs = q * s / r2
+                kx = (p + qs) / lam_par - qs / lam_perp
+                kv = q / lam_perp
+                a4, b4 = kx * rx + kv * rv1, kx * ry + kv * rv2
                 x1 += sixth * (v1 + 2.0 * pv1 + 2.0 * qv1 + rv1)
                 x2 += sixth * (v2 + 2.0 * pv2 + 2.0 * qv2 + rv2)
-                v1 += sixth * (a1 + 2.0 * a2_ + 2.0 * a3 + a4)
-                v2 += sixth * (b1 + 2.0 * b2_ + 2.0 * b3 + b4)
+                v1 += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                v2 += sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             X[i] = (x1, x2)
             V[i] = (v1, v2)
     except SingularMassMatrix as err:
         t = (i - 1) * segment + j * dt
         raise SingularMassMatrix(f"{model.method.value} modified flow at h = {model.h:g}, "
                                  f"substep from t = {t:.6g}: {err}") from err
+    finite = np.isfinite(X).all(axis=1) & np.isfinite(V).all(axis=1)
+    if not finite.all():
+        raise NumericalFailure(f"{model.method.value} modified flow at h = {model.h:g}: "
+                               f"non-finite state at t = {times[np.argmin(finite)]:.6g}")
     return times, X, V
 
 

@@ -1,0 +1,101 @@
+"""Scalar force formulas and the modified-flow RK4 loop, one function call per
+evaluation: the references that the inline kernels of integrators and theory
+are checked against, bit for bit where they share an operation order."""
+
+import math
+
+from keplerlab import SINGULARITY_FLOOR, SingularMassMatrix
+from keplerlab.kepler import _collision
+
+
+def potential_gradient_xy(x1, x2):
+    """U'(x) = x/|x|^3 on plain floats, with the collision guard."""
+    r = math.hypot(x1, x2)
+    if r < SINGULARITY_FLOOR:
+        raise _collision(r)
+    r3 = r * r * r
+    return x1 / r3, x2 / r3
+
+
+def gradient_jacobian_xy(x1, x2):
+    """Symmetric Jacobian of U' on plain floats, as (j11, j12, j22):
+
+    d U'/dx = (|x|^2 I - 3 x x^T) / |x|^5.
+    """
+    r2 = x1 * x1 + x2 * x2
+    r = math.sqrt(r2)
+    if r < SINGULARITY_FLOOR:
+        raise _collision(r)
+    r5 = r2 * r2 * r
+    return (r2 - 3.0 * x1 * x1) / r5, -3.0 * x1 * x2 / r5, (r2 - 3.0 * x2 * x2) / r5
+
+
+def modified_acceleration_xy(eps, alpha, beta, gamma, x1, x2, v1, v2):
+    """Acceleration of the modified flow with epsilon eps and bracket (alpha,
+    beta, gamma): M(x, v) xddot = rhs(x, v) solved through the closed-form
+    eigenvalues lam_perp and lam_par of M (see theory.integrate_modified).
+    SingularMassMatrix inside the collision guard or above condition 1e8."""
+    r2 = x1 * x1 + x2 * x2
+    r = math.sqrt(r2)
+    if r < SINGULARITY_FLOOR:
+        raise _collision(r, SingularMassMatrix)
+    r3 = r2 * r
+    e3 = eps / r3
+    lam_perp = 1.0 + 2.0 * beta * e3
+    lam_par = lam_perp + 2.0 * gamma * e3
+    lo, hi = (lam_perp, lam_par) if lam_perp <= lam_par else (lam_par, lam_perp)
+    if lo <= 0.0 or hi > 1e8 * lo:
+        raise SingularMassMatrix(
+            f"velocity Hessian not safely invertible at |x| = {r:.3e} "
+            f"(eigenvalues {lo:.3e}, {hi:.3e})"
+        )
+    u = v1 * v1 + v2 * v2
+    s = x1 * v1 + x2 * v2
+    p = -1.0 / r3 + e3 * (-4.0 * alpha / r3 - (3.0 * beta + 2.0 * gamma) * u / r2
+                          + 5.0 * gamma * s * s / (r2 * r2))
+    q = 6.0 * beta * e3 * s / r2
+    qs = q * s / r2
+    kx = (p + qs) / lam_par - qs / lam_perp
+    kv = q / lam_perp
+    return (kx * x1 + kv * v1, kx * x2 + kv * v2)
+
+
+def reference_flow(model, x0, v0, t_end, n_samples, reference_step):
+    """The n_samples + 1 samples (x1, x2, v1, v2) of the modified flow's RK4
+    loop, four modified_acceleration_xy calls per substep; SingularMassMatrix
+    with integrate_modified's message."""
+    segment = t_end / n_samples
+    substeps = max(1, math.ceil(segment / reference_step))
+    dt = segment / substeps
+    (x1, x2), (v1, v2) = x0, v0
+    samples = [(x1, x2, v1, v2)]
+    eps, (alpha, beta, gamma) = model.epsilon, model.bracket
+    half = 0.5 * dt
+    sixth = dt / 6.0
+
+    def acc(*state):
+        return modified_acceleration_xy(eps, alpha, beta, gamma, *state)
+
+    try:
+        for i in range(1, n_samples + 1):
+            for j in range(substeps):
+                a1, b1 = acc(x1, x2, v1, v2)
+                px, py = x1 + half * v1, x2 + half * v2
+                pv1, pv2 = v1 + half * a1, v2 + half * b1
+                a2, b2 = acc(px, py, pv1, pv2)
+                qx, qy = x1 + half * pv1, x2 + half * pv2
+                qv1, qv2 = v1 + half * a2, v2 + half * b2
+                a3, b3 = acc(qx, qy, qv1, qv2)
+                rx, ry = x1 + dt * qv1, x2 + dt * qv2
+                rv1, rv2 = v1 + dt * a3, v2 + dt * b3
+                a4, b4 = acc(rx, ry, rv1, rv2)
+                x1 += sixth * (v1 + 2.0 * pv1 + 2.0 * qv1 + rv1)
+                x2 += sixth * (v2 + 2.0 * pv2 + 2.0 * qv2 + rv2)
+                v1 += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                v2 += sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            samples.append((x1, x2, v1, v2))
+    except SingularMassMatrix as err:
+        t = (i - 1) * segment + j * dt
+        raise SingularMassMatrix(f"{model.method.value} modified flow at h = {model.h:g}, "
+                                 f"substep from t = {t:.6g}: {err}") from err
+    return samples

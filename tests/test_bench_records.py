@@ -1,4 +1,5 @@
-"""The committed bench records (BENCH_*.json at the root) against their schema."""
+"""The committed bench records (BENCH_*.json at the root) against their schema,
+and their traced runs against the work counters, which are deterministic."""
 
 import json
 from pathlib import Path
@@ -21,3 +22,26 @@ def test_record_matches_the_schema(path):
     record = json.loads(path.read_text())
     jsonschema.validate(record, schema)
     assert {run["side"] for run in record["traced"]} == {"parent", "change"}
+
+
+# work a change must not alter, and work it must not add, between the traced
+# runs of the parent and of the change on the same workload and seed
+# (cli.out_bytes is left out: a round-off change may move it by a byte)
+EQUAL_COUNTERS = ("integrators.steps", "theory.rk4_substeps", "cli.rows")
+NO_RISE_COUNTERS = ("integrators.implicit_solves", "integrators.newton_iters",
+                    "kepler.state_at.calls")
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
+def test_traced_work_counters_hold(path):
+    runs = {}
+    for run in json.loads(path.read_text())["traced"]:
+        metrics = run["result"]["metrics"]
+        runs.setdefault((run["workload"], run["seed"]), {})[run["side"]] = {
+            name: metrics[name]["value"] for name in EQUAL_COUNTERS + NO_RISE_COUNTERS}
+    for key, sides in runs.items():
+        parent, change = sides["parent"], sides["change"]
+        for name in EQUAL_COUNTERS:
+            assert change[name] == parent[name], (key, name)
+        for name in NO_RISE_COUNTERS:
+            assert change[name] <= parent[name], (key, name)

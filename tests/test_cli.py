@@ -551,10 +551,14 @@ class TestExitCodes:
         capsys.readouterr()
         assert excinfo.value.code == 1
 
-    def test_numerical_failure_exits_two(self, capsys):
-        code, _, err = run_cli(capsys, "simulate", "--method", "mp", "--h", "5")
-        assert code == 2
-        assert "mp failed computing point" in err
+    @pytest.mark.parametrize("argv, message", [
+        (["--method", "mp", "--h", "5"], "mp failed computing point 1: initialization: "),
+        (["--method", "sv", "--h", "1e200", "--steps", "3"],
+         "sv failed computing point 1: the state is no longer finite")], ids=["mp", "sv"])
+    def test_numerical_failure_exits_two(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "simulate", *argv)
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_shape_flags_must_pair(self, capsys):
         code, _, err = run_cli(capsys, "predict", "--method", "sv", "--a", "2.0")

@@ -13,6 +13,7 @@ from keplerlab import (
     STENCILS,
     MethodId,
     NearSingularity,
+    NumericalFailure,
     PlanarVector,
     SolverConfig,
     SolverFailure,
@@ -23,11 +24,11 @@ from keplerlab import (
     integrate,
     reconstruct_velocities,
 )
-from keplerlab import kepler
+from keplerlab import integrators, kepler
 from keplerlab.integrators import DEFAULT_SOLVER, IntegrationStats, _fr, _stencil
-from keplerlab.kepler import gradient_jacobian_xy, potential_gradient_xy
 
 from conftest import V0, X0, assert_close, assert_vector_close
+from reference import gradient_jacobian_xy, potential_gradient_xy
 
 ALL_METHODS = list(MethodId)
 TWO_STEP_METHODS = [m for m in MethodId if m is not MethodId.FR]
@@ -500,7 +501,8 @@ class TestIntegrate:
     # stability limit), ml's Newton solve failing mid-run, fr meeting a
     # collision guard that, raised to |x| = 2, the default orbit (perihelion
     # 1.31) crosses mid-run, and at h = 1e200, where h^2 overflows to inf, a
-    # NaN Newton system in mp's initializer and in lc's first implicit step
+    # NaN Newton system in mp's initializer and in lc's first implicit step,
+    # and sv's explicit first step turning inf and NaN
     @pytest.mark.parametrize("method, h, floor, error, point, detail", [
         (MethodId.MP, 5.0, None, SolverFailure, 1,
          "initialization: Newton residual stayed above 1e-12 after 50 iterations"),
@@ -511,14 +513,17 @@ class TestIntegrate:
         (MethodId.MP, 1e200, None, SolverFailure, 1,
          "initialization: singular Newton system (det=nan)"),
         (MethodId.LC, 1e200, None, SolverFailure, 3,
-         "implicit step: singular Newton system (det=nan)")])
+         "implicit step: singular Newton system (det=nan)"),
+        (MethodId.SV, 1e200, None, NumericalFailure, 1, "the state is no longer finite")])
     def test_failure_mid_run_keeps_partial(self, monkeypatch, method, h, floor, error, point,
                                            detail):
         if floor is not None:
             monkeypatch.setattr(kepler, "SINGULARITY_FLOOR", floor)
+            monkeypatch.setattr(integrators, "SINGULARITY_FLOOR", floor)
         with pytest.raises(error) as excinfo:
             integrate(method, X0, V0, h, 500)
         err = excinfo.value
+        assert type(err) is error
         assert (err.method, err.step_index) == (method, point)
         assert err.partial_positions.shape == (point, 2)
         assert str(err) == f"{method.value} failed computing point {point}: {detail}"

@@ -22,7 +22,6 @@ from keplerlab import (
     solve_kepler,
 )
 from keplerlab import kepler
-from keplerlab.kepler import gradient_jacobian_xy, potential_gradient_xy
 
 from conftest import (
     REF_A,
@@ -36,6 +35,7 @@ from conftest import (
     assert_close,
     assert_vector_close,
 )
+from reference import gradient_jacobian_xy, potential_gradient_xy
 
 TWO_PI = 2.0 * math.pi
 

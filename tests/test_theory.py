@@ -9,6 +9,7 @@ from keplerlab import (
     MethodId,
     ModifiedModel,
     NearSingularity,
+    NumericalFailure,
     OrbitElements,
     PlanarVector,
     SINGULARITY_FLOOR,
@@ -17,7 +18,6 @@ from keplerlab import (
     elements_from_state,
     integrate_modified,
     lrl_symmetry_field,
-    modified_acceleration_xy,
     modified_lagrangian,
     observable_series,
     orbit_average,
@@ -31,10 +31,11 @@ from keplerlab import (
 
 from keplerlab import theory
 from keplerlab.integrators import STENCILS, Stencil
-from keplerlab.kepler import gradient_jacobian_xy, potential_gradient_xy
 from keplerlab.theory import lagrangian_bracket, mean_midpoint_weight
 
+import reference
 from conftest import V0, X0, assert_close, assert_vector_close
+from reference import modified_acceleration_xy, potential_gradient_xy, reference_flow
 
 HALF_PI = 0.5 * math.pi
 
@@ -480,19 +481,68 @@ class TestIntegrateModified:
         np.testing.assert_allclose(X[-1], x_want, rtol=1e-10)
         np.testing.assert_allclose(V[-1], v_want, rtol=1e-10)
 
-    def test_four_accelerations_per_substep(self, monkeypatch):
-        # each of the n_samples segments takes ceil(segment/reference_step)
-        # RK4 substeps of four stages: 7 * ceil((1/7)/0.03) * 4 = 140
+    @pytest.mark.parametrize("reference_step", [theory.REFERENCE_STEP, 0.03])
+    @pytest.mark.parametrize("h", [0.1, 0.5])
+    @pytest.mark.parametrize("method", TWO_STEP)
+    def test_equals_the_reference_loop(self, method, h, reference_step):
+        # the inline stages against four modified_acceleration_xy calls per
+        # substep, bit for bit
+        model = ModifiedModel(method, h)
+        t, X, V = integrate_modified(model, X0, V0, 10.0, 20, reference_step=reference_step)
+        want = reference_flow(model, X0, V0, 10.0, 20, reference_step)
+        assert np.array_equal(t, 0.5 * np.arange(21))
+        assert np.array_equal(np.hstack((X, V)), np.array(want))
+
+    # the first failure at each of the four stages: radial infall at h = 0
+    # with v0 tuned so that only that stage lands within 1e-12 of the origin
+    # (stage 1 only from a start inside the guard), and sv at h = 0.5 falling
+    # into r^3 <= 4 eps
+    @pytest.mark.parametrize("h, x0, v0, t_end, n_samples, reference_step, stage, detail", [
+        (0.0, (5e-13, 0.0), (1.0, 0.0), 2.0, 4, 0.1, 1,
+         "substep from t = 0: |x| = 5.000e-13 inside the collision guard 1.000e-12"),
+        (0.0, (1.0, 0.0), (-0.5554356603050392, 0.0), 2.0, 4, 0.1, 2,
+         "substep from t = 0.7: |x| = 6.661e-16 inside the collision guard 1.000e-12"),
+        (0.0, (1.0, 0.0), (-0.5279471606038294, 0.0), 2.0, 4, 0.1, 3,
+         "substep from t = 0.7: |x| = 1.943e-16 inside the collision guard 1.000e-12"),
+        (0.0, (1.0, 0.0), (-0.4320100636924278, 0.0), 2.0, 4, 0.1, 4,
+         "substep from t = 0.7: |x| = 5.551e-17 inside the collision guard 1.000e-12"),
+        (0.5, (1.0, 0.0), (0.0, 0.15), 10.0, 100, 0.1, 1,
+         "substep from t = 1.1: velocity Hessian not safely invertible at |x| = 3.464e-01 "
+         "(eigenvalues -2.198e-03, 3.004e+00)"),
+        (0.5, (1.0, 0.0), (0.0, 0.15), 10.0, 100, 0.05, 2,
+         "substep from t = 1.1: velocity Hessian not safely invertible at |x| = 3.350e-01 "
+         "(eigenvalues -1.081e-01, 3.216e+00)"),
+        (0.5, (1.0, 0.0), (0.0, 0.24), 10.0, 100, 0.05, 3,
+         "substep from t = 1.15: velocity Hessian not safely invertible at |x| = 3.416e-01 "
+         "(eigenvalues -4.499e-02, 3.090e+00)"),
+        (0.5, (1.0, 0.0), (0.0, 0.23), 10.0, 100, 0.05, 4,
+         "substep from t = 1.1: velocity Hessian not safely invertible at |x| = 2.692e-01 "
+         "(eigenvalues -1.135e+00, 5.270e+00)")],
+        ids=[f"{guard}-stage-{k}" for guard in ("collision", "eigenvalues") for k in range(1, 5)])
+    def test_first_failure_at_each_stage(self, monkeypatch, h, x0, v0, t_end, n_samples,
+                                         reference_step, stage, detail):
+        model = ModifiedModel(MethodId.SV, h)
+        with pytest.raises(SingularMassMatrix) as excinfo:
+            integrate_modified(model, x0, v0, t_end, n_samples, reference_step)
+        assert str(excinfo.value) == f"sv modified flow at h = {h:g}, {detail}"
         calls = []
 
         def counted(*args):
             calls.append(None)
             return modified_acceleration_xy(*args)
 
-        monkeypatch.setattr(theory, "modified_acceleration_xy", counted)
-        integrate_modified(ModifiedModel(MethodId.MP, 0.5), X0, V0, 1.0, 7,
-                           reference_step=0.03)
-        assert len(calls) == 4 * 7 * math.ceil((1.0 / 7) / 0.03) == 140
+        monkeypatch.setattr(reference, "modified_acceleration_xy", counted)
+        with pytest.raises(SingularMassMatrix) as want:
+            reference_flow(model, x0, v0, t_end, n_samples, reference_step)
+        assert str(want.value) == str(excinfo.value)
+        assert (len(calls) - 1) % 4 + 1 == stage
+
+    def test_non_finite_flow_raises(self):
+        # |v| = 1e200 squares to inf: the state turns NaN, which no guard refuses
+        with pytest.raises(NumericalFailure) as excinfo:
+            integrate_modified(ModifiedModel(MethodId.SV, 0.1), (1.0, 0.0), (1e200, 0.0), 1.0, 2)
+        assert type(excinfo.value) is NumericalFailure
+        assert str(excinfo.value) == "sv modified flow at h = 0.1: non-finite state at t = 0.5"
 
     def test_singular_flow_names_method_h_and_time(self):
         # mp at h = 1 falls inside r^3 = 4 eps = 1/6 on its way in from 0.6
@@ -524,8 +574,6 @@ def _circular(r):
 _EXACT = ModifiedModel(MethodId.SV, 0.0)
 GUARDED = {
     "radius": (NearSingularity, lambda r: radius(PlanarVector(r, 0.0))),
-    "potential_gradient_xy": (NearSingularity, lambda r: potential_gradient_xy(r, 0.0)),
-    "gradient_jacobian_xy": (NearSingularity, lambda r: gradient_jacobian_xy(r, 0.0)),
     "observable_series point": (NearSingularity, lambda r: observable_series(
         np.array(_circular(r).position), np.array(_circular(r).velocity))),
     "observable_series batch": (NearSingularity, lambda r: observable_series(
@@ -535,8 +583,6 @@ GUARDED = {
     "ExactOrbit": (NearSingularity, lambda r: ExactOrbit(_circular(r))),
     "modified_lagrangian": (NearSingularity,
                             lambda r: modified_lagrangian(_EXACT, _circular(r))),
-    "modified_acceleration_xy": (SingularMassMatrix, lambda r: modified_acceleration_xy(
-        _EXACT.epsilon, *_EXACT.bracket, *_circular(r).position, *_circular(r).velocity)),
     "integrate_modified": (SingularMassMatrix, lambda r: integrate_modified(
         _EXACT, _circular(r).position, _circular(r).velocity, 1e-20, 1)),
     "perturbation_field": (NearSingularity, lambda r: perturbation_field(
