@@ -25,7 +25,6 @@ from .kepler import (
     elements_from_state,
     observable_series,
     perihelion_state,
-    radius,
     solve_kepler,
 )
 from .integrators import (
@@ -47,7 +46,6 @@ from .theory import (
     PrecessionPrediction,
     integrate_modified,
     lrl_symmetry_field,
-    modified_lagrangian,
     orbit_average,
     orbit_average_closed_form,
     perturbation_field,

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import analysis, theory
 from .errors import ConfigurationError, KeplerLabError, NumericalFailure
-from .integrators import STENCILS, MethodId, SolverConfig, Trajectory, integrate
+from .integrators import DEFAULT_SOLVER, STENCILS, MethodId, SolverConfig, Trajectory, integrate
 from .kepler import OrbitElements, PlanarVector, State, elements_from_state
 
 DEFAULT_X0 = (-3.0, 0.0)
@@ -110,8 +110,10 @@ _OPTIONS = {
     "e": _Option(float, "eccentricity (with --a)"),
     "x0": _Option(_parse_pair, "initial position a,b (default -3,0)"),
     "v0": _Option(_parse_pair, "initial velocity a,b (default 0,0.45)"),
-    "tol": _Option(float, "Newton residual tolerance (default 1e-12)", "tolerance"),
-    "max_iter": _Option(int, "Newton iteration cap (default 50)", "maxIterations"),
+    "tol": _Option(float, f"Newton residual tolerance (default {DEFAULT_SOLVER.tolerance:g})",
+                   "tolerance"),
+    "max_iter": _Option(int, f"Newton iteration cap (default {DEFAULT_SOLVER.max_iterations})",
+                        "maxIterations"),
     "out": _Option(str, "output file (default stdout)"),
     "format": _Option(None, "output format", choices=("csv", "json")),
 }
@@ -242,8 +244,8 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     return format(float(value), ".17g")
 
 
@@ -399,7 +401,7 @@ def cmd_scan(cfg: dict) -> None:
                 analysis.require_well_sampled(elements.T, h)  # before integrating h
                 traj = integrate(method, x0, v0, h, round(t_span / h), solver)
                 measured = analysis.measure_precession(traj).rate_per_revolution
-            except (NumericalFailure, KeplerLabError) as err:
+            except KeplerLabError as err:
                 print(f"warning: {method.value} at h={h:g} failed: {err}",
                       file=sys.stderr)
             rows.append([method.value, h, measured, predicted])
@@ -465,7 +467,7 @@ def _settings(output_format: str, **own) -> dict:
     return dict(own, x0=DEFAULT_X0, v0=DEFAULT_V0, out=None, format=output_format)
 
 
-_SOLVER = {"tol": 1e-12, "max_iter": 50}
+_SOLVER = dict(tol=DEFAULT_SOLVER.tolerance, max_iter=DEFAULT_SOLVER.max_iterations)
 _RUN = dict(method=_REQUIRED, h=DEFAULT_H, steps=DEFAULT_STEPS, t_end=None, **_SOLVER)
 
 _COMMANDS = {

@@ -12,8 +12,8 @@ lists: _stencil evaluates U' and its Hessian inline, solves each implicit
 step by an undamped Newton iteration and carries the converged midpoint
 gradient into the next step's b-term; _fr takes n fr steps with U' inline.
 integrate calls one of them once per run, after init_second_point (the
-stencil kernel with n = 1) for a two-step method, refuses a non-finite point
-and counts implicit solves, Newton iterations and gradient evaluations.
+stencil kernel with n = 1) for a two-step method, decides where a failed run
+stopped and counts implicit solves, Newton iterations and gradient evaluations.
 """
 
 from __future__ import annotations
@@ -319,9 +319,10 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
     """Run n_steps of a scheme from (x0, v0) with fixed step h.
 
     The initial condition must describe a bound, non-radial orbit (the exact
-    elements are recorded on the trajectory).  A numerical failure, a
-    non-finite point too, carries .step_index (the first point not computed
-    or not finite) and .partial_positions, the points before it.
+    elements are recorded on the trajectory).  A numerical failure carries
+    .step_index, where the run stopped, and .partial_positions, the points
+    before it.  The first non-finite point wins over a later kernel failure,
+    which it chains as the cause of "the state is no longer finite".
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ConfigurationError(f"step size must be positive, got {h}")
@@ -333,6 +334,7 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
     # positions (and fr's velocities) as flat float lists, x1 x2 per point
     xs = list(x0)
     vs = list(v0) if method is MethodId.FR else None
+    failure = None
     try:
         if vs is not None:
             _fr(xs, vs, n_steps, *x0, *v0, h, stats)
@@ -342,21 +344,25 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
             xs.append(q2)
             _stencil(xs, n_steps - 1, p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2, h,
                      STENCILS[method].cycle, 1, cfg, "implicit step", stats)
-        positions = _points(xs)
-        velocities = None if vs is None else _points(vs)
-        finite = np.isfinite(positions if vs is None else np.hstack((positions, velocities)))
-        if not finite.all():
-            del xs[2 * int(np.argmin(finite.all(axis=1))):]
-            raise NumericalFailure("the state is no longer finite")
     except NumericalFailure as err:
-        point = len(xs) // 2
-        err.method = method
-        err.step_index = point
-        err.partial_positions = _points(xs)
-        detail = err.args[0] if err.args else err.__class__.__name__
-        err.args = (f"{method.value} failed computing point {point}: {detail}",)
-        raise
-    return Trajectory(method, h, positions, v0, elements, velocities, stats)
+        failure = err
+    positions = _points(xs)
+    velocities = None if vs is None else _points(vs)
+    finite = np.isfinite(positions if vs is None else np.hstack((positions, velocities)))
+    if finite.all():
+        if failure is None:
+            return Trajectory(method, h, positions, v0, elements, velocities, stats)
+        point = len(positions)
+    else:
+        point = int(np.argmin(finite.all(axis=1)))
+        cause, failure = failure, NumericalFailure("the state is no longer finite")
+        failure.__cause__ = cause
+    failure.method = method
+    failure.step_index = point
+    failure.partial_positions = positions[:point]
+    detail = failure.args[0] if failure.args else failure.__class__.__name__
+    failure.args = (f"{method.value} failed computing point {point}: {detail}",)
+    raise failure
 
 
 def _points(flat: list[float]) -> np.ndarray:

@@ -56,14 +56,6 @@ def _collision(r: float, error: type[NumericalFailure] = NearSingularity) -> Num
     return error(f"|x| = {r:.3e} inside the collision guard {SINGULARITY_FLOOR:.3e}")
 
 
-def radius(x: PlanarVector) -> float:
-    """|x| with a collision guard: raises NearSingularity below SINGULARITY_FLOOR."""
-    r = math.hypot(x.x1, x.x2)
-    if r < SINGULARITY_FLOOR:
-        raise _collision(r)
-    return r
-
-
 def observable_series(X: np.ndarray, V: np.ndarray):
     """Energy, angular momentum and the two LRL components, (E, L, A1, A2).
 
@@ -130,9 +122,8 @@ class OrbitElements:
                 raise ValueError(f"inconsistent elements: {name} = {got}, expected {want}")
 
     @classmethod
-    def from_shape(cls, a: float, e: float, counterclockwise: bool = True,
-                   apsis_angle: float = 0.0) -> "OrbitElements":
-        """Build consistent elements from the shape pair (a, e)."""
+    def from_shape(cls, a: float, e: float, counterclockwise: bool = True) -> "OrbitElements":
+        """Consistent elements of the shape (a, e), apsis along x1 (see with_apsis_angle)."""
         if not (a > 0.0 and math.isfinite(a)):
             raise ValueError(f"semi-major axis must be positive, got {a}")
         if not 0.0 <= e < 1.0:
@@ -146,7 +137,6 @@ class OrbitElements:
             T=_TWO_PI * a ** 1.5,
             E=-1.0 / (2.0 * a),
             L=magL if counterclockwise else -magL,
-            apsis_angle=apsis_angle,
         )
 
     def with_apsis_angle(self, angle: float) -> "OrbitElements":
@@ -246,7 +236,6 @@ class ExactOrbit:
 
     def __init__(self, initial: State):
         own = elements_from_state(initial)
-        self.initial = initial
         self.elements = own
         x, v = initial.position, initial.velocity
         r0 = math.hypot(x.x1, x.x2)

@@ -29,10 +29,8 @@ from .kepler import (
     ExactOrbit,
     OrbitElements,
     PlanarVector,
-    State,
     _collision,
     perihelion_state,
-    radius,
 )
 
 # Largest RK4 step of the modified flow (integrate_modified's default), and
@@ -99,18 +97,6 @@ class ModifiedModel:
     @property
     def epsilon(self) -> float:
         return self.h * self.h / 24.0
-
-
-def modified_lagrangian(model: ModifiedModel, state: State) -> float:
-    """Value of the truncated modified Lagrangian at a phase-space point."""
-    x, v = state.position, state.velocity
-    r = radius(x)
-    u = v.x1 * v.x1 + v.x2 * v.x2
-    s = x.x1 * v.x1 + x.x2 * v.x2
-    alpha, beta, gamma = model.bracket
-    r3 = r * r * r
-    correction = alpha / (r3 * r) + beta * u / r3 + gamma * s * s / (r3 * r * r)
-    return 0.5 * u + 1.0 / r + model.epsilon * correction
 
 
 def _ill_conditioned(r: float, lo: float, hi: float) -> SingularMassMatrix:

@@ -1,6 +1,8 @@
 """Scalar force formulas and the modified-flow RK4 loop, one function call per
 evaluation: the references that the inline kernels of integrators and theory
-are checked against, bit for bit where they share an operation order."""
+are checked against, bit for bit where they share an operation order; and the
+point-wise modified Lagrangian, which the modified flow's Euler-Lagrange
+residual and energy are checked against."""
 
 import math
 
@@ -58,6 +60,21 @@ def modified_acceleration_xy(eps, alpha, beta, gamma, x1, x2, v1, v2):
     kx = (p + qs) / lam_par - qs / lam_perp
     kv = q / lam_perp
     return (kx * x1 + kv * v1, kx * x2 + kv * v2)
+
+
+def modified_lagrangian(model, state):
+    """Value of the truncated modified Lagrangian L_h of a theory.ModifiedModel
+    at a phase-space point, with the collision guard."""
+    x, v = state.position, state.velocity
+    r = math.hypot(x.x1, x.x2)
+    if r < SINGULARITY_FLOOR:
+        raise _collision(r)
+    u = v.x1 * v.x1 + v.x2 * v.x2
+    s = x.x1 * v.x1 + x.x2 * v.x2
+    alpha, beta, gamma = model.bracket
+    r3 = r * r * r
+    correction = alpha / (r3 * r) + beta * u / r3 + gamma * s * s / (r3 * r * r)
+    return 0.5 * u + 1.0 / r + model.epsilon * correction
 
 
 def reference_flow(model, x0, v0, t_end, n_samples, reference_step):

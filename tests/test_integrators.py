@@ -501,8 +501,9 @@ class TestIntegrate:
     # stability limit), ml's Newton solve failing mid-run, fr meeting a
     # collision guard that, raised to |x| = 2, the default orbit (perihelion
     # 1.31) crosses mid-run, and at h = 1e200, where h^2 overflows to inf, a
-    # NaN Newton system in mp's initializer and in lc's first implicit step,
-    # and sv's explicit first step turning inf and NaN
+    # NaN Newton system in mp's initializer, and sv's, lc's and dec's
+    # explicit first step turning inf and NaN (before lc's and dec's first
+    # implicit step meets a NaN Newton system at point 3)
     @pytest.mark.parametrize("method, h, floor, error, point, detail", [
         (MethodId.MP, 5.0, None, SolverFailure, 1,
          "initialization: Newton residual stayed above 1e-12 after 50 iterations"),
@@ -512,9 +513,9 @@ class TestIntegrate:
          "|x| = 1.972e+00 inside the collision guard 2.000e+00"),
         (MethodId.MP, 1e200, None, SolverFailure, 1,
          "initialization: singular Newton system (det=nan)"),
-        (MethodId.LC, 1e200, None, SolverFailure, 3,
-         "implicit step: singular Newton system (det=nan)"),
-        (MethodId.SV, 1e200, None, NumericalFailure, 1, "the state is no longer finite")])
+        (MethodId.SV, 1e200, None, NumericalFailure, 1, "the state is no longer finite"),
+        (MethodId.LC, 1e200, None, NumericalFailure, 1, "the state is no longer finite"),
+        (MethodId.DEC, 1e200, None, NumericalFailure, 1, "the state is no longer finite")])
     def test_failure_mid_run_keeps_partial(self, monkeypatch, method, h, floor, error, point,
                                            detail):
         if floor is not None:
@@ -526,7 +527,16 @@ class TestIntegrate:
         assert type(err) is error
         assert (err.method, err.step_index) == (method, point)
         assert err.partial_positions.shape == (point, 2)
+        assert np.isfinite(err.partial_positions).all()
         assert str(err) == f"{method.value} failed computing point {point}: {detail}"
+
+    @pytest.mark.parametrize("method", [MethodId.LC, MethodId.DEC])
+    def test_first_non_finite_point_wins_over_a_later_newton_failure(self, method):
+        with pytest.raises(NumericalFailure) as excinfo:
+            integrate(method, X0, V0, 1e200, 500)
+        cause = excinfo.value.__cause__
+        assert type(cause) is SolverFailure
+        assert str(cause) == "implicit step: singular Newton system (det=nan)"
 
 
 class TestCollisionGuard:

@@ -18,7 +18,6 @@ from keplerlab import (
     elements_from_state,
     observable_series,
     perihelion_state,
-    radius,
     solve_kepler,
 )
 from keplerlab import kepler
@@ -60,7 +59,7 @@ def bound_states(draw):
     apsis = draw(st.floats(-math.pi, math.pi))
     ccw = draw(st.booleans())
     phase = draw(st.floats(0.0, 1.0))
-    el = OrbitElements.from_shape(a, e, counterclockwise=ccw, apsis_angle=apsis)
+    el = OrbitElements.from_shape(a, e, counterclockwise=ccw).with_apsis_angle(apsis)
     return ExactOrbit(perihelion_state(el)).state_at(phase * el.T)
 
 
@@ -98,8 +97,6 @@ class TestPointwiseFunctions:
         assert_close((gp[1] - gm[1]) / (2 * delta), j22, rtol=1e-6, atol=1e-8)
 
     def test_collision_guard(self):
-        with pytest.raises(NearSingularity):
-            radius(PlanarVector(1e-15, 0.0))
         with pytest.raises(NearSingularity):
             observable_series(np.array([1e-15, 0.0]), np.array([0.0, 1.0]))
         with pytest.raises(NearSingularity):
@@ -208,7 +205,7 @@ class TestOrbitElements:
            ccw=st.booleans(), apsis=st.floats(-3.0, 3.0))
     @settings(max_examples=60)
     def test_shape_roundtrip_through_perihelion_state(self, a, e, ccw, apsis):
-        el = OrbitElements.from_shape(a, e, counterclockwise=ccw, apsis_angle=apsis)
+        el = OrbitElements.from_shape(a, e, counterclockwise=ccw).with_apsis_angle(apsis)
         back = elements_from_state(perihelion_state(el))
         assert_close(back.a, a, rtol=1e-10)
         # e comes back through sqrt(1 + 2 E L^2): absolute floor ~sqrt(eps)

@@ -1,0 +1,60 @@
+"""Every name that keplerlab exports is used by the program: read in a module
+of the package, a script, the benchmark or the acceptance criteria, which
+measure the paper's claims through the library.  A helper that only its own
+unit tests reach belongs in tests/reference.py, not in the package."""
+
+import ast
+import types
+from pathlib import Path
+
+import keplerlab
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "keplerlab"
+CALLERS = ([p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+           + sorted((ROOT / "scripts").rglob("*.py"))
+           + sorted((ROOT / "perfbench").rglob("*.py"))
+           + [ROOT / "tests" / "test_acceptance.py"])
+
+
+def exported() -> list[str]:
+    """The names that keplerlab/__init__.py imports from its modules."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def read_names(tree: ast.AST) -> set[str]:
+    """Names read in tree, as a name or an attribute, each counted only
+    outside the def, class or assignment that binds that same name."""
+    found = set()
+
+    def visit(node, owners):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owners = owners | {node.name}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            owners = owners | {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in owners:
+                found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr not in owners:
+                found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_the_parsed_surface_is_the_package_surface():
+    public = {name for name, value in vars(keplerlab).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(exported()) == public
+
+
+def test_every_exported_name_has_a_caller_outside_the_unit_tests():
+    read = set().union(*(read_names(ast.parse(path.read_text())) for path in CALLERS))
+    unused = [name for name in exported() if name not in read]
+    assert not unused, f"exported, but read only by unit tests: {unused}"
