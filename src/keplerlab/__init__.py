@@ -53,15 +53,12 @@ from .theory import (
     precession_quadrature,
 )
 from .analysis import (
-    ConservedQuantity,
-    DriftReport,
     PrecessionEstimate,
     convergence_slope,
     discrete_angular_momentum,
+    energy_drift,
     error_curve,
-    invariant_drift,
     measure_precession,
-    series_drift,
     trajectory_arrays,
 )
 

@@ -6,13 +6,15 @@ invariants per sample come from kepler.observable_series, the one formula
 for E, L and the Laplace-Runge-Lenz vector.  The apsis angle is read off the
 LRL vector per sample, unwrapped, and fitted linearly in time, which averages
 out the O(h^2) oscillation of the per-sample angle and exposes the secular
-drift.
+drift.  require_measurable decides from the period, the step and the step
+count alone whether a run can be measured, so a caller can ask before it
+integrates.  energy_drift summarises the energy, whose boundedness is the
+symplectic schemes' claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -28,12 +30,6 @@ from .kepler import ExactOrbit, PlanarVector, State, observable_series
 MIN_SAMPLES_PER_REVOLUTION = 8
 
 
-class ConservedQuantity(Enum):
-    ENERGY = "energy"
-    ANGULAR_MOMENTUM = "angular_momentum"
-    LRL_MAGNITUDE = "lrl_magnitude"
-
-
 @dataclass(frozen=True)
 class PrecessionEstimate:
     """Secular apsis-rotation measurement from a trajectory."""
@@ -41,16 +37,6 @@ class PrecessionEstimate:
     rate_per_revolution: float
     fit_residual_rms: float
     revolutions_observed: float
-
-
-@dataclass(frozen=True)
-class DriftReport:
-    """Deviation summary for one conserved quantity along a trajectory."""
-
-    quantity: ConservedQuantity
-    max_abs_deviation: float
-    secular_slope: float
-    oscillation_amplitude: float
 
 
 def trajectory_arrays(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -64,12 +50,19 @@ def trajectory_arrays(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def well_sampled(period: float, h: float) -> bool:
     """Whether a step h samples each revolution of the given period at least
-    MIN_SAMPLES_PER_REVOLUTION times (T / h), as measure_precession needs."""
+    MIN_SAMPLES_PER_REVOLUTION times (T / h), as require_measurable needs."""
     return period / h >= MIN_SAMPLES_PER_REVOLUTION
 
 
-def require_well_sampled(period: float, h: float) -> None:
-    """Raise TooFewRevolutions unless well_sampled(period, h)."""
+def require_measurable(period: float, h: float, n_steps: int) -> None:
+    """Raise TooFewRevolutions unless a run of n_steps steps of size h covers
+    at least two revolutions of the given period and is well_sampled.  It
+    needs no trajectory, so a caller can ask before integrating."""
+    span = n_steps * h
+    if span < 2.0 * period:
+        raise TooFewRevolutions(
+            f"trajectory covers {span / period:.2f} revolutions; need at least 2"
+        )
     if not well_sampled(period, h):
         raise TooFewRevolutions(
             f"trajectory has {period / h:.2f} samples per revolution (T / h); "
@@ -80,22 +73,17 @@ def require_well_sampled(period: float, h: float) -> None:
 def measure_precession(traj: Trajectory) -> PrecessionEstimate:
     """Least-squares secular rate of the unwrapped LRL angle.
 
-    Needs at least two revolutions of the underlying orbit, sampled at least
-    MIN_SAMPLES_PER_REVOLUTION times per revolution (T / h); raises
-    TooFewRevolutions for a trajectory too short or too coarse.  When
-    velocities are reconstructed by differences, the one-sided endpoint
-    samples are dropped from the fit (their reconstruction error is an order
-    larger than the interior one and they would bias short fits).
+    Raises TooFewRevolutions first, through require_measurable, for a
+    trajectory too short or too coarse to measure.  When velocities are
+    reconstructed by differences, the one-sided endpoint samples are dropped
+    from the fit (their reconstruction error is an order larger than the
+    interior one and they would bias short fits).
     """
-    t, X, V = trajectory_arrays(traj)
     period = traj.elements.T
+    require_measurable(period, traj.h, traj.n_steps)
+    t, X, V = trajectory_arrays(traj)
     span = t[-1] - t[0]
-    if span < 2.0 * period:
-        raise TooFewRevolutions(
-            f"trajectory covers {span / period:.2f} revolutions; need at least 2"
-        )
-    require_well_sampled(period, traj.h)
-    if traj.velocities is None and len(t) > 4:
+    if traj.velocities is None:
         t, X, V = t[1:-1], X[1:-1], V[1:-1]
     _, _, lrl_a, lrl_b = observable_series(X, V)
     omega = np.unwrap(np.arctan2(lrl_b, lrl_a))
@@ -108,36 +96,17 @@ def measure_precession(traj: Trajectory) -> PrecessionEstimate:
     )
 
 
-def series_drift(times: np.ndarray, values: np.ndarray,
-                 quantity: ConservedQuantity) -> DriftReport:
-    """Drift summary of a scalar time series: max deviation from the initial
-    value, least-squares secular slope, and detrended half peak-to-peak."""
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if len(t) != len(y) or len(t) < 2:
-        raise ValueError("need two equal-length arrays with at least 2 samples")
-    slope, intercept = np.polyfit(t, y, 1)
-    detrended = y - (slope * t + intercept)
-    return DriftReport(
-        quantity=quantity,
-        max_abs_deviation=float(np.max(np.abs(y - y[0]))),
-        secular_slope=float(slope),
-        oscillation_amplitude=float(0.5 * (detrended.max() - detrended.min())),
-    )
-
-
-def invariant_drift(traj: Trajectory, quantity: ConservedQuantity) -> DriftReport:
-    """Drift report for energy, angular momentum, or |LRL| along a trajectory."""
+def energy_drift(traj: Trajectory) -> tuple[float, float]:
+    """(secular_slope, oscillation_amplitude) of the energy along a
+    trajectory: the least-squares slope in time, and half the peak-to-peak
+    of the series about that line."""
     t, X, V = trajectory_arrays(traj)
     if len(t) < 10:
         raise ValueError(f"need at least 10 samples, got {len(t)}")
-    energy, angmom, lrl_a, lrl_b = observable_series(X, V)
-    series = {
-        ConservedQuantity.ENERGY: energy,
-        ConservedQuantity.ANGULAR_MOMENTUM: angmom,
-        ConservedQuantity.LRL_MAGNITUDE: np.hypot(lrl_a, lrl_b),
-    }[quantity]
-    return series_drift(t, series, quantity)
+    energy = observable_series(X, V)[0]
+    slope, intercept = np.polyfit(t, energy, 1)
+    detrended = energy - (slope * t + intercept)
+    return float(slope), float(0.5 * (detrended.max() - detrended.min()))
 
 
 def discrete_angular_momentum(traj: Trajectory) -> np.ndarray:

@@ -244,8 +244,6 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, int):
-        return str(value)
     return format(float(value), ".17g")
 
 
@@ -397,9 +395,10 @@ def cmd_scan(cfg: dict) -> None:
         for h in h_list:
             predicted = theory.precession_closed_form(method, elements, h).rate_per_revolution
             measured = None
+            steps = round(t_span / h)
             try:
-                analysis.require_well_sampled(elements.T, h)  # before integrating h
-                traj = integrate(method, x0, v0, h, round(t_span / h), solver)
+                analysis.require_measurable(elements.T, h, steps)  # before integrating h
+                traj = integrate(method, x0, v0, h, steps, solver)
                 measured = analysis.measure_precession(traj).rate_per_revolution
             except KeplerLabError as err:
                 print(f"warning: {method.value} at h={h:g} failed: {err}",

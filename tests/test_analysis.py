@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keplerlab import (
-    ConservedQuantity,
     ExactOrbit,
     MethodId,
+    OrbitElements,
     PlanarVector,
     SignChange,
     State,
@@ -16,12 +16,11 @@ from keplerlab import (
     Trajectory,
     convergence_slope,
     discrete_angular_momentum,
+    energy_drift,
     error_curve,
     integrate,
-    invariant_drift,
     measure_precession,
     observable_series,
-    series_drift,
     trajectory_arrays,
 )
 
@@ -128,6 +127,11 @@ class TestMeasurePrecession:
         with pytest.raises(TooFewRevolutions):
             measure_precession(traj)
 
+    def test_too_short_is_named_before_too_coarse(self):
+        traj = exact_trajectory(h=REF_T / 7.9, n_revolutions=1.5)
+        with pytest.raises(TooFewRevolutions, match="covers 1.52 revolutions; need at least 2"):
+            measure_precession(traj)
+
     def test_needs_eight_samples_per_revolution(self):
         measure_precession(exact_trajectory(h=REF_T / 8.1))
         with pytest.raises(TooFewRevolutions, match="7.90 samples per revolution"):
@@ -145,51 +149,45 @@ class TestMeasurePrecession:
         assert_close(est.revolutions_observed, 3.0, rtol=5e-3)
 
 
-class TestDriftReports:
-    def test_constant_series(self):
-        t = np.linspace(0.0, 10.0, 50)
-        rep = series_drift(t, np.full(50, 3.3), ConservedQuantity.ENERGY)
-        assert rep.max_abs_deviation == 0.0
-        assert abs(rep.secular_slope) < 1e-15
-        assert rep.oscillation_amplitude < 1e-15
-        assert rep.quantity is ConservedQuantity.ENERGY
+def energy_trajectory(t, energy):
+    """Samples on the unit circle at t, each moving tangentially with the
+    speed sqrt(2 (E + 1)) that gives it the energy E (U = -1/r = -1 there)."""
+    speed = np.sqrt(2.0 * (energy + 1.0))
+    X = np.stack([np.cos(t), np.sin(t)], axis=-1)
+    V = speed[:, None] * np.stack([-np.sin(t), np.cos(t)], axis=-1)
+    return Trajectory(MethodId.FR, t[1] - t[0], X, PlanarVector(*V[0]),
+                      OrbitElements.from_shape(1.0, 0.0), velocities=V)
 
-    def test_linear_series_is_pure_trend(self):
-        t = np.linspace(0.0, 10.0, 50)
-        rep = series_drift(t, 2.0 + 0.25 * t, ConservedQuantity.ANGULAR_MOMENTUM)
-        assert_close(rep.secular_slope, 0.25, rtol=1e-12)
-        assert rep.oscillation_amplitude < 1e-12
-        assert_close(rep.max_abs_deviation, 2.5, rtol=1e-12)
 
-    def test_sine_series_is_pure_oscillation(self):
+class TestEnergyDrift:
+    def test_constant_energy(self):
+        t = np.linspace(0.0, 10.0, 50)
+        slope, oscillation = energy_drift(energy_trajectory(t, np.full(50, 3.3)))
+        assert abs(slope) < 1e-15
+        assert oscillation < 1e-15
+
+    def test_linear_energy_is_pure_trend(self):
+        t = np.linspace(0.0, 10.0, 50)
+        slope, oscillation = energy_drift(energy_trajectory(t, 2.0 + 0.25 * t))
+        assert_close(slope, 0.25, rtol=1e-12)
+        assert oscillation < 1e-12
+
+    def test_sine_energy_is_pure_oscillation(self):
         t = np.linspace(0.0, 20.0, 400)
-        rep = series_drift(t, 0.01 * np.sin(2 * np.pi * t), ConservedQuantity.ENERGY)
-        assert abs(rep.secular_slope) < 1e-4
-        assert_close(rep.oscillation_amplitude, 0.01, rtol=0.05)
+        slope, oscillation = energy_drift(energy_trajectory(t, 0.01 * np.sin(2 * np.pi * t)))
+        assert abs(slope) < 1e-4
+        assert_close(oscillation, 0.01, rtol=0.05)
 
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            series_drift(np.array([0.0]), np.array([1.0]), ConservedQuantity.ENERGY)
-        with pytest.raises(ValueError):
-            series_drift(np.arange(5.0), np.arange(4.0), ConservedQuantity.ENERGY)
-
-    def test_invariant_drift_on_short_run(self):
+    def test_short_sv_run(self):
         traj = integrate(MethodId.SV, X0, V0, 0.1, 400)
-        rep = invariant_drift(traj, ConservedQuantity.ENERGY)
+        _, oscillation = energy_drift(traj)
         # symplectic scheme: energy oscillates but does not wander far
-        assert rep.max_abs_deviation < 1e-3
-        assert rep.oscillation_amplitude > 0.0
+        assert 0.0 < oscillation < 1e-3
 
-    def test_invariant_drift_needs_samples(self):
+    def test_needs_ten_samples(self):
         traj = integrate(MethodId.SV, X0, V0, 0.1, 5)
-        with pytest.raises(ValueError):
-            invariant_drift(traj, ConservedQuantity.ENERGY)
-
-    def test_all_quantities_supported(self):
-        traj = integrate(MethodId.SV, X0, V0, 0.1, 100)
-        for q in ConservedQuantity:
-            rep = invariant_drift(traj, q)
-            assert rep.quantity is q
+        with pytest.raises(ValueError, match="need at least 10 samples"):
+            energy_drift(traj)
 
 
 class TestDiscreteAngularMomentum:

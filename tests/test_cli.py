@@ -494,6 +494,19 @@ class TestConfigResolution:
         assert "must be positive and finite" in err
 
 
+@pytest.fixture
+def integrated(monkeypatch):
+    """The step of every integrate call the CLI makes, in order."""
+    steps = []
+
+    def integrate(method, x0, v0, h, *args):
+        steps.append(h)
+        return keplerlab.integrate(method, x0, v0, h, *args)
+
+    monkeypatch.setattr(keplerlab.cli, "integrate", integrate)
+    return steps
+
+
 class TestExitCodes:
     def test_success(self, capsys):
         code, _, _ = run_cli(capsys, "predict", "--method", "sv")
@@ -587,14 +600,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("method, h_list, samples", [
         ("sv", "0.5,40", "0.50"), ("sv", "0.5,15", "1.32"), ("mp", "0.5,40", "0.50")])
-    def test_scan_refuses_a_coarse_step(self, capsys, monkeypatch, method, h_list, samples):
-        integrated = []
-
-        def integrate(method, x0, v0, h, *args):
-            integrated.append(h)
-            return keplerlab.integrate(method, x0, v0, h, *args)
-
-        monkeypatch.setattr(keplerlab.cli, "integrate", integrate)
+    def test_scan_refuses_a_coarse_step(self, capsys, integrated, method, h_list, samples):
         code, out, err = run_cli(capsys, "scan", "--format", "json", "--methods", method,
                                  "--h-list", h_list, "--t-end", "45")
         assert code == 0
@@ -609,6 +615,14 @@ class TestExitCodes:
         assert err == (f"warning: {method} at h={float(h_list.split(',')[1]):g} failed: "
                        f"trajectory has {samples} samples per revolution (T / h); "
                        "need at least 8\n")
+
+    # 10 time units are half a revolution of the default orbit, so no cell
+    # can be measured; each is refused before it is integrated
+    def test_scan_refuses_a_short_span_before_integrating(self, capsys, integrated):
+        code, out, err = run_cli(capsys, "scan", "--methods", "sv,mp", "--t-end", "10")
+        assert code == 0
+        assert integrated == []
+        assert err.count("covers 0.50 revolutions; need at least 2") == 8
 
 
 class TestContract:
