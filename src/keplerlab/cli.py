@@ -168,17 +168,20 @@ def _load_config_file(path: str, allowed: set[str]) -> dict:
 def _config_value(option: _Option, key: str, value):
     """A config-file value converted and checked as its flag's text would be.
 
-    A JSON list stands for the flag's comma-separated text; an int flag
-    takes only integral numbers.  null is rejected: leave a key out to keep
-    its default.
+    A JSON string stands for the flag's text, a list for its comma-separated
+    text, and a number only for a numeric flag (an integral one for an int
+    flag).  Booleans, objects and null are rejected: omit a key to keep its default.
     """
     if value is None:
         raise ConfigurationError(f"config key {key!r}: null is not a value; omit the key")
     if isinstance(value, list):
         value = ",".join(str(v) for v in value)
+    numeric = option.type in (int, float)
     try:
-        if option.type is int and not isinstance(value, str) and (
-                isinstance(value, bool) or not float(value).is_integer()):
+        if not isinstance(value, str) and not (numeric and type(value) in (int, float)):
+            raise ValueError(f"expected {'a number' if numeric else 'a string or a list'}, "
+                             f"got {json.dumps(value)}")
+        if option.type is int and not isinstance(value, str) and not float(value).is_integer():
             raise ValueError(f"expected an integer, got {value!r}")
         if option.type is not None:
             value = option.type(value)
@@ -329,12 +332,14 @@ def _elements_for_report(cfg: dict) -> OrbitElements:
     return elements_from_state(State(x0, v0, 0.0))
 
 
-def _run(cfg: dict) -> tuple[Trajectory, dict]:
+def _run(cfg: dict, measured: bool = False) -> tuple[Trajectory, dict]:
     """The one integration of simulate, precession and error-curve, and the
-    metadata of the run."""
+    metadata of the run; a run to be measured is gated before it is integrated."""
     method = MethodId.parse(cfg["method"])
     x0, v0 = _initial_state(cfg)
     steps = _steps_from(cfg, cfg["h"])
+    if measured:
+        analysis.require_measurable(elements_from_state(State(x0, v0, 0.0)).T, cfg["h"], steps)
     traj = integrate(method, x0, v0, cfg["h"], steps, _solver_from(cfg))
     return traj, _metadata(cfg, method=method.value, steps=steps)
 
@@ -354,13 +359,13 @@ def _predictions(method: MethodId, elements: OrbitElements,
                  h: float) -> tuple[theory.PrecessionPrediction, Optional[float]]:
     """The closed-form prediction and the quadrature rate: None for fr, which
     has no two-step stencil, and for a circular orbit, which has no apsis."""
-    quad = (theory.precession_quadrature(method, elements, h).rate_per_revolution
+    quad = (theory.precession_quadrature(method, elements, h)
             if method in STENCILS and elements.e > 0 else None)
     return theory.precession_closed_form(method, elements, h), quad
 
 
 def cmd_precession(cfg: dict) -> None:
-    traj, meta = _run(cfg)
+    traj, meta = _run(cfg, measured=True)
     method, h = traj.method, traj.h
     estimate = analysis.measure_precession(traj)
     closed, quad = _predictions(method, traj.elements, h)
@@ -431,12 +436,11 @@ def cmd_predict(cfg: dict) -> None:
 
 def cmd_averages(cfg: dict) -> None:
     elements = _elements_for_report(cfg)
-    oriented = elements.with_apsis_angle(0.5 * math.pi)
     rows = []
     for power in (5, 6, 7):
-        closed = theory.orbit_average_closed_form(power, oriented)
+        closed = theory.orbit_average_closed_form(power, elements)
         quad = theory.orbit_average(
-            lambda X, V, p=power: X[:, 1] / np.hypot(X[:, 0], X[:, 1]) ** p, oriented)
+            lambda X, V, p=power: X[:, 1] / np.hypot(X[:, 0], X[:, 1]) ** p, elements)
         denom = abs(closed) if closed != 0.0 else 1.0
         rows.append([power, closed, quad, abs(quad - closed) / denom])
     meta = _metadata(cfg, elements={"a": elements.a, "e": elements.e, "L": elements.L})

@@ -10,7 +10,7 @@ propagator used as the reference solution everywhere else in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -86,12 +86,12 @@ def _relation_ok(got: float, want: float) -> bool:
 
 @dataclass(frozen=True)
 class OrbitElements:
-    """Geometry of a bound orbit.
+    """Shape and sense of a bound orbit, not its orientation.
 
     The fields are redundant on purpose; construction enforces the defining
     relations E = -1/(2a), L^2 = b^2/a, T = 2 pi a^(3/2), e = sqrt(1-b^2/a^2)
-    so that a mistyped element fails loudly rather than propagating.
-    apsis_angle is the polar angle of the perihelion direction.
+    so that a mistyped element fails loudly rather than propagating.  The
+    sign of L is the sense of motion.
     """
 
     a: float
@@ -100,7 +100,6 @@ class OrbitElements:
     T: float
     E: float
     L: float
-    apsis_angle: float = 0.0
 
     def __post_init__(self):
         if not (self.a > 0.0 and math.isfinite(self.a)):
@@ -123,7 +122,7 @@ class OrbitElements:
 
     @classmethod
     def from_shape(cls, a: float, e: float, counterclockwise: bool = True) -> "OrbitElements":
-        """Consistent elements of the shape (a, e), apsis along x1 (see with_apsis_angle)."""
+        """Consistent elements of the shape (a, e)."""
         if not (a > 0.0 and math.isfinite(a)):
             raise ValueError(f"semi-major axis must be positive, got {a}")
         if not 0.0 <= e < 1.0:
@@ -139,17 +138,14 @@ class OrbitElements:
             L=magL if counterclockwise else -magL,
         )
 
-    def with_apsis_angle(self, angle: float) -> "OrbitElements":
-        return replace(self, apsis_angle=angle)
-
 
 def elements_from_state(state: State) -> OrbitElements:
     """Orbital elements of the bound orbit through a phase-space point.
 
     Raises UnboundOrbit when E >= 0 and DegenerateOrbit when L = 0.
     """
-    E, L, A1, A2 = map(float, observable_series(np.asarray(state.position),
-                                                 np.asarray(state.velocity)))
+    E, L, _, _ = map(float, observable_series(np.asarray(state.position),
+                                               np.asarray(state.velocity)))
     if E >= 0.0:
         raise UnboundOrbit(f"energy {E:.6g} is nonnegative; orbit is not bound")
     if L == 0.0:
@@ -157,12 +153,7 @@ def elements_from_state(state: State) -> OrbitElements:
     a = -1.0 / (2.0 * E)
     b = math.sqrt(L * L * a)
     e = math.sqrt(max(0.0, 1.0 - (b / a) ** 2))
-    if math.hypot(A1, A2) > CIRCULAR_ECCENTRICITY:
-        apsis = math.atan2(A2, A1)
-    else:
-        apsis = 0.0
-    return OrbitElements(a=a, b=min(b, a), e=e, T=_TWO_PI * a ** 1.5, E=E, L=L,
-                         apsis_angle=apsis)
+    return OrbitElements(a=a, b=min(b, a), e=e, T=_TWO_PI * a ** 1.5, E=E, L=L)
 
 
 def _ahead(p: PlanarVector, L: float) -> PlanarVector:
@@ -170,15 +161,15 @@ def _ahead(p: PlanarVector, L: float) -> PlanarVector:
     return PlanarVector(-p.x2, p.x1) if L > 0.0 else PlanarVector(p.x2, -p.x1)
 
 
-def perihelion_state(elements: OrbitElements) -> State:
+def perihelion_state(elements: OrbitElements, apsis_angle: float) -> State:
     """State at perihelion passage, taken as time 0.
 
-    Position is at distance a(1-e) along the apsis direction; speed there is
-    |L|/r with the velocity perpendicular, signed by the orbit's sense.
+    Position is at distance a(1-e) at polar angle apsis_angle; speed there
+    is |L|/r with the velocity perpendicular, signed by the orbit's sense.
     """
     rp = elements.a * (1.0 - elements.e)
     speed = abs(elements.L) / rp
-    p = PlanarVector(math.cos(elements.apsis_angle), math.sin(elements.apsis_angle))
+    p = PlanarVector(math.cos(apsis_angle), math.sin(apsis_angle))
     q = _ahead(p, elements.L)
     return State(PlanarVector(rp * p.x1, rp * p.x2),
                  PlanarVector(speed * q.x1, speed * q.x2), 0.0)

@@ -69,9 +69,8 @@ def _el_deficit_coefficients(bracket: tuple[float, float, float]) -> tuple[float
 
 @dataclass(frozen=True)
 class PrecessionPrediction:
-    """Leading-order apsis rotation per revolution for a scheme at step h."""
+    """Leading-order apsis rotation per revolution at step h, and its order in h."""
 
-    method: MethodId
     rate_per_revolution: float
     leading_order: int
 
@@ -289,14 +288,16 @@ def perturbation_field(method: MethodId, X: np.ndarray, V: np.ndarray) -> np.nda
 
 def orbit_average(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   elements: OrbitElements) -> float:
-    """Time average of fn(X, V) over one period of the exact orbit.
+    """Time average of fn(X, V) over one period of the exact orbit of this
+    shape and sense with its apsis on the +x2 axis: the closed forms' axis,
+    and the one where the first LRL component's generator gives the apsis rate.
 
     fn maps the (DEFAULT_AVERAGE_NODES, 2) positions and velocities to the
     integrand's values.  Uniform sampling in time; for a periodic analytic
     integrand the rectangle rule converges spectrally, so DEFAULT_AVERAGE_NODES
     nodes leave the Kepler-solve tolerance as the dominant error.
     """
-    orbit = ExactOrbit(perihelion_state(elements))
+    orbit = ExactOrbit(perihelion_state(elements, 0.5 * math.pi))
     n = DEFAULT_AVERAGE_NODES
     X, V = orbit.states_at(orbit.elements.T * np.arange(n) / n)
     return float(np.mean(fn(X, V)))
@@ -320,11 +321,6 @@ def orbit_average_closed_form(power: int, elements: OrbitElements) -> float:
     raise ConfigurationError(f"closed forms cover powers 5, 6, 7; got {power}")
 
 
-def _h2_factor(method: MethodId) -> float:
-    """1 - 6 beta, the stencil's h^2 rate in units of sv's; 0 for fr."""
-    return 1.0 - 6.0 * mean_midpoint_weight(method) if method in STENCILS else 0.0
-
-
 def precession_closed_form(method: MethodId, elements: OrbitElements,
                            h: float) -> PrecessionPrediction:
     """Leading-order apsis rotation per revolution at step h.
@@ -336,34 +332,28 @@ def precession_closed_form(method: MethodId, elements: OrbitElements,
     """
     if not (h >= 0.0 and math.isfinite(h)):
         raise ConfigurationError(f"step size must be nonnegative, got {h}")
-    factor = _h2_factor(method)
+    factor = 1.0 - 6.0 * mean_midpoint_weight(method) if method in STENCILS else 0.0
     if factor == 0.0:
-        return PrecessionPrediction(method, 0.0, 4)
+        return PrecessionPrediction(0.0, 4)
     a, b = elements.a, elements.b
     shape = 15.0 * a ** 3 / b ** 6 - 3.0 * a / b ** 4
     base = -math.copysign(1.0, elements.L) * math.pi / 24.0 * shape * h * h
-    return PrecessionPrediction(method, factor * base, 2)
+    return PrecessionPrediction(factor * base, 2)
 
 
-def precession_quadrature(method: MethodId, elements: OrbitElements,
-                          h: float) -> PrecessionPrediction:
+def precession_quadrature(method: MethodId, elements: OrbitElements, h: float) -> float:
     """Apsis rotation per revolution from the orbit-averaged perturbation.
 
-    rate = -(2 eps T / e) <field . xi>  with eps = h^2/24, the average taken
-    with the apsis line rotated onto the +x2 axis (where the closed-form
-    averages live).  The result is orientation independent; for ml, lc and
-    dec it is zero up to round-off, with leading order 4 as in the closed
-    form.  fr has no quadrature.
+    rate = -(2 eps T / e) <field . xi>  with eps = h^2/24, averaged by
+    orbit_average, whose apsis on the +x2 axis makes the pairing with the
+    first LRL component's generator the apsis rate.  For ml, lc and dec it
+    is zero up to round-off.  fr has no quadrature.
     """
     model = ModifiedModel(method, h)
     if elements.e <= 0.0:
         raise ConfigurationError("quadrature prediction needs an eccentric orbit")
-    oriented = elements.with_apsis_angle(0.5 * math.pi)
 
     def integrand(X: np.ndarray, V: np.ndarray) -> np.ndarray:
         return np.sum(perturbation_field(method, X, V) * lrl_symmetry_field(X, V), axis=-1)
 
-    avg = orbit_average(integrand, oriented)
-    rate = -2.0 * model.epsilon * oriented.T / oriented.e * avg
-    order = 2 if _h2_factor(method) else 4
-    return PrecessionPrediction(method, rate, order)
+    return -2.0 * model.epsilon * elements.T / elements.e * orbit_average(integrand, elements)

@@ -132,7 +132,7 @@ def test_criterion_04_quadrature_matches_closed_form():
         for h in (0.125, 0.25, 0.5):
             for e in ECC_GRID:
                 elements = OrbitElements.from_shape(REF_A, e)
-                quad = precession_quadrature(method, elements, h).rate_per_revolution
+                quad = precession_quadrature(method, elements, h)
                 closed = precession_closed_form(method, elements, h).rate_per_revolution
                 worst = max(worst, abs(quad - closed) / abs(closed))
     elapsed = time.perf_counter() - start
@@ -146,7 +146,7 @@ def test_criterion_05_orbit_averages():
     start = time.perf_counter()
     worst = 0.0
     for e in AVG_ECC_GRID:
-        elements = OrbitElements.from_shape(REF_A, e).with_apsis_angle(0.5 * math.pi)
+        elements = OrbitElements.from_shape(REF_A, e)
         for power in (5, 6, 7):
             closed = orbit_average_closed_form(power, elements)
             quad = orbit_average(

@@ -96,7 +96,7 @@ class TestMeasurePrecession:
         R = np.array([[c, -s], [s, c]])
         turned = Trajectory(base.method, base.h, base.positions @ R.T,
                             PlanarVector(*(R @ np.asarray(base.start_velocity))),
-                            base.elements.with_apsis_angle(base.elements.apsis_angle + ang),
+                            base.elements,
                             velocities=base.velocities @ R.T)
         a = measure_precession(base)
         b = measure_precession(turned)

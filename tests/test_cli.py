@@ -340,16 +340,25 @@ class TestConfigResolution:
         assert code == 1
         assert "bogus" in err
 
-    @pytest.mark.parametrize("key, value", [("format", "xml"), ("steps", 2.7),
-                                            ("h", None)])
+    # a JSON value no flag text could stand for is refused, naming its key:
+    # booleans for numbers, and non-text values for pairs and lists.  a and e
+    # are predict's, each given beside a valid partner; the lists are scan's
+    @pytest.mark.parametrize("key, value", [
+        ("format", "xml"), ("steps", 2.7), ("h", None), ("h", True), ("tol", True),
+        ("x0", 5), ("x0", True), ("x0", {"a": 1}), ("a", True), ("e", False),
+        ("h_list", 0.5), ("methods", 5)])
     def test_config_values_are_validated_like_flags(self, capsys, tmp_path, key, value):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: value}))
-        code, out, err = run_cli(capsys, "simulate", "--method", "sv",
-                                 "--config", str(cfg))
+        settings, argv = {key: value}, ["simulate", "--method", "sv"]
+        if key in ("a", "e"):
+            settings, argv = {"a": 1.0, "e": 0.5, key: value}, ["predict", "--method", "sv"]
+        elif key in ("h_list", "methods"):
+            argv = ["scan"]
+        cfg.write_text(json.dumps(settings))
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
         assert code == 1
         assert out == ""
-        assert repr(key) in err
+        assert err.startswith(f"error: config key {key!r}: ")
 
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -623,6 +632,20 @@ class TestExitCodes:
         assert code == 0
         assert integrated == []
         assert err.count("covers 0.50 revolutions; need at least 2") == 8
+
+    # precession asks the same gate before it integrates: a run too short to
+    # measure is refused with measure_precession's message, even one whose
+    # implicit initialization would fail numerically
+    @pytest.mark.parametrize("argv, revolutions", [
+        (["--method", "mp", "--h", "5", "--steps", "3"], "0.75"),
+        (["--method", "sv", "--h", "0.5", "--t-end", "30"], "1.51")])
+    def test_precession_refuses_a_short_run_before_integrating(self, capsys, integrated,
+                                                               argv, revolutions):
+        code, out, err = run_cli(capsys, "precession", *argv)
+        assert code == 1
+        assert out == ""
+        assert integrated == []
+        assert err == f"error: trajectory covers {revolutions} revolutions; need at least 2\n"
 
 
 class TestContract:

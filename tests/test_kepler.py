@@ -59,8 +59,8 @@ def bound_states(draw):
     apsis = draw(st.floats(-math.pi, math.pi))
     ccw = draw(st.booleans())
     phase = draw(st.floats(0.0, 1.0))
-    el = OrbitElements.from_shape(a, e, counterclockwise=ccw).with_apsis_angle(apsis)
-    return ExactOrbit(perihelion_state(el)).state_at(phase * el.T)
+    el = OrbitElements.from_shape(a, e, counterclockwise=ccw)
+    return ExactOrbit(perihelion_state(el, apsis)).state_at(phase * el.T)
 
 
 class TestPointwiseFunctions:
@@ -159,7 +159,6 @@ class TestOrbitElements:
         assert_close(el.e, REF_ECC)
         assert_close(el.T, REF_T)
         assert el.L == REF_L
-        assert el.apsis_angle == 0.0
 
     def test_inconsistent_elements_rejected(self):
         good = OrbitElements.from_shape(2.0, 0.5)
@@ -205,22 +204,18 @@ class TestOrbitElements:
            ccw=st.booleans(), apsis=st.floats(-3.0, 3.0))
     @settings(max_examples=60)
     def test_shape_roundtrip_through_perihelion_state(self, a, e, ccw, apsis):
-        el = OrbitElements.from_shape(a, e, counterclockwise=ccw).with_apsis_angle(apsis)
-        back = elements_from_state(perihelion_state(el))
+        el = OrbitElements.from_shape(a, e, counterclockwise=ccw)
+        state = perihelion_state(el, apsis)
+        back = elements_from_state(state)
         assert_close(back.a, a, rtol=1e-10)
         # e comes back through sqrt(1 + 2 E L^2): absolute floor ~sqrt(eps)
         assert_close(back.e, e, rtol=1e-9, atol=5e-8)
         assert_close(back.L, el.L, rtol=1e-10)
         if e > 1e-6:
-            # apsis angle is only defined up to the circular threshold
-            diff = (back.apsis_angle - apsis + math.pi) % TWO_PI - math.pi
+            # the LRL angle, the apsis, is defined only above the circular threshold
+            _, _, A1, A2 = invariants(state)
+            diff = (math.atan2(A2, A1) - apsis + math.pi) % TWO_PI - math.pi
             assert abs(diff) < 1e-8
-
-    def test_with_apsis_angle_rotates_only_orientation(self, default_elements):
-        turned = default_elements.with_apsis_angle(1.25)
-        assert turned.apsis_angle == 1.25
-        assert turned.a == default_elements.a
-        assert turned.L == default_elements.L
 
 
 class TestKeplerEquation:
@@ -345,7 +340,7 @@ class TestExactOrbit:
 
     def test_circular_orbit_constant_radius(self):
         el = OrbitElements.from_shape(2.0, 0.0)
-        orbit = ExactOrbit(perihelion_state(el))
+        orbit = ExactOrbit(perihelion_state(el, 0.0))
         for t in np.linspace(0.0, el.T, 9):
             assert_close(math.hypot(*orbit.state_at(float(t)).position), 2.0, rtol=1e-12)
 
@@ -359,7 +354,7 @@ class TestExactOrbit:
         assert diff < 0.0
 
     def test_perihelion_state_matches_elements(self, default_elements):
-        state = perihelion_state(default_elements)
+        state = perihelion_state(default_elements, 0.0)
         assert_close(math.hypot(*state.position), REF_R_PERI, rtol=1e-12)
         E, L, _, _ = invariants(state)
         assert_close(L, REF_L, rtol=1e-12)
