@@ -110,8 +110,8 @@ _OPTIONS = {
     "e": _Option(float, "eccentricity (with --a)"),
     "x0": _Option(_parse_pair, "initial position a,b (default -3,0)"),
     "v0": _Option(_parse_pair, "initial velocity a,b (default 0,0.45)"),
-    "tol": _Option(float, f"Newton residual tolerance (default {DEFAULT_SOLVER.tolerance:g})",
-                   "tolerance"),
+    "tol": _Option(float, "relative Newton residual tolerance "
+                          f"(default {DEFAULT_SOLVER.tolerance:g})", "tolerance"),
     "max_iter": _Option(int, f"Newton iteration cap (default {DEFAULT_SOLVER.max_iterations})",
                         "maxIterations"),
     "out": _Option(str, "output file (default stdout)"),
@@ -168,19 +168,21 @@ def _load_config_file(path: str, allowed: set[str]) -> dict:
 def _config_value(option: _Option, key: str, value):
     """A config-file value converted and checked as its flag's text would be.
 
-    A JSON string stands for the flag's text, a list for its comma-separated
-    text, and a number only for a numeric flag (an integral one for an int
-    flag).  Booleans, objects and null are rejected: omit a key to keep its default.
+    A JSON string stands for the flag's text, a number only for a numeric
+    flag (an integral one for an int flag), and a list for the comma-separated
+    text of a list or pair flag only.  Booleans, objects, null and lists for a
+    single value are rejected: omit a key to keep its default.
     """
     if value is None:
         raise ConfigurationError(f"config key {key!r}: null is not a value; omit the key")
-    if isinstance(value, list):
+    listed = option.type in (_parse_method_list, _parse_float_list, _parse_pair)
+    if listed and isinstance(value, list):
         value = ",".join(str(v) for v in value)
     numeric = option.type in (int, float)
     try:
         if not isinstance(value, str) and not (numeric and type(value) in (int, float)):
-            raise ValueError(f"expected {'a number' if numeric else 'a string or a list'}, "
-                             f"got {json.dumps(value)}")
+            expected = "a number" if numeric else "a string or a list" if listed else "a string"
+            raise ValueError(f"expected {expected}, got {json.dumps(value)}")
         if option.type is int and not isinstance(value, str) and not float(value).is_integer():
             raise ValueError(f"expected an integer, got {value!r}")
         if option.type is not None:

@@ -9,7 +9,9 @@ composition of leapfrog, a one-step map on (x, v).
 
 Both are run-level kernels on plain floats that append n points to flat
 lists: _stencil evaluates U' and its Hessian inline, solves each implicit
-step by an undamped Newton iteration and carries the converged midpoint
+step by an undamped Newton iteration, started from the gradients already in
+hand and stopped once the residual is below tol |C| (C the explicit part of
+the step, so the test is relative), and carries the converged midpoint
 gradient into the next step's b-term; _fr takes n fr steps with U' inline.
 integrate calls one of them once per run, after init_second_point (the
 stencil kernel with n = 1) for a two-step method, decides where a failed run
@@ -88,9 +90,11 @@ _FR_WEIGHTS = (FR_THETA, 1.0 - 2.0 * FR_THETA, FR_THETA)
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton iteration budget for the implicit step relations."""
+    """Newton budget for the implicit step relations: a solve converges
+    once its residual is below tolerance |C|, relative to the explicit part
+    C of the step (see _stencil), within max_iterations."""
 
-    tolerance: float = 1e-12
+    tolerance: float = 1e-15
     max_iterations: int = 50
 
     def __post_init__(self):
@@ -171,13 +175,18 @@ def _stencil(xs: list[float], n: int, p1: float, p2: float, q1: float, q2: float
     nonzero; U' = x/|x|^3 and its Hessian (|x|^2 I - 3 x x^T)/|x|^5 are
     written out inline, and the gradient's collision guard covers the Hessian
     at the same midpoint.  With C = r - h^2 [a U'(q) + b U'((p + q)/2)],
-    z - C + c h^2 U'((q + z)/2) = 0 is solved from z = r by Newton's method
-    (Jacobian I + (c h^2/2) J, J the Hessian; converged on the residual
-    norm).  Its last iterate evaluated U'((q + z)/2), bit for bit the next
-    step's U'((p + q)/2), so a b-term right after an implicit step reuses it.
-    Failures raise NearSingularity or SolverFailure (prefixed with label).
-    The run's implicit solves, Newton iterations and gradient evaluations
-    are added to stats at the end.
+    z - C + c h^2 U'((q + z)/2) = 0 is solved by Newton's method (Jacobian
+    I + (c h^2/2) J, J the Hessian) until the residual norm is below
+    tol |C|, a test that Kepler's scaling leaves unchanged.  Newton starts
+    from z = C - c h^2 g, g the gradients already in hand extrapolated to the
+    forward midpoint: 2 g_b - g_b' when this step's and the last step's
+    backward-midpoint gradients g_b, g_b' are both known (mp, ml), else g_b,
+    else U'(q).  A step with no gradient (mp's initializer) keeps g = 0 and
+    starts from the free flight z = C = r.  The last Newton iterate evaluated
+    U'((q + z)/2), bit for bit the next step's U'((p + q)/2), so a b-term
+    right after an implicit step reuses it.  Failures raise NearSingularity
+    or SolverFailure (prefixed with label).  The run's implicit solves,
+    Newton iterations and gradient evaluations are added to stats at the end.
     """
     tol, max_iter = cfg.tolerance, cfg.max_iterations
     hypot, sqrt, isfinite, floor = math.hypot, math.sqrt, math.isfinite, SINGULARITY_FLOOR
@@ -186,7 +195,9 @@ def _stencil(xs: list[float], n: int, p1: float, p2: float, q1: float, q2: float
     append = xs.append
     solves = iterations = gradients = 0
     c_prev = 0.0  # nonzero when (gb1, gb2) already holds U'((p + q)/2)
-    gb1 = gb2 = 0.0
+    b_prev = 0.0  # nonzero when (gp1, gp2) holds the last step's U'((p + q)/2)
+    gb1 = gb2 = gp1 = gp2 = 0.0
+    g1 = g2 = 0.0  # the gradient that predicts U'((q + z)/2)
     for k in range(phase, phase + n):
         a, b, c = cycle[k % period]
         f1 = f2 = 0.0
@@ -195,8 +206,10 @@ def _stencil(xs: list[float], n: int, p1: float, p2: float, q1: float, q2: float
             if r < floor:
                 raise _collision(r)
             r3 = r * r * r
-            f1 += a * (q1 / r3)
-            f2 += a * (q2 / r3)
+            g1 = q1 / r3
+            g2 = q2 / r3
+            f1 += a * g1
+            f2 += a * g2
             gradients += 1
         if b:
             if not c_prev:
@@ -211,12 +224,20 @@ def _stencil(xs: list[float], n: int, p1: float, p2: float, q1: float, q2: float
                 gradients += 1
             f1 += b * gb1
             f2 += b * gb2
+            if b_prev:
+                g1 = 2.0 * gb1 - gp1
+                g2 = 2.0 * gb2 - gp2
+            else:
+                g1, g2 = gb1, gb2
+            gp1, gp2 = gb1, gb2
         c1 = r1 - h2 * f1
         c2 = r2 - h2 * f2
         if c:
             ch2 = c * h2
             half_ch2 = 0.5 * ch2
-            z1, z2 = r1, r2
+            z1 = c1 - ch2 * g1
+            z2 = c2 - ch2 * g2
+            limit = tol * hypot(c1, c2)
             for applied in range(max_iter + 1):
                 m1 = 0.5 * (q1 + z1)
                 m2 = 0.5 * (q2 + z2)
@@ -228,10 +249,10 @@ def _stencil(xs: list[float], n: int, p1: float, p2: float, q1: float, q2: float
                 gb2 = m2 / r3
                 f1 = z1 - c1 + ch2 * gb1
                 f2 = z2 - c2 + ch2 * gb2
-                if hypot(f1, f2) < tol:
+                if hypot(f1, f2) < limit:
                     break
                 if applied == max_iter:
-                    raise SolverFailure(f"{label}: Newton residual stayed above {tol} "
+                    raise SolverFailure(f"{label}: Newton residual stayed above {tol} |C| "
                                         f"after {max_iter} iterations")
                 rr = m1 * m1 + m2 * m2
                 r = sqrt(rr)
@@ -254,6 +275,7 @@ def _stencil(xs: list[float], n: int, p1: float, p2: float, q1: float, q2: float
         p1, p2 = q1, q2
         q1, q2 = z1, z2
         c_prev = c
+        b_prev = b
         r1 = 2.0 * q1 - p1
         r2 = 2.0 * q2 - p2
     stats.implicit_solves += solves

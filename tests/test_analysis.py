@@ -122,6 +122,20 @@ class TestMeasurePrecession:
         mirrored = rate(PlanarVector(x0.x1, -x0.x2), PlanarVector(v0.x1, -v0.x2))
         assert abs(mirrored + base) <= 1e-12
 
+    # Kepler's scaling x -> lam x, v -> lam^(-1/2) v, h -> lam^(3/2) h maps a
+    # run onto a run; with lam = 4^k every factor is a power of two, so every
+    # float operation scales exactly and the rate and the work are equal
+    @pytest.mark.parametrize("method", list(MethodId))
+    @given(k=st.integers(-3, 3))
+    @settings(max_examples=7, deadline=None)
+    def test_scaling_keeps_the_rate_and_the_work(self, method, k):
+        def run(lam, root, lam_3_2):
+            traj = integrate(method, PlanarVector(lam * X0.x1, lam * X0.x2),
+                             PlanarVector(V0.x1 / root, V0.x2 / root), lam_3_2 * 0.25, 1600)
+            return measure_precession(traj).rate_per_revolution, traj.stats
+
+        assert run(4.0 ** k, 2.0 ** k, 8.0 ** k) == run(1.0, 1.0, 1.0)
+
     def test_needs_two_revolutions(self):
         traj = exact_trajectory(n_revolutions=1.5)
         with pytest.raises(TooFewRevolutions):

@@ -213,21 +213,22 @@ class TestCsvContract:
         assert a == b
 
 
-# SHA-256 of stdout as the row-by-row emitter wrote it: output bytes must not move
+# SHA-256 of stdout as the row-by-row emitter wrote it, with the implicit
+# methods' points and the metadata's tolerance of the predictor kernel
 PINNED_STDOUT = [
     (["simulate", "--method", "fr", "--steps", "2000", "--format", "json"],
-     "5745bd7167a26d1b9527f6331f9d0b0024265ebbaab42766cf86c97bf65b94db"),
+     "884e051a093f51a6f916fce52a3cdf20059116ad322d00b7fd5d477483ab0b5f"),
     (["simulate", "--method", "mp", "--h", "0.1", "--steps", "2000"],
-     "b0b224214ff71b65f3c3c8efe9805a92c78848e3fb439aa123c5be6b24de34f7"),
+     "d50ba4a66029ff109776f2026787979a19b2e8f2db44e4ca44f8374809b6a842"),
     (["error-curve", "--method", "dec", "--h", "0.1", "--t-end", "200"],
-     "ab56598d9c78349693487d2359cca4935879d1053fdb6d62d0085b9f0fe826b3"),
+     "7dcd6d326a4ee291e6412c931ef3494675375e8795f145c2a03bd19b9d2302cb"),
     (["error-curve", "--method", "dec", "--h", "0.1", "--t-end", "200", "--format", "json"],
-     "3682d849bb7f8d08ea561b0b6f087e3cc8bf58c8aaeec98d0fd536201374d50f"),
+     "f1880993338b553dfda6a0c2d85bad6c116e7448706368902a7f38c862bd353a"),
     # half a revolution: every measured cell is null
     (["scan", "--methods", "sv,mp", "--t-end", "10"],
      "d1d7715cccde8ba4bf87217f642eb062c726302d89f52fbc6e7ac00e42baa7f0"),
     (["scan", "--methods", "sv,mp", "--t-end", "10", "--format", "json"],
-     "d7c77e01cb1ac26d8a9d281a67b61af49b711ed002d4653ad90a3352a1e08395"),
+     "70996dd9096c6b8552ae8a82e1c14570551ad36a0bff11abf67abb113ea51776"),
 ]
 
 
@@ -359,6 +360,23 @@ class TestConfigResolution:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: config key {key!r}: ")
+
+    # a list stands for comma-separated text only where a flag takes a list or
+    # a pair (h_list, methods, x0, v0); for a single value it is refused, not
+    # run as its one item or joined into "sv,mp"
+    @pytest.mark.parametrize("argv, key, value, got", [
+        (["predict", "--method", "sv"], "h", [0.5], "expected a number, got [0.5]"),
+        (["simulate", "--method", "sv", "--h", "0.1"], "steps", [10],
+         "expected a number, got [10]"),
+        (["simulate", "--steps", "2"], "method", ["sv", "mp"],
+         'expected a string, got ["sv", "mp"]')])
+    def test_config_list_for_a_single_value(self, capsys, tmp_path, argv, key, value, got):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: config key {key!r}: {got}\n"
 
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -605,7 +623,7 @@ class TestExitCodes:
     # the h = 0.5 row alone.  An implicit method gets the same refusal, not the
     # Newton failure that integrating h = 40 ends in.
     FINE_ROWS = {"sv": (0.06920028862564427, 0.06737048229578152),
-                 "mp": (-0.15895305852772498, -0.13474096459156304)}
+                 "mp": (-0.15895305852082275, -0.13474096459156304)}
 
     @pytest.mark.parametrize("method, h_list, samples", [
         ("sv", "0.5,40", "0.50"), ("sv", "0.5,15", "1.32"), ("mp", "0.5,40", "0.50")])
