@@ -28,12 +28,10 @@ from .kepler import (
     solve_kepler,
 )
 from .integrators import (
-    DEFAULT_SOLVER,
     FR_THETA,
     IntegrationStats,
     MethodId,
     STENCILS,
-    SolverConfig,
     Trajectory,
     init_second_point,
     integrate,

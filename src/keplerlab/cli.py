@@ -30,7 +30,8 @@ import numpy as np
 
 from . import analysis, theory
 from .errors import ConfigurationError, KeplerLabError, NumericalFailure
-from .integrators import DEFAULT_SOLVER, STENCILS, MethodId, SolverConfig, Trajectory, integrate
+from .integrators import (NEWTON_MAX_ITERATIONS, NEWTON_TOLERANCE, STENCILS, MethodId,
+                          Trajectory, integrate)
 from .kepler import OrbitElements, PlanarVector, State, elements_from_state
 
 DEFAULT_X0 = (-3.0, 0.0)
@@ -58,13 +59,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected two comma-separated reals, got {text!r}")
     try:
-        return (float(parts[0]), float(parts[1]))
+        pair = tuple(map(float, text.split(",")))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected two comma-separated reals, got {text!r}") from None
+        pair = ()
+    if len(pair) != 2 or not all(map(math.isfinite, pair)):
+        raise argparse.ArgumentTypeError(
+            f"expected two comma-separated finite reals, got {text!r}")
+    return pair
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -110,10 +112,6 @@ _OPTIONS = {
     "e": _Option(float, "eccentricity (with --a)"),
     "x0": _Option(_parse_pair, "initial position a,b (default -3,0)"),
     "v0": _Option(_parse_pair, "initial velocity a,b (default 0,0.45)"),
-    "tol": _Option(float, "relative Newton residual tolerance "
-                          f"(default {DEFAULT_SOLVER.tolerance:g})", "tolerance"),
-    "max_iter": _Option(int, f"Newton iteration cap (default {DEFAULT_SOLVER.max_iterations})",
-                        "maxIterations"),
     "out": _Option(str, "output file (default stdout)"),
     "format": _Option(None, "output format", choices=("csv", "json")),
 }
@@ -213,10 +211,6 @@ def _resolve(args) -> dict:
     return cfg
 
 
-def _solver_from(cfg: dict) -> SolverConfig:
-    return SolverConfig(tolerance=cfg["tol"], max_iterations=cfg["max_iter"])
-
-
 def _initial_state(cfg: dict) -> tuple[PlanarVector, PlanarVector]:
     return PlanarVector(*cfg["x0"]), PlanarVector(*cfg["v0"])
 
@@ -314,6 +308,11 @@ def _emit(cfg: dict, meta: dict, columns: list[str], table: list,
         sys.stdout.write(text)
 
 
+# The Newton budget of the implicit solves, in the metadata of every
+# subcommand that integrates.
+_NEWTON = {"tolerance": NEWTON_TOLERANCE, "maxIterations": NEWTON_MAX_ITERATIONS}
+
+
 def _metadata(cfg: dict, **extra) -> dict:
     """The settings that have a value, under their metadata keys, then `extra`.
     The output path is left out, so that the bytes written do not depend on it."""
@@ -342,8 +341,8 @@ def _run(cfg: dict, measured: bool = False) -> tuple[Trajectory, dict]:
     steps = _steps_from(cfg, cfg["h"])
     if measured:
         analysis.require_measurable(elements_from_state(State(x0, v0, 0.0)).T, cfg["h"], steps)
-    traj = integrate(method, x0, v0, cfg["h"], steps, _solver_from(cfg))
-    return traj, _metadata(cfg, method=method.value, steps=steps)
+    traj = integrate(method, x0, v0, cfg["h"], steps)
+    return traj, _metadata(cfg, method=method.value, steps=steps, **_NEWTON)
 
 
 def cmd_simulate(cfg: dict) -> None:
@@ -396,7 +395,6 @@ def cmd_scan(cfg: dict) -> None:
     # common physical span, aligned to the coarsest step the fit accepts
     h_align = max((h for h in h_list if analysis.well_sampled(elements.T, h)), default=h_max)
     t_span = math.ceil(raw_span / h_align) * h_align
-    solver = _solver_from(cfg)
     rows = []
     for method in methods:
         for h in h_list:
@@ -405,13 +403,13 @@ def cmd_scan(cfg: dict) -> None:
             steps = round(t_span / h)
             try:
                 analysis.require_measurable(elements.T, h, steps)  # before integrating h
-                traj = integrate(method, x0, v0, h, steps, solver)
+                traj = integrate(method, x0, v0, h, steps)
                 measured = analysis.measure_precession(traj).rate_per_revolution
             except KeplerLabError as err:
                 print(f"warning: {method.value} at h={h:g} failed: {err}",
                       file=sys.stderr)
             rows.append([method.value, h, measured, predicted])
-    meta = _metadata(cfg, tSpan=t_span, revolutions=t_span / elements.T)
+    meta = _metadata(cfg, tSpan=t_span, revolutions=t_span / elements.T, **_NEWTON)
     _emit(cfg, meta, ["method", "h", "measuredRate", "predictedRate"], list(zip(*rows)))
 
 
@@ -453,16 +451,16 @@ def cmd_bench(cfg: dict) -> None:
     methods = [MethodId.parse(m) for m in cfg["methods"]]
     x0, v0 = _initial_state(cfg)
     steps = _steps_from(cfg, cfg["h"])
-    solver = _solver_from(cfg)
     rows = []
     for method in methods:
         start = time.perf_counter()
-        traj = integrate(method, x0, v0, cfg["h"], steps, solver)
+        traj = integrate(method, x0, v0, cfg["h"], steps)
         wall = time.perf_counter() - start
         rows.append([method.value, steps, wall, traj.stats.implicit_solves,
                      traj.stats.avg_newton_iterations])
-    _emit(cfg, _metadata(cfg), ["method", "steps", "wallSeconds", "implicitSolveCount",
-                                "avgNewtonIterations"], list(zip(*rows)),
+    _emit(cfg, _metadata(cfg, **_NEWTON), ["method", "steps", "wallSeconds",
+                                           "implicitSolveCount", "avgNewtonIterations"],
+          list(zip(*rows)),
           note="wall-clock timings are machine-dependent and informative only")
 
 
@@ -472,8 +470,7 @@ def _settings(output_format: str, **own) -> dict:
     return dict(own, x0=DEFAULT_X0, v0=DEFAULT_V0, out=None, format=output_format)
 
 
-_SOLVER = dict(tol=DEFAULT_SOLVER.tolerance, max_iter=DEFAULT_SOLVER.max_iterations)
-_RUN = dict(method=_REQUIRED, h=DEFAULT_H, steps=DEFAULT_STEPS, t_end=None, **_SOLVER)
+_RUN = dict(method=_REQUIRED, h=DEFAULT_H, steps=DEFAULT_STEPS, t_end=None)
 
 _COMMANDS = {
     "simulate": _Command(cmd_simulate, "dump one trajectory with observables",
@@ -482,7 +479,7 @@ _COMMANDS = {
                            _settings("json", **_RUN)),
     "scan": _Command(cmd_scan, "precession rates across methods and step sizes",
                      _settings("csv", methods=_ALL_METHODS, h_list=DEFAULT_SCAN_H,
-                               t_end=None, **_SOLVER)),
+                               t_end=None)),
     "error-curve": _Command(cmd_error_curve, "position error against the exact orbit",
                             _settings("csv", **dict(_RUN, steps=None))),
     "predict": _Command(cmd_predict, "closed-form and quadrature precession predictions",
@@ -491,7 +488,7 @@ _COMMANDS = {
                          _settings("json", a=None, e=None)),
     "bench": _Command(cmd_bench, "wall-clock and Newton-iteration benchmark",
                       _settings("json", methods=_ALL_METHODS, h=DEFAULT_BENCH_H,
-                                steps=DEFAULT_BENCH_STEPS, **_SOLVER)),
+                                steps=DEFAULT_BENCH_STEPS)),
 }
 
 

@@ -10,12 +10,13 @@ composition of leapfrog, a one-step map on (x, v).
 Both are run-level kernels on plain floats that append n points to flat
 lists: _stencil evaluates U' and its Hessian inline, solves each implicit
 step by an undamped Newton iteration, started from the gradients already in
-hand and stopped once the residual is below tol |C| (C the explicit part of
-the step, so the test is relative), and carries the converged midpoint
-gradient into the next step's b-term; _fr takes n fr steps with U' inline.
-integrate calls one of them once per run, after init_second_point (the
-stencil kernel with n = 1) for a two-step method, decides where a failed run
-stopped and counts implicit solves, Newton iterations and gradient evaluations.
+hand and stopped once the residual is below NEWTON_TOLERANCE |C| (C the
+explicit part of the step, so the test is relative), and carries the
+converged midpoint gradient into the next step's b-term; _fr takes n fr
+steps with U' inline.  integrate calls one of them once per run, after
+init_second_point (the stencil kernel with n = 1) for a two-step method,
+decides where a failed run stopped and counts implicit solves, Newton
+iterations and gradient evaluations.
 """
 
 from __future__ import annotations
@@ -88,23 +89,11 @@ FR_THETA = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _FR_WEIGHTS = (FR_THETA, 1.0 - 2.0 * FR_THETA, FR_THETA)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Newton budget for the implicit step relations: a solve converges
-    once its residual is below tolerance |C|, relative to the explicit part
-    C of the step (see _stencil), within max_iterations."""
-
-    tolerance: float = 1e-15
-    max_iterations: int = 50
-
-    def __post_init__(self):
-        if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
-            raise ConfigurationError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ConfigurationError(f"max_iterations must be >= 1, got {self.max_iterations}")
-
-
-DEFAULT_SOLVER = SolverConfig()
+# Newton budget of every implicit solve (see _stencil).  The implicit methods
+# keep their discrete invariants only if each solve ends at round-off, and a
+# tolerance below round-off cannot be met: the tolerance has this one value.
+NEWTON_TOLERANCE = 1e-15
+NEWTON_MAX_ITERATIONS = 50
 
 
 @dataclass
@@ -163,7 +152,7 @@ class Trajectory:
 
 def _stencil(xs: list[float], n: int, p1: float, p2: float, q1: float, q2: float,
              r1: float, r2: float, h: float, cycle: tuple[Weights, ...], phase: int,
-             cfg: SolverConfig, label: str, stats: IntegrationStats) -> None:
+             label: str, stats: IntegrationStats) -> None:
     """Append n points of the two-step relation with weights (a, b, c),
 
         z - 2q + p = -h^2 [a U'(q) + b U'((p + q)/2) + c U'((q + z)/2)],
@@ -177,7 +166,8 @@ def _stencil(xs: list[float], n: int, p1: float, p2: float, q1: float, q2: float
     at the same midpoint.  With C = r - h^2 [a U'(q) + b U'((p + q)/2)],
     z - C + c h^2 U'((q + z)/2) = 0 is solved by Newton's method (Jacobian
     I + (c h^2/2) J, J the Hessian) until the residual norm is below
-    tol |C|, a test that Kepler's scaling leaves unchanged.  Newton starts
+    NEWTON_TOLERANCE |C|, a test that Kepler's scaling leaves unchanged, within
+    NEWTON_MAX_ITERATIONS iterations (both read at each call).  Newton starts
     from z = C - c h^2 g, g the gradients already in hand extrapolated to the
     forward midpoint: 2 g_b - g_b' when this step's and the last step's
     backward-midpoint gradients g_b, g_b' are both known (mp, ml), else g_b,
@@ -188,7 +178,7 @@ def _stencil(xs: list[float], n: int, p1: float, p2: float, q1: float, q2: float
     or SolverFailure (prefixed with label).  The run's implicit solves,
     Newton iterations and gradient evaluations are added to stats at the end.
     """
-    tol, max_iter = cfg.tolerance, cfg.max_iterations
+    tol, max_iter = NEWTON_TOLERANCE, NEWTON_MAX_ITERATIONS
     hypot, sqrt, isfinite, floor = math.hypot, math.sqrt, math.isfinite, SINGULARITY_FLOOR
     h2 = h * h
     period = len(cycle)
@@ -311,8 +301,7 @@ def _fr(xs: list[float], vs: list[float], n: int, x1: float, x2: float, v1: floa
 
 
 def init_second_point(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
-                      cfg: SolverConfig = DEFAULT_SOLVER,
-                      stats: Optional[IntegrationStats] = None) -> PlanarVector:
+                      stats: IntegrationStats) -> PlanarVector:
     """First trajectory point after x0.
 
     For a two-step method with initializer weights (a, b, c) it is chosen
@@ -326,19 +315,18 @@ def init_second_point(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: f
     """
     if method is MethodId.FR:
         raise ConfigurationError("fr is a one-step method: it has no second-point initializer")
-    if stats is None:
-        stats = IntegrationStats()
     (x1, x2), (v1, v2) = x0, v0
     z: list[float] = []
     a, _, c = STENCILS[method].init
     _stencil(z, 1, x1, x2, x1, x2, x1 + h * v1, x2 + h * v2, h, ((0.5 * a, 0.0, c),), 0,
-             cfg, "initialization", stats)
+             "initialization", stats)
     return PlanarVector(*z)
 
 
 def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
-              n_steps: int, cfg: SolverConfig = DEFAULT_SOLVER) -> Trajectory:
-    """Run n_steps of a scheme from (x0, v0) with fixed step h.
+              n_steps: int) -> Trajectory:
+    """Run n_steps of a scheme from (x0, v0) with fixed step h, each implicit
+    step solved within the Newton budget (NEWTON_TOLERANCE, NEWTON_MAX_ITERATIONS).
 
     The initial condition must describe a bound, non-radial orbit (the exact
     elements are recorded on the trajectory).  A numerical failure carries
@@ -361,11 +349,11 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
         if vs is not None:
             _fr(xs, vs, n_steps, *x0, *v0, h, stats)
         else:
-            (p1, p2), (q1, q2) = x0, init_second_point(method, x0, v0, h, cfg, stats)
+            (p1, p2), (q1, q2) = x0, init_second_point(method, x0, v0, h, stats)
             xs.append(q1)
             xs.append(q2)
             _stencil(xs, n_steps - 1, p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2, h,
-                     STENCILS[method].cycle, 1, cfg, "implicit step", stats)
+                     STENCILS[method].cycle, 1, "implicit step", stats)
     except NumericalFailure as err:
         failure = err
     positions = _points(xs)

@@ -56,6 +56,12 @@ def _collision(r: float, error: type[NumericalFailure] = NearSingularity) -> Num
     return error(f"|x| = {r:.3e} inside the collision guard {SINGULARITY_FLOOR:.3e}")
 
 
+def _out_of_range(a: float, e: float) -> NumericalFailure:
+    """The one error of a shape (a, e) whose elements or closed forms
+    overflow, or underflow to a zero divisor."""
+    return NumericalFailure(f"a = {a}, e = {e} is beyond the floating-point range")
+
+
 def observable_series(X: np.ndarray, V: np.ndarray):
     """Energy, angular momentum and the two LRL components, (E, L, A1, A2).
 
@@ -122,21 +128,20 @@ class OrbitElements:
 
     @classmethod
     def from_shape(cls, a: float, e: float, counterclockwise: bool = True) -> "OrbitElements":
-        """Consistent elements of the shape (a, e)."""
+        """Consistent elements of the shape (a, e); raises NumericalFailure
+        when one of them is not a finite float."""
         if not (a > 0.0 and math.isfinite(a)):
             raise ValueError(f"semi-major axis must be positive, got {a}")
         if not 0.0 <= e < 1.0:
             raise ValueError(f"eccentricity must lie in [0, 1), got {e}")
         b = a * math.sqrt(1.0 - e * e)
         magL = math.sqrt(b * b / a)
-        return cls(
-            a=a,
-            b=b,
-            e=e,
-            T=_TWO_PI * a ** 1.5,
-            E=-1.0 / (2.0 * a),
-            L=magL if counterclockwise else -magL,
-        )
+        E = -1.0 / (2.0 * a)
+        # b * b overflows (by a = 1e162 at any e < 1) long before a ** 1.5 does
+        if not (math.isfinite(magL) and math.isfinite(E)):
+            raise _out_of_range(a, e)
+        return cls(a=a, b=b, e=e, T=_TWO_PI * a ** 1.5, E=E,
+                   L=magL if counterclockwise else -magL)
 
 
 def elements_from_state(state: State) -> OrbitElements:
@@ -168,6 +173,8 @@ def perihelion_state(elements: OrbitElements, apsis_angle: float) -> State:
     is |L|/r with the velocity perpendicular, signed by the orbit's sense.
     """
     rp = elements.a * (1.0 - elements.e)
+    if rp == 0.0:  # underflow
+        raise _out_of_range(elements.a, elements.e)
     speed = abs(elements.L) / rp
     p = PlanarVector(math.cos(apsis_angle), math.sin(apsis_angle))
     q = _ahead(p, elements.L)

@@ -30,6 +30,7 @@ from .kepler import (
     OrbitElements,
     PlanarVector,
     _collision,
+    _out_of_range,
     perihelion_state,
 )
 
@@ -295,12 +296,17 @@ def orbit_average(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     fn maps the (DEFAULT_AVERAGE_NODES, 2) positions and velocities to the
     integrand's values.  Uniform sampling in time; for a periodic analytic
     integrand the rectangle rule converges spectrally, so DEFAULT_AVERAGE_NODES
-    nodes leave the Kepler-solve tolerance as the dominant error.
+    nodes leave the Kepler-solve tolerance as the dominant error.  An
+    integrand that overflows or divides by zero raises NumericalFailure.
     """
     orbit = ExactOrbit(perihelion_state(elements, 0.5 * math.pi))
     n = DEFAULT_AVERAGE_NODES
     X, V = orbit.states_at(orbit.elements.T * np.arange(n) / n)
-    return float(np.mean(fn(X, V)))
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return float(np.mean(fn(X, V)))
+    except FloatingPointError:
+        raise _out_of_range(elements.a, elements.e) from None
 
 
 def orbit_average_closed_form(power: int, elements: OrbitElements) -> float:
@@ -310,14 +316,18 @@ def orbit_average_closed_form(power: int, elements: OrbitElements) -> float:
         <x2/r^5> = (a/b^5) e
         <x2/r^6> = (a^2/b^7) (3e/2 + 3e^3/8)
         <x2/r^7> = (a^3/b^9) (2e + 3e^3/2)
+    A power of a or b out of the float range raises NumericalFailure.
     """
     a, b, e = elements.a, elements.b, elements.e
-    if power == 5:
-        return a / b ** 5 * e
-    if power == 6:
-        return a * a / b ** 7 * (1.5 * e + 0.375 * e ** 3)
-    if power == 7:
-        return a ** 3 / b ** 9 * (2.0 * e + 1.5 * e ** 3)
+    try:
+        if power == 5:
+            return a / b ** 5 * e
+        if power == 6:
+            return a * a / b ** 7 * (1.5 * e + 0.375 * e ** 3)
+        if power == 7:
+            return a ** 3 / b ** 9 * (2.0 * e + 1.5 * e ** 3)
+    except (OverflowError, ZeroDivisionError):
+        raise _out_of_range(a, e) from None
     raise ConfigurationError(f"closed forms cover powers 5, 6, 7; got {power}")
 
 
@@ -328,7 +338,8 @@ def precession_closed_form(method: MethodId, elements: OrbitElements,
     sv:  -sign(L) (pi/24) (15 a^3/b^6 - 3 a/b^4) h^2
     a stencil with mean midpoint weight beta: (1 - 6 beta) times sv's, so mp
     is exactly -2 times it.  ml, lc and dec (beta = 1/6) and fr are zero at
-    this order (leading error order 4).
+    this order (leading error order 4).  A shape factor out of the float
+    range raises NumericalFailure.
     """
     if not (h >= 0.0 and math.isfinite(h)):
         raise ConfigurationError(f"step size must be nonnegative, got {h}")
@@ -336,7 +347,10 @@ def precession_closed_form(method: MethodId, elements: OrbitElements,
     if factor == 0.0:
         return PrecessionPrediction(0.0, 4)
     a, b = elements.a, elements.b
-    shape = 15.0 * a ** 3 / b ** 6 - 3.0 * a / b ** 4
+    try:
+        shape = 15.0 * a ** 3 / b ** 6 - 3.0 * a / b ** 4
+    except (OverflowError, ZeroDivisionError):
+        raise _out_of_range(a, elements.e) from None
     base = -math.copysign(1.0, elements.L) * math.pi / 24.0 * shape * h * h
     return PrecessionPrediction(factor * base, 2)
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -22,19 +23,19 @@ SCHEMA_DIR = ROOT / "schemas"
 # spans long enough for the two-revolution minimum of the rate fit
 TWO_REVS = ["--steps", "100"]  # 100 * 0.5 = 50 > 2T = 39.7
 
-_RUN_FLAGS = {"--method", "--h", "--steps", "--t-end", "--x0", "--v0", "--tol",
-              "--max-iter", "--out", "--format", "--config"}
+_RUN_FLAGS = {"--method", "--h", "--steps", "--t-end", "--x0", "--v0", "--out", "--format",
+              "--config"}
 PINNED_FLAGS = {
     "simulate": _RUN_FLAGS,
     "precession": _RUN_FLAGS,
-    "scan": {"--methods", "--h-list", "--t-end", "--x0", "--v0", "--tol", "--max-iter",
-             "--out", "--format", "--config"},
+    "scan": {"--methods", "--h-list", "--t-end", "--x0", "--v0", "--out", "--format",
+             "--config"},
     "error-curve": _RUN_FLAGS,
     "predict": {"--method", "--h", "--a", "--e", "--x0", "--v0", "--out", "--format",
                 "--config"},
     "averages": {"--a", "--e", "--x0", "--v0", "--out", "--format", "--config"},
-    "bench": {"--methods", "--h", "--steps", "--x0", "--v0", "--tol", "--max-iter",
-              "--out", "--format", "--config"},
+    "bench": {"--methods", "--h", "--steps", "--x0", "--v0", "--out", "--format",
+              "--config"},
 }
 
 _RUN_METADATA = {"format", "h", "maxIterations", "method", "steps", "tolerance", "v0", "x0"}
@@ -55,20 +56,18 @@ PINNED_METADATA = {
 # one value other than the default for every setting of a subcommand but
 # --out, as a config file would hold it
 _STATE = {"x0": [-2.5, 0.0], "v0": [0.0, 0.5]}
-_SOLVER = {"tol": 1e-11, "max_iter": 30}
 NON_DEFAULT_SETTINGS = {
-    "simulate": {"method": "mp", "h": 0.25, "steps": 12, "t_end": 3.0, **_STATE, **_SOLVER,
+    "simulate": {"method": "mp", "h": 0.25, "steps": 12, "t_end": 3.0, **_STATE,
                  "format": "json"},
     "precession": {"method": "sv", "h": 0.4, "steps": 100, "t_end": 48.0, **_STATE,
-                   **_SOLVER, "format": "csv"},
+                   "format": "csv"},
     "scan": {"methods": ["sv", "mp"], "h_list": [0.25, 0.5], "t_end": 45.0, **_STATE,
-             **_SOLVER, "format": "json"},
-    "error-curve": {"method": "dec", "h": 0.2, "steps": 7, "t_end": 4.0, **_STATE, **_SOLVER,
+             "format": "json"},
+    "error-curve": {"method": "dec", "h": 0.2, "steps": 7, "t_end": 4.0, **_STATE,
                     "format": "json"},
     "predict": {"method": "mp", "h": 0.3, "a": 2.0, "e": 0.5, **_STATE, "format": "csv"},
     "averages": {"a": 1.5, "e": 0.39, **_STATE, "format": "csv"},
-    "bench": {"methods": ["sv", "mp"], "h": 0.2, "steps": 50, **_STATE, **_SOLVER,
-              "format": "csv"},
+    "bench": {"methods": ["sv", "mp"], "h": 0.2, "steps": 50, **_STATE, "format": "csv"},
 }
 
 
@@ -342,11 +341,13 @@ class TestConfigResolution:
         assert "bogus" in err
 
     # a JSON value no flag text could stand for is refused, naming its key:
-    # booleans for numbers, and non-text values for pairs and lists.  a and e
-    # are predict's, each given beside a valid partner; the lists are scan's
+    # booleans for numbers, non-text values for pairs and lists, and pairs
+    # with a non-finite component.  a and e are predict's, each given beside a
+    # valid partner; the lists are scan's
     @pytest.mark.parametrize("key, value", [
-        ("format", "xml"), ("steps", 2.7), ("h", None), ("h", True), ("tol", True),
-        ("x0", 5), ("x0", True), ("x0", {"a": 1}), ("a", True), ("e", False),
+        ("format", "xml"), ("steps", 2.7), ("h", None), ("h", True), ("x0", 5),
+        ("x0", True), ("x0", {"a": 1}), ("x0", "nan,0"), ("x0", "inf,0"),
+        ("v0", [0.0, math.nan]), ("a", True), ("e", False),
         ("h_list", 0.5), ("methods", 5)])
     def test_config_values_are_validated_like_flags(self, capsys, tmp_path, key, value):
         cfg = tmp_path / "cfg.json"
@@ -460,10 +461,10 @@ class TestConfigResolution:
                  for k, v in values.items()]
         assert run("--config", str(cfg)) == run(*flags)
 
-    @pytest.mark.parametrize("command", ["predict", "averages"])
+    # the Newton budget is a constant of the integrators, not a setting
+    @pytest.mark.parametrize("command", list(PINNED_FLAGS))
     @pytest.mark.parametrize("key", ["tol", "max_iter"])
-    def test_no_newton_settings_without_a_newton_solve(self, capsys, tmp_path,
-                                                       command, key):
+    def test_no_newton_settings(self, capsys, tmp_path, command, key):
         flag = "--" + key.replace("_", "-")
         with pytest.raises(SystemExit) as excinfo:
             main([command, flag, "5"])
@@ -556,8 +557,16 @@ class TestExitCodes:
     # malformed pair and list values are argparse type errors, so they exit
     # like bad flags
     @pytest.mark.parametrize("argv, message", [
-        (["simulate", "--method", "sv", "--x0", "3;0"], "expected two comma-separated reals"),
-        (["simulate", "--method", "sv", "--x0", "a,b"], "expected two comma-separated reals"),
+        (["simulate", "--method", "sv", "--x0", "3;0"],
+         "expected two comma-separated finite reals, got '3;0'"),
+        (["simulate", "--method", "sv", "--x0", "a,b"],
+         "expected two comma-separated finite reals, got 'a,b'"),
+        (["simulate", "--method", "sv", "--x0", "nan,0"],
+         "argument --x0: expected two comma-separated finite reals, got 'nan,0'"),
+        (["simulate", "--method", "sv", "--x0", "inf,0"],
+         "argument --x0: expected two comma-separated finite reals, got 'inf,0'"),
+        (["simulate", "--method", "sv", "--v0=0,-inf"],
+         "argument --v0: expected two comma-separated finite reals, got '0,-inf'"),
         (["scan", "--h-list", "0.5,x"], "expected comma-separated reals, got '0.5,x'"),
         (["scan", "--h-list", ","], "argument --h-list: empty list"),
         (["scan", "--methods", ","], "argument --methods: empty method list")])
@@ -603,6 +612,18 @@ class TestExitCodes:
     def test_shape_flags_must_pair(self, capsys):
         code, _, err = run_cli(capsys, "predict", "--method", "sv", "--a", "2.0")
         assert code == 1
+
+    # a float power of an extreme semi-major axis overflows, or underflows to
+    # a zero divisor, in the elements, the closed forms or the quadrature
+    @pytest.mark.parametrize("argv, a", [
+        *[(["predict", "--method", "sv", "--h", "0.5"], a)
+          for a in ("1e60", "1e100", "1e200", "1e300")],
+        *[(["averages"], a)
+          for a in ("1e-300", "1e-200", "1e-100", "1e40", "1e60", "1e100", "1e200", "1e300")]])
+    def test_extreme_semi_major_axis_exits_two(self, capsys, argv, a):
+        code, out, err = run_cli(capsys, *argv, "--a", a, "--e", "0.5")
+        assert (code, out) == (2, "")
+        assert err == f"error: a = {float(a)}, e = 0.5 is beyond the floating-point range\n"
 
     def test_scan_failed_cell_reports_null_and_succeeds(self, capsys):
         code, out, err = run_cli(capsys, "scan", "--format", "json",
@@ -682,6 +703,17 @@ class TestContract:
         argv, keys = PINNED_METADATA[command]
         payload = check_json(capsys, command, *argv)
         assert set(payload["metadata"]) == keys
+
+
+def test_readme_cli_examples_parse():
+    # every `keplerlab ...` line of the README's CLI code block, comment dropped
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [line.split("#", 1)[0] for line in block.splitlines()
+                if line.startswith("keplerlab ")]
+    assert len(examples) == 8
+    for line in examples:
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 def run_module(*argv):

@@ -15,7 +15,6 @@ from keplerlab import (
     NearSingularity,
     NumericalFailure,
     PlanarVector,
-    SolverConfig,
     SolverFailure,
     State,
     Trajectory,
@@ -25,7 +24,7 @@ from keplerlab import (
     reconstruct_velocities,
 )
 from keplerlab import integrators, kepler
-from keplerlab.integrators import DEFAULT_SOLVER, IntegrationStats, _fr, _stencil
+from keplerlab.integrators import IntegrationStats, _fr, _stencil
 
 from conftest import V0, X0, assert_close, assert_vector_close
 from reference import gradient_jacobian_xy, potential_gradient_xy
@@ -39,11 +38,11 @@ LC = STENCILS[MethodId.LC].cycle
 DEC = STENCILS[MethodId.DEC].cycle
 
 
-def step(xp, xc, h, weights, cfg=DEFAULT_SOLVER):
+def step(xp, xc, h, weights):
     """x_next of the weighted two-step stencil from x_prev, x_cur."""
     (p1, p2), (q1, q2) = xp, xc
     z = []
-    _stencil(z, 1, p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2, h, (weights,), 0, cfg,
+    _stencil(z, 1, p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2, h, (weights,), 0,
              "implicit step", IntegrationStats())
     return PlanarVector(*z)
 
@@ -60,7 +59,7 @@ def grad(x):
     return PlanarVector(*potential_gradient_xy(*x))
 
 
-def reference_step(p, q, r, h, weights, g_last=None, cfg=DEFAULT_SOLVER):
+def reference_step(p, q, r, h, weights, g_last=None):
     """x_next of the two-step relation with weights (a, b, c),
     z - 2q + p = -h^2 [a U'(q) + b U'((p + q)/2) + c U'((q + z)/2)],
     from p, q and the free flight r: every gradient and Hessian through the
@@ -68,7 +67,7 @@ def reference_step(p, q, r, h, weights, g_last=None, cfg=DEFAULT_SOLVER):
     kernel.  Newton starts from C - c h^2 g, g = 2 g_b - g_last when the last
     step's backward-midpoint gradient g_last is given and b != 0, else the
     latest gradient evaluated (g_b, else U'(q)), else 0; it stops at a
-    residual below tolerance |C|."""
+    residual below NEWTON_TOLERANCE |C|."""
     (p1, p2), (q1, q2), (r1, r2) = p, q, r
     a, b, c = weights
     h2 = h * h
@@ -91,8 +90,8 @@ def reference_step(p, q, r, h, weights, g_last=None, cfg=DEFAULT_SOLVER):
     ch2 = c * h2
     half_ch2 = 0.5 * ch2
     z1, z2 = c1 - ch2 * g1, c2 - ch2 * g2
-    limit = cfg.tolerance * math.hypot(c1, c2)
-    for _ in range(cfg.max_iterations):
+    limit = integrators.NEWTON_TOLERANCE * math.hypot(c1, c2)
+    for _ in range(integrators.NEWTON_MAX_ITERATIONS):
         m1 = 0.5 * (q1 + z1)
         m2 = 0.5 * (q2 + z2)
         g1, g2 = potential_gradient_xy(m1, m2)
@@ -146,19 +145,6 @@ class TestMethodId:
     def test_parse_unknown_name(self):
         with pytest.raises(ConfigurationError):
             MethodId.parse("rk4")
-
-
-class TestSolverConfig:
-    def test_defaults(self):
-        cfg = SolverConfig()
-        assert cfg.tolerance == 1e-15
-        assert cfg.max_iterations == 50
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            SolverConfig(tolerance=0.0)
-        with pytest.raises(ConfigurationError):
-            SolverConfig(max_iterations=0)
 
 
 class TestSingleSteps:
@@ -285,7 +271,7 @@ class TestKernelReference:
         x0, v0, h = self.STARTS[start]
         want = reference_positions(method, x0, v0, h, 300)
         assert np.array_equal(integrate(method, x0, v0, h, 300).positions, want)
-        assert init_second_point(method, x0, v0, h) == tuple(want[1])
+        assert init_second_point(method, x0, v0, h, IntegrationStats()) == tuple(want[1])
 
 
 class TestForestRuth:
@@ -324,13 +310,14 @@ class TestInitialization:
         want = (X0.x1 + h * V0.x1 - 0.5 * h * h * g.x1,
                 X0.x2 + h * V0.x2 - 0.5 * h * h * g.x2)
         for method in (MethodId.SV, MethodId.LC, MethodId.DEC):
-            assert_vector_close(init_second_point(method, X0, V0, h), want, tol=1e-15)
+            got = init_second_point(method, X0, V0, h, IntegrationStats())
+            assert_vector_close(got, want, tol=1e-15)
 
     @pytest.mark.parametrize("method", TWO_STEP_METHODS)
     def test_discrete_momentum_matches_v0(self, method):
         # defining property: the scheme's own discrete momentum at step 0 is v0
         h = 0.3
-        x1 = init_second_point(method, X0, V0, h)
+        x1 = init_second_point(method, X0, V0, h, IntegrationStats())
         mid = PlanarVector(0.5 * (X0.x1 + x1.x1), 0.5 * (X0.x2 + x1.x2))
         if method is MethodId.MP:
             g = grad(mid)
@@ -349,7 +336,7 @@ class TestInitialization:
 
     def test_fr_has_no_initializer(self):
         with pytest.raises(ConfigurationError, match="fr is a one-step method"):
-            init_second_point(MethodId.FR, X0, V0, 0.25)
+            init_second_point(MethodId.FR, X0, V0, 0.25, IntegrationStats())
 
     def test_fr_initialization_is_one_step(self):
         traj = integrate(MethodId.FR, X0, V0, 0.25, 1)
@@ -513,11 +500,12 @@ class TestIntegrate:
     @pytest.mark.parametrize("method, point, stage", [
         (MethodId.MP, 1, "initialization"), (MethodId.ML, 1, "initialization"),
         (MethodId.LC, 3, "implicit step"), (MethodId.DEC, 3, "implicit step")])
-    def test_newton_failure_names_method_point_stage_and_tolerance(self, method, point,
-                                                                   stage):
+    def test_newton_failure_names_method_point_stage_and_tolerance(self, monkeypatch, method,
+                                                                   point, stage):
         # one Newton iteration is too few for any solve at h = 0.25
+        monkeypatch.setattr(integrators, "NEWTON_MAX_ITERATIONS", 1)
         with pytest.raises(SolverFailure) as excinfo:
-            integrate(method, X0, V0, 0.25, 10, SolverConfig(max_iterations=1))
+            integrate(method, X0, V0, 0.25, 10)
         err = excinfo.value
         assert (err.method, err.step_index) == (method, point)
         assert err.partial_positions.shape == (point, 2)
@@ -548,8 +536,9 @@ class TestIntegrate:
         if floor is not None:
             monkeypatch.setattr(kepler, "SINGULARITY_FLOOR", floor)
             monkeypatch.setattr(integrators, "SINGULARITY_FLOOR", floor)
+        monkeypatch.setattr(integrators, "NEWTON_MAX_ITERATIONS", max_iter)
         with pytest.raises(error) as excinfo:
-            integrate(method, X0, V0, h, 500, SolverConfig(max_iterations=max_iter))
+            integrate(method, X0, V0, h, 500)
         err = excinfo.value
         assert type(err) is error
         assert (err.method, err.step_index) == (method, point)

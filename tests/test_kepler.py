@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from keplerlab import (
     DegenerateOrbit,
     ExactOrbit,
     NearSingularity,
+    NumericalFailure,
     OrbitElements,
     PlanarVector,
     SolverFailure,
@@ -193,6 +195,21 @@ class TestOrbitElements:
             OrbitElements.from_shape(2.0, 1.0)
         with pytest.raises(ValueError):
             OrbitElements.from_shape(2.0, -0.1)
+
+    # L overflows through b * b at a = 1e200 and a = 1e162 near e = 1, before
+    # a ** 1.5 does at 1e300; E = -1/(2a) overflows at a = 1e-309
+    @pytest.mark.parametrize("a, e", [(1e200, 0.5), (1e162, 0.9999999999999999),
+                                      (1e300, 0.0), (1e-309, 0.5)])
+    def test_shape_beyond_the_float_range(self, a, e):
+        message = f"a = {a}, e = {e} is beyond the floating-point range"
+        with pytest.raises(NumericalFailure, match=re.escape(message)):
+            OrbitElements.from_shape(a, e)
+
+    def test_perihelion_distance_underflow(self):
+        # a (1 - e) = 1.1e-324 rounds to 0
+        elements = OrbitElements.from_shape(1e-308, 0.9999999999999999)
+        with pytest.raises(NumericalFailure, match="beyond the floating-point range"):
+            perihelion_state(elements, 0.0)
 
     def test_unbound_and_degenerate_rejected(self):
         with pytest.raises(UnboundOrbit):
