@@ -24,7 +24,6 @@ from .kepler import (
     State,
     elements_from_state,
     observable_series,
-    perihelion_state,
     solve_kepler,
 )
 from .integrators import (

@@ -4,7 +4,8 @@ Potential U(x) = -1/|x|, Lagrangian L = |xdot|^2/2 + 1/|x|.  This module
 carries the one formula for the conserved quantities (energy, angular
 momentum, the Laplace-Runge-Lenz vector), shared by single points and whole
 trajectories, conversion to orbital elements, and a closed-form Kepler
-propagator used as the reference solution everywhere else in the package.
+propagator in time: the reference solution of analysis.error_curve and of
+the tests.
 """
 
 from __future__ import annotations
@@ -164,22 +165,6 @@ def elements_from_state(state: State) -> OrbitElements:
 def _ahead(p: PlanarVector, L: float) -> PlanarVector:
     """p turned 90 degrees in the sense of the angular momentum L."""
     return PlanarVector(-p.x2, p.x1) if L > 0.0 else PlanarVector(p.x2, -p.x1)
-
-
-def perihelion_state(elements: OrbitElements, apsis_angle: float) -> State:
-    """State at perihelion passage, taken as time 0.
-
-    Position is at distance a(1-e) at polar angle apsis_angle; speed there
-    is |L|/r with the velocity perpendicular, signed by the orbit's sense.
-    """
-    rp = elements.a * (1.0 - elements.e)
-    if rp == 0.0:  # underflow
-        raise _out_of_range(elements.a, elements.e)
-    speed = abs(elements.L) / rp
-    p = PlanarVector(math.cos(apsis_angle), math.sin(apsis_angle))
-    q = _ahead(p, elements.L)
-    return State(PlanarVector(rp * p.x1, rp * p.x2),
-                 PlanarVector(speed * q.x1, speed * q.x2), 0.0)
 
 
 def solve_kepler(mean_anomaly, e: float):

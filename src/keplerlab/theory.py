@@ -11,7 +11,8 @@ none and so no quadrature.  The correction breaks the hidden symmetry that
 freezes the Kepler apsis line, and the resulting apsis drift per revolution
 follows from the orbit average of the correction's Euler-Lagrange deficit
 paired against the symmetry generator of the Laplace-Runge-Lenz component.
-This module carries those objects plus closed forms of the orbit averages.
+This module carries those objects and the orbit averages, in closed form
+and by quadrature at uniform true anomalies, with no Kepler solve.
 """
 
 from __future__ import annotations
@@ -24,15 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalFailure, SingularMassMatrix
 from .integrators import STENCILS, MethodId
-from .kepler import (
-    SINGULARITY_FLOOR,
-    ExactOrbit,
-    OrbitElements,
-    PlanarVector,
-    _collision,
-    _out_of_range,
-    perihelion_state,
-)
+from .kepler import SINGULARITY_FLOOR, OrbitElements, PlanarVector, _collision, _out_of_range
 
 # Largest RK4 step of the modified flow (integrate_modified's default), and
 # the rectangle-rule nodes of every orbit average.
@@ -294,17 +287,29 @@ def orbit_average(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     and the one where the first LRL component's generator gives the apsis rate.
 
     fn maps the (DEFAULT_AVERAGE_NODES, 2) positions and velocities to the
-    integrand's values.  Uniform sampling in time; for a periodic analytic
-    integrand the rectangle rule converges spectrally, so DEFAULT_AVERAGE_NODES
-    nodes leave the Kepler-solve tolerance as the dominant error.  An
-    integrand that overflows or divides by zero raises NumericalFailure.
+    integrand's values.  The nodes are uniform in the true anomaly nu, where
+    the state is a closed form (no Kepler solve): with l = L^2, p = +x2 and
+    q = p turned 90 degrees in the sense of L, r = l/(1 + e cos nu),
+    x = r (cos nu p + sin nu q), v = (|L|/l)(-sin nu p + (e + cos nu) q),
+    and each node weighs dt/dnu = r^2/|L|.  Where f r^2 is a trigonometric
+    polynomial in nu (x2/r^5 to x2/r^7, the perturbation paired with the LRL
+    generator) the rule is exact at every eccentricity.  An integrand that
+    overflows or divides by zero raises NumericalFailure.
     """
-    orbit = ExactOrbit(perihelion_state(elements, 0.5 * math.pi))
     n = DEFAULT_AVERAGE_NODES
-    X, V = orbit.states_at(orbit.elements.T * np.arange(n) / n)
+    nu = 2.0 * math.pi / n * np.arange(n)
+    cos, sin = np.cos(nu), np.sin(nu)
+    e, L = elements.e, np.float64(elements.L)  # numpy, so errstate guards |L|/l
+    q1 = -math.copysign(1.0, L)  # q = (q1, 0)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return float(np.mean(fn(X, V)))
+            ell = L * L
+            r = ell / (1.0 + e * cos)
+            speed = abs(L) / ell
+            X = np.stack([q1 * r * sin, r * cos], axis=-1)
+            V = np.stack([q1 * speed * (e + cos), -speed * sin], axis=-1)
+            weighted = np.sum(fn(X, V) * (r * r))
+            return float(2.0 * math.pi * weighted / (n * elements.T * abs(L)))
     except FloatingPointError:
         raise _out_of_range(elements.a, elements.e) from None
 
@@ -331,6 +336,13 @@ def orbit_average_closed_form(power: int, elements: OrbitElements) -> float:
     raise ConfigurationError(f"closed forms cover powers 5, 6, 7; got {power}")
 
 
+def _finite_rate(method: MethodId, h: float, rate: float) -> float:
+    """rate, or NumericalFailure naming the method and h when it is not finite."""
+    if not math.isfinite(rate):
+        raise NumericalFailure(f"{method.value} precession rate at h = {h:g} is not finite")
+    return rate
+
+
 def precession_closed_form(method: MethodId, elements: OrbitElements,
                            h: float) -> PrecessionPrediction:
     """Leading-order apsis rotation per revolution at step h.
@@ -339,7 +351,7 @@ def precession_closed_form(method: MethodId, elements: OrbitElements,
     a stencil with mean midpoint weight beta: (1 - 6 beta) times sv's, so mp
     is exactly -2 times it.  ml, lc and dec (beta = 1/6) and fr are zero at
     this order (leading error order 4).  A shape factor out of the float
-    range raises NumericalFailure.
+    range, or a rate that overflows, raises NumericalFailure.
     """
     if not (h >= 0.0 and math.isfinite(h)):
         raise ConfigurationError(f"step size must be nonnegative, got {h}")
@@ -352,7 +364,7 @@ def precession_closed_form(method: MethodId, elements: OrbitElements,
     except (OverflowError, ZeroDivisionError):
         raise _out_of_range(a, elements.e) from None
     base = -math.copysign(1.0, elements.L) * math.pi / 24.0 * shape * h * h
-    return PrecessionPrediction(factor * base, 2)
+    return PrecessionPrediction(_finite_rate(method, h, factor * base), 2)
 
 
 def precession_quadrature(method: MethodId, elements: OrbitElements, h: float) -> float:
@@ -361,7 +373,8 @@ def precession_quadrature(method: MethodId, elements: OrbitElements, h: float) -
     rate = -(2 eps T / e) <field . xi>  with eps = h^2/24, averaged by
     orbit_average, whose apsis on the +x2 axis makes the pairing with the
     first LRL component's generator the apsis rate.  For ml, lc and dec it
-    is zero up to round-off.  fr has no quadrature.
+    is zero up to round-off.  fr has no quadrature; a rate that is not
+    finite raises NumericalFailure.
     """
     model = ModifiedModel(method, h)
     if elements.e <= 0.0:
@@ -370,4 +383,5 @@ def precession_quadrature(method: MethodId, elements: OrbitElements, h: float) -
     def integrand(X: np.ndarray, V: np.ndarray) -> np.ndarray:
         return np.sum(perturbation_field(method, X, V) * lrl_symmetry_field(X, V), axis=-1)
 
-    return -2.0 * model.epsilon * elements.T / elements.e * orbit_average(integrand, elements)
+    rate = -2.0 * model.epsilon * elements.T / elements.e * orbit_average(integrand, elements)
+    return _finite_rate(method, h, rate)

@@ -2,12 +2,27 @@
 evaluation: the references that the inline kernels of integrators and theory
 are checked against, bit for bit where they share an operation order; and the
 point-wise modified Lagrangian, which the modified flow's Euler-Lagrange
-residual and energy are checked against."""
+residual and energy are checked against; and the perihelion state of a
+shape, from which the property tests build bound states."""
 
 import math
 
-from keplerlab import SINGULARITY_FLOOR, SingularMassMatrix
-from keplerlab.kepler import _collision
+from keplerlab import SINGULARITY_FLOOR, PlanarVector, SingularMassMatrix, State
+from keplerlab.kepler import _ahead, _collision
+
+
+def perihelion_state(elements, apsis_angle):
+    """State at perihelion passage, taken as time 0.
+
+    Position is at distance a(1-e) at polar angle apsis_angle; speed there
+    is |L|/r with the velocity perpendicular, signed by the orbit's sense.
+    """
+    rp = elements.a * (1.0 - elements.e)
+    speed = abs(elements.L) / rp
+    p = PlanarVector(math.cos(apsis_angle), math.sin(apsis_angle))
+    q = _ahead(p, elements.L)
+    return State(PlanarVector(rp * p.x1, rp * p.x2),
+                 PlanarVector(speed * q.x1, speed * q.x2), 0.0)
 
 
 def potential_gradient_xy(x1, x2):

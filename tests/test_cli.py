@@ -148,6 +148,20 @@ class TestJsonPayloadsAgainstSchemas:
         for row in payload["rows"]:
             assert row["relDiff"] < 1e-6
 
+    # 1 - e = 1.1e-16: the averages sample the true anomaly, so the closed
+    # forms hold to round-off; the perihelion a (1 - e) is 1.1e-12 at a = 1e4,
+    # just outside the collision guard of the perturbation, and 1.1e-16 at
+    # a = 1, where only the averages, which have no guard, are defined
+    @pytest.mark.parametrize("argv, a, closed, quad", [
+        (["predict", "--method", "sv", "--h", "0.5"], "1e4",
+         "predictedClosedForm", "predictedQuadrature"),
+        (["averages"], "1e4", "closedForm", "quadrature"),
+        (["averages"], "1", "closedForm", "quadrature")])
+    def test_near_parabolic_shape(self, capsys, argv, a, closed, quad):
+        payload = check_json(capsys, *argv, "--a", a, "--e", "0.9999999999999999")
+        for row in payload.get("rows", [payload]):
+            assert math.isclose(row[quad], row[closed], rel_tol=1e-12)
+
     def test_bench(self, capsys):
         payload = check_json(capsys, "bench", "--methods", "sv,mp",
                              "--steps", "200")
@@ -614,16 +628,35 @@ class TestExitCodes:
         assert code == 1
 
     # a float power of an extreme semi-major axis overflows, or underflows to
-    # a zero divisor, in the elements, the closed forms or the quadrature
-    @pytest.mark.parametrize("argv, a", [
-        *[(["predict", "--method", "sv", "--h", "0.5"], a)
+    # a zero divisor, in the elements, the closed forms or the quadrature;
+    # at a = 1e-308 near e = 1, L^2 underflows to 0
+    @pytest.mark.parametrize("argv, a, e", [
+        *[(["predict", "--method", "sv", "--h", "0.5"], a, "0.5")
           for a in ("1e60", "1e100", "1e200", "1e300")],
-        *[(["averages"], a)
-          for a in ("1e-300", "1e-200", "1e-100", "1e40", "1e60", "1e100", "1e200", "1e300")]])
-    def test_extreme_semi_major_axis_exits_two(self, capsys, argv, a):
-        code, out, err = run_cli(capsys, *argv, "--a", a, "--e", "0.5")
+        *[(["averages"], a, "0.5")
+          for a in ("1e-300", "1e-200", "1e-100", "1e40", "1e60", "1e100", "1e200", "1e300")],
+        (["predict", "--method", "sv", "--h", "0.5"], "1e-308", "0.9999999999999999"),
+        (["averages"], "1e-308", "0.9999999999999999")])
+    def test_extreme_semi_major_axis_exits_two(self, capsys, argv, a, e):
+        code, out, err = run_cli(capsys, *argv, "--a", a, "--e", e)
         assert (code, out) == (2, "")
-        assert err == f"error: a = {float(a)}, e = 0.5 is beyond the floating-point range\n"
+        assert err == f"error: a = {float(a)}, e = {e} is beyond the floating-point range\n"
+
+    def test_perihelion_inside_the_collision_guard_exits_two(self, capsys):
+        # a (1 - e) = 1.1e-16 at a = 1, e = 1 - 1.1e-16
+        code, out, err = run_cli(capsys, "predict", "--method", "sv", "--h", "0.5",
+                                 "--a", "1", "--e", "0.9999999999999999")
+        assert (code, out) == (2, "")
+        assert err == "error: |x| = 1.110e-16 inside the collision guard 1.000e-12\n"
+
+    # on the default orbit the rate overflows from h = 1e154 on
+    @pytest.mark.parametrize("method, h", [("sv", "1e200"), ("ml", "1e154")])
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    def test_overflowing_rate_exits_two(self, capsys, method, h, output_format):
+        code, out, err = run_cli(capsys, "predict", "--method", method, "--h", h,
+                                 "--format", output_format)
+        assert (code, out) == (2, "")
+        assert err == f"error: {method} precession rate at h = {float(h):g} is not finite\n"
 
     def test_scan_failed_cell_reports_null_and_succeeds(self, capsys):
         code, out, err = run_cli(capsys, "scan", "--format", "json",

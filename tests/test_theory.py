@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from keplerlab import (
     observable_series,
     orbit_average,
     orbit_average_closed_form,
-    perihelion_state,
     perturbation_field,
     precession_closed_form,
     precession_quadrature,
@@ -32,7 +32,7 @@ from keplerlab.integrators import STENCILS, Stencil
 from keplerlab.theory import lagrangian_bracket, mean_midpoint_weight
 
 import reference
-from conftest import V0, X0, assert_close, assert_vector_close
+from conftest import REF_A, REF_ECC, V0, X0, assert_close, assert_vector_close
 from reference import (modified_acceleration_xy, modified_lagrangian, potential_gradient_xy,
                        reference_flow)
 
@@ -287,12 +287,16 @@ class TestOrbitAverage:
             assert_close(orbit_average_closed_form(power, default_elements), want,
                          rtol=1e-12)
 
-    def test_quadrature_matches_closed_forms(self, default_elements):
-        for power, want in AVG_ORACLE.items():
+    # near e = 1 nodes uniform in time would miss the perihelion passage;
+    # uniform in the true anomaly the rule is exact at every eccentricity
+    @pytest.mark.parametrize("ccw", [False, True])
+    @pytest.mark.parametrize("e", [REF_ECC, 0.99])
+    def test_quadrature_matches_closed_forms(self, e, ccw):
+        elements = OrbitElements.from_shape(REF_A, e, ccw)
+        for power in AVG_ORACLE:
             got = orbit_average(
-                lambda X, V, p=power: X[:, 1] / np.hypot(X[:, 0], X[:, 1]) ** p,
-                default_elements)
-            assert_close(got, want, rtol=1e-10)
+                lambda X, V, p=power: X[:, 1] / np.hypot(X[:, 0], X[:, 1]) ** p, elements)
+            assert_close(got, orbit_average_closed_form(power, elements), rtol=1e-12)
 
     def test_unsupported_power(self, default_elements):
         with pytest.raises(ConfigurationError):
@@ -365,6 +369,18 @@ class TestPrecessionClosedForm:
         assert_close(rate_ccw.rate_per_revolution, -rate_cw.rate_per_revolution,
                      rtol=1e-14)
 
+    # the rate overflows from h = 2.6e154 in the closed form and from 1e154
+    # in the quadrature, where ml's round-off times h^2 overflows too
+    @pytest.mark.parametrize("predict, method, h", [
+        (precession_closed_form, MethodId.SV, 1e155),
+        (precession_closed_form, MethodId.MP, 1e155),
+        (precession_quadrature, MethodId.SV, 1e154),
+        (precession_quadrature, MethodId.ML, 1e154)])
+    def test_overflowing_rate_raises(self, default_elements, predict, method, h):
+        message = f"{method.value} precession rate at h = {h:g} is not finite"
+        with pytest.raises(NumericalFailure, match=re.escape(message)):
+            predict(method, default_elements, h)
+
     def test_zero_step(self, default_elements):
         assert precession_closed_form(MethodId.SV, default_elements, 0.0).rate_per_revolution == 0.0
         with pytest.raises(ConfigurationError):
@@ -372,12 +388,17 @@ class TestPrecessionClosedForm:
 
 
 class TestPrecessionQuadrature:
-    def test_matches_closed_form(self, default_elements):
+    # both senses, and eccentricities up to 0.999, where nodes uniform in
+    # time would miss the perihelion passage
+    @pytest.mark.parametrize("ccw", [False, True])
+    @pytest.mark.parametrize("e", [REF_ECC, 0.95, 0.99, 0.999])
+    def test_matches_closed_form(self, e, ccw):
+        elements = OrbitElements.from_shape(REF_A, e, ccw)
         for method in (MethodId.SV, MethodId.MP):
             for h in (0.25, 0.5):
-                quad = precession_quadrature(method, default_elements, h)
-                closed = precession_closed_form(method, default_elements, h)
-                assert_close(quad, closed.rate_per_revolution, rtol=1e-10)
+                quad = precession_quadrature(method, elements, h)
+                closed = precession_closed_form(method, elements, h)
+                assert_close(quad, closed.rate_per_revolution, rtol=1e-12)
 
     # rates at h = 0.1 as computed by the per-node scalar quadrature that
     # preceded the array one
