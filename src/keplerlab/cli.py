@@ -30,8 +30,7 @@ import numpy as np
 
 from . import analysis, theory
 from .errors import ConfigurationError, KeplerLabError, NumericalFailure
-from .integrators import (NEWTON_MAX_ITERATIONS, NEWTON_TOLERANCE, STENCILS, MethodId,
-                          Trajectory, integrate)
+from .integrators import NEWTON_MAX_ITERATIONS, NEWTON_TOLERANCE, MethodId, Trajectory, integrate
 from .kepler import OrbitElements, PlanarVector, State, elements_from_state
 
 DEFAULT_X0 = (-3.0, 0.0)
@@ -39,9 +38,9 @@ DEFAULT_V0 = (0.0, 0.45)
 DEFAULT_H = 0.5
 DEFAULT_STEPS = 1000
 DEFAULT_SCAN_H = (0.0625, 0.125, 0.25, 0.5)
-# The scan fixes one physical time span across step sizes.  Well above the
-# 25-period floor: the h^4 methods' rates at the smallest step are below the
-# measurement floor of short runs.
+# The scan fixes one physical time span across step sizes, long enough that
+# the linear fit's bias (it absorbs part of the O(h^2) orbital oscillation of
+# the LRL angle) falls below the h^4 methods' rates at the smallest step.
 DEFAULT_SCAN_REVOLUTIONS = 100
 DEFAULT_BENCH_STEPS = 20000
 DEFAULT_BENCH_H = 0.1
@@ -356,20 +355,12 @@ def cmd_simulate(cfg: dict) -> None:
           [range(len(t))] + table.T.tolist())
 
 
-def _predictions(method: MethodId, elements: OrbitElements,
-                 h: float) -> tuple[theory.PrecessionPrediction, Optional[float]]:
-    """The closed-form prediction and the quadrature rate: None for fr, which
-    has no two-step stencil, and for a circular orbit, which has no apsis."""
-    quad = (theory.precession_quadrature(method, elements, h)
-            if method in STENCILS and elements.e > 0 else None)
-    return theory.precession_closed_form(method, elements, h), quad
-
-
 def cmd_precession(cfg: dict) -> None:
     traj, meta = _run(cfg, measured=True)
     method, h = traj.method, traj.h
     estimate = analysis.measure_precession(traj)
-    closed, quad = _predictions(method, traj.elements, h)
+    quad = theory.precession_quadrature(method, traj.elements, h)
+    closed = theory.precession_closed_form(method, traj.elements, h)
     row = [method.value, h, closed.rate_per_revolution, quad, estimate.rate_per_revolution,
            estimate.fit_residual_rms, estimate.revolutions_observed]
     _emit(cfg, meta, ["method", "h", "predictedClosedForm", "predictedQuadrature",
@@ -426,7 +417,8 @@ def cmd_predict(cfg: dict) -> None:
     method = MethodId.parse(cfg["method"])
     h = _positive_finite("h", cfg["h"])
     elements = _elements_for_report(cfg)
-    closed, quad = _predictions(method, elements, h)
+    quad = theory.precession_quadrature(method, elements, h)
+    closed = theory.precession_closed_form(method, elements, h)
     row = [method.value, h, closed.rate_per_revolution, quad, closed.leading_order]
     meta = _metadata(cfg, method=method.value,
                      elements={"a": elements.a, "e": elements.e, "L": elements.L})

@@ -31,7 +31,8 @@ SINGULARITY_FLOOR = 1e-12
 KEPLER_TOLERANCE = 1e-13
 KEPLER_MAX_ITERATIONS = 50
 
-# Below this eccentricity the apsis direction is numerically meaningless.
+# Below this eccentricity the apsis direction is numerically meaningless;
+# read by ExactOrbit and theory.precession_quadrature.
 CIRCULAR_ECCENTRICITY = 1e-12
 
 _TWO_PI = 2.0 * math.pi

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailure, SingularMassMatrix
 from .integrators import STENCILS, MethodId
-from .kepler import SINGULARITY_FLOOR, OrbitElements, PlanarVector, _collision, _out_of_range
+from .kepler import (CIRCULAR_ECCENTRICITY, SINGULARITY_FLOOR, OrbitElements, PlanarVector,
+                     _collision, _out_of_range)
 
 # Largest RK4 step of the modified flow (integrate_modified's default), and
 # the rectangle-rule nodes of every orbit average.
@@ -108,16 +109,17 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
     [0, t_end]; each sample segment is subdivided so the internal step never
     exceeds reference_step.  Returns (times, positions, velocities).
 
-    Each stage solves M(x, v) xddot = rhs(x, v) inline, on plain floats.  M
-    is a multiple of the identity plus a rank-one term along x, so its
-    eigenvalues are closed forms: |v|^2/2 + eps beta |v|^2/r^3 gives lam_perp
-    = 1 + 2 eps beta/r^3 in every direction, and eps gamma s^2/r^5 adds
-    2 eps gamma/r^3 along x, lam_par = lam_perp + 2 eps gamma/r^3.  The rhs
-    dL/dx - (d/dx dL/dv) v collapses to P x + Q v, and M^-1 divides the part
-    along x by lam_par and the part normal to x by lam_perp; at h = 0 that
-    is exactly -x/|x|^3.  SingularMassMatrix (a stage inside the collision
-    guard, or M above condition number 1e8) names the method, h and the
-    failing substep's start; NumericalFailure the first non-finite sample.
+    Each stage solves M(x, v) xddot = rhs(x, v) inline, on plain floats, with
+    the bracket (c_r, c_v, c_s) of 1/r^4, |v|^2/r^3, s^2/r^5.  M is a multiple
+    of the identity plus a rank-one term along x, so its eigenvalues are
+    closed forms: |v|^2/2 + eps c_v |v|^2/r^3 gives lam_perp = 1 + 2 eps c_v/r^3
+    in every direction, and eps c_s s^2/r^5 adds 2 eps c_s/r^3 along x,
+    lam_par = lam_perp + 2 eps c_s/r^3.  The rhs dL/dx - (d/dx dL/dv) v
+    collapses to P x + Q v, and M^-1 divides the part along x by lam_par and
+    the part normal to x by lam_perp; at h = 0 that is exactly -x/|x|^3.
+    SingularMassMatrix (a stage inside the collision guard, or M above
+    condition number 1e8) names the method, h and the failing substep's
+    start; NumericalFailure the first non-finite sample.
     """
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ConfigurationError(f"t_end must be positive, got {t_end}")
@@ -136,11 +138,11 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
     X[0] = (x1, x2)
     V[0] = (v1, v2)
     sqrt, floor = math.sqrt, SINGULARITY_FLOOR
-    eps, (alpha, beta, gamma) = model.epsilon, model.bracket
+    eps, (c_r, c_v, c_s) = model.epsilon, model.bracket
     # per-run factors of the stage formula; Python multiplies left to right,
-    # so 2.0 * beta * e3 is (2.0 * beta) * e3 and every stage keeps its bits
-    beta2, gamma2, alpha4 = 2.0 * beta, 2.0 * gamma, -4.0 * alpha
-    beta_gamma, gamma5, beta6 = 3.0 * beta + 2.0 * gamma, 5.0 * gamma, 6.0 * beta
+    # so 2.0 * c_v * e3 is (2.0 * c_v) * e3 and every stage keeps its bits
+    c_v2, c_s2, c_r4 = 2.0 * c_v, 2.0 * c_s, -4.0 * c_r
+    c_vs, c_s5, c_v6 = 3.0 * c_v + 2.0 * c_s, 5.0 * c_s, 6.0 * c_v
     half = 0.5 * dt
     sixth = dt / 6.0
     try:
@@ -152,15 +154,15 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
                     raise _collision(r, SingularMassMatrix)
                 r3 = r2 * r
                 e3 = eps / r3
-                lam_perp = 1.0 + beta2 * e3
-                lam_par = lam_perp + gamma2 * e3
+                lam_perp = 1.0 + c_v2 * e3
+                lam_par = lam_perp + c_s2 * e3
                 lo, hi = (lam_perp, lam_par) if lam_perp <= lam_par else (lam_par, lam_perp)
                 if lo <= 0.0 or hi > 1e8 * lo:
                     raise _ill_conditioned(r, lo, hi)
                 s = x1 * v1 + x2 * v2
-                p = -1.0 / r3 + e3 * (alpha4 / r3 - beta_gamma * (v1 * v1 + v2 * v2) / r2
-                                      + gamma5 * s * s / (r2 * r2))
-                q = beta6 * e3 * s / r2
+                p = -1.0 / r3 + e3 * (c_r4 / r3 - c_vs * (v1 * v1 + v2 * v2) / r2
+                                      + c_s5 * s * s / (r2 * r2))
+                q = c_v6 * e3 * s / r2
                 qs = q * s / r2
                 kx = (p + qs) / lam_par - qs / lam_perp
                 kv = q / lam_perp
@@ -173,15 +175,15 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
                     raise _collision(r, SingularMassMatrix)
                 r3 = r2 * r
                 e3 = eps / r3
-                lam_perp = 1.0 + beta2 * e3
-                lam_par = lam_perp + gamma2 * e3
+                lam_perp = 1.0 + c_v2 * e3
+                lam_par = lam_perp + c_s2 * e3
                 lo, hi = (lam_perp, lam_par) if lam_perp <= lam_par else (lam_par, lam_perp)
                 if lo <= 0.0 or hi > 1e8 * lo:
                     raise _ill_conditioned(r, lo, hi)
                 s = px * pv1 + py * pv2
-                p = -1.0 / r3 + e3 * (alpha4 / r3 - beta_gamma * (pv1 * pv1 + pv2 * pv2) / r2
-                                      + gamma5 * s * s / (r2 * r2))
-                q = beta6 * e3 * s / r2
+                p = -1.0 / r3 + e3 * (c_r4 / r3 - c_vs * (pv1 * pv1 + pv2 * pv2) / r2
+                                      + c_s5 * s * s / (r2 * r2))
+                q = c_v6 * e3 * s / r2
                 qs = q * s / r2
                 kx = (p + qs) / lam_par - qs / lam_perp
                 kv = q / lam_perp
@@ -194,15 +196,15 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
                     raise _collision(r, SingularMassMatrix)
                 r3 = r2 * r
                 e3 = eps / r3
-                lam_perp = 1.0 + beta2 * e3
-                lam_par = lam_perp + gamma2 * e3
+                lam_perp = 1.0 + c_v2 * e3
+                lam_par = lam_perp + c_s2 * e3
                 lo, hi = (lam_perp, lam_par) if lam_perp <= lam_par else (lam_par, lam_perp)
                 if lo <= 0.0 or hi > 1e8 * lo:
                     raise _ill_conditioned(r, lo, hi)
                 s = qx * qv1 + qy * qv2
-                p = -1.0 / r3 + e3 * (alpha4 / r3 - beta_gamma * (qv1 * qv1 + qv2 * qv2) / r2
-                                      + gamma5 * s * s / (r2 * r2))
-                q = beta6 * e3 * s / r2
+                p = -1.0 / r3 + e3 * (c_r4 / r3 - c_vs * (qv1 * qv1 + qv2 * qv2) / r2
+                                      + c_s5 * s * s / (r2 * r2))
+                q = c_v6 * e3 * s / r2
                 qs = q * s / r2
                 kx = (p + qs) / lam_par - qs / lam_perp
                 kv = q / lam_perp
@@ -215,15 +217,15 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
                     raise _collision(r, SingularMassMatrix)
                 r3 = r2 * r
                 e3 = eps / r3
-                lam_perp = 1.0 + beta2 * e3
-                lam_par = lam_perp + gamma2 * e3
+                lam_perp = 1.0 + c_v2 * e3
+                lam_par = lam_perp + c_s2 * e3
                 lo, hi = (lam_perp, lam_par) if lam_perp <= lam_par else (lam_par, lam_perp)
                 if lo <= 0.0 or hi > 1e8 * lo:
                     raise _ill_conditioned(r, lo, hi)
                 s = rx * rv1 + ry * rv2
-                p = -1.0 / r3 + e3 * (alpha4 / r3 - beta_gamma * (rv1 * rv1 + rv2 * rv2) / r2
-                                      + gamma5 * s * s / (r2 * r2))
-                q = beta6 * e3 * s / r2
+                p = -1.0 / r3 + e3 * (c_r4 / r3 - c_vs * (rv1 * rv1 + rv2 * rv2) / r2
+                                      + c_s5 * s * s / (r2 * r2))
+                q = c_v6 * e3 * s / r2
                 qs = q * s / r2
                 kx = (p + qs) / lam_par - qs / lam_perp
                 kv = q / lam_perp
@@ -293,8 +295,11 @@ def orbit_average(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x = r (cos nu p + sin nu q), v = (|L|/l)(-sin nu p + (e + cos nu) q),
     and each node weighs dt/dnu = r^2/|L|.  Where f r^2 is a trigonometric
     polynomial in nu (x2/r^5 to x2/r^7, the perturbation paired with the LRL
-    generator) the rule is exact at every eccentricity.  An integrand that
-    overflows or divides by zero raises NumericalFailure.
+    generator) the rule is exact at every eccentricity; for any integrand
+    it raises NumericalFailure when the rule on every other node differs
+    from the full one by more than 1e-12 of sum |f r^2|.  That gap
+    overstates the full rule's error, so the check refuses conservatively.
+    An integrand that overflows or divides by zero raises NumericalFailure.
     """
     n = DEFAULT_AVERAGE_NODES
     nu = 2.0 * math.pi / n * np.arange(n)
@@ -308,7 +313,13 @@ def orbit_average(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
             speed = abs(L) / ell
             X = np.stack([q1 * r * sin, r * cos], axis=-1)
             V = np.stack([q1 * speed * (e + cos), -speed * sin], axis=-1)
-            weighted = np.sum(fn(X, V) * (r * r))
+            w = fn(X, V) * (r * r)
+            weighted = np.sum(w)
+            gap, scale = abs(2.0 * np.sum(w[::2]) - weighted), np.sum(np.abs(w))
+            if gap > 1e-12 * scale:
+                raise NumericalFailure(
+                    f"orbit average at a = {elements.a}, e = {e} not converged in {n} nodes "
+                    f"(half-rule gap {gap / scale:.1e} of sum |f r^2|)")
             return float(2.0 * math.pi * weighted / (n * elements.T * abs(L)))
     except FloatingPointError:
         raise _out_of_range(elements.a, elements.e) from None
@@ -367,18 +378,19 @@ def precession_closed_form(method: MethodId, elements: OrbitElements,
     return PrecessionPrediction(_finite_rate(method, h, factor * base), 2)
 
 
-def precession_quadrature(method: MethodId, elements: OrbitElements, h: float) -> float:
+def precession_quadrature(method: MethodId, elements: OrbitElements, h: float) -> Optional[float]:
     """Apsis rotation per revolution from the orbit-averaged perturbation.
 
     rate = -(2 eps T / e) <field . xi>  with eps = h^2/24, averaged by
     orbit_average, whose apsis on the +x2 axis makes the pairing with the
     first LRL component's generator the apsis rate.  For ml, lc and dec it
-    is zero up to round-off.  fr has no quadrature; a rate that is not
-    finite raises NumericalFailure.
+    is zero up to round-off.  None for fr, which has no two-step stencil,
+    and at e <= CIRCULAR_ECCENTRICITY, which has no apsis (the rate's
+    round-off grows like 1.5e-17/e); a non-finite rate raises NumericalFailure.
     """
+    if method not in STENCILS or elements.e <= CIRCULAR_ECCENTRICITY:
+        return None
     model = ModifiedModel(method, h)
-    if elements.e <= 0.0:
-        raise ConfigurationError("quadrature prediction needs an eccentric orbit")
 
     def integrand(X: np.ndarray, V: np.ndarray) -> np.ndarray:
         return np.sum(perturbation_field(method, X, V) * lrl_symmetry_field(X, V), axis=-1)

@@ -142,6 +142,14 @@ class TestJsonPayloadsAgainstSchemas:
         assert payload["predictedQuadrature"] is None
         assert payload["predictedClosedForm"] != 0.0
 
+    def test_predict_near_circular_has_null_quadrature(self, capsys):
+        # at e = 1e-30 the quadrature would divide round-off by e: -4.4e11
+        # against a closed form of -0.0157
+        payload = check_json(capsys, "predict", "--method", "sv", "--a", "1",
+                             "--e", "1e-30", "--h", "0.1")
+        assert payload["predictedQuadrature"] is None
+        assert math.isclose(payload["predictedClosedForm"], -math.pi / 200.0, rel_tol=1e-12)
+
     def test_averages(self, capsys):
         payload = check_json(capsys, "averages")
         assert [row["power"] for row in payload["rows"]] == [5, 6, 7]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from keplerlab import (
+    CIRCULAR_ECCENTRICITY,
     ConfigurationError,
     ExactOrbit,
     MethodId,
@@ -328,6 +329,14 @@ class TestOrbitAverage:
         assert_close(orbit_average(lambda X, V: np.full(len(X), 2.5), default_elements),
                      2.5, rtol=1e-15)
 
+    def test_unconverged_average_raises(self):
+        # a constant times r^2 is no trigonometric polynomial in the true
+        # anomaly: at e = 1 - 1e-6 the rule is off by 0.48, and its half
+        # rule differs from it by 0.88 of sum |f r^2|
+        elements = OrbitElements.from_shape(1.0, 1.0 - 1e-6)
+        with pytest.raises(NumericalFailure, match="not converged in 2048 nodes"):
+            orbit_average(lambda X, V: np.ones(len(X)), elements)
+
 
 class TestPrecessionClosedForm:
     def test_frozen_rates(self, default_elements):
@@ -419,12 +428,21 @@ class TestPrecessionQuadrature:
 
     def test_rejects_circular_orbit(self):
         el = OrbitElements.from_shape(2.0, 0.0)
-        with pytest.raises(ConfigurationError):
-            precession_quadrature(MethodId.SV, el, 0.5)
+        assert precession_quadrature(MethodId.SV, el, 0.5) is None
 
     def test_rejects_fr(self, default_elements):
-        with pytest.raises(ConfigurationError):
-            precession_quadrature(MethodId.FR, default_elements, 0.5)
+        assert precession_quadrature(MethodId.FR, default_elements, 0.5) is None
+
+    # the rate's round-off is about 1.5e-17/e relative: 3e-6 at e = 1e-11
+    # (sv), and past 1% somewhere below 1e-15, where the apsis is lost
+    @pytest.mark.parametrize("method", [MethodId.SV, MethodId.MP])
+    def test_exists_above_circular_eccentricity_only(self, method):
+        above = OrbitElements.from_shape(1.0, 1e-11)
+        closed = precession_closed_form(method, above, 0.1).rate_per_revolution
+        assert_close(precession_quadrature(method, above, 0.1), closed, rtol=1e-5)
+        for e in (CIRCULAR_ECCENTRICITY, 1e-13, 1e-30):
+            below = OrbitElements.from_shape(1.0, e)
+            assert precession_quadrature(method, below, 0.1) is None
 
 
 class TestIntegrateModified:
