@@ -321,8 +321,8 @@ def _metadata(cfg: dict, **extra) -> dict:
     return meta
 
 
-def _elements_for_report(cfg: dict) -> OrbitElements:
-    """Elements from --a/--e when given, else from the initial state."""
+def _elements(cfg: dict) -> OrbitElements:
+    """The orbit: from --a/--e when given, else through the initial state."""
     a, e = cfg.get("a"), cfg.get("e")
     if (a is None) != (e is None):
         raise ConfigurationError("--a and --e must be given together")
@@ -332,14 +332,15 @@ def _elements_for_report(cfg: dict) -> OrbitElements:
     return elements_from_state(State(x0, v0, 0.0))
 
 
-def _run(cfg: dict, measured: bool = False) -> tuple[Trajectory, dict]:
-    """The one integration of simulate, precession and error-curve, and the
-    metadata of the run; a run to be measured is gated before it is integrated."""
+def _run(cfg: dict, period: Optional[float] = None) -> tuple[Trajectory, dict]:
+    """The one integration of every subcommand, and the metadata of the run.
+    A run to be measured passes its orbit's period and is gated before it is
+    integrated."""
     method = MethodId.parse(cfg["method"])
     x0, v0 = _initial_state(cfg)
     steps = _steps_from(cfg, cfg["h"])
-    if measured:
-        analysis.require_measurable(elements_from_state(State(x0, v0, 0.0)).T, cfg["h"], steps)
+    if period is not None:
+        analysis.require_measurable(period, cfg["h"], steps)
     traj = integrate(method, x0, v0, cfg["h"], steps)
     return traj, _metadata(cfg, method=method.value, steps=steps, **_NEWTON)
 
@@ -356,11 +357,12 @@ def cmd_simulate(cfg: dict) -> None:
 
 
 def cmd_precession(cfg: dict) -> None:
-    traj, meta = _run(cfg, measured=True)
+    elements = _elements(cfg)
+    traj, meta = _run(cfg, elements.T)
     method, h = traj.method, traj.h
     estimate = analysis.measure_precession(traj)
-    quad = theory.precession_quadrature(method, traj.elements, h)
-    closed = theory.precession_closed_form(method, traj.elements, h)
+    quad = theory.precession_quadrature(method, elements, h)
+    closed = theory.precession_closed_form(method, elements, h)
     row = [method.value, h, closed.rate_per_revolution, quad, estimate.rate_per_revolution,
            estimate.fit_residual_rms, estimate.revolutions_observed]
     _emit(cfg, meta, ["method", "h", "predictedClosedForm", "predictedQuadrature",
@@ -375,8 +377,7 @@ def cmd_scan(cfg: dict) -> None:
     for h in h_list:
         _positive_finite("h-list entry", h)
     methods = [MethodId.parse(m) for m in cfg["methods"]]
-    x0, v0 = _initial_state(cfg)
-    elements = elements_from_state(State(x0, v0, 0.0))
+    elements = _elements(cfg)
     raw_span = _t_end(cfg) or DEFAULT_SCAN_REVOLUTIONS * elements.T
     h_max = max(h_list)
     if h_max > raw_span:
@@ -391,10 +392,8 @@ def cmd_scan(cfg: dict) -> None:
         for h in h_list:
             predicted = theory.precession_closed_form(method, elements, h).rate_per_revolution
             measured = None
-            steps = round(t_span / h)
             try:
-                analysis.require_measurable(elements.T, h, steps)  # before integrating h
-                traj = integrate(method, x0, v0, h, steps)
+                traj, _ = _run(dict(cfg, method=method.value, h=h, t_end=t_span), elements.T)
                 measured = analysis.measure_precession(traj).rate_per_revolution
             except KeplerLabError as err:
                 print(f"warning: {method.value} at h={h:g} failed: {err}",
@@ -416,7 +415,7 @@ def cmd_error_curve(cfg: dict) -> None:
 def cmd_predict(cfg: dict) -> None:
     method = MethodId.parse(cfg["method"])
     h = _positive_finite("h", cfg["h"])
-    elements = _elements_for_report(cfg)
+    elements = _elements(cfg)
     quad = theory.precession_quadrature(method, elements, h)
     closed = theory.precession_closed_form(method, elements, h)
     row = [method.value, h, closed.rate_per_revolution, quad, closed.leading_order]
@@ -427,7 +426,7 @@ def cmd_predict(cfg: dict) -> None:
 
 
 def cmd_averages(cfg: dict) -> None:
-    elements = _elements_for_report(cfg)
+    elements = _elements(cfg)
     rows = []
     for power in (5, 6, 7):
         closed = theory.orbit_average_closed_form(power, elements)
@@ -440,15 +439,12 @@ def cmd_averages(cfg: dict) -> None:
 
 
 def cmd_bench(cfg: dict) -> None:
-    methods = [MethodId.parse(m) for m in cfg["methods"]]
-    x0, v0 = _initial_state(cfg)
-    steps = _steps_from(cfg, cfg["h"])
     rows = []
-    for method in methods:
+    for name in cfg["methods"]:
         start = time.perf_counter()
-        traj = integrate(method, x0, v0, cfg["h"], steps)
+        traj, _ = _run(dict(cfg, method=name))
         wall = time.perf_counter() - start
-        rows.append([method.value, steps, wall, traj.stats.implicit_solves,
+        rows.append([traj.method.value, traj.n_steps, wall, traj.stats.implicit_solves,
                      traj.stats.avg_newton_iterations])
     _emit(cfg, _metadata(cfg, **_NEWTON), ["method", "steps", "wallSeconds",
                                            "implicitSolveCount", "avgNewtonIterations"],

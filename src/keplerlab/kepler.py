@@ -35,6 +35,11 @@ KEPLER_MAX_ITERATIONS = 50
 # read by ExactOrbit and theory.precession_quadrature.
 CIRCULAR_ECCENTRICITY = 1e-12
 
+# Below this eccentricity elements_from_state takes e = |A|: sqrt(1 - (b/a)^2)
+# cancels (relative error ~eps/(2 e^2), 1e-12 at e = 1e-2; a sqrt(eps) floor
+# at e = 0), while above it |A| fails OrbitElements' b-space check near e = 1.
+_LRL_ECCENTRICITY = 1e-2
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -129,9 +134,9 @@ class OrbitElements:
                 raise ValueError(f"inconsistent elements: {name} = {got}, expected {want}")
 
     @classmethod
-    def from_shape(cls, a: float, e: float, counterclockwise: bool = True) -> "OrbitElements":
-        """Consistent elements of the shape (a, e); raises NumericalFailure
-        when one of them is not a finite float."""
+    def from_shape(cls, a: float, e: float) -> "OrbitElements":
+        """Consistent elements of the counterclockwise orbit of shape (a, e);
+        raises NumericalFailure when one of them is not a finite float."""
         if not (a > 0.0 and math.isfinite(a)):
             raise ValueError(f"semi-major axis must be positive, got {a}")
         if not 0.0 <= e < 1.0:
@@ -142,17 +147,17 @@ class OrbitElements:
         # b * b overflows (by a = 1e162 at any e < 1) long before a ** 1.5 does
         if not (math.isfinite(magL) and math.isfinite(E)):
             raise _out_of_range(a, e)
-        return cls(a=a, b=b, e=e, T=_TWO_PI * a ** 1.5, E=E,
-                   L=magL if counterclockwise else -magL)
+        return cls(a=a, b=b, e=e, T=_TWO_PI * a ** 1.5, E=E, L=magL)
 
 
 def elements_from_state(state: State) -> OrbitElements:
     """Orbital elements of the bound orbit through a phase-space point.
 
-    Raises UnboundOrbit when E >= 0 and DegenerateOrbit when L = 0.
+    e is sqrt(1 - (b/a)^2), or |A| below _LRL_ECCENTRICITY.  Raises
+    UnboundOrbit when E >= 0 and DegenerateOrbit when L = 0.
     """
-    E, L, _, _ = map(float, observable_series(np.asarray(state.position),
-                                               np.asarray(state.velocity)))
+    E, L, A1, A2 = map(float, observable_series(np.asarray(state.position),
+                                                np.asarray(state.velocity)))
     if E >= 0.0:
         raise UnboundOrbit(f"energy {E:.6g} is nonnegative; orbit is not bound")
     if L == 0.0:
@@ -160,6 +165,8 @@ def elements_from_state(state: State) -> OrbitElements:
     a = -1.0 / (2.0 * E)
     b = math.sqrt(L * L * a)
     e = math.sqrt(max(0.0, 1.0 - (b / a) ** 2))
+    if e < _LRL_ECCENTRICITY:
+        e = math.hypot(A1, A2)
     return OrbitElements(a=a, b=min(b, a), e=e, T=_TWO_PI * a ** 1.5, E=E, L=L)
 
 
@@ -224,13 +231,9 @@ class ExactOrbit:
         x, v = initial.position, initial.velocity
         r0 = math.hypot(x.x1, x.x2)
         a, e = own.a, own.e
-        _, _, A1, A2 = map(float, observable_series(np.asarray(x), np.asarray(v)))
-        m = math.hypot(A1, A2)
-        # branch on the LRL magnitude itself: for a state circular to
-        # roundoff, e recovered from the elements sits at its ~sqrt(eps)
-        # noise floor while the LRL vector is exactly zero, so dividing by
-        # it would blow up even though e > CIRCULAR_ECCENTRICITY
-        if m > CIRCULAR_ECCENTRICITY and e > CIRCULAR_ECCENTRICITY:
+        if e > CIRCULAR_ECCENTRICITY:
+            _, _, A1, A2 = map(float, observable_series(np.asarray(x), np.asarray(v)))
+            m = math.hypot(A1, A2)
             p = PlanarVector(A1 / m, A2 / m)
             cos_e0 = (1.0 - r0 / a) / e
             sin_e0 = (x.x1 * v.x1 + x.x2 * v.x2) / (e * math.sqrt(a))

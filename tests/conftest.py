@@ -1,8 +1,12 @@
+import dataclasses
 import math
 
 import pytest
+from hypothesis import strategies as st
 
-from keplerlab import OrbitElements, PlanarVector, State, elements_from_state
+from keplerlab import ExactOrbit, OrbitElements, PlanarVector, State, elements_from_state
+
+from reference import perihelion_state
 
 # Reference orbit used throughout: aphelion start at x=(-3,0), v=(0,0.45).
 # Everything about it is exactly representable: E = -557/2400, a = 1200/557,
@@ -42,3 +46,18 @@ def assert_vector_close(got, want, tol=1e-12, label=""):
     dist = math.hypot(got[0] - want[0], got[1] - want[1])
     scale = max(1.0, math.hypot(want[0], want[1]))
     assert dist <= tol * scale, f"{label} got {tuple(got)}, want {tuple(want)}"
+
+
+# strategies for generic bound, non-radial states: sample shape + phase
+# and construct the state from the closed-form orbit so boundedness is
+# guaranteed by construction
+@st.composite
+def bound_states(draw):
+    a = draw(st.floats(0.5, 8.0))
+    e = draw(st.floats(0.0, 0.9))
+    apsis = draw(st.floats(-math.pi, math.pi))
+    ccw = draw(st.booleans())
+    phase = draw(st.floats(0.0, 1.0))
+    el = OrbitElements.from_shape(a, e)
+    el = el if ccw else dataclasses.replace(el, L=-el.L)
+    return ExactOrbit(perihelion_state(el, apsis)).state_at(phase * el.T)

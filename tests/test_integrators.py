@@ -24,9 +24,9 @@ from keplerlab import (
     reconstruct_velocities,
 )
 from keplerlab import integrators, kepler
-from keplerlab.integrators import IntegrationStats, _fr, _stencil
+from keplerlab.integrators import IntegrationStats, Stencil, _fr, _stencil
 
-from conftest import V0, X0, assert_close, assert_vector_close
+from conftest import V0, X0, assert_close, assert_vector_close, bound_states
 from reference import gradient_jacobian_xy, potential_gradient_xy
 
 ALL_METHODS = list(MethodId)
@@ -272,6 +272,79 @@ class TestKernelReference:
         want = reference_positions(method, x0, v0, h, 300)
         assert np.array_equal(integrate(method, x0, v0, h, 300).positions, want)
         assert init_second_point(method, x0, v0, h, IntegrationStats()) == tuple(want[1])
+
+
+@st.composite
+def bound_starts(draw):
+    """(x0, v0, h): a bound state, and a step of 0.01 to 0.1 r_p^(3/2), which
+    resolves the perihelion passage."""
+    state = draw(bound_states())
+    el = kepler.elements_from_state(state)
+    return state.position, state.velocity, draw(st.floats(0.01, 0.1)) * (el.a * (1.0 - el.e)) ** 1.5
+
+
+def farthest(points, reference):
+    """The largest distance between a flat x1 x2 list and the (n, 2) points
+    it should equal."""
+    return float(np.max(np.hypot(*(np.reshape(points, (-1, 2)) - reference).T)))
+
+
+class TestTimeReversal:
+    """Every scheme is time-symmetric: run backward from the end of a forward
+    run, it retraces that run.  The step that solves forward step k for x_{k-1}
+    is the stencil step with cycle[k % P] and b and c swapped; a cycle is
+    symmetric when, read backward with b and c swapped, it is a rotation of
+    itself.  Then the method's own stencil, run from (x_N, x_{N-1}) at the
+    phase that N fixes, is that backward run.  fr runs backward with -h."""
+
+    STEPS = 200
+    # The retrace gathers a few ulps of round-off in each of the STEPS steps,
+    # each amplified no more than an offset of x0 is, so 1e6 times the growth
+    # of a one-ulp offset covers it; the asymmetric cycle below misses by
+    # about 1e13 times that growth.
+    FACTOR = 1e6
+
+    @staticmethod
+    def retrace_gap(traj):
+        """How far the backward run from the end of traj misses x_{N-2} ..
+        x_0 (x_{N-1} .. x_0 for fr); for a stencil, at the phase that fits best."""
+        X, h, n = traj.positions, traj.h, traj.n_steps
+        if traj.method is MethodId.FR:
+            xs, vs = [], []
+            _fr(xs, vs, n, *X[-1], *traj.velocities[-1], -h, IntegrationStats())
+            return farthest(xs, X[-2::-1])
+        cycle = STENCILS[traj.method].cycle
+        (p1, p2), (q1, q2) = X[-1], X[-2]
+        gaps = []
+        for phase in range(len(cycle)):
+            xs = []
+            _stencil(xs, n - 1, p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2, h, cycle, phase,
+                     "backward step", IntegrationStats())
+            gaps.append(farthest(xs, X[-3::-1]))
+        return min(gaps)
+
+    def gap_and_bound(self, method, x0, v0, h):
+        """The retrace gap, and FACTOR times the largest separation of the
+        forward run from one whose x0 is one ulp farther from the origin."""
+        traj = integrate(method, x0, v0, h, self.STEPS)
+        x0_ulp = PlanarVector(*(math.nextafter(c, math.copysign(math.inf, c)) for c in x0))
+        shifted = integrate(method, x0_ulp, v0, h, self.STEPS).positions
+        return self.retrace_gap(traj), self.FACTOR * farthest(shifted, traj.positions)
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @given(start=bound_starts())
+    @settings(max_examples=8, deadline=None)
+    def test_the_backward_run_retraces_the_forward_run(self, method, start):
+        gap, bound = self.gap_and_bound(method, *start)
+        assert gap <= bound
+
+    def test_an_asymmetric_cycle_does_not_retrace(self, monkeypatch):
+        # beta = 1/6 as for ml, so the h^2 theory cannot tell the two apart;
+        # the backward run misses by 0.73
+        asymmetric = Stencil(STENCILS[MethodId.ML].init, ((2.0 / 3.0, 0.25, 1.0 / 12.0),))
+        monkeypatch.setitem(STENCILS, MethodId.ML, asymmetric)
+        gap, bound = self.gap_and_bound(MethodId.ML, X0, V0, 0.1)
+        assert gap > bound
 
 
 class TestForestRuth:

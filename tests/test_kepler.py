@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -34,6 +35,7 @@ from conftest import (
     REF_T,
     assert_close,
     assert_vector_close,
+    bound_states,
 )
 from reference import gradient_jacobian_xy, perihelion_state, potential_gradient_xy
 
@@ -48,20 +50,6 @@ def rotated(v, angle):
 def invariants(state):
     """(E, L, A1, A2) of one State, through the array kernel on a (2,) point."""
     return observable_series(np.asarray(state.position), np.asarray(state.velocity))
-
-
-# strategies for generic bound, non-radial states: sample shape + phase
-# and construct the state from the closed-form orbit so boundedness is
-# guaranteed by construction
-@st.composite
-def bound_states(draw):
-    a = draw(st.floats(0.5, 8.0))
-    e = draw(st.floats(0.0, 0.9))
-    apsis = draw(st.floats(-math.pi, math.pi))
-    ccw = draw(st.booleans())
-    phase = draw(st.floats(0.0, 1.0))
-    el = OrbitElements.from_shape(a, e, counterclockwise=ccw)
-    return ExactOrbit(perihelion_state(el, apsis)).state_at(phase * el.T)
 
 
 class TestPointwiseFunctions:
@@ -120,13 +108,20 @@ class TestLrlVector:
         assert_vector_close((a1, a2), (0.3925, 0.0))
         assert math.atan2(a2, a1) == 0.0
 
-    # atol: e from elements_from_state is sqrt(1 + 2 E L^2), whose
-    # cancellation near circularity caps absolute accuracy at ~sqrt(eps)
+    # atol: round-off in |A| and, above the switch to |A|, in sqrt(1 - (b/a)^2)
     @given(bound_states())
     @settings(max_examples=60)
     def test_magnitude_equals_eccentricity(self, state):
         el = elements_from_state(state)
-        assert_close(math.hypot(*invariants(state)[2:]), el.e, rtol=1e-9, atol=5e-8)
+        assert_close(math.hypot(*invariants(state)[2:]), el.e, rtol=1e-9, atol=1e-14)
+
+    # sqrt(1 - (b/a)^2) reads 1.49e-8, the square root of one ulp, for this
+    # state, whose LRL vector is 3.1e-10 long
+    def test_near_circular_eccentricity_is_the_lrl_magnitude(self):
+        state = State(PlanarVector(-3.0, 0.0), PlanarVector(0.0, 0.5773502691))
+        lrl = math.hypot(*invariants(state)[2:])
+        assert lrl < 1e-9
+        assert_close(elements_from_state(state).e, lrl, rtol=0.0, atol=1e-15)
 
     @given(bound_states(), st.floats(-math.pi, math.pi))
     @settings(max_examples=40)
@@ -214,12 +209,12 @@ class TestOrbitElements:
            ccw=st.booleans(), apsis=st.floats(-3.0, 3.0))
     @settings(max_examples=60)
     def test_shape_roundtrip_through_perihelion_state(self, a, e, ccw, apsis):
-        el = OrbitElements.from_shape(a, e, counterclockwise=ccw)
+        el = OrbitElements.from_shape(a, e)
+        el = el if ccw else dataclasses.replace(el, L=-el.L)
         state = perihelion_state(el, apsis)
         back = elements_from_state(state)
         assert_close(back.a, a, rtol=1e-10)
-        # e comes back through sqrt(1 + 2 E L^2): absolute floor ~sqrt(eps)
-        assert_close(back.e, e, rtol=1e-9, atol=5e-8)
+        assert_close(back.e, e, rtol=1e-9, atol=1e-14)
         assert_close(back.L, el.L, rtol=1e-10)
         if e > 1e-6:
             # the LRL angle, the apsis, is defined only above the circular threshold

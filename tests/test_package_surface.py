@@ -1,7 +1,8 @@
-"""Every name that keplerlab exports is used by the program: read in a module
-of the package, a script, the benchmark or the acceptance criteria, which
-measure the paper's claims through the library.  A helper that only its own
-unit tests reach belongs in tests/reference.py, not in the package."""
+"""Every name that keplerlab exports, and every public name a module of the
+package defines, is used by the program: read in a module of the package, a
+script, the benchmark or the acceptance criteria, which measure the paper's
+claims through the library.  A helper that only its own unit tests reach
+belongs in tests/reference.py, not in the package."""
 
 import ast
 import types
@@ -11,7 +12,8 @@ import keplerlab
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "keplerlab"
-CALLERS = ([p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+MODULES = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+CALLERS = (MODULES
            + sorted((ROOT / "scripts").rglob("*.py"))
            + sorted((ROOT / "perfbench").rglob("*.py"))
            + [ROOT / "tests" / "test_acceptance.py"])
@@ -22,6 +24,19 @@ def exported() -> list[str]:
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     return [alias.asname or alias.name for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def defined(path: Path) -> list[str]:
+    """The public names a module binds at its top level, by def, class or
+    assignment."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
 
 
 def read_names(tree: ast.AST) -> set[str]:
@@ -54,7 +69,18 @@ def test_the_parsed_surface_is_the_package_surface():
     assert set(exported()) == public
 
 
+def read_by_callers() -> set[str]:
+    return set().union(*(read_names(ast.parse(path.read_text())) for path in CALLERS))
+
+
 def test_every_exported_name_has_a_caller_outside_the_unit_tests():
-    read = set().union(*(read_names(ast.parse(path.read_text())) for path in CALLERS))
+    read = read_by_callers()
     unused = [name for name in exported() if name not in read]
     assert not unused, f"exported, but read only by unit tests: {unused}"
+
+
+def test_every_public_module_name_has_a_caller_outside_the_unit_tests():
+    read = read_by_callers()
+    unused = [f"{path.stem}.{name}" for path in MODULES for name in defined(path)
+              if name not in read]
+    assert not unused, f"defined, but read only by unit tests: {unused}"
