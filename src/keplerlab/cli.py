@@ -226,13 +226,16 @@ def _t_end(cfg: dict) -> Optional[float]:
     return None if t_end is None else _positive_finite("t-end", t_end)
 
 
-def _steps_from(cfg: dict, h: float) -> int:
-    _positive_finite("h", h)
+def _steps_from(cfg: dict) -> int:
+    """t-end / h rounded when t-end is set, else steps; a t-end / h beyond the
+    float range stays inf, which integrate's MAX_STEPS check refuses."""
+    h = _positive_finite("h", cfg["h"])
     t_end = _t_end(cfg)
     if t_end is not None:
-        return max(1, round(t_end / h))
+        steps = t_end / h
+        return max(1, round(steps)) if steps < math.inf else steps
     steps = cfg["steps"]
-    if steps is None or steps < 1:
+    if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
     return steps
 
@@ -338,7 +341,7 @@ def _run(cfg: dict, period: Optional[float] = None) -> tuple[Trajectory, dict]:
     integrated."""
     method = MethodId.parse(cfg["method"])
     x0, v0 = _initial_state(cfg)
-    steps = _steps_from(cfg, cfg["h"])
+    steps = _steps_from(cfg)
     if period is not None:
         analysis.require_measurable(period, cfg["h"], steps)
     traj = integrate(method, x0, v0, cfg["h"], steps)

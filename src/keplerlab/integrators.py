@@ -95,6 +95,12 @@ _FR_WEIGHTS = (FR_THETA, 1.0 - 2.0 * FR_THETA, FR_THETA)
 NEWTON_TOLERANCE = 1e-15
 NEWTON_MAX_ITERATIONS = 50
 
+# The longest run integrate accepts: 30 times the 31,800 steps of the longest
+# scan cell, far below a count that never finishes, as h = 1e-300 over a unit
+# span asks for.  At 10^6 steps integrate peaks near 120 MB (sv) and 250 MB
+# (fr), and `keplerlab simulate` near 1.8 GB, growing linearly with the count.
+MAX_STEPS = 10**6
+
 
 @dataclass
 class IntegrationStats:
@@ -327,6 +333,7 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
               n_steps: int) -> Trajectory:
     """Run n_steps of a scheme from (x0, v0) with fixed step h, each implicit
     step solved within the Newton budget (NEWTON_TOLERANCE, NEWTON_MAX_ITERATIONS).
+    n_steps above MAX_STEPS raises ConfigurationError before any step.
 
     The initial condition must describe a bound, non-radial orbit (the exact
     elements are recorded on the trajectory).  A numerical failure carries
@@ -338,6 +345,9 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
         raise ConfigurationError(f"step size must be positive, got {h}")
     if n_steps < 1:
         raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
+    if n_steps > MAX_STEPS:
+        raise ConfigurationError(
+            f"{n_steps:.10g} steps of h = {h:g} exceed the bound MAX_STEPS = {MAX_STEPS}")
     x0, v0 = PlanarVector(*x0), PlanarVector(*v0)
     elements = elements_from_state(State(x0, v0, 0.0))
     stats = IntegrationStats()

@@ -93,25 +93,19 @@ def observable_series(X: np.ndarray, V: np.ndarray):
 _ELEMENT_RTOL = 1e-12
 
 
-def _relation_ok(got: float, want: float) -> bool:
-    return abs(got - want) <= _ELEMENT_RTOL * max(1.0, abs(want))
-
-
 @dataclass(frozen=True)
 class OrbitElements:
     """Shape and sense of a bound orbit, not its orientation.
 
     The fields are redundant on purpose; construction enforces the defining
-    relations E = -1/(2a), L^2 = b^2/a, T = 2 pi a^(3/2), e = sqrt(1-b^2/a^2)
-    so that a mistyped element fails loudly rather than propagating.  The
-    sign of L is the sense of motion.
+    relations L^2 = b^2/a and e = sqrt(1-b^2/a^2) so that a mistyped element
+    fails loudly rather than propagating.  The sign of L is the sense of
+    motion; the period T is derived from a.
     """
 
     a: float
     b: float
     e: float
-    T: float
-    E: float
     L: float
 
     def __post_init__(self):
@@ -121,40 +115,41 @@ class OrbitElements:
             raise ValueError(f"semi-minor axis must lie in (0, a], got b={self.b}, a={self.a}")
         if not 0.0 <= self.e < 1.0:
             raise ValueError(f"eccentricity must lie in [0, 1), got {self.e}")
-        checks = (
-            ("E", self.E, -1.0 / (2.0 * self.a)),
-            ("T", self.T, _TWO_PI * self.a ** 1.5),
-            ("L^2", self.L * self.L, self.b * self.b / self.a),
-            # validated in b-space: recovering e from b is ill-conditioned
-            # near circularity (the roundoff blows up by 1/e)
-            ("b", self.b, self.a * math.sqrt(max(0.0, 1.0 - self.e * self.e))),
-        )
-        for name, got, want in checks:
-            if not _relation_ok(got, want):
+        # e is validated in b-space: recovering e from b is ill-conditioned
+        # near circularity (the roundoff blows up by 1/e)
+        for name, got, want in (("L^2", self.L * self.L, self.b * self.b / self.a),
+                                ("b", self.b, self.a * math.sqrt(max(0.0, 1.0 - self.e * self.e)))):
+            if not abs(got - want) <= _ELEMENT_RTOL * max(1.0, abs(want)):
                 raise ValueError(f"inconsistent elements: {name} = {got}, expected {want}")
+
+    @property
+    def T(self) -> float:
+        return _TWO_PI * self.a ** 1.5
 
     @classmethod
     def from_shape(cls, a: float, e: float) -> "OrbitElements":
         """Consistent elements of the counterclockwise orbit of shape (a, e);
-        raises NumericalFailure when one of them is not a finite float."""
+        raises NumericalFailure when L or the energy -1/(2a) is not a finite
+        float."""
         if not (a > 0.0 and math.isfinite(a)):
             raise ValueError(f"semi-major axis must be positive, got {a}")
         if not 0.0 <= e < 1.0:
             raise ValueError(f"eccentricity must lie in [0, 1), got {e}")
         b = a * math.sqrt(1.0 - e * e)
         magL = math.sqrt(b * b / a)
-        E = -1.0 / (2.0 * a)
-        # b * b overflows (by a = 1e162 at any e < 1) long before a ** 1.5 does
-        if not (math.isfinite(magL) and math.isfinite(E)):
+        # b * b overflows (by a = 1e162 at any e < 1) long before a ** 1.5
+        # does; the energy -1/(2a) overflows at a = 1e-309
+        if not (math.isfinite(magL) and math.isfinite(-1.0 / (2.0 * a))):
             raise _out_of_range(a, e)
-        return cls(a=a, b=b, e=e, T=_TWO_PI * a ** 1.5, E=E, L=magL)
+        return cls(a=a, b=b, e=e, L=magL)
 
 
 def elements_from_state(state: State) -> OrbitElements:
     """Orbital elements of the bound orbit through a phase-space point.
 
     e is sqrt(1 - (b/a)^2), or |A| below _LRL_ECCENTRICITY.  Raises
-    UnboundOrbit when E >= 0 and DegenerateOrbit when L = 0.
+    UnboundOrbit when E >= 0, DegenerateOrbit when L = 0 and NumericalFailure
+    when the period overflows.
     """
     E, L, A1, A2 = map(float, observable_series(np.asarray(state.position),
                                                 np.asarray(state.velocity)))
@@ -167,7 +162,14 @@ def elements_from_state(state: State) -> OrbitElements:
     e = math.sqrt(max(0.0, 1.0 - (b / a) ** 2))
     if e < _LRL_ECCENTRICITY:
         e = math.hypot(A1, A2)
-    return OrbitElements(a=a, b=min(b, a), e=e, T=_TWO_PI * a ** 1.5, E=E, L=L)
+    # the period 2 pi a^1.5 is inf above a = 9.3e204 (a ** 1.5 raises above 3.2e205)
+    try:
+        period = _TWO_PI * a ** 1.5
+    except OverflowError:
+        period = math.inf
+    if period == math.inf:
+        raise _out_of_range(a, e)
+    return OrbitElements(a=a, b=min(b, a), e=e, L=L)
 
 
 def _ahead(p: PlanarVector, L: float) -> PlanarVector:

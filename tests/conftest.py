@@ -4,7 +4,8 @@ import math
 import pytest
 from hypothesis import strategies as st
 
-from keplerlab import ExactOrbit, OrbitElements, PlanarVector, State, elements_from_state
+from keplerlab import ExactOrbit, OrbitElements, PlanarVector, State, integrators
+from keplerlab.kepler import elements_from_state
 
 from reference import perihelion_state
 
@@ -32,6 +33,32 @@ def default_state() -> State:
 @pytest.fixture(scope="session")
 def default_elements(default_state) -> OrbitElements:
     return elements_from_state(default_state)
+
+
+class KernelReached(Exception):
+    """Raised by the `stub_kernels` stubs with the step count of a long run."""
+
+
+@pytest.fixture
+def stub_kernels(monkeypatch):
+    """integrate's step kernels, stubbed for runs of more than 1000 steps:
+    such a run raises KernelReached(steps) instead of stepping, so a test can
+    send a run at or above the step bound without paying for it.  Shorter
+    runs, and the initializer's one-step calls, step as usual."""
+    stencil, fr = integrators._stencil, integrators._fr
+
+    def stub_stencil(xs, n, *args):
+        if n + 1 > 1000:  # n points after the first two: a run of n + 1 steps
+            raise KernelReached(n + 1)
+        return stencil(xs, n, *args)
+
+    def stub_fr(xs, vs, n, *args):
+        if n > 1000:
+            raise KernelReached(n)
+        return fr(xs, vs, n, *args)
+
+    monkeypatch.setattr(integrators, "_stencil", stub_stencil)
+    monkeypatch.setattr(integrators, "_fr", stub_fr)
 
 
 def isclose(got, want, rtol=1e-12, atol=0.0):

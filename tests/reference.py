@@ -7,8 +7,8 @@ shape, from which the property tests build bound states."""
 
 import math
 
-from keplerlab import SINGULARITY_FLOOR, PlanarVector, SingularMassMatrix, State
-from keplerlab.kepler import _ahead, _collision
+from keplerlab import PlanarVector, SingularMassMatrix, State
+from keplerlab.kepler import SINGULARITY_FLOOR, _ahead, _collision
 
 
 def perihelion_state(elements, apsis_angle):

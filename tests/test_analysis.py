@@ -17,12 +17,11 @@ from keplerlab import (
     convergence_slope,
     discrete_angular_momentum,
     energy_drift,
-    error_curve,
     integrate,
     measure_precession,
     observable_series,
-    trajectory_arrays,
 )
+from keplerlab.analysis import error_curve, trajectory_arrays
 
 from conftest import REF_ECC, REF_T, V0, X0, assert_close, assert_vector_close
 

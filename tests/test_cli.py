@@ -650,6 +650,22 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"error: a = {float(a)}, e = {e} is beyond the floating-point range\n"
 
+    # a state whose period 2 pi a^1.5 is not a float is refused where its
+    # elements are derived, so every subcommand names it before any step
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--method", "sv"], ["precession", "--method", "sv"], ["averages"],
+        ["error-curve", "--method", "sv"], ["predict", "--method", "sv"], ["scan"],
+        ["bench"]], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("x0, v0, a, e", [
+        ("2e205,0", "0,2.23606797749979e-103", "2.0000000000000005e+205",
+         "2.220446049250313e-16"),
+        ("1e210,0", "0,1e-105", "9.999999999999998e+209", "2.220446049250313e-16"),
+        ("1e250,0", "0,1e-125", "1e+250", "0.0")], ids=["2e205", "1e210", "1e250"])
+    def test_state_with_overflowing_period_exits_two(self, capsys, argv, x0, v0, a, e):
+        code, out, err = run_cli(capsys, *argv, "--x0", x0, "--v0", v0)
+        assert (code, out) == (2, "")
+        assert err == f"error: a = {a}, e = {e} is beyond the floating-point range\n"
+
     def test_perihelion_inside_the_collision_guard_exits_two(self, capsys):
         # a (1 - e) = 1.1e-16 at a = 1, e = 1 - 1.1e-16
         code, out, err = run_cli(capsys, "predict", "--method", "sv", "--h", "0.5",
@@ -665,6 +681,35 @@ class TestExitCodes:
                                  "--format", output_format)
         assert (code, out) == (2, "")
         assert err == f"error: {method} precession rate at h = {float(h):g} is not finite\n"
+
+    # above MAX_STEPS = 10^6 a run is refused before it steps (one that
+    # stepped would raise the stub kernels' KernelReached out of main): a scan
+    # cell reads null with its warning, any other run exits 1.  A t-end / h
+    # beyond the float range, an inf step count, is refused in the same words.
+    def test_scan_cell_above_the_step_bound_is_null(self, capsys, stub_kernels):
+        code, out, err = run_cli(capsys, "scan", "--format", "json", "--methods", "mp",
+                                 "--h-list", "0.5,1e-300", "--t-end", "45")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row["measuredRate"] for row in rows] == [self.FINE_ROWS["mp"][0], None]
+        assert err == ("warning: mp at h=1e-300 failed: 4.5e+301 steps of h = 1e-300 "
+                       "exceed the bound MAX_STEPS = 1000000\n")
+
+    @pytest.mark.parametrize("argv, steps, h", [
+        (["simulate", "--method", "sv", "--h", "1e-300", "--t-end", "1"], "1e+300", "1e-300"),
+        (["simulate", "--method", "fr", "--steps", "1000001"], "1000001", "0.5"),
+        (["simulate", "--method", "sv", "--h", "5e-324", "--t-end", "1"], "inf",
+         "4.94066e-324"),
+        (["precession", "--method", "mp", "--h", "1e-300", "--t-end", "100"], "1e+302",
+         "1e-300"),
+        (["error-curve", "--method", "dec", "--h", "1e-300"], "5e+302", "1e-300"),
+        (["bench", "--methods", "sv,fr", "--steps", "1000001"], "1000001", "0.1")],
+        ids=["simulate", "simulate-steps", "simulate-inf", "precession", "error-curve",
+             "bench"])
+    def test_run_above_the_step_bound_exits_one(self, capsys, stub_kernels, argv, steps, h):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {steps} steps of h = {h} exceed the bound MAX_STEPS = 1000000\n"
 
     def test_scan_failed_cell_reports_null_and_succeeds(self, capsys):
         code, out, err = run_cli(capsys, "scan", "--format", "json",

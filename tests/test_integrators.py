@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from keplerlab import (
     ConfigurationError,
     ExactOrbit,
-    FR_THETA,
-    STENCILS,
     MethodId,
     NearSingularity,
     NumericalFailure,
@@ -19,14 +17,13 @@ from keplerlab import (
     State,
     Trajectory,
     UnboundOrbit,
-    init_second_point,
     integrate,
-    reconstruct_velocities,
 )
 from keplerlab import integrators, kepler
-from keplerlab.integrators import IntegrationStats, Stencil, _fr, _stencil
+from keplerlab.integrators import (FR_THETA, STENCILS, IntegrationStats, Stencil, _fr, _stencil,
+                                   init_second_point, reconstruct_velocities)
 
-from conftest import V0, X0, assert_close, assert_vector_close, bound_states
+from conftest import V0, X0, KernelReached, assert_close, assert_vector_close, bound_states
 from reference import gradient_jacobian_xy, potential_gradient_xy
 
 ALL_METHODS = list(MethodId)
@@ -559,6 +556,19 @@ class TestIntegrate:
             integrate(MethodId.SV, X0, V0, 0.5, 0)
         with pytest.raises(UnboundOrbit):
             integrate(MethodId.SV, PlanarVector(3.0, 0.0), PlanarVector(0.0, 1.0), 0.5, 10)
+
+    # MAX_STEPS = 10^6 steps reach the kernel and one more is refused before
+    # any step; the stub kernels raise with the run's step count instead of
+    # taking the steps.
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_step_bound(self, stub_kernels, method):
+        with pytest.raises(KernelReached) as reached:
+            integrate(method, X0, V0, 0.1, 10**6)
+        assert reached.value.args == (10**6,)
+        with pytest.raises(ConfigurationError) as refused:
+            integrate(method, X0, V0, 0.1, 10**6 + 1)
+        assert str(refused.value) == ("1000001 steps of h = 0.1 exceed the bound "
+                                      "MAX_STEPS = 1000000")
 
     @pytest.mark.parametrize("positions, velocities, message", [
         (np.zeros((3, 3)), None, r"positions must have shape \(n, 2\)"),

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keplerlab import (
-    CIRCULAR_ECCENTRICITY,
     DegenerateOrbit,
     ExactOrbit,
     NearSingularity,
@@ -18,11 +17,10 @@ from keplerlab import (
     SolverFailure,
     State,
     UnboundOrbit,
-    elements_from_state,
     observable_series,
-    solve_kepler,
 )
 from keplerlab import kepler
+from keplerlab.kepler import CIRCULAR_ECCENTRICITY, elements_from_state, solve_kepler
 
 from conftest import (
     REF_A,
@@ -149,7 +147,7 @@ class TestLrlVector:
 class TestOrbitElements:
     def test_reference_orbit_elements(self, default_elements):
         el = default_elements
-        assert_close(el.E, REF_E)
+        assert_close(-1.0 / (2.0 * el.a), REF_E)
         assert_close(el.a, REF_A)
         assert_close(el.b, REF_B)
         assert_close(el.e, REF_ECC)
@@ -158,13 +156,20 @@ class TestOrbitElements:
 
     def test_inconsistent_elements_rejected(self):
         good = OrbitElements.from_shape(2.0, 0.5)
-        OrbitElements(a=good.a, b=good.b, e=good.e, T=good.T, E=good.E, L=good.L)
-        for field, bad in [("T", good.T * 1.001), ("E", good.E * 0.999),
-                           ("b", good.b * 1.001), ("e", good.e + 1e-3)]:
-            kw = dict(a=good.a, b=good.b, e=good.e, T=good.T, E=good.E, L=good.L)
+        OrbitElements(a=good.a, b=good.b, e=good.e, L=good.L)
+        for field, bad in [("b", good.b * 1.001), ("e", good.e + 1e-3), ("L", good.L * 1.001)]:
+            kw = dict(a=good.a, b=good.b, e=good.e, L=good.L)
             kw[field] = bad
             with pytest.raises(ValueError):
                 OrbitElements(**kw)
+
+    # four fields; the period is derived from a, with the expression both
+    # constructors stored before it became a property
+    def test_fields_and_period(self):
+        assert [f.name for f in dataclasses.fields(OrbitElements)] == ["a", "b", "e", "L"]
+        for el in (OrbitElements.from_shape(2.0, 0.5), OrbitElements.from_shape(1e-300, 0.1),
+                   elements_from_state(State(PlanarVector(-3.0, 0.0), PlanarVector(0.0, 0.45)))):
+            assert el.T == 2.0 * math.pi * el.a ** 1.5
 
     # built directly, past from_shape's own checks of a and e
     @pytest.mark.parametrize("field, bad, message", [
@@ -177,7 +182,7 @@ class TestOrbitElements:
         ("e", 1.0, r"eccentricity must lie in \[0, 1\)")])
     def test_constructor_domain_validation(self, field, bad, message):
         good = OrbitElements.from_shape(2.0, 0.5)
-        kw = dict(a=good.a, b=good.b, e=good.e, T=good.T, E=good.E, L=good.L)
+        kw = dict(a=good.a, b=good.b, e=good.e, L=good.L)
         kw[field] = bad
         with pytest.raises(ValueError, match=message):
             OrbitElements(**kw)
@@ -198,6 +203,16 @@ class TestOrbitElements:
         message = f"a = {a}, e = {e} is beyond the floating-point range"
         with pytest.raises(NumericalFailure, match=re.escape(message)):
             OrbitElements.from_shape(a, e)
+
+    # 2 pi a^1.5 is inf from a = 9.4e204 on, and a ** 1.5 raises from 3.2e205
+    @pytest.mark.parametrize("x", [9e204, 2e205, 1e250])
+    def test_state_with_overflowing_period(self, x):
+        state = State(PlanarVector(x, 0.0), PlanarVector(0.0, math.sqrt(1.0 / x)))
+        if x < 9.4e204:
+            assert math.isfinite(elements_from_state(state).T)
+        else:
+            with pytest.raises(NumericalFailure, match="is beyond the floating-point range"):
+                elements_from_state(state)
 
     def test_unbound_and_degenerate_rejected(self):
         with pytest.raises(UnboundOrbit):
@@ -313,7 +328,7 @@ class TestExactOrbit:
         for t in np.linspace(0.0, 2.5 * el.T, 40):
             s = orbit.state_at(float(t))
             E, L, a1, a2 = invariants(s)
-            assert_close(E, el.E, rtol=1e-11)
+            assert_close(E, -1.0 / (2.0 * el.a), rtol=1e-11)
             assert_close(L, el.L, rtol=1e-11)
             assert_close(math.hypot(a1, a2), el.e, rtol=1e-10)
 

@@ -2,7 +2,9 @@
 package defines, is used by the program: read in a module of the package, a
 script, the benchmark or the acceptance criteria, which measure the paper's
 claims through the library.  A helper that only its own unit tests reach
-belongs in tests/reference.py, not in the package."""
+belongs in tests/reference.py, not in the package.  The package namespace
+itself holds only what a script, the benchmark or a criterion imports from
+it, and the exception classes that callers catch."""
 
 import ast
 import types
@@ -13,10 +15,10 @@ import keplerlab
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "keplerlab"
 MODULES = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-CALLERS = (MODULES
-           + sorted((ROOT / "scripts").rglob("*.py"))
+PROGRAM = (sorted((ROOT / "scripts").rglob("*.py"))
            + sorted((ROOT / "perfbench").rglob("*.py"))
            + [ROOT / "tests" / "test_acceptance.py"])
+CALLERS = MODULES + PROGRAM
 
 
 def exported() -> list[str]:
@@ -77,6 +79,23 @@ def test_every_exported_name_has_a_caller_outside_the_unit_tests():
     read = read_by_callers()
     unused = [name for name in exported() if name not in read]
     assert not unused, f"exported, but read only by unit tests: {unused}"
+
+
+def imported_from_package(tree: ast.AST) -> set[str]:
+    """The names that tree imports with `from keplerlab import ...`."""
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "keplerlab"
+            and node.level == 0 for alias in node.names}
+
+
+def test_every_export_is_imported_by_the_program_or_is_an_exception():
+    imported = set().union(*(imported_from_package(ast.parse(path.read_text()))
+                             for path in PROGRAM))
+    errors = {name for name, value in vars(keplerlab.errors).items()
+              if isinstance(value, type) and issubclass(value, Exception)}
+    unused = [name for name in exported() if name not in imported | errors]
+    assert not unused, ("exported, but imported from keplerlab by no script, benchmark "
+                        f"module or acceptance criterion: {unused}")
 
 
 def test_every_public_module_name_has_a_caller_outside_the_unit_tests():

@@ -1,7 +1,8 @@
 """The benchmark's tracer rebinds keplerlab functions by name (module
 attributes and ExactOrbit methods).  A deleted or renamed target breaks the
 traced pass, so the bindings are resolved here, without running the
-benchmark."""
+benchmark.  The theory workload also calls the library directly; a changed
+signature breaks that pass, so its calls are run here too."""
 
 import math
 from pathlib import Path
@@ -47,3 +48,16 @@ def test_rk4_counter_follows_the_substep_rule(monkeypatch):
     want = n_samples * math.ceil(segment / keplerlab.theory.REFERENCE_STEP)
     assert tracer.calls["theory.integrate_modified"] == 1
     assert tracer.counts["theory.rk4_substeps"] == want == 7 * 29
+
+
+def test_theory_workload_direct_calls(monkeypatch):
+    # State, the five-argument Trajectory, ModifiedModel and integrate_modified
+    # as the workload calls them, and its check: each modified-flow rate
+    # within 10% of the discrete rate
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    rates = workloads.Theory(1, keplerlab).direct(keplerlab)
+    assert sorted(rates) == ["mp", "sv"]
+    for rate in rates.values():
+        assert abs(rate["flow"] - rate["discrete"]) < 0.10 * abs(rate["discrete"])
