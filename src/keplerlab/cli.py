@@ -11,7 +11,8 @@ and echoed to stderr for CSV.
 Two tables drive the parser, the --config check and the metadata: _OPTIONS
 declares every setting once, and _COMMANDS gives each subcommand its
 handler and its settings with their defaults.  Handlers hand _emit their
-tables column by column; it formats each column in one pass.
+tables column by column; it formats and writes them a fixed number of rows
+at a time, so the output text held in memory does not grow with the run.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
 """
@@ -24,7 +25,7 @@ import json
 import math
 import sys
 import time
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -241,10 +242,12 @@ def _steps_from(cfg: dict) -> int:
 
 
 def _fmt(value) -> str:
+    """One CSV cell: empty for None, str for a string or an int, so that a
+    cell reads the same whichever chunk of its column it falls in."""
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
+    if isinstance(value, (str, int)):
+        return str(value)
     return format(float(value), ".17g")
 
 
@@ -266,48 +269,74 @@ def _json_cells(column) -> list[str]:
     return text[1:-1].split("\n") if len(text) > 2 else []
 
 
-def _json_rows(columns: list[str], table: list) -> str:
-    """The "rows" list as json.dumps(..., indent=2, sort_keys=True) lays it
-    out at the top level of a payload: one object per row, keys sorted."""
+# Rows formatted and written at a time, so that the text held at once is
+# bounded by a chunk, not by the run length.
+_CHUNK_ROWS = 4096
+
+
+def _chunks(table: list, cells: Callable[[Any], list[str]]) -> Iterator[Iterator[tuple]]:
+    """The table's rows, _CHUNK_ROWS at a time, as tuples of formatted cells.
+    Each column is formatted a chunk at a time; a numpy column is turned into
+    Python scalars (.tolist()) a chunk at a time too."""
+    n_rows = min(map(len, table), default=0)
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        part = [column[start:start + _CHUNK_ROWS] for column in table]
+        yield zip(*(cells(c.tolist() if isinstance(c, np.ndarray) else c) for c in part))
+
+
+def _json_text(meta: dict, columns: list[str], table: list, report: bool,
+               extra: dict) -> Iterator[str]:
+    """The JSON payload in pieces, laid out as json.dumps(payload, indent=2,
+    sort_keys=True): a `report` row is merged into the payload; other rows,
+    one object per row with keys sorted, replace its top-level "rows": null
+    line chunk by chunk."""
+    if report:
+        row = {name: column[0] for name, column in zip(columns, table)}
+        yield json.dumps(dict(row, metadata=meta, **extra), indent=2, sort_keys=True) + "\n"
+        return
+    text = json.dumps(dict(rows=None, metadata=meta, **extra), indent=2, sort_keys=True)
+    head, tail = text.split('\n  "rows": null', 1)
     order = sorted(range(len(columns)), key=columns.__getitem__)
     fields = ",\n".join("      " + json.dumps(columns[i]).replace("%", "%%") + ": %s"
                         for i in order)
-    cells = zip(*(_json_cells(table[i]) for i in order))
-    rows = ",\n".join(map(("    {\n" + fields + "\n    }").__mod__, cells))
-    return "[\n" + rows + "\n  ]" if rows else "[]"
+    template = "    {\n" + fields + "\n    }"
+    yield head + '\n  "rows": '
+    opening, closing = "[\n", "[]"  # the list is "[]" until a row is written
+    for rows in _chunks([table[i] for i in order], _json_cells):
+        yield opening + ",\n".join(map(template.__mod__, rows))
+        opening, closing = ",\n", "\n  ]"
+    yield closing + tail + "\n"
+
+
+def _csv_text(columns: list[str], table: list) -> Iterator[str]:
+    """The CSV table in pieces: the header line, then one chunk of lines at a time."""
+    yield ",".join(columns) + "\n"
+    for rows in _chunks(table, _csv_cells):
+        yield "\n".join(map(",".join, rows)) + "\n"
 
 
 def _emit(cfg: dict, meta: dict, columns: list[str], table: list,
           report: bool = False, **extra) -> None:
     """Write a table as CSV, with the metadata on stderr, or as JSON.
 
-    `table` holds one sequence of scalars per column, in the order of
-    `columns`.  Each column is formatted in one pass and each row joined
-    from its cells: CSV cells as _fmt writes them, JSON laid out exactly as
+    `table` holds one sequence of scalars per column (a list, a range or a
+    numpy array), in the order of `columns`.  The rows are formatted and
+    written _CHUNK_ROWS at a time, so the whole text is never built: CSV
+    cells as _fmt writes them, JSON laid out exactly as
     json.dumps(payload, indent=2, sort_keys=True).  The payload holds the
-    metadata, any `extra` fields and the rows as objects keyed by column: a
-    `report` is one row, merged into the payload itself; other rows replace
-    the payload's top-level "rows": null line.
+    metadata, any `extra` fields and the rows as objects keyed by column; a
+    `report` is one row, merged into the payload itself.
     """
     if cfg["format"] == "json":
-        if report:
-            row = {name: column[0] for name, column in zip(columns, table)}
-            text = json.dumps(dict(row, metadata=meta, **extra), indent=2, sort_keys=True)
-        else:
-            text = json.dumps(dict(rows=None, metadata=meta, **extra), indent=2,
-                              sort_keys=True)
-            text = text.replace('\n  "rows": null',
-                                '\n  "rows": ' + _json_rows(columns, table), 1)
-        text += "\n"
+        pieces = _json_text(meta, columns, table, report, extra)
     else:
-        lines = map(",".join, zip(*map(_csv_cells, table)))
-        text = "\n".join([",".join(columns), *lines]) + "\n"
         print(f"# metadata: {json.dumps(meta, sort_keys=True)}", file=sys.stderr)
+        pieces = _csv_text(columns, table)
     if cfg.get("out"):
         with open(cfg["out"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 # The Newton budget of the implicit solves, in the metadata of every
@@ -353,10 +382,10 @@ def cmd_simulate(cfg: dict) -> None:
     t, X, V = analysis.trajectory_arrays(traj)
     energy, angmom, lrl_a, lrl_b = analysis.observable_series(X, V)
     omega = np.arctan2(lrl_b, lrl_a)
-    table = np.column_stack([t, X, V, energy, angmom, lrl_a, lrl_b, omega])
     _emit(cfg, meta, ["step", "t", "x1", "x2", "v1", "v2",
                       "energy", "angmom", "lrlA", "lrlB", "omega"],
-          [range(len(t))] + table.T.tolist())
+          [range(len(t)), t, X[:, 0], X[:, 1], V[:, 0], V[:, 1],
+           energy, angmom, lrl_a, lrl_b, omega])
 
 
 def cmd_precession(cfg: dict) -> None:
@@ -412,7 +441,7 @@ def cmd_error_curve(cfg: dict) -> None:
     traj, meta = _run(cfg)
     t, err = analysis.error_curve(traj)
     _emit(cfg, meta, ["method", "t", "errorNorm"],
-          [[traj.method.value] * len(t), t.tolist(), err.tolist()])
+          [[traj.method.value] * len(t), t, err])
 
 
 def cmd_predict(cfg: dict) -> None:

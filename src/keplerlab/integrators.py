@@ -98,7 +98,9 @@ NEWTON_MAX_ITERATIONS = 50
 # The longest run integrate accepts: 30 times the 31,800 steps of the longest
 # scan cell, far below a count that never finishes, as h = 1e-300 over a unit
 # span asks for.  At 10^6 steps integrate peaks near 120 MB (sv) and 250 MB
-# (fr), and `keplerlab simulate` near 1.8 GB, growing linearly with the count.
+# (fr); `keplerlab simulate`, which writes its rows in fixed-size chunks,
+# peaks near 140 MB (sv, CSV) and 250 MB (fr, JSON), growing linearly with
+# the count through the trajectory's arrays.
 MAX_STEPS = 10**6
 
 

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -282,7 +283,7 @@ class TestEmit:
         [-0.0, None, 7, "a, b", None],
         [5e-324, -7.25, 1, "tab\there", 3],
         [1e16, math.nan, 2, "line\nbreak", 4],
-        [1e-05, 2, 3, "\\", 5],
+        [1e-05, 10 ** 17 + 1, 3, "\\", 5],
     ]
 
     @staticmethod
@@ -295,32 +296,76 @@ class TestEmit:
             return str(value)
         return format(float(value), ".17g")
 
-    def emit(self, capsys, output_format, rows, **kwargs):
-        table = [[row[i] for row in rows] for i in range(len(self.COLUMNS))]
+    def table(self, n_rows, kind):
+        """The first n_rows of ROWS column by column: all lists, or with the
+        count column a range, or with the float column a numpy array."""
+        table = [[row[i] for row in self.ROWS[:n_rows]] for i in range(len(self.COLUMNS))]
+        if kind == "range":
+            table[2] = range(n_rows)
+        elif kind == "numpy":
+            table[0] = np.array(table[0])
+        return table
+
+    @staticmethod
+    def rows_of(table):
+        plain = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in table]
+        return list(zip(*plain))
+
+    def emit(self, capsys, output_format, table, **kwargs):
         _emit({"format": output_format}, {"h": 0.5, "methods": ["sv"]}, self.COLUMNS,
               table, **kwargs)
         return capsys.readouterr()
 
-    @pytest.mark.parametrize("n_rows", [0, 1, 7])
-    def test_json_equals_the_payload_dump(self, capsys, n_rows):
-        rows = self.ROWS[:n_rows]
-        out, _ = self.emit(capsys, "json", rows, note="x")
-        payload = {"rows": [dict(zip(self.COLUMNS, row)) for row in rows],
+    # chunks of 3 rows end before, on and after a row count; the default
+    # chunk holds every table here in one
+    @pytest.fixture(params=[3, None], ids=["chunk3", "chunk-default"])
+    def chunk_rows(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(keplerlab.cli, "_CHUNK_ROWS", request.param)
+
+    @pytest.mark.parametrize("kind", ["list", "range", "numpy"])
+    @pytest.mark.parametrize("n_rows", [0, 1, 3, 6, 7])
+    def test_json_equals_the_payload_dump(self, capsys, chunk_rows, n_rows, kind):
+        table = self.table(n_rows, kind)
+        out, _ = self.emit(capsys, "json", table, note="x")
+        payload = {"rows": [dict(zip(self.COLUMNS, row)) for row in self.rows_of(table)],
                    "metadata": {"h": 0.5, "methods": ["sv"]}, "note": "x"}
         assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_json_report_merges_the_row(self, capsys):
-        out, _ = self.emit(capsys, "json", self.ROWS[1:2], report=True)
+        out, _ = self.emit(capsys, "json", [[cell] for cell in self.ROWS[1]], report=True)
         payload = dict(zip(self.COLUMNS, self.ROWS[1]), metadata={"h": 0.5, "methods": ["sv"]})
         assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    @pytest.mark.parametrize("n_rows", [0, 1, 7])
-    def test_csv_equals_the_cell_by_cell_text(self, capsys, n_rows):
-        rows = self.ROWS[:n_rows]
-        out, err = self.emit(capsys, "csv", rows)
-        lines = [",".join(self.COLUMNS)] + [",".join(map(self.old_cell, row)) for row in rows]
+    @pytest.mark.parametrize("kind", ["list", "range", "numpy"])
+    @pytest.mark.parametrize("n_rows", [0, 1, 3, 6, 7])
+    def test_csv_equals_the_cell_by_cell_text(self, capsys, chunk_rows, n_rows, kind):
+        table = self.table(n_rows, kind)
+        out, err = self.emit(capsys, "csv", table)
+        lines = [",".join(self.COLUMNS)]
+        lines += [",".join(map(self.old_cell, row)) for row in self.rows_of(table)]
         assert out == "\n".join(lines) + "\n"
         assert err == '# metadata: {"h": 0.5, "methods": ["sv"]}\n'
+
+    # the text held while writing is bounded by a chunk: a trajectory twice as
+    # long raises the traced peak by the arrays of the run, not by its text
+    # (about 80 B per step with 256-row chunks; building the whole text
+    # before one write holds about 2300 B per step)
+    def test_simulate_memory_does_not_grow_with_the_output(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(keplerlab.cli, "_CHUNK_ROWS", 256, raising=False)
+        out = str(tmp_path / "out.json")
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--method", "sv", "--steps", str(steps),
+                             "--format", "json", "--out", out]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # the parser and the lazy imports are built once per process
+        assert (peak(8000) - peak(4000)) / 4000 < 512
 
 
 class TestConfigResolution:
