@@ -252,13 +252,15 @@ def _fmt(value) -> str:
 
 
 def _csv_cells(column) -> list[str]:
-    """One column's CSV cells, formatted in one pass: "%.17g" for floats,
-    str for ints, and _fmt cell by cell for anything else (None, strings)."""
+    """One column's CSV cells, formatted in one pass: "%.17g" for floats, str
+    for ints, strings as they are, and _fmt cell by cell for anything else."""
     kinds = set(map(type, column))
     if kinds <= {float}:
         return list(map("%.17g".__mod__, column))
     if kinds <= {int}:
         return list(map(str, column))
+    if kinds <= {str}:
+        return list(column)
     return list(map(_fmt, column))
 
 

@@ -8,15 +8,15 @@ see _stencil and the table STENCILS.  fr is the fourth-order triple-jump
 composition of leapfrog, a one-step map on (x, v).
 
 Both are run-level kernels on plain floats that append n points to flat
-lists: _stencil evaluates U' and its Hessian inline, solves each implicit
-step by an undamped Newton iteration, started from the gradients already in
-hand and stopped once the residual is below NEWTON_TOLERANCE |C| (C the
-explicit part of the step, so the test is relative), and carries the
-converged midpoint gradient into the next step's b-term; _fr takes n fr
-steps with U' inline.  integrate calls one of them once per run, after
+lists: _stencil evaluates U' inline and solves each implicit step as one
+scalar equation.  The force is central, so the forward midpoint lies along
+a vector the step already knows, and Newton's method runs on its radius
+alone, stopped at a residual relative to the step's size; the midpoint's
+gradient is carried into the next step's b-term.  _fr takes n fr steps with
+U' inline.  integrate calls one of them once per run, after
 init_second_point (the stencil kernel with n = 1) for a two-step method,
 decides where a failed run stopped and counts implicit solves, Newton
-iterations and gradient evaluations.
+updates and gradient evaluations.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalFailure, SolverFailure
+from .errors import ConfigurationError, NearSingularity, NumericalFailure, SolverFailure
 from .kepler import (
     SINGULARITY_FLOOR,
     OrbitElements,
@@ -106,8 +106,8 @@ MAX_STEPS = 10**6
 
 @dataclass
 class IntegrationStats:
-    """Work counters of a run: implicit solves, Newton iterations (one
-    Hessian evaluation each) and the gradient evaluations actually made."""
+    """Work counters of a run: implicit solves, Newton iterations (updates
+    of a midpoint radius, applied) and the gradient evaluations actually made."""
 
     implicit_solves: int = 0
     newton_iterations: int = 0
@@ -169,33 +169,31 @@ def _stencil(xs: list[float], n: int, p1: float, p2: float, q1: float, q2: float
     weights cycle[k % len(cycle)] and advances (p, q) to (q, z).  The first
     step starts from x_prev = p, x_cur = q and the free flight r, later ones
     from r = 2q - p.  A gradient is evaluated only where its weight is
-    nonzero; U' = x/|x|^3 and its Hessian (|x|^2 I - 3 x x^T)/|x|^5 are
-    written out inline, and the gradient's collision guard covers the Hessian
-    at the same midpoint.  With C = r - h^2 [a U'(q) + b U'((p + q)/2)],
-    z - C + c h^2 U'((q + z)/2) = 0 is solved by Newton's method (Jacobian
-    I + (c h^2/2) J, J the Hessian) until the residual norm is below
-    NEWTON_TOLERANCE |C|, a test that Kepler's scaling leaves unchanged, within
-    NEWTON_MAX_ITERATIONS iterations (both read at each call).  Newton starts
-    from z = C - c h^2 g, g the gradients already in hand extrapolated to the
-    forward midpoint: 2 g_b - g_b' when this step's and the last step's
-    backward-midpoint gradients g_b, g_b' are both known (mp, ml), else g_b,
-    else U'(q).  A step with no gradient (mp's initializer) keeps g = 0 and
-    starts from the free flight z = C = r.  The last Newton iterate evaluated
-    U'((q + z)/2), bit for bit the next step's U'((p + q)/2), so a b-term
-    right after an implicit step reuses it.  Failures raise NearSingularity
-    or SolverFailure (prefixed with label).  The run's implicit solves,
-    Newton iterations and gradient evaluations are added to stats at the end.
+    nonzero, with U' = x/|x|^3 inline behind the collision guard.
+    With C = r - h^2 [a U'(q) + b U'((p + q)/2)], B = (q + C)/2 and
+    kappa = c h^2/2, the forward midpoint m = (q + z)/2 solves
+    m (1 + kappa/|m|^3) = B: m = (rho/beta) B, beta = |B|, where
+    phi(rho) = rho + kappa/rho^2 - beta, half the planar residual of z, is 0.
+    phi is convex and least at rho = (2 kappa)^(1/3), where phi + beta is the
+    fold (3/2) (2 kappa)^(1/3).  Two steps of rho <- beta - kappa/rho^2 from
+    beta start right of the root, and Newton's method falls monotonically to
+    it, stopped once 2 phi < NEWTON_TOLERANCE beta (scale-free) within
+    NEWTON_MAX_ITERATIONS updates, both read at each call.  Then z = 2m - q,
+    and U'(m) = m/rho^3, U'((q + z)/2) to round-off but not bit for bit, is
+    carried into a b-term right after an implicit step.  A non-finite B, a
+    spent budget or phi' <= 0 (no solution: beta at or below the fold) raise
+    SolverFailure, a rho inside the collision guard NearSingularity, prefixed
+    with label.  The run's implicit solves, Newton updates and gradient
+    evaluations (m/rho^3 is one) are added to stats at the end.
     """
     tol, max_iter = NEWTON_TOLERANCE, NEWTON_MAX_ITERATIONS
-    hypot, sqrt, isfinite, floor = math.hypot, math.sqrt, math.isfinite, SINGULARITY_FLOOR
+    hypot, inf, floor = math.hypot, math.inf, SINGULARITY_FLOOR
     h2 = h * h
     period = len(cycle)
     append = xs.append
     solves = iterations = gradients = 0
     c_prev = 0.0  # nonzero when (gb1, gb2) already holds U'((p + q)/2)
-    b_prev = 0.0  # nonzero when (gp1, gp2) holds the last step's U'((p + q)/2)
-    gb1 = gb2 = gp1 = gp2 = 0.0
-    g1 = g2 = 0.0  # the gradient that predicts U'((q + z)/2)
+    gb1 = gb2 = 0.0
     for k in range(phase, phase + n):
         a, b, c = cycle[k % period]
         f1 = f2 = 0.0
@@ -204,10 +202,8 @@ def _stencil(xs: list[float], n: int, p1: float, p2: float, q1: float, q2: float
             if r < floor:
                 raise _collision(r)
             r3 = r * r * r
-            g1 = q1 / r3
-            g2 = q2 / r3
-            f1 += a * g1
-            f2 += a * g2
+            f1 += a * (q1 / r3)
+            f2 += a * (q2 / r3)
             gradients += 1
         if b:
             if not c_prev:
@@ -222,50 +218,50 @@ def _stencil(xs: list[float], n: int, p1: float, p2: float, q1: float, q2: float
                 gradients += 1
             f1 += b * gb1
             f2 += b * gb2
-            if b_prev:
-                g1 = 2.0 * gb1 - gp1
-                g2 = 2.0 * gb2 - gp2
-            else:
-                g1, g2 = gb1, gb2
-            gp1, gp2 = gb1, gb2
         c1 = r1 - h2 * f1
         c2 = r2 - h2 * f2
         if c:
-            ch2 = c * h2
-            half_ch2 = 0.5 * ch2
-            z1 = c1 - ch2 * g1
-            z2 = c2 - ch2 * g2
-            limit = tol * hypot(c1, c2)
+            kappa = 0.5 * c * h2
+            b1 = 0.5 * (q1 + c1)
+            b2 = 0.5 * (q2 + c2)
+            beta = hypot(b1, b2)
+            if not beta < inf:
+                raise SolverFailure(f"{label}: the explicit part of the step is not finite "
+                                    f"(|(q + C)/2| = {beta})")
+            limit = 0.5 * tol * beta
+            rho = beta
+            if rho >= floor:
+                rho = beta - kappa / (rho * rho)
+                if rho >= floor:
+                    rho = beta - kappa / (rho * rho)
             for applied in range(max_iter + 1):
-                m1 = 0.5 * (q1 + z1)
-                m2 = 0.5 * (q2 + z2)
-                r = hypot(m1, m2)
-                if r < floor:
-                    raise _collision(r)
-                r3 = r * r * r
-                gb1 = m1 / r3
-                gb2 = m2 / r3
-                f1 = z1 - c1 + ch2 * gb1
-                f2 = z2 - c2 + ch2 * gb2
-                if hypot(f1, f2) < limit:
+                if rho < floor:
+                    raise NearSingularity(f"{label}: the forward midpoint's radius fell to "
+                                          f"{rho:.3e}, inside the collision guard {floor:.3e}")
+                rr = rho * rho
+                phi = rho + kappa / rr - beta
+                if phi < limit:
                     break
                 if applied == max_iter:
-                    raise SolverFailure(f"{label}: Newton residual stayed above {tol} |C| "
+                    raise SolverFailure(f"{label}: Newton residual stayed above {tol} |B| "
                                         f"after {max_iter} iterations")
-                rr = m1 * m1 + m2 * m2
-                r = sqrt(rr)
-                r5 = rr * rr * r
-                j11 = 1.0 + half_ch2 * ((rr - 3.0 * m1 * m1) / r5)
-                j12 = half_ch2 * (-3.0 * m1 * m2 / r5)
-                j22 = 1.0 + half_ch2 * ((rr - 3.0 * m2 * m2) / r5)
-                det = j11 * j22 - j12 * j12
-                if det == 0.0 or not isfinite(det):
-                    raise SolverFailure(f"{label}: singular Newton system (det={det!r})")
-                z1 -= (j22 * f1 - j12 * f2) / det
-                z2 -= (j11 * f2 - j12 * f1) / det
+                slope = 1.0 - 2.0 * kappa / (rr * rho)
+                if slope <= 0.0:
+                    raise SolverFailure(
+                        f"{label}: the step has no solution: |(q + C)/2| = {beta:.6g} is at or "
+                        f"below the fold {1.5 * (2.0 * kappa) ** (1.0 / 3.0):.6g}")
+                rho -= phi / slope
+            r3 = rr * rho
+            s = rho / beta
+            m1 = s * b1
+            m2 = s * b2
+            gb1 = m1 / r3
+            gb2 = m2 / r3
+            z1 = 2.0 * m1 - q1
+            z2 = 2.0 * m2 - q2
             solves += 1
             iterations += applied
-            gradients += applied + 1
+            gradients += 1
         else:
             z1, z2 = c1, c2
         append(z1)
@@ -273,7 +269,6 @@ def _stencil(xs: list[float], n: int, p1: float, p2: float, q1: float, q2: float
         p1, p2 = q1, q2
         q1, q2 = z1, z2
         c_prev = c
-        b_prev = b
         r1 = 2.0 * q1 - p1
         r2 = 2.0 * q2 - p2
     stats.implicit_solves += solves

@@ -1,13 +1,16 @@
 """Scalar force formulas and the modified-flow RK4 loop, one function call per
 evaluation: the references that the inline kernels of integrators and theory
-are checked against, bit for bit where they share an operation order; and the
-point-wise modified Lagrangian, which the modified flow's Euler-Lagrange
-residual and energy are checked against; and the perihelion state of a
-shape, from which the property tests build bound states."""
+are checked against, bit for bit where they share an operation order; the
+two-dimensional Newton solve of an implicit stencil step, an oracle that
+shares nothing with the kernel's radial solve; and the point-wise modified
+Lagrangian, which the modified flow's Euler-Lagrange residual and energy are
+checked against; and the perihelion state of a shape, from which the
+property tests build bound states."""
 
 import math
 
 from keplerlab import PlanarVector, SingularMassMatrix, State
+from keplerlab.integrators import NEWTON_MAX_ITERATIONS, NEWTON_TOLERANCE
 from keplerlab.kepler import SINGULARITY_FLOOR, _ahead, _collision
 
 
@@ -45,6 +48,54 @@ def gradient_jacobian_xy(x1, x2):
         raise _collision(r)
     r5 = r2 * r2 * r
     return (r2 - 3.0 * x1 * x1) / r5, -3.0 * x1 * x2 / r5, (r2 - 3.0 * x2 * x2) / r5
+
+
+def explicit_part(p, q, r, h, weights):
+    """C = r - h^2 [a U'(q) + b U'((p + q)/2)] of a stencil step with weights
+    (a, b, c), and the last of those gradients (0 when there is none)."""
+    (p1, p2), (q1, q2), (r1, r2) = p, q, r
+    a, b, _ = weights
+    f1 = f2 = g1 = g2 = 0.0
+    if a:
+        g1, g2 = potential_gradient_xy(q1, q2)
+        f1 += a * g1
+        f2 += a * g2
+    if b:
+        g1, g2 = potential_gradient_xy(0.5 * (p1 + q1), 0.5 * (p2 + q2))
+        f1 += b * g1
+        f2 += b * g2
+    h2 = h * h
+    return (r1 - h2 * f1, r2 - h2 * f2), (g1, g2)
+
+
+def newton_step_2d(p, q, r, h, weights):
+    """x_next of the two-step relation with weights (a, b, c),
+    z - 2q + p = -h^2 [a U'(q) + b U'((p + q)/2) + c U'((q + z)/2)],
+    from p, q and the free flight r, by Newton's method on z in the plane:
+    Jacobian I + (c h^2/2) J, J the Hessian of U at the forward midpoint.  It
+    starts from C - c h^2 g, g the last gradient of the explicit part C, and
+    stops at a residual below NEWTON_TOLERANCE |C|."""
+    (c1, c2), (g1, g2) = explicit_part(p, q, r, h, weights)
+    q1, q2 = q
+    ch2 = weights[2] * h * h
+    z1, z2 = c1 - ch2 * g1, c2 - ch2 * g2
+    limit = NEWTON_TOLERANCE * math.hypot(c1, c2)
+    for _ in range(NEWTON_MAX_ITERATIONS):
+        m1 = 0.5 * (q1 + z1)
+        m2 = 0.5 * (q2 + z2)
+        g1, g2 = potential_gradient_xy(m1, m2)
+        f1 = z1 - c1 + ch2 * g1
+        f2 = z2 - c2 + ch2 * g2
+        if math.hypot(f1, f2) < limit:
+            return z1, z2
+        j11, j12, j22 = gradient_jacobian_xy(m1, m2)
+        j11 = 1.0 + 0.5 * ch2 * j11
+        j12 = 0.5 * ch2 * j12
+        j22 = 1.0 + 0.5 * ch2 * j22
+        det = j11 * j22 - j12 * j12
+        z1 -= (j22 * f1 - j12 * f2) / det
+        z2 -= (j11 * f2 - j12 * f1) / det
+    raise AssertionError("the two-dimensional Newton solve did not converge")
 
 
 def modified_acceleration_xy(eps, alpha, beta, gamma, x1, x2, v1, v2):

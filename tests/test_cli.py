@@ -236,16 +236,16 @@ class TestCsvContract:
 
 
 # SHA-256 of stdout as the row-by-row emitter wrote it, with the implicit
-# methods' points and the metadata's tolerance of the predictor kernel
+# methods' points of the radial solve
 PINNED_STDOUT = [
     (["simulate", "--method", "fr", "--steps", "2000", "--format", "json"],
      "884e051a093f51a6f916fce52a3cdf20059116ad322d00b7fd5d477483ab0b5f"),
     (["simulate", "--method", "mp", "--h", "0.1", "--steps", "2000"],
-     "d50ba4a66029ff109776f2026787979a19b2e8f2db44e4ca44f8374809b6a842"),
+     "f29de853d0b3d0cb034b23fd899efde196ec70895eb2e14071748c4e04757ac0"),
     (["error-curve", "--method", "dec", "--h", "0.1", "--t-end", "200"],
-     "7dcd6d326a4ee291e6412c931ef3494675375e8795f145c2a03bd19b9d2302cb"),
+     "4084b545efe4f5c88283ea5970f0a769e4fbfc3c2cb5c527c0f4fd4376e9fb1c"),
     (["error-curve", "--method", "dec", "--h", "0.1", "--t-end", "200", "--format", "json"],
-     "f1880993338b553dfda6a0c2d85bad6c116e7448706368902a7f38c862bd353a"),
+     "3e5392f3551bd22970c6bb91c641ff13442c895924512fcbec2ae8c64e839a1f"),
     # half a revolution: every measured cell is null
     (["scan", "--methods", "sv,mp", "--t-end", "10"],
      "d1d7715cccde8ba4bf87217f642eb062c726302d89f52fbc6e7ac00e42baa7f0"),
@@ -346,6 +346,19 @@ class TestEmit:
         lines += [",".join(map(self.old_cell, row)) for row in self.rows_of(table)]
         assert out == "\n".join(lines) + "\n"
         assert err == '# metadata: {"h": 0.5, "methods": ["sv"]}\n'
+
+    # a column of strings only, as error-curve's method column, is written as
+    # it is, without a _fmt call per cell
+    def test_csv_string_column_skips_the_cell_formatter(self, capsys, monkeypatch):
+        table = [["dec"] * 7, [row[0] for row in self.ROWS], [row[3] for row in self.ROWS]]
+        want = ["method,value,label"] + [",".join(map(self.old_cell, row)) for row in zip(*table)]
+
+        def refuse(value):
+            raise AssertionError(f"_fmt called on {value!r}")
+
+        monkeypatch.setattr(keplerlab.cli, "_fmt", refuse)
+        _emit({"format": "csv"}, {"h": 0.5}, ["method", "value", "label"], table)
+        assert capsys.readouterr().out == "\n".join(want) + "\n"
 
     # the text held while writing is bounded by a chunk: a trajectory twice as
     # long raises the traced peak by the arrays of the run, not by its text
@@ -773,9 +786,9 @@ class TestExitCodes:
     # coarse steps are refused before they are integrated; the span aligns to
     # the coarsest step the fit accepts, so a refused step leaves the span and
     # the h = 0.5 row alone.  An implicit method gets the same refusal, not the
-    # Newton failure that integrating h = 40 ends in.
+    # failure that integrating h = 40 ends in.
     FINE_ROWS = {"sv": (0.06920028862564427, 0.06737048229578152),
-                 "mp": (-0.15895305852082275, -0.13474096459156304)}
+                 "mp": (-0.15895305852084202, -0.13474096459156304)}
 
     @pytest.mark.parametrize("method, h_list, samples", [
         ("sv", "0.5,40", "0.50"), ("sv", "0.5,15", "1.32"), ("mp", "0.5,40", "0.50")])

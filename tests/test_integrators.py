@@ -19,15 +19,16 @@ from keplerlab import (
     UnboundOrbit,
     integrate,
 )
-from keplerlab import integrators, kepler
-from keplerlab.integrators import (FR_THETA, STENCILS, IntegrationStats, Stencil, _fr, _stencil,
-                                   init_second_point, reconstruct_velocities)
+from keplerlab import cli, integrators, kepler
+from keplerlab.integrators import (FR_THETA, NEWTON_TOLERANCE, STENCILS, IntegrationStats, Stencil,
+                                   _fr, _stencil, init_second_point, reconstruct_velocities)
 
 from conftest import V0, X0, KernelReached, assert_close, assert_vector_close, bound_states
-from reference import gradient_jacobian_xy, potential_gradient_xy
+from reference import explicit_part, newton_step_2d, potential_gradient_xy
 
 ALL_METHODS = list(MethodId)
 TWO_STEP_METHODS = [m for m in MethodId if m is not MethodId.FR]
+IMPLICIT_METHODS = [MethodId.MP, MethodId.ML, MethodId.LC, MethodId.DEC]
 
 # step weights from the table: one triple for sv, mp, ml; one per phase for lc, dec
 SV, MP, ML = (STENCILS[m].cycle[0] for m in (MethodId.SV, MethodId.MP, MethodId.ML))
@@ -35,12 +36,14 @@ LC = STENCILS[MethodId.LC].cycle
 DEC = STENCILS[MethodId.DEC].cycle
 
 
-def step(xp, xc, h, weights):
-    """x_next of the weighted two-step stencil from x_prev, x_cur."""
+def step(xp, xc, h, weights, r=None):
+    """x_next of the weighted two-step stencil from x_prev, x_cur and the free
+    flight r, 2 x_cur - x_prev unless given."""
     (p1, p2), (q1, q2) = xp, xc
+    r1, r2 = (2.0 * q1 - p1, 2.0 * q2 - p2) if r is None else r
     z = []
-    _stencil(z, 1, p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2, h, (weights,), 0,
-             "implicit step", IntegrationStats())
+    _stencil(z, 1, p1, p2, q1, q2, r1, r2, h, (weights,), 0, "implicit step",
+             IntegrationStats())
     return PlanarVector(*z)
 
 
@@ -56,74 +59,65 @@ def grad(x):
     return PlanarVector(*potential_gradient_xy(*x))
 
 
-def reference_step(p, q, r, h, weights, g_last=None):
+def reference_step(p, q, r, h, weights, g_b=None):
     """x_next of the two-step relation with weights (a, b, c),
     z - 2q + p = -h^2 [a U'(q) + b U'((p + q)/2) + c U'((q + z)/2)],
-    from p, q and the free flight r: every gradient and Hessian through the
-    kepler kernels, none reused, in the operation order of the stencil
-    kernel.  Newton starts from C - c h^2 g, g = 2 g_b - g_last when the last
-    step's backward-midpoint gradient g_last is given and b != 0, else the
-    latest gradient evaluated (g_b, else U'(q)), else 0; it stops at a
-    residual below NEWTON_TOLERANCE |C|."""
+    from p, q and the free flight r, and U' at the forward midpoint (None
+    after an explicit step), in the operation order of the stencil kernel.
+    Every gradient goes through the kepler kernel, but for the backward-
+    midpoint one when it is given as g_b.  The forward midpoint is (rho/beta)
+    B, B = (q + C)/2 and beta = |B|; Newton's method runs on the scalar
+    equation rho + kappa/rho^2 = beta, kappa = c h^2/2, from two steps of
+    rho <- beta - kappa/rho^2 from beta, until twice its residual is below
+    NEWTON_TOLERANCE beta."""
     (p1, p2), (q1, q2), (r1, r2) = p, q, r
     a, b, c = weights
     h2 = h * h
     f1 = f2 = 0.0
-    g1 = g2 = 0.0
     if a:
         g1, g2 = potential_gradient_xy(q1, q2)
         f1 += a * g1
         f2 += a * g2
     if b:
-        g1, g2 = potential_gradient_xy(0.5 * (p1 + q1), 0.5 * (p2 + q2))
+        g1, g2 = g_b or potential_gradient_xy(0.5 * (p1 + q1), 0.5 * (p2 + q2))
         f1 += b * g1
         f2 += b * g2
-        if g_last is not None:
-            g1, g2 = 2.0 * g1 - g_last[0], 2.0 * g2 - g_last[1]
     c1 = r1 - h2 * f1
     c2 = r2 - h2 * f2
     if not c:
-        return c1, c2
-    ch2 = c * h2
-    half_ch2 = 0.5 * ch2
-    z1, z2 = c1 - ch2 * g1, c2 - ch2 * g2
-    limit = integrators.NEWTON_TOLERANCE * math.hypot(c1, c2)
+        return (c1, c2), None
+    kappa = 0.5 * c * h2
+    b1, b2 = 0.5 * (q1 + c1), 0.5 * (q2 + c2)
+    beta = math.hypot(b1, b2)
+    limit = 0.5 * integrators.NEWTON_TOLERANCE * beta
+    rho = beta - kappa / (beta * beta)
+    rho = beta - kappa / (rho * rho)
     for _ in range(integrators.NEWTON_MAX_ITERATIONS):
-        m1 = 0.5 * (q1 + z1)
-        m2 = 0.5 * (q2 + z2)
-        g1, g2 = potential_gradient_xy(m1, m2)
-        f1 = z1 - c1 + ch2 * g1
-        f2 = z2 - c2 + ch2 * g2
-        if math.hypot(f1, f2) < limit:
-            return z1, z2
-        j11, j12, j22 = gradient_jacobian_xy(m1, m2)
-        j11 = 1.0 + half_ch2 * j11
-        j12 = half_ch2 * j12
-        j22 = 1.0 + half_ch2 * j22
-        det = j11 * j22 - j12 * j12
-        z1 -= (j22 * f1 - j12 * f2) / det
-        z2 -= (j11 * f2 - j12 * f1) / det
-    raise AssertionError("the reference Newton solve did not converge")
+        phi = rho + kappa / (rho * rho) - beta
+        if phi < limit:
+            break
+        rho -= phi / (1.0 - 2.0 * kappa / (rho * rho * rho))
+    else:
+        raise AssertionError("the reference Newton solve did not converge")
+    m1, m2 = rho / beta * b1, rho / beta * b2
+    r3 = rho * rho * rho
+    return (2.0 * m1 - q1, 2.0 * m2 - q2), (m1 / r3, m2 / r3)
 
 
 def reference_positions(method, x0, v0, h, n_steps):
     """x_0 .. x_N of a stencil, one reference_step per point: the
     initializer (a/2, 0, c) from p = q = x0 and the free flight x0 + h v0,
-    then step k with cycle[k % len(cycle)] from r = 2q - p, given the last
-    step's backward-midpoint gradient when both steps have a b-term."""
+    then step k with cycle[k % len(cycle)] from r = 2q - p, given the
+    forward-midpoint gradient of an implicit step k - 1 > 0."""
     a, _, c = STENCILS[method].init
     cycle = STENCILS[method].cycle
-    points = [tuple(x0), reference_step(x0, x0, (x0[0] + h * v0[0], x0[1] + h * v0[1]), h,
-                                        (0.5 * a, 0.0, c))]
+    x1, _ = reference_step(x0, x0, (x0[0] + h * v0[0], x0[1] + h * v0[1]), h, (0.5 * a, 0.0, c))
+    points, g_m = [tuple(x0), x1], None
     for k in range(1, n_steps):
         p, q = points[-2], points[-1]
-        weights = cycle[k % len(cycle)]
-        g_last = None
-        if k > 1 and weights[1] and cycle[(k - 1) % len(cycle)][1]:
-            o = points[-3]
-            g_last = potential_gradient_xy(0.5 * (o[0] + p[0]), 0.5 * (o[1] + p[1]))
-        points.append(reference_step(p, q, (2.0 * q[0] - p[0], 2.0 * q[1] - p[1]), h,
-                                     weights, g_last))
+        z, g_m = reference_step(p, q, (2.0 * q[0] - p[0], 2.0 * q[1] - p[1]), h,
+                                cycle[k % len(cycle)], g_m)
+        points.append(z)
     return np.array(points)
 
 
@@ -245,9 +239,9 @@ class TestSingleSteps:
 
 
 class TestKernelReference:
-    """The run-level kernel evaluates U' and its Hessian inline and carries
-    the converged midpoint gradient into the next b-term; both must leave
-    every bit of the one-step reference above unchanged."""
+    """The run-level kernel evaluates U' inline and carries the forward-
+    midpoint gradient of an implicit step into the next b-term; both must
+    leave every bit of the one-step reference above unchanged."""
 
     # the default start, and one turned by 0.7 rad and scaled by 2.5
     # (x -> 2.5 R x, v -> 2.5^(-1/2) R v, h -> 2.5^(3/2) h)
@@ -269,6 +263,38 @@ class TestKernelReference:
         want = reference_positions(method, x0, v0, h, 300)
         assert np.array_equal(integrate(method, x0, v0, h, 300).positions, want)
         assert init_second_point(method, x0, v0, h, IntegrationStats()) == tuple(want[1])
+
+
+class TestRadialSolve:
+    """The kernel's radial solve against the two-dimensional Newton solve of
+    tests/reference.py, which shares none of its algebra, from the same
+    (p, q): the initializer and every implicit step of one revolution, at
+    each of scan's step sizes."""
+
+    # z = 2 (rho/beta) B - q doubles the round-off of rho and B: the two
+    # solves were measured 7.2 ulps of |z| apart at most
+    ULPS = 8
+
+    @pytest.mark.parametrize("h", cli.DEFAULT_SCAN_H)
+    @pytest.mark.parametrize("method", IMPLICIT_METHODS)
+    def test_agrees_with_the_two_dimensional_solve(self, default_elements, method, h):
+        n = math.ceil(default_elements.T / h)
+        X = integrate(method, X0, V0, h, n).positions
+        a, _, c = STENCILS[method].init
+        cycle = STENCILS[method].cycle
+        steps = [(X0, X0, (X0.x1 + h * V0.x1, X0.x2 + h * V0.x2), (0.5 * a, 0.0, c))] if c else []
+        steps += [(X[k - 1], X[k], 2.0 * X[k] - X[k - 1], cycle[k % len(cycle)])
+                  for k in range(1, n) if cycle[k % len(cycle)][2]]
+        for p, q, r, weights in steps:
+            z = step(p, q, h, weights, r)
+            want = newton_step_2d(p, q, r, h, weights)
+            assert math.hypot(z.x1 - want[0], z.x2 - want[1]) <= self.ULPS * math.ulp(math.hypot(*z))
+            # the residual of the planar equation at the radial z
+            (c1, c2), _ = explicit_part(p, q, r, h, weights)
+            g1, g2 = potential_gradient_xy(0.5 * (q[0] + z.x1), 0.5 * (q[1] + z.x2))
+            ch2 = weights[2] * h * h
+            residual = math.hypot(z.x1 - c1 + ch2 * g1, z.x2 - c2 + ch2 * g2)
+            assert residual < NEWTON_TOLERANCE * math.hypot(c1, c2)
 
 
 @st.composite
@@ -447,15 +473,15 @@ class TestIntegrate:
         assert counts[MethodId.DEC] == 3
 
     # final point and (implicit solves, Newton iterations) after 20k steps at
-    # h = 0.1, recorded from the stencil kernel with its gradient predictor and
-    # its relative Newton test; sv and fr, which solve nothing, still carry
-    # the values of the per-method steppers the kernels replaced
+    # h = 0.1, recorded from the stencil kernel with its radial solve; sv and
+    # fr, which solve nothing, still carry the values of the per-method
+    # steppers the kernels replaced
     PINNED = {
         MethodId.SV: ((0.004561690668758225, -2.0354191067359113), (0, 0)),
-        MethodId.MP: ((-1.3456579253754202, -1.4489014962055768), (20000, 26154)),
-        MethodId.ML: ((-0.49405329247429736, -1.954928381716749), (20000, 23320)),
-        MethodId.LC: ((-0.49339076305727236, -1.955298523387027), (6666, 10608)),
-        MethodId.DEC: ((-0.4356052229007874, -1.9454553937252859), (6666, 11737)),
+        MethodId.MP: ((-1.3456579201841896, -1.4489014981362265), (20000, 20000)),
+        MethodId.ML: ((-0.49405328392613473, -1.9549283803855009), (20000, 20000)),
+        MethodId.LC: ((-0.49339076151379596, -1.9552985231894597), (6666, 6666)),
+        MethodId.DEC: ((-0.4356052199662295, -1.9454553931645946), (6666, 6666)),
         MethodId.FR: ((-0.47205466802258966, -1.9531100056677566), (0, 0)),
     }
 
@@ -469,17 +495,17 @@ class TestIntegrate:
     # SHA-256 of positions.tobytes() (and velocities.tobytes() for fr) after
     # 5000 steps at h = 0.25: every point of every trajectory is pinned.  sv
     # and fr were recorded from the PlanarVector steppers that the float
-    # kernels replaced, the implicit methods from the predictor kernel
+    # kernels replaced, the implicit methods from the radial solve
     DIGESTS = {
         MethodId.SV: ("b6403cde774ea69cf25a10cc91504d5c73254c6626717cd041dcb581bf66ebdb",
                       None),
-        MethodId.MP: ("b1076b37624e5ad79dbc7f72282b15390ef6859e04abe4ce10fdcb7ef70189ef",
+        MethodId.MP: ("8273a73788e4d0b1df6d5c368d08398f3520efb64b3e1ffafd6144d462286e83",
                       None),
-        MethodId.ML: ("263eda4a0a219eac8b3c7e46aa71535b651c5b2c2ad16b519ccdd275fe5a42c7",
+        MethodId.ML: ("521a9a3231cb7dfd7eef5748d2d6c51e4aac78c586661db2168a5fd1d61d4f6f",
                       None),
-        MethodId.LC: ("2eba4cd3ef91e7b905fd136f0bafc62d0757a2686afc6f6e46783db86eafc1af",
+        MethodId.LC: ("c8b03a162d4cd48278d92ee87355726a4a2548d6e9197d51b20f110bc465cb6d",
                       None),
-        MethodId.DEC: ("158f7f5acbe897610ca9f084471bc11c50d483fff5b30711664f7cda4ddc81f0",
+        MethodId.DEC: ("3d74d18e400b3f2eaeac8ec2b9b6a7430e983724087571ed157fe6d72b8adf41",
                        None),
         MethodId.FR: ("b25f0f57d497208b384e5bc659717f7e0c6bcaf9a355d65c19b7432e7a03cff2",
                       "37092ee078b07cdd76f98ff30885d3d70559043e437394c503bf9daabfd7e28e"),
@@ -492,16 +518,17 @@ class TestIntegrate:
         assert (digest(traj.positions), digest(traj.velocities)) == self.DIGESTS[method]
 
     # (Newton iterations, gradient evaluations) of 300 points at h = 0.1.  A
-    # solve evaluates one gradient more than it iterates.  mp: one b-term at
-    # point 2, then the gradient of the last Newton iterate is reused as the
-    # next b-term; ml adds an a-term per point; lc's (1/2, 1/2, 0) phase
-    # reuses it too, dec's mp phase follows an sv step and cannot.
+    # solve evaluates one gradient, U'(m) = m/rho^3, however many updates it
+    # applies; at this step one update always suffices.  mp: one b-term at
+    # point 2, then each solve's gradient is reused as the next b-term; ml
+    # adds an a-term per point; lc's (1/2, 1/2, 0) phase reuses it too, dec's
+    # mp phase follows an sv step and cannot.
     EVALUATIONS = {
         MethodId.SV: (0, 300),  # one a-term per point
-        MethodId.MP: (394, 394 + 300 + 1),
-        MethodId.ML: (351, 351 + 300 + 300 + 1),
-        MethodId.LC: (160, 1 + 100 * 1 + (160 + 100 + 100) + 99 * 1),  # init, phases 1, 2, 0
-        MethodId.DEC: (176, 1 + 100 * 1 + (176 + 100 + 100) + 99 * 1),
+        MethodId.MP: (300, 300 + 1),
+        MethodId.ML: (300, 300 + 300 + 1),
+        MethodId.LC: (100, 1 + 100 * 1 + (100 + 100) + 99 * 1),  # init, phases 1, 2, 0
+        MethodId.DEC: (100, 1 + 100 * 1 + (100 + 100) + 99 * 1),
         MethodId.FR: (0, 3 * 300),  # three kicks per step
     }
 
@@ -510,21 +537,24 @@ class TestIntegrate:
         stats = integrate(method, X0, V0, 0.1, 300).stats
         assert (stats.newton_iterations, stats.gradient_evaluations) == self.EVALUATIONS[method]
 
-    # (implicit solves, Newton iterations) of 2000 steps at h = 1/16.  Started
-    # from the free flight, every solve took two iterations but one: (2000,
-    # 3999) for mp and ml, (666, 1332) for lc and dec.  The gradients in hand
-    # predict ml's forward midpoint so well that one iteration always suffices
-    PREDICTED_WORK = {
-        MethodId.MP: (2000, 2209),
-        MethodId.ML: (2000, 2000),
-        MethodId.LC: (666, 873),
-        MethodId.DEC: (666, 924),
+    # Newton updates of the default orbit's scan: each of scan's step sizes
+    # over its span, 100 revolutions rounded up to a multiple of h = 1/2.  The
+    # planar solve, started from the gradients in hand, took 219,620 (mp
+    # 81,160, ml 72,720, lc 31,979, dec 33,761); the radial solve must take
+    # no more than it does now.
+    SCAN_NEWTON_UPDATES = {
+        MethodId.MP: 63316,
+        MethodId.ML: 60567,
+        MethodId.LC: 21091,
+        MethodId.DEC: 21102,
     }
 
-    @pytest.mark.parametrize("method", PREDICTED_WORK)
-    def test_newton_starts_from_the_gradients_in_hand(self, method):
-        stats = integrate(method, X0, V0, 1 / 16, 2000).stats
-        assert (stats.implicit_solves, stats.newton_iterations) == self.PREDICTED_WORK[method]
+    def test_scan_newton_updates_do_not_rise(self, default_elements):
+        t_span = math.ceil(cli.DEFAULT_SCAN_REVOLUTIONS * default_elements.T / 0.5) * 0.5
+        updates = {method: sum(integrate(method, X0, V0, h, round(t_span / h)).stats.newton_iterations
+                               for h in cli.DEFAULT_SCAN_H)
+                   for method in self.SCAN_NEWTON_UPDATES}
+        assert all(updates[m] <= bound for m, bound in self.SCAN_NEWTON_UPDATES.items()), updates
 
     def test_newton_iteration_accounting(self):
         stats = integrate(MethodId.MP, X0, V0, 0.2, 50).stats
@@ -585,32 +615,33 @@ class TestIntegrate:
         (MethodId.LC, 3, "implicit step"), (MethodId.DEC, 3, "implicit step")])
     def test_newton_failure_names_method_point_stage_and_tolerance(self, monkeypatch, method,
                                                                    point, stage):
-        # one Newton iteration is too few for any solve at h = 0.25
-        monkeypatch.setattr(integrators, "NEWTON_MAX_ITERATIONS", 1)
+        # at h = 0.25 no solve meets the stop at its start, before an update
+        monkeypatch.setattr(integrators, "NEWTON_MAX_ITERATIONS", 0)
         with pytest.raises(SolverFailure) as excinfo:
             integrate(method, X0, V0, 0.25, 10)
         err = excinfo.value
         assert (err.method, err.step_index) == (method, point)
         assert err.partial_positions.shape == (point, 2)
         assert str(err) == (f"{method.value} failed computing point {point}: {stage}: "
-                            "Newton residual stayed above 1e-15 |C| after 1 iterations")
+                            "Newton residual stayed above 1e-15 |B| after 0 iterations")
 
-    # an mp initialization that Newton cannot solve (a step far above the
-    # stability limit), ml's Newton solve failing mid-run under a cap of one
-    # iteration, fr meeting a collision guard that, raised to |x| = 2, the
-    # default orbit (perihelion 1.31) crosses mid-run, and at h = 1e200, where
-    # h^2 overflows to inf, a NaN Newton system in mp's initializer, and sv's,
+    # an mp initialization with no solution (a step far above the stability
+    # limit), ml's Newton solve failing mid-run under a cap of one update,
+    # fr meeting a collision guard that, raised to |x| = 2, the default orbit
+    # (perihelion 1.31) crosses mid-run, and at h = 1e200, where h^2
+    # overflows to inf, a NaN explicit part in mp's initializer, and sv's,
     # lc's and dec's explicit first step turning inf and NaN (before lc's and
-    # dec's first implicit step meets a NaN Newton system at point 3)
+    # dec's first implicit step meets a NaN explicit part at point 3)
     @pytest.mark.parametrize("method, h, floor, max_iter, error, point, detail", [
         (MethodId.MP, 5.0, None, 50, SolverFailure, 1,
-         "initialization: Newton residual stayed above 1e-15 |C| after 50 iterations"),
-        (MethodId.ML, 0.1, None, 1, SolverFailure, 84,
-         "implicit step: Newton residual stayed above 1e-15 |C| after 1 iterations"),
+         "initialization: the step has no solution: |(q + C)/2| = 3.204 is at or below "
+         "the fold 3.48119"),
+        (MethodId.ML, 0.5, None, 1, SolverFailure, 16,
+         "implicit step: Newton residual stayed above 1e-15 |B| after 1 iterations"),
         (MethodId.FR, 0.1, 2.0, 50, NearSingularity, 69,
          "|x| = 1.972e+00 inside the collision guard 2.000e+00"),
         (MethodId.MP, 1e200, None, 50, SolverFailure, 1,
-         "initialization: singular Newton system (det=nan)"),
+         "initialization: the explicit part of the step is not finite (|(q + C)/2| = nan)"),
         (MethodId.SV, 1e200, None, 50, NumericalFailure, 1, "the state is no longer finite"),
         (MethodId.LC, 1e200, None, 50, NumericalFailure, 1, "the state is no longer finite"),
         (MethodId.DEC, 1e200, None, 50, NumericalFailure, 1, "the state is no longer finite")])
@@ -643,7 +674,8 @@ class TestIntegrate:
             integrate(method, X0, V0, 1e200, 500)
         cause = excinfo.value.__cause__
         assert type(cause) is SolverFailure
-        assert str(cause) == "implicit step: singular Newton system (det=nan)"
+        assert str(cause) == ("implicit step: the explicit part of the step is not finite "
+                              "(|(q + C)/2| = nan)")
 
 
 class TestCollisionGuard:
@@ -655,10 +687,12 @@ class TestCollisionGuard:
 
     # the b-site: q = (1, 0) is clear of the guard, and from p = (-1, 0) the
     # backward midpoint is the origin.  The Newton site: from p = 2 - q the
-    # backward midpoint is (1, 0), where U' = (1, 0), so the predicted first
-    # Newton midpoint (3q - p)/2 - (h^2/2) (a U'(q) + (b + c) U'((p + q)/2)) is
-    # the origin when 4q - 2 = h^2 (a/q^2 + b + c): q = (2 + h^2)/4 for mp,
-    # and the fixed point of that relation for ml
+    # backward midpoint is (1, 0), where U' = (1, 0), so B = (q + C)/2 =
+    # (3q - p)/2 - (h^2/2) (a U'(q) + b U'((p + q)/2)), 2.5e-3 for mp and
+    # 8.3e-4 for ml, with q = (2 + h^2)/4 for mp and the fixed point of
+    # 4q - 2 = h^2 (a/q^2 + b + c) for ml.  The radius rho of the forward
+    # midpoint starts from |B| - c h^2/(2 |B|^2), -400 and -1200: it has
+    # crossed the origin
     @pytest.mark.parametrize("p1, q1, weights", [
         (-1.0, 1.0, MP), (-1.0, 1.0, LC[0]), (1.4975, 0.5025, MP),
         (1.4926907218513024, 0.5073092781486978, ML)])
