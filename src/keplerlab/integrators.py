@@ -7,20 +7,21 @@ differs between methods only in the cycle of gradient weights it applies;
 see _stencil and the table STENCILS.  fr is the fourth-order triple-jump
 composition of leapfrog, a one-step map on (x, v).
 
-Both are run-level kernels on plain floats that append n points to flat
-lists: _stencil evaluates U' inline and solves each implicit step as one
+Both are run-level kernels on plain floats that compute each constant of
+the run once and write n points into preallocated arrays, _CHUNK_STEPS at a
+time: _stencil evaluates U' inline and solves each implicit step as one
 scalar equation.  The force is central, so the forward midpoint lies along
 a vector the step already knows, and Newton's method runs on its radius
 alone, stopped at a residual relative to the step's size; the midpoint's
 gradient is carried into the next step's b-term.  _fr takes n fr steps with
-U' inline.  integrate calls one of them once per run, after
-init_second_point (the stencil kernel with n = 1) for a two-step method,
-decides where a failed run stopped and counts implicit solves, Newton
-updates and gradient evaluations.
+U' inline.  integrate calls one of them once per run, into the trajectory's
+arrays, after init_second_point (the stencil kernel with n = 1) for a
+two-step method, and decides where a failed run stopped.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -97,11 +98,15 @@ NEWTON_MAX_ITERATIONS = 50
 
 # The longest run integrate accepts: 30 times the 31,800 steps of the longest
 # scan cell, far below a count that never finishes, as h = 1e-300 over a unit
-# span asks for.  At 10^6 steps integrate peaks near 120 MB (sv) and 250 MB
-# (fr); `keplerlab simulate`, which writes its rows in fixed-size chunks,
-# peaks near 140 MB (sv, CSV) and 250 MB (fr, JSON), growing linearly with
-# the count through the trajectory's arrays.
+# span asks for.  At 10^6 steps integrate peaks near 47 MB (sv) and 63 MB
+# (fr), 28 MB of it the import; `keplerlab simulate`, which writes its rows
+# in fixed-size chunks, peaks near 137 MB (sv, CSV, and fr, JSON), growing
+# linearly with the count through the arrays it derives from the trajectory.
 MAX_STEPS = 10**6
+
+# Steps a kernel takes between copies of its points into the trajectory's
+# arrays, so that a run holds a short list of floats, not one per step.
+_CHUNK_STEPS = 4096
 
 
 @dataclass
@@ -158,14 +163,14 @@ class Trajectory:
         return self.h * np.arange(len(self.positions))
 
 
-def _stencil(xs: list[float], n: int, p1: float, p2: float, q1: float, q2: float,
+def _stencil(out: np.ndarray, n: int, p1: float, p2: float, q1: float, q2: float,
              r1: float, r2: float, h: float, cycle: tuple[Weights, ...], phase: int,
              label: str, stats: IntegrationStats) -> None:
-    """Append n points of the two-step relation with weights (a, b, c),
+    """Write n points of the two-step relation with weights (a, b, c),
 
         z - 2q + p = -h^2 [a U'(q) + b U'((p + q)/2) + c U'((q + z)/2)],
 
-    to the flat list xs: step k = phase, ..., phase + n - 1 takes the
+    into the rows of out: step k = phase, ..., phase + n - 1 takes the
     weights cycle[k % len(cycle)] and advances (p, q) to (q, z).  The first
     step starts from x_prev = p, x_cur = q and the free flight r, later ones
     from r = 2q - p.  A gradient is evaluated only where its weight is
@@ -181,126 +186,168 @@ def _stencil(xs: list[float], n: int, p1: float, p2: float, q1: float, q2: float
     NEWTON_MAX_ITERATIONS updates, both read at each call.  Then z = 2m - q,
     and U'(m) = m/rho^3, U'((q + z)/2) to round-off but not bit for bit, is
     carried into a b-term right after an implicit step.  A non-finite B, a
-    spent budget or phi' <= 0 (no solution: beta at or below the fold) raise
-    SolverFailure, a rho inside the collision guard NearSingularity, prefixed
-    with label.  The run's implicit solves, Newton updates and gradient
-    evaluations (m/rho^3 is one) are added to stats at the end.
+    spent budget or beta at or below the fold (phi' <= 0, or rho inside the
+    collision guard: no solution) raise SolverFailure, a rho inside the guard
+    above the fold NearSingularity, prefixed with label.  The rows
+    (a, b, c, kappa), turned to start at phase, are built once.  The points
+    gather in a list copied into out every _CHUNK_STEPS steps and at a
+    failure, which then carries .filled, the rows written.  The run's implicit
+    solves, Newton updates and gradient evaluations (m/rho^3 is one) are
+    added to stats at the end.
     """
     tol, max_iter = NEWTON_TOLERANCE, NEWTON_MAX_ITERATIONS
     hypot, inf, floor = math.hypot, math.inf, SINGULARITY_FLOOR
     h2 = h * h
-    period = len(cycle)
-    append = xs.append
-    solves = iterations = gradients = 0
+    half_tol = 0.5 * tol
+    rows = [(a, b, c, 0.5 * c * h2) for a, b, c in cycle]
+    k = phase % len(rows)
+    steps = itertools.cycle(rows[k:] + rows[:k])
+    points: list[float] = []  # x1 x2 per point
+    filled = solves = iterations = gradients = 0
     c_prev = 0.0  # nonzero when (gb1, gb2) already holds U'((p + q)/2)
     gb1 = gb2 = 0.0
-    for k in range(phase, phase + n):
-        a, b, c = cycle[k % period]
-        f1 = f2 = 0.0
-        if a:
-            r = hypot(q1, q2)
-            if r < floor:
-                raise _collision(r)
-            r3 = r * r * r
-            f1 += a * (q1 / r3)
-            f2 += a * (q2 / r3)
-            gradients += 1
-        if b:
-            if not c_prev:
-                m1 = 0.5 * (p1 + q1)
-                m2 = 0.5 * (p2 + q2)
-                r = hypot(m1, m2)
-                if r < floor:
-                    raise _collision(r)
-                r3 = r * r * r
-                gb1 = m1 / r3
-                gb2 = m2 / r3
-                gradients += 1
-            f1 += b * gb1
-            f2 += b * gb2
-        c1 = r1 - h2 * f1
-        c2 = r2 - h2 * f2
-        if c:
-            kappa = 0.5 * c * h2
-            b1 = 0.5 * (q1 + c1)
-            b2 = 0.5 * (q2 + c2)
-            beta = hypot(b1, b2)
-            if not beta < inf:
-                raise SolverFailure(f"{label}: the explicit part of the step is not finite "
-                                    f"(|(q + C)/2| = {beta})")
-            limit = 0.5 * tol * beta
-            rho = beta
-            if rho >= floor:
-                rho = beta - kappa / (rho * rho)
-                if rho >= floor:
-                    rho = beta - kappa / (rho * rho)
-            for applied in range(max_iter + 1):
-                if rho < floor:
-                    raise NearSingularity(f"{label}: the forward midpoint's radius fell to "
-                                          f"{rho:.3e}, inside the collision guard {floor:.3e}")
-                rr = rho * rho
-                phi = rho + kappa / rr - beta
-                if phi < limit:
-                    break
-                if applied == max_iter:
-                    raise SolverFailure(f"{label}: Newton residual stayed above {tol} |B| "
-                                        f"after {max_iter} iterations")
-                slope = 1.0 - 2.0 * kappa / (rr * rho)
-                if slope <= 0.0:
-                    raise SolverFailure(
-                        f"{label}: the step has no solution: |(q + C)/2| = {beta:.6g} is at or "
-                        f"below the fold {1.5 * (2.0 * kappa) ** (1.0 / 3.0):.6g}")
-                rho -= phi / slope
-            r3 = rr * rho
-            s = rho / beta
-            m1 = s * b1
-            m2 = s * b2
-            gb1 = m1 / r3
-            gb2 = m2 / r3
-            z1 = 2.0 * m1 - q1
-            z2 = 2.0 * m2 - q2
-            solves += 1
-            iterations += applied
-            gradients += 1
-        else:
-            z1, z2 = c1, c2
-        append(z1)
-        append(z2)
-        p1, p2 = q1, q2
-        q1, q2 = z1, z2
-        c_prev = c
-        r1 = 2.0 * q1 - p1
-        r2 = 2.0 * q2 - p2
+    try:
+        for start in range(0, n, _CHUNK_STEPS):
+            for a, b, c, kappa in itertools.islice(steps, min(_CHUNK_STEPS, n - start)):
+                f1 = f2 = 0.0
+                if a:
+                    r = hypot(q1, q2)
+                    if r < floor:
+                        raise _collision(r)
+                    r3 = r * r * r
+                    f1 += a * (q1 / r3)
+                    f2 += a * (q2 / r3)
+                    gradients += 1
+                if b:
+                    if not c_prev:
+                        m1 = 0.5 * (p1 + q1)
+                        m2 = 0.5 * (p2 + q2)
+                        r = hypot(m1, m2)
+                        if r < floor:
+                            raise _collision(r)
+                        r3 = r * r * r
+                        gb1 = m1 / r3
+                        gb2 = m2 / r3
+                        gradients += 1
+                    f1 += b * gb1
+                    f2 += b * gb2
+                c1 = r1 - h2 * f1
+                c2 = r2 - h2 * f2
+                if c:
+                    b1 = 0.5 * (q1 + c1)
+                    b2 = 0.5 * (q2 + c2)
+                    beta = hypot(b1, b2)
+                    if not beta < inf:
+                        raise SolverFailure(f"{label}: the explicit part of the step is not "
+                                            f"finite (|(q + C)/2| = {beta})")
+                    limit = half_tol * beta
+                    rho = beta
+                    if rho >= floor:
+                        rho = beta - kappa / (rho * rho)
+                        if rho >= floor:
+                            rho = beta - kappa / (rho * rho)
+                    applied = 0
+                    while True:
+                        if rho < floor:
+                            raise _midpoint_failure(label, beta, kappa, rho)
+                        rr = rho * rho
+                        phi = rho + kappa / rr - beta
+                        if phi < limit:
+                            break
+                        if applied == max_iter:
+                            raise SolverFailure(f"{label}: Newton residual stayed above {tol} "
+                                                f"|B| after {max_iter} iterations")
+                        slope = 1.0 - 2.0 * kappa / (rr * rho)
+                        if slope <= 0.0:
+                            raise _midpoint_failure(label, beta, kappa)
+                        rho -= phi / slope
+                        applied += 1
+                    r3 = rr * rho
+                    s = rho / beta
+                    m1 = s * b1
+                    m2 = s * b2
+                    gb1 = m1 / r3
+                    gb2 = m2 / r3
+                    z1 = 2.0 * m1 - q1
+                    z2 = 2.0 * m2 - q2
+                    solves += 1
+                    iterations += applied
+                    gradients += 1
+                else:
+                    z1, z2 = c1, c2
+                points.append(z1)
+                points.append(z2)
+                p1, p2 = q1, q2
+                q1, q2 = z1, z2
+                c_prev = c
+                r1 = 2.0 * q1 - p1
+                r2 = 2.0 * q2 - p2
+            filled = _flush(points, filled, out)
+    except NumericalFailure as err:
+        err.filled = _flush(points, filled, out)
+        raise
     stats.implicit_solves += solves
     stats.newton_iterations += iterations
     stats.gradient_evaluations += gradients
 
 
-def _fr(xs: list[float], vs: list[float], n: int, x1: float, x2: float, v1: float,
+def _midpoint_failure(label: str, beta: float, kappa: float,
+                      rho: Optional[float] = None) -> NumericalFailure:
+    """Why an implicit step has no forward midpoint: no solution where Newton's
+    slope gave out (rho None) or beta is at or below the fold, else a collision."""
+    fold = 1.5 * (2.0 * kappa) ** (1.0 / 3.0)
+    if rho is None or beta <= fold:
+        return SolverFailure(f"{label}: the step has no solution: |(q + C)/2| = {beta:.6g} is "
+                             f"at or below the fold {fold:.6g}")
+    return NearSingularity(f"{label}: the forward midpoint's radius fell to {rho:.3e}, inside "
+                           f"the collision guard {SINGULARITY_FLOOR:.3e}")
+
+
+def _fr(xs: np.ndarray, vs: np.ndarray, n: int, x1: float, x2: float, v1: float,
         v2: float, h: float, stats: IntegrationStats) -> None:
-    """Append n triple-jump steps from (x, v) to the flat lists xs and vs;
-    each is three leapfrog substeps (drift dt/2, kick dt, drift dt/2) with
-    dt = (theta, 1 - 2 theta, theta) h, one gradient per kick, counted in
-    stats; U' = x/|x|^3 is written out in the kick, behind the collision guard."""
+    """Write n triple-jump steps from (x, v) into the rows of xs and vs; each
+    is three leapfrog substeps (drift dt/2, kick dt, drift dt/2) with
+    dt = (theta, 1 - 2 theta, theta) h, whose (dt/2, dt) are built once, one
+    gradient per kick, counted in stats; U' = x/|x|^3 is written out in the
+    kick, behind the collision guard.  The points reach xs and vs as in
+    _stencil, with .filled on a failure."""
     hypot, floor = math.hypot, SINGULARITY_FLOOR
-    for _ in range(n):
-        for w in _FR_WEIGHTS:
-            dt = w * h
-            x1 += 0.5 * dt * v1
-            x2 += 0.5 * dt * v2
-            r = hypot(x1, x2)
-            if r < floor:
-                raise _collision(r)
-            r3 = r * r * r
-            v1 -= dt * (x1 / r3)
-            v2 -= dt * (x2 / r3)
-            x1 += 0.5 * dt * v1
-            x2 += 0.5 * dt * v2
-        xs.append(x1)
-        xs.append(x2)
-        vs.append(v1)
-        vs.append(v2)
+    substeps = [(0.5 * (w * h), w * h) for w in _FR_WEIGHTS]
+    points: list[float] = []  # x1 x2 v1 v2 per point
+    filled = 0
+    try:
+        for start in range(0, n, _CHUNK_STEPS):
+            for _ in range(min(_CHUNK_STEPS, n - start)):
+                for half, dt in substeps:
+                    x1 += half * v1
+                    x2 += half * v2
+                    r = hypot(x1, x2)
+                    if r < floor:
+                        raise _collision(r)
+                    r3 = r * r * r
+                    v1 -= dt * (x1 / r3)
+                    v2 -= dt * (x2 / r3)
+                    x1 += half * v1
+                    x2 += half * v2
+                points.append(x1)
+                points.append(x2)
+                points.append(v1)
+                points.append(v2)
+            filled = _flush(points, filled, xs, vs)
+    except NumericalFailure as err:
+        err.filled = _flush(points, filled, xs, vs)
+        raise
     stats.gradient_evaluations += len(_FR_WEIGHTS) * n
+
+
+def _flush(flat: list[float], start: int, *outs: np.ndarray) -> int:
+    """Copy flat, an x1 x2 pair for each array of outs per point, into their
+    rows from start on; empty flat and return the row after the last written."""
+    points = np.fromiter(flat, float, len(flat)).reshape(-1, 2 * len(outs))
+    for i, out in enumerate(outs):
+        out[start:start + len(points)] = points[:, 2 * i:2 * i + 2]
+    flat.clear()
+    return start + len(points)
 
 
 def init_second_point(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
@@ -319,11 +366,11 @@ def init_second_point(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: f
     if method is MethodId.FR:
         raise ConfigurationError("fr is a one-step method: it has no second-point initializer")
     (x1, x2), (v1, v2) = x0, v0
-    z: list[float] = []
+    z = np.empty((1, 2))
     a, _, c = STENCILS[method].init
     _stencil(z, 1, x1, x2, x1, x2, x1 + h * v1, x2 + h * v2, h, ((0.5 * a, 0.0, c),), 0,
              "initialization", stats)
-    return PlanarVector(*z)
+    return PlanarVector(*z[0].tolist())
 
 
 def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
@@ -348,30 +395,32 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
     x0, v0 = PlanarVector(*x0), PlanarVector(*v0)
     elements = elements_from_state(State(x0, v0, 0.0))
     stats = IntegrationStats()
-    # positions (and fr's velocities) as flat float lists, x1 x2 per point
-    xs = list(x0)
-    vs = list(v0) if method is MethodId.FR else None
-    failure = None
+    positions = np.empty((n_steps + 1, 2))
+    velocities = np.empty_like(positions) if method is MethodId.FR else None
+    positions[0] = x0
+    filled, failure = 1, None  # rows of positions written, and why the run stopped
     try:
-        if vs is not None:
-            _fr(xs, vs, n_steps, *x0, *v0, h, stats)
+        if velocities is not None:
+            velocities[0] = v0
+            _fr(positions[1:], velocities[1:], n_steps, *x0, *v0, h, stats)
         else:
             (p1, p2), (q1, q2) = x0, init_second_point(method, x0, v0, h, stats)
-            xs.append(q1)
-            xs.append(q2)
-            _stencil(xs, n_steps - 1, p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2, h,
-                     STENCILS[method].cycle, 1, "implicit step", stats)
+            positions[1], filled = (q1, q2), 2
+            _stencil(positions[2:], n_steps - 1, p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2,
+                     h, STENCILS[method].cycle, 1, "implicit step", stats)
+        filled = n_steps + 1
     except NumericalFailure as err:
-        failure = err
-    positions = _points(xs)
-    velocities = None if vs is None else _points(vs)
-    finite = np.isfinite(positions if vs is None else np.hstack((positions, velocities)))
+        filled, failure = filled + err.filled, err
+    # positions and velocities apart, so that no (n, 4) copy is made
+    finite = np.isfinite(positions[:filled]).all(axis=1)
+    if velocities is not None:
+        finite &= np.isfinite(velocities[:filled]).all(axis=1)
     if finite.all():
         if failure is None:
             return Trajectory(method, h, positions, v0, elements, velocities, stats)
-        point = len(positions)
+        point = filled
     else:
-        point = int(np.argmin(finite.all(axis=1)))
+        point = int(np.argmin(finite))
         cause, failure = failure, NumericalFailure("the state is no longer finite")
         failure.__cause__ = cause
     failure.method = method
@@ -380,11 +429,6 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
     detail = failure.args[0] if failure.args else failure.__class__.__name__
     failure.args = (f"{method.value} failed computing point {point}: {detail}",)
     raise failure
-
-
-def _points(flat: list[float]) -> np.ndarray:
-    """A flat x1 x2 list as an (n, 2) array."""
-    return np.array(flat, dtype=float).reshape(-1, 2)
 
 
 def reconstruct_velocities(traj: Trajectory) -> np.ndarray:

@@ -683,7 +683,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, message", [
         (["--method", "mp", "--h", "5"], "mp failed computing point 1: initialization: "),
         (["--method", "sv", "--h", "1e200", "--steps", "3"],
-         "sv failed computing point 1: the state is no longer finite")], ids=["mp", "sv"])
+         "sv failed computing point 1: the state is no longer finite"),
+        # |B|^3 < kappa: the radial start lies past the origin, with no root
+        (["--method", "mp", "--h", "40", "--steps", "10"],
+         "mp failed computing point 1: initialization: the step has no solution: "
+         "|(q + C)/2| = 9.48683 is at or below the fold 13.9248")], ids=["mp", "sv", "mp-no-root"])
     def test_numerical_failure_exits_two(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "simulate", *argv)
         assert (code, out) == (2, "")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,17 +42,17 @@ def step(xp, xc, h, weights, r=None):
     flight r, 2 x_cur - x_prev unless given."""
     (p1, p2), (q1, q2) = xp, xc
     r1, r2 = (2.0 * q1 - p1, 2.0 * q2 - p2) if r is None else r
-    z = []
+    z = np.empty((1, 2))
     _stencil(z, 1, p1, p2, q1, q2, r1, r2, h, (weights,), 0, "implicit step",
              IntegrationStats())
-    return PlanarVector(*z)
+    return PlanarVector(*z[0].tolist())
 
 
 def fr_step(x1, x2, v1, v2, h):
     """One triple-jump step from (x, v), as (x1, x2, v1, v2)."""
-    xs, vs = [], []
+    xs, vs = np.empty((1, 2)), np.empty((1, 2))
     _fr(xs, vs, 1, x1, x2, v1, v2, h, IntegrationStats())
-    return (*xs, *vs)
+    return (*xs[0].tolist(), *vs[0].tolist())
 
 
 def grad(x):
@@ -264,6 +265,58 @@ class TestKernelReference:
         assert np.array_equal(integrate(method, x0, v0, h, 300).positions, want)
         assert init_second_point(method, x0, v0, h, IntegrationStats()) == tuple(want[1])
 
+    # the kernel's points x_2 .. x_N reach the trajectory _CHUNK_STEPS at a
+    # time: this run copies a first full chunk and then a second
+    @pytest.mark.parametrize("method", TWO_STEP_METHODS)
+    def test_a_run_across_a_chunk_boundary_equals_the_reference(self, method):
+        x0, v0, h = self.STARTS["default"]
+        n = integrators._CHUNK_STEPS + 4
+        want = reference_positions(method, x0, v0, h, n)
+        assert np.array_equal(integrate(method, x0, v0, h, n).positions, want)
+
+
+class TestChunks:
+    """A kernel copies its points into the trajectory's arrays every
+    _CHUNK_STEPS steps and at a failure: where the chunks end moves no bit,
+    no counter and no failure.  300 steps fit in one default chunk."""
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_chunks_leave_every_bit(self, monkeypatch, method, chunk):
+        want = integrate(method, X0, V0, 0.1, 300)
+        monkeypatch.setattr(integrators, "_CHUNK_STEPS", chunk)
+        got = integrate(method, X0, V0, 0.1, 300)
+        assert got.positions.tobytes() == want.positions.tobytes()
+        assert (None if got.velocities is None else got.velocities.tobytes()) == (
+            None if want.velocities is None else want.velocities.tobytes())
+        assert got.stats == want.stats
+
+    # ml's Newton solve failing at point 16 under a cap of one update (the
+    # first step of the stencil kernel's third 7-step chunk), fr meeting a
+    # collision guard raised to |x| = 2 at point 69, and lc's first
+    # non-finite point 1 winning over its failure at point 3 (h^2 overflows)
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("method, h, floor, max_iter", [
+        (MethodId.ML, 0.5, None, 1), (MethodId.FR, 0.1, 2.0, 50),
+        (MethodId.LC, 1e200, None, 50)], ids=["ml", "fr", "lc"])
+    def test_a_failure_in_a_later_chunk_stops_where_it_did(self, monkeypatch, method, h, floor,
+                                                          max_iter, chunk):
+        if floor is not None:
+            monkeypatch.setattr(kepler, "SINGULARITY_FLOOR", floor)
+            monkeypatch.setattr(integrators, "SINGULARITY_FLOOR", floor)
+        monkeypatch.setattr(integrators, "NEWTON_MAX_ITERATIONS", max_iter)
+
+        def failure():
+            with pytest.raises(NumericalFailure) as excinfo:
+                integrate(method, X0, V0, h, 500)
+            err = excinfo.value
+            return (type(err), err.step_index, str(err), err.partial_positions.tobytes(),
+                    repr(err.__cause__))
+
+        want = failure()
+        monkeypatch.setattr(integrators, "_CHUNK_STEPS", chunk)
+        assert failure() == want
+
 
 class TestRadialSolve:
     """The kernel's radial solve against the two-dimensional Newton solve of
@@ -307,9 +360,8 @@ def bound_starts(draw):
 
 
 def farthest(points, reference):
-    """The largest distance between a flat x1 x2 list and the (n, 2) points
-    it should equal."""
-    return float(np.max(np.hypot(*(np.reshape(points, (-1, 2)) - reference).T)))
+    """The largest distance between two arrays of (n, 2) points."""
+    return float(np.max(np.hypot(*(points - reference).T)))
 
 
 class TestTimeReversal:
@@ -333,14 +385,14 @@ class TestTimeReversal:
         x_0 (x_{N-1} .. x_0 for fr); for a stencil, at the phase that fits best."""
         X, h, n = traj.positions, traj.h, traj.n_steps
         if traj.method is MethodId.FR:
-            xs, vs = [], []
+            xs, vs = np.empty((n, 2)), np.empty((n, 2))
             _fr(xs, vs, n, *X[-1], *traj.velocities[-1], -h, IntegrationStats())
             return farthest(xs, X[-2::-1])
         cycle = STENCILS[traj.method].cycle
         (p1, p2), (q1, q2) = X[-1], X[-2]
         gaps = []
         for phase in range(len(cycle)):
-            xs = []
+            xs = np.empty((n - 1, 2))
             _stencil(xs, n - 1, p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2, h, cycle, phase,
                      "backward step", IntegrationStats())
             gaps.append(farthest(xs, X[-3::-1]))
@@ -600,6 +652,26 @@ class TestIntegrate:
         assert str(refused.value) == ("1000001 steps of h = 0.1 exceed the bound "
                                       "MAX_STEPS = 1000000")
 
+    # integrate holds its positions, 16 B per step (and fr's velocities, 16
+    # more), and a chunk of floats: a run twice as long raises the traced
+    # peak by the arrays and the finite check's masks, 19 B per step (36 B
+    # for fr).  A flat float list of every point held 83 B (199 B for fr)
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_memory_grows_by_the_arrays_alone(self, monkeypatch, method):
+        monkeypatch.setattr(integrators, "_CHUNK_STEPS", 16, raising=False)
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                integrate(method, X0, V0, 0.1, steps)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)
+        bound = 40 if method is MethodId.FR else 24
+        assert (peak(8000) - peak(4000)) / 4000 < bound
+
     @pytest.mark.parametrize("positions, velocities, message", [
         (np.zeros((3, 3)), None, r"positions must have shape \(n, 2\)"),
         (np.zeros(4), None, r"positions must have shape \(n, 2\)"),
@@ -686,19 +758,27 @@ class TestCollisionGuard:
             step(PlanarVector(1e-13, 0.0), PlanarVector(5e-13, 0.0), 0.1, weights)
 
     # the b-site: q = (1, 0) is clear of the guard, and from p = (-1, 0) the
-    # backward midpoint is the origin.  The Newton site: from p = 2 - q the
-    # backward midpoint is (1, 0), where U' = (1, 0), so B = (q + C)/2 =
-    # (3q - p)/2 - (h^2/2) (a U'(q) + b U'((p + q)/2)), 2.5e-3 for mp and
-    # 8.3e-4 for ml, with q = (2 + h^2)/4 for mp and the fixed point of
-    # 4q - 2 = h^2 (a/q^2 + b + c) for ml.  The radius rho of the forward
-    # midpoint starts from |B| - c h^2/(2 |B|^2), -400 and -1200: it has
-    # crossed the origin
-    @pytest.mark.parametrize("p1, q1, weights", [
-        (-1.0, 1.0, MP), (-1.0, 1.0, LC[0]), (1.4975, 0.5025, MP),
-        (1.4926907218513024, 0.5073092781486978, ML)])
+    # backward midpoint is the origin
+    @pytest.mark.parametrize("p1, q1, weights", [(-1.0, 1.0, MP), (-1.0, 1.0, LC[0])])
     def test_stencil_kernel_midpoints(self, p1, q1, weights):
         with pytest.raises(NearSingularity, match="inside the collision guard"):
             step(PlanarVector(p1, 0.0), PlanarVector(q1, 0.0), 0.1, weights)
+
+    # The Newton site: from p = 2 - q the backward midpoint is (1, 0), where
+    # U' = (1, 0), so B = (q + C)/2 = (3q - p)/2 - (h^2/2) (a U'(q) +
+    # b U'((p + q)/2)), 2.5e-3 for mp and 8.3e-4 for ml, with q = (2 + h^2)/4
+    # for mp and the fixed point of 4q - 2 = h^2 (a/q^2 + b + c) for ml.  The
+    # radius rho of the forward midpoint starts from |B| - c h^2/(2 |B|^2),
+    # -400 and -1200: |B|^3 < kappa, far below the fold, so the step has no
+    # solution, and the guard that rho crossed says so
+    @pytest.mark.parametrize("p1, q1, weights, detail", [
+        (1.4975, 0.5025, MP, "|(q + C)/2| = 0.0025 is at or below the fold 0.256496"),
+        (1.4926907218513024, 0.5073092781486978, ML,
+         "|(q + C)/2| = 0.000833333 is at or below the fold 0.177845")], ids=["mp", "ml"])
+    def test_a_midpoint_radius_past_the_origin_has_no_solution(self, p1, q1, weights, detail):
+        with pytest.raises(SolverFailure) as excinfo:
+            step(PlanarVector(p1, 0.0), PlanarVector(q1, 0.0), 0.1, weights)
+        assert str(excinfo.value) == f"implicit step: the step has no solution: {detail}"
 
     def test_fr_kernel(self):
         # at rest the first drift stays put, so the first kick is at 1e-13
