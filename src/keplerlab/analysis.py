@@ -6,8 +6,10 @@ invariants per sample come from kepler.observable_series, the one formula
 for E, L and the Laplace-Runge-Lenz vector.  The apsis angle is read off the
 LRL vector per sample, unwrapped, and fitted linearly in time, which averages
 out the O(h^2) oscillation of the per-sample angle and exposes the secular
-drift.  require_measurable decides from the period, the step and the step
-count alone whether a run can be measured, so a caller can ask before it
+drift.  trajectory_arrays and error_curve take a row range, the whole run
+by default, so that an output can be derived a chunk at a time.
+require_measurable decides from the period, the step and the step count
+alone whether a run can be measured, so a caller can ask before it
 integrates.  energy_drift summarises the energy, whose boundedness is the
 symplectic schemes' claim.
 """
@@ -15,13 +17,13 @@ symplectic schemes' claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import SignChange, TooFewRevolutions
 from .integrators import STENCILS, Trajectory, reconstruct_velocities
-from .kepler import ExactOrbit, PlanarVector, State, observable_series
+from .kepler import observable_series
 
 # Coarser sampling aliases the LRL angle.  On the default orbit sv's rate
 # over 100 revolutions rises monotonically from 40 to 7 samples per
@@ -39,13 +41,16 @@ class PrecessionEstimate:
     revolutions_observed: float
 
 
-def trajectory_arrays(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(times, positions, velocities) with velocities reconstructed if absent."""
+def trajectory_arrays(traj: Trajectory, lo: int = 0, hi: Optional[int] = None
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(times, positions, velocities) at rows [lo, hi), all by default, with
+    velocities reconstructed if absent."""
+    hi = len(traj.positions) if hi is None else hi
     if traj.velocities is not None:
-        V = traj.velocities
+        V = traj.velocities[lo:hi]
     else:
-        V = reconstruct_velocities(traj)
-    return traj.times, traj.positions, V
+        V = reconstruct_velocities(traj, lo, hi)
+    return traj.h * np.arange(lo, hi), traj.positions[lo:hi], V
 
 
 def well_sampled(period: float, h: float) -> bool:
@@ -135,18 +140,19 @@ def discrete_angular_momentum(traj: Trajectory) -> np.ndarray:
     return ell
 
 
-def error_curve(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean position error against the closed-form orbit per sample."""
-    initial = State(PlanarVector(*traj.positions[0]), traj.start_velocity, 0.0)
-    orbit = ExactOrbit(initial)
-    t = traj.times
-    X_exact, _ = orbit.states_at(t)
-    err = np.hypot(traj.positions[:, 0] - X_exact[:, 0],
-                   traj.positions[:, 1] - X_exact[:, 1])
+def error_curve(traj: Trajectory, lo: int = 0, hi: Optional[int] = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Times and Euclidean position errors against the closed-form orbit at
+    rows [lo, hi), all by default."""
+    hi = len(traj.positions) if hi is None else hi
+    t, X = traj.h * np.arange(lo, hi), traj.positions[lo:hi]
+    X_exact, _ = traj.exact_orbit.states_at(t)
+    err = np.hypot(X[:, 0] - X_exact[:, 0], X[:, 1] - X_exact[:, 1])
     # The orbit is seeded with the trajectory's own initial point, so the
     # t = 0 residual is zero by construction; the Kepler-solve roundtrip
     # would otherwise inject ~1e-16 of noise into an identically-zero cell.
-    err[0] = 0.0
+    if lo == 0:
+        err[:1] = 0.0
     return t, err
 
 

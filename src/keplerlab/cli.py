@@ -10,9 +10,10 @@ and echoed to stderr for CSV.
 
 Two tables drive the parser, the --config check and the metadata: _OPTIONS
 declares every setting once, and _COMMANDS gives each subcommand its
-handler and its settings with their defaults.  Handlers hand _emit their
-tables column by column; it formats and writes them a fixed number of rows
-at a time, so the output text held in memory does not grow with the run.
+handler and its settings with their defaults.  Handlers hand _emit a row
+count and the columns of any row range; _emit asks for, formats and writes
+a fixed number of rows at a time, so the memory that simulate and
+error-curve hold beyond the trajectory does not grow with the run.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
 """
@@ -271,69 +272,77 @@ def _json_cells(column) -> list[str]:
     return text[1:-1].split("\n") if len(text) > 2 else []
 
 
-# Rows formatted and written at a time, so that the text held at once is
-# bounded by a chunk, not by the run length.
-_CHUNK_ROWS = 4096
+# Rows derived, formatted and written at a time, so that the columns and the
+# text held at once are bounded by a chunk, not by the run length.
+_CHUNK_ROWS = 1024
+
+_Columns = Callable[[int, int], list]
 
 
-def _chunks(table: list, cells: Callable[[Any], list[str]]) -> Iterator[Iterator[tuple]]:
-    """The table's rows, _CHUNK_ROWS at a time, as tuples of formatted cells.
-    Each column is formatted a chunk at a time; a numpy column is turned into
-    Python scalars (.tolist()) a chunk at a time too."""
-    n_rows = min(map(len, table), default=0)
-    for start in range(0, n_rows, _CHUNK_ROWS):
-        part = [column[start:start + _CHUNK_ROWS] for column in table]
-        yield zip(*(cells(c.tolist() if isinstance(c, np.ndarray) else c) for c in part))
+def _chunks(n_rows: int, columns: _Columns, cells: Callable[[Any], list[str]]
+            ) -> Iterator[list[list[str]]]:
+    """The formatted cells of each column, _CHUNK_ROWS rows at a time: the
+    columns of a chunk are asked for, formatted and dropped before the next
+    chunk's are, and a numpy column is turned into Python scalars (.tolist())."""
+    for lo in range(0, n_rows, _CHUNK_ROWS):
+        yield [cells(c.tolist() if isinstance(c, np.ndarray) else c)
+               for c in columns(lo, min(lo + _CHUNK_ROWS, n_rows))]
 
 
-def _json_text(meta: dict, columns: list[str], table: list, report: bool,
+def _rows(rows: list) -> tuple[int, _Columns]:
+    """A small table held as a list of rows, as _emit takes a table."""
+    return len(rows), lambda lo, hi: list(zip(*rows[lo:hi]))
+
+
+def _json_text(meta: dict, names: list[str], n_rows: int, columns: _Columns, report: bool,
                extra: dict) -> Iterator[str]:
     """The JSON payload in pieces, laid out as json.dumps(payload, indent=2,
     sort_keys=True): a `report` row is merged into the payload; other rows,
     one object per row with keys sorted, replace its top-level "rows": null
     line chunk by chunk."""
     if report:
-        row = {name: column[0] for name, column in zip(columns, table)}
+        row = {name: column[0] for name, column in zip(names, columns(0, 1))}
         yield json.dumps(dict(row, metadata=meta, **extra), indent=2, sort_keys=True) + "\n"
         return
     text = json.dumps(dict(rows=None, metadata=meta, **extra), indent=2, sort_keys=True)
     head, tail = text.split('\n  "rows": null', 1)
-    order = sorted(range(len(columns)), key=columns.__getitem__)
-    fields = ",\n".join("      " + json.dumps(columns[i]).replace("%", "%%") + ": %s"
+    order = sorted(range(len(names)), key=names.__getitem__)
+    fields = ",\n".join("      " + json.dumps(names[i]).replace("%", "%%") + ": %s"
                         for i in order)
     template = "    {\n" + fields + "\n    }"
     yield head + '\n  "rows": '
     opening, closing = "[\n", "[]"  # the list is "[]" until a row is written
-    for rows in _chunks([table[i] for i in order], _json_cells):
-        yield opening + ",\n".join(map(template.__mod__, rows))
+    for cells in _chunks(n_rows, columns, _json_cells):
+        yield opening + ",\n".join(map(template.__mod__, zip(*map(cells.__getitem__, order))))
         opening, closing = ",\n", "\n  ]"
     yield closing + tail + "\n"
 
 
-def _csv_text(columns: list[str], table: list) -> Iterator[str]:
+def _csv_text(names: list[str], n_rows: int, columns: _Columns) -> Iterator[str]:
     """The CSV table in pieces: the header line, then one chunk of lines at a time."""
-    yield ",".join(columns) + "\n"
-    for rows in _chunks(table, _csv_cells):
-        yield "\n".join(map(",".join, rows)) + "\n"
+    yield ",".join(names) + "\n"
+    for cells in _chunks(n_rows, columns, _csv_cells):
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def _emit(cfg: dict, meta: dict, columns: list[str], table: list,
+def _emit(cfg: dict, meta: dict, names: list[str], n_rows: int, columns: _Columns,
           report: bool = False, **extra) -> None:
-    """Write a table as CSV, with the metadata on stderr, or as JSON.
+    """Write a table of n_rows rows as CSV, with the metadata on stderr, or as JSON.
 
-    `table` holds one sequence of scalars per column (a list, a range or a
-    numpy array), in the order of `columns`.  The rows are formatted and
-    written _CHUNK_ROWS at a time, so the whole text is never built: CSV
-    cells as _fmt writes them, JSON laid out exactly as
-    json.dumps(payload, indent=2, sort_keys=True).  The payload holds the
-    metadata, any `extra` fields and the rows as objects keyed by column; a
-    `report` is one row, merged into the payload itself.
+    columns(lo, hi) gives the table's columns, in the order of `names`, at
+    rows [lo, hi) (lists, ranges, tuples or numpy arrays of scalars).  They
+    are asked for, formatted and written _CHUNK_ROWS rows at a time, so no
+    whole column and no whole text is built: CSV cells as _fmt writes them,
+    JSON laid out exactly as json.dumps(payload, indent=2, sort_keys=True).
+    The payload holds the metadata, any `extra` fields and the rows as
+    objects keyed by column; a `report` is one row, merged into the payload
+    itself.
     """
     if cfg["format"] == "json":
-        pieces = _json_text(meta, columns, table, report, extra)
+        pieces = _json_text(meta, names, n_rows, columns, report, extra)
     else:
         print(f"# metadata: {json.dumps(meta, sort_keys=True)}", file=sys.stderr)
-        pieces = _csv_text(columns, table)
+        pieces = _csv_text(names, n_rows, columns)
     if cfg.get("out"):
         with open(cfg["out"], "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(pieces)
@@ -381,13 +390,16 @@ def _run(cfg: dict, period: Optional[float] = None) -> tuple[Trajectory, dict]:
 
 def cmd_simulate(cfg: dict) -> None:
     traj, meta = _run(cfg)
-    t, X, V = analysis.trajectory_arrays(traj)
-    energy, angmom, lrl_a, lrl_b = analysis.observable_series(X, V)
-    omega = np.arctan2(lrl_b, lrl_a)
+
+    def columns(lo: int, hi: int) -> list:
+        t, X, V = analysis.trajectory_arrays(traj, lo, hi)
+        energy, angmom, lrl_a, lrl_b = analysis.observable_series(X, V)
+        return [range(lo, hi), t, X[:, 0], X[:, 1], V[:, 0], V[:, 1],
+                energy, angmom, lrl_a, lrl_b, np.arctan2(lrl_b, lrl_a)]
+
     _emit(cfg, meta, ["step", "t", "x1", "x2", "v1", "v2",
                       "energy", "angmom", "lrlA", "lrlB", "omega"],
-          [range(len(t)), t, X[:, 0], X[:, 1], V[:, 0], V[:, 1],
-           energy, angmom, lrl_a, lrl_b, omega])
+          len(traj.positions), columns)
 
 
 def cmd_precession(cfg: dict) -> None:
@@ -400,7 +412,7 @@ def cmd_precession(cfg: dict) -> None:
     row = [method.value, h, closed.rate_per_revolution, quad, estimate.rate_per_revolution,
            estimate.fit_residual_rms, estimate.revolutions_observed]
     _emit(cfg, meta, ["method", "h", "predictedClosedForm", "predictedQuadrature",
-                      "measured", "fitResidualRms", "revolutions"], list(zip(row)),
+                      "measured", "fitResidualRms", "revolutions"], *_rows([row]),
           report=True)
 
 
@@ -434,16 +446,15 @@ def cmd_scan(cfg: dict) -> None:
                       file=sys.stderr)
             rows.append([method.value, h, measured, predicted])
     meta = _metadata(cfg, tSpan=t_span, revolutions=t_span / elements.T, **_NEWTON)
-    _emit(cfg, meta, ["method", "h", "measuredRate", "predictedRate"], list(zip(*rows)))
+    _emit(cfg, meta, ["method", "h", "measuredRate", "predictedRate"], *_rows(rows))
 
 
 def cmd_error_curve(cfg: dict) -> None:
     if cfg["steps"] is None and cfg["t_end"] is None:
         cfg = dict(cfg, t_end=DEFAULT_ERROR_T_END)
     traj, meta = _run(cfg)
-    t, err = analysis.error_curve(traj)
-    _emit(cfg, meta, ["method", "t", "errorNorm"],
-          [[traj.method.value] * len(t), t, err])
+    _emit(cfg, meta, ["method", "t", "errorNorm"], len(traj.positions),
+          lambda lo, hi: [[traj.method.value] * (hi - lo), *analysis.error_curve(traj, lo, hi)])
 
 
 def cmd_predict(cfg: dict) -> None:
@@ -456,7 +467,7 @@ def cmd_predict(cfg: dict) -> None:
     meta = _metadata(cfg, method=method.value,
                      elements={"a": elements.a, "e": elements.e, "L": elements.L})
     _emit(cfg, meta, ["method", "h", "predictedClosedForm", "predictedQuadrature",
-                      "leadingOrder"], list(zip(row)), report=True)
+                      "leadingOrder"], *_rows([row]), report=True)
 
 
 def cmd_averages(cfg: dict) -> None:
@@ -469,7 +480,7 @@ def cmd_averages(cfg: dict) -> None:
         denom = abs(closed) if closed != 0.0 else 1.0
         rows.append([power, closed, quad, abs(quad - closed) / denom])
     meta = _metadata(cfg, elements={"a": elements.a, "e": elements.e, "L": elements.L})
-    _emit(cfg, meta, ["power", "closedForm", "quadrature", "relDiff"], list(zip(*rows)))
+    _emit(cfg, meta, ["power", "closedForm", "quadrature", "relDiff"], *_rows(rows))
 
 
 def cmd_bench(cfg: dict) -> None:
@@ -482,7 +493,7 @@ def cmd_bench(cfg: dict) -> None:
                      traj.stats.avg_newton_iterations])
     _emit(cfg, _metadata(cfg, **_NEWTON), ["method", "steps", "wallSeconds",
                                            "implicitSolveCount", "avgNewtonIterations"],
-          list(zip(*rows)),
+          *_rows(rows),
           note="wall-clock timings are machine-dependent and informative only")
 
 

@@ -21,6 +21,7 @@ two-step method, and decides where a failed run stopped.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -32,6 +33,7 @@ import numpy as np
 from .errors import ConfigurationError, NearSingularity, NumericalFailure, SolverFailure
 from .kepler import (
     SINGULARITY_FLOOR,
+    ExactOrbit,
     OrbitElements,
     PlanarVector,
     State,
@@ -99,9 +101,9 @@ NEWTON_MAX_ITERATIONS = 50
 # The longest run integrate accepts: 30 times the 31,800 steps of the longest
 # scan cell, far below a count that never finishes, as h = 1e-300 over a unit
 # span asks for.  At 10^6 steps integrate peaks near 47 MB (sv) and 63 MB
-# (fr), 28 MB of it the import; `keplerlab simulate`, which writes its rows
-# in fixed-size chunks, peaks near 137 MB (sv, CSV, and fr, JSON), growing
-# linearly with the count through the arrays it derives from the trajectory.
+# (fr), 28 MB of it the import; `keplerlab simulate` and `error-curve`,
+# which derive and write their rows in fixed-size chunks, peak near the
+# same (48 MB for sv, CSV, 65 MB for fr, JSON, 48 MB for error-curve dec).
 MAX_STEPS = 10**6
 
 # Steps a kernel takes between copies of its points into the trajectory's
@@ -158,9 +160,10 @@ class Trajectory:
     def n_steps(self) -> int:
         return len(self.positions) - 1
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.h * np.arange(len(self.positions))
+    @functools.cached_property
+    def exact_orbit(self) -> ExactOrbit:
+        """The closed-form orbit of the start, built once for error_curve."""
+        return ExactOrbit(State(PlanarVector(*self.positions[0]), self.start_velocity, 0.0))
 
 
 def _stencil(out: np.ndarray, n: int, p1: float, p2: float, q1: float, q2: float,
@@ -379,6 +382,7 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
     step solved within the Newton budget (NEWTON_TOLERANCE, NEWTON_MAX_ITERATIONS).
     n_steps above MAX_STEPS raises ConfigurationError before any step.
 
+    x0, v0 and h are taken as Python floats, which the kernels run fastest on.
     The initial condition must describe a bound, non-radial orbit (the exact
     elements are recorded on the trajectory).  A numerical failure carries
     .step_index, where the run stopped, and .partial_positions, the points
@@ -392,7 +396,7 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
     if n_steps > MAX_STEPS:
         raise ConfigurationError(
             f"{n_steps:.10g} steps of h = {h:g} exceed the bound MAX_STEPS = {MAX_STEPS}")
-    x0, v0 = PlanarVector(*x0), PlanarVector(*v0)
+    h, x0, v0 = float(h), PlanarVector(*map(float, x0)), PlanarVector(*map(float, v0))
     elements = elements_from_state(State(x0, v0, 0.0))
     stats = IntegrationStats()
     positions = np.empty((n_steps + 1, 2))
@@ -431,17 +435,23 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
     raise failure
 
 
-def reconstruct_velocities(traj: Trajectory) -> np.ndarray:
-    """Finite-difference velocities of a position-only trajectory, shape
-    (n+1, 2): second-order central differences inside, one-sided three-point
-    stencils at the ends, one forward difference for a two-point trajectory."""
+def reconstruct_velocities(traj: Trajectory, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+    """Finite-difference velocities of a position-only trajectory at rows
+    [lo, hi), all n+1 by default, shape (hi - lo, 2): second-order central
+    differences inside, one-sided three-point stencils at the trajectory's
+    ends, one forward difference for a two-point trajectory.  A row reads
+    its neighbours whatever the range: ranges give the whole run's bits."""
     X = traj.positions
-    h = traj.h
-    V = np.empty_like(X)
-    if len(X) == 2:
+    h, n = traj.h, len(X)
+    hi = n if hi is None else hi
+    V = np.empty((hi - lo, 2))
+    if n == 2:
         V[:] = (X[1] - X[0]) / h
         return V
-    V[1:-1] = (X[2:] - X[:-2]) / (2.0 * h)
-    V[0] = (-3.0 * X[0] + 4.0 * X[1] - X[2]) / (2.0 * h)
-    V[-1] = (3.0 * X[-1] - 4.0 * X[-2] + X[-3]) / (2.0 * h)
+    a, b = max(lo, 1), min(hi, n - 1)  # the interior rows of the range
+    V[a - lo:b - lo] = (X[a + 1:b + 1] - X[a - 1:b - 1]) / (2.0 * h)
+    if lo == 0:
+        V[0] = (-3.0 * X[0] + 4.0 * X[1] - X[2]) / (2.0 * h)
+    if hi == n:
+        V[-1] = (3.0 * X[-1] - 4.0 * X[-2] + X[-3]) / (2.0 * h)
     return V

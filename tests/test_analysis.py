@@ -50,7 +50,20 @@ class TestTrajectoryArrays:
     def test_stored_velocities_win(self):
         traj = integrate(MethodId.FR, X0, V0, 0.2, 10)
         t, X, V = trajectory_arrays(traj)
-        assert V is traj.velocities
+        # the stored array itself, as a view of all its rows: nothing is copied
+        assert V.base is traj.velocities and V.shape == traj.velocities.shape
+
+    # rows [lo, hi), times k h included, are the whole run's rows bit for bit,
+    # and so are the error curve's
+    @pytest.mark.parametrize("method", [MethodId.SV, MethodId.FR], ids=lambda m: m.value)
+    def test_row_ranges_are_slices_of_the_whole_run(self, method):
+        traj = integrate(method, X0, V0, 0.2, 12)
+        whole, curve = trajectory_arrays(traj), error_curve(traj)
+        assert np.array_equal(whole[0], 0.2 * np.arange(13))
+        for lo, hi in [(0, 1), (0, 5), (5, 6), (5, 13), (12, 13)]:
+            for part, array in [*zip(trajectory_arrays(traj, lo, hi), whole),
+                                *zip(error_curve(traj, lo, hi), curve)]:
+                assert part.tobytes() == array[lo:hi].tobytes(), (lo, hi)
 
     def test_position_only_reconstructs(self):
         traj = integrate(MethodId.SV, X0, V0, 0.2, 10)

@@ -311,9 +311,14 @@ class TestEmit:
         plain = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in table]
         return list(zip(*plain))
 
+    @staticmethod
+    def slices(table):
+        """The table as _emit takes it: its row count and its column slices."""
+        return len(table[0]), lambda lo, hi: [column[lo:hi] for column in table]
+
     def emit(self, capsys, output_format, table, **kwargs):
         _emit({"format": output_format}, {"h": 0.5, "methods": ["sv"]}, self.COLUMNS,
-              table, **kwargs)
+              *self.slices(table), **kwargs)
         return capsys.readouterr()
 
     # chunks of 3 rows end before, on and after a row count; the default
@@ -357,28 +362,63 @@ class TestEmit:
             raise AssertionError(f"_fmt called on {value!r}")
 
         monkeypatch.setattr(keplerlab.cli, "_fmt", refuse)
-        _emit({"format": "csv"}, {"h": 0.5}, ["method", "value", "label"], table)
+        _emit({"format": "csv"}, {"h": 0.5}, ["method", "value", "label"], *self.slices(table))
         assert capsys.readouterr().out == "\n".join(want) + "\n"
 
-    # the text held while writing is bounded by a chunk: a trajectory twice as
-    # long raises the traced peak by the arrays of the run, not by its text
-    # (about 80 B per step with 256-row chunks; building the whole text
-    # before one write holds about 2300 B per step)
-    def test_simulate_memory_does_not_grow_with_the_output(self, monkeypatch, tmp_path):
+    # the columns and the text held while writing are bounded by a chunk: a
+    # run twice as long raises the traced peak by the trajectory's arrays, 16 B
+    # per step (32 B for fr, whose velocities are stored), plus 8 B of margin.
+    # Deriving every column of the run before writing held 90 to 150 B per step
+    @staticmethod
+    def peak_growth(monkeypatch, tmp_path, argv):
         monkeypatch.setattr(keplerlab.cli, "_CHUNK_ROWS", 256, raising=False)
-        out = str(tmp_path / "out.json")
+        out = str(tmp_path / "out")
 
         def peak(steps):
             tracemalloc.start()
             try:
-                assert main(["simulate", "--method", "sv", "--steps", str(steps),
-                             "--format", "json", "--out", out]) == 0
+                assert main([*argv, "--steps", str(steps), "--out", out]) == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         peak(10)  # the parser and the lazy imports are built once per process
-        assert (peak(8000) - peak(4000)) / 4000 < 512
+        return (peak(8000) - peak(4000)) / 4000
+
+    @pytest.mark.parametrize("argv, bound", [
+        (["--method", "sv", "--format", "json"], 24),
+        (["--method", "fr", "--format", "csv"], 40)], ids=["sv-json", "fr-csv"])
+    def test_simulate_memory_does_not_grow_with_the_output(self, monkeypatch, tmp_path, argv,
+                                                           bound):
+        assert self.peak_growth(monkeypatch, tmp_path, ["simulate", *argv]) < bound
+
+    def test_error_curve_memory_does_not_grow_with_the_output(self, monkeypatch, tmp_path):
+        assert self.peak_growth(monkeypatch, tmp_path, ["error-curve", "--method", "sv"]) < 24
+
+
+_DEFAULT_CHUNK_ROWS = keplerlab.cli._CHUNK_ROWS
+
+
+class TestStreamedColumns:
+    """simulate and error-curve derive their columns a chunk of rows at a time,
+    each row reading its neighbours across the chunk's edges: any chunk size
+    writes the bytes of one chunk that holds the whole run."""
+
+    COMMANDS = [["simulate", "--method", m] for m in ("sv", "mp", "dec", "fr")] + [
+        ["error-curve", "--method", m] for m in ("sv", "dec")]
+    # (chunk rows, steps): steps + 1 rows end before, on and after a chunk edge
+    CASES = [(1, 1), (1, 2), (1, 6), (3, 1), (3, 4), (3, 5), (3, 6),
+             *((_DEFAULT_CHUNK_ROWS, _DEFAULT_CHUNK_ROWS + k) for k in (-2, -1, 0))]
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv[::2]))
+    def test_any_chunk_writes_the_bytes_of_one(self, capsys, monkeypatch, argv, output_format):
+        for chunk_rows, steps in self.CASES:
+            run = [*argv, "--h", "0.1", "--steps", str(steps), "--format", output_format]
+            monkeypatch.setattr(keplerlab.cli, "_CHUNK_ROWS", 10**9)
+            want = run_cli(capsys, *run)
+            monkeypatch.setattr(keplerlab.cli, "_CHUNK_ROWS", chunk_rows)
+            assert run_cli(capsys, *run) == want, (chunk_rows, steps)
 
 
 class TestConfigResolution:

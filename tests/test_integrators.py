@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -503,7 +504,6 @@ class TestIntegrate:
         assert traj.positions.shape == (13, 2)
         assert_vector_close(traj.positions[0], X0, tol=0.0)
         assert traj.start_velocity == V0
-        assert np.array_equal(traj.times, 0.2 * np.arange(13))
         assert_close(traj.elements.e, 0.3925, rtol=1e-12)
         if method is MethodId.FR:
             assert traj.velocities.shape == (13, 2)
@@ -625,7 +625,7 @@ class TestIntegrate:
         n = 200
         traj = integrate(method, X0, V0, h, n)
         orbit = ExactOrbit(State(X0, V0, 0.0))
-        Xe, _ = orbit.states_at(traj.times)
+        Xe, _ = orbit.states_at(h * np.arange(n + 1))
         err = np.hypot(*(traj.positions - Xe).T).max()
         assert err < 5e-4
 
@@ -638,6 +638,29 @@ class TestIntegrate:
             integrate(MethodId.SV, X0, V0, 0.5, 0)
         with pytest.raises(UnboundOrbit):
             integrate(MethodId.SV, PlanarVector(3.0, 0.0), PlanarVector(0.0, 1.0), 0.5, 10)
+
+    # a numpy start and step are taken as plain floats: the kernels see no
+    # numpy scalar (np.float64 is a float subclass), and the points and the
+    # counters are those of a tuple start
+    @pytest.mark.parametrize("method", [MethodId.MP, MethodId.FR], ids=lambda m: m.value)
+    def test_numpy_start_runs_on_plain_floats(self, monkeypatch, method):
+        want = integrate(method, X0, V0, 0.1, 50)
+        seen = []
+
+        def spy(kernel):
+            def run(*args):
+                seen.extend(type(arg) for arg in args if isinstance(arg, float))
+                return kernel(*args)
+            return run
+
+        monkeypatch.setattr(integrators, "_stencil", spy(integrators._stencil))
+        monkeypatch.setattr(integrators, "_fr", spy(integrators._fr))
+        got = integrate(method, np.array(X0), np.array(V0), np.float64(0.1), 50)
+        assert seen and set(seen) == {float}
+        assert got.positions.tobytes() == want.positions.tobytes()
+        assert (None if got.velocities is None else got.velocities.tobytes()) == (
+            None if want.velocities is None else want.velocities.tobytes())
+        assert got.stats == want.stats
 
     # MAX_STEPS = 10^6 steps reach the kernel and one more is refused before
     # any step; the stub kernels raise with the run's step count instead of
@@ -825,3 +848,21 @@ class TestVelocityReconstruction:
                             np.hypot(*(V[-1] - V_exact[-1]))))
         slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
         assert 1.8 < slope < 2.2
+
+    # each row reads its neighbours whatever the range, so consecutive ranges
+    # concatenate to the whole run bit for bit: every split of 2, 3 and 4
+    # points, and 10 points in ranges of 3, the last of one row
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 9])
+    def test_row_ranges_concatenate_to_the_whole_run(self, n_steps):
+        traj, _ = self.exact_position_trajectory(0.1, n_steps)
+        want = reconstruct_velocities(traj).tobytes()
+        rows = n_steps + 1
+        if rows <= 4:
+            splits = [cuts for k in range(rows)
+                      for cuts in itertools.combinations(range(1, rows), k)]
+        else:
+            splits = [tuple(range(3, rows, 3))]
+        for cuts in splits:
+            edges = [0, *cuts, rows]
+            parts = [reconstruct_velocities(traj, lo, hi) for lo, hi in zip(edges, edges[1:])]
+            assert np.concatenate(parts).tobytes() == want, edges
