@@ -4,10 +4,12 @@ Position-only trajectories get velocities by second-order finite
 differences; methods that carry velocities (fr) use them directly.  The
 invariants per sample come from kepler.observable_series, the one formula
 for E, L and the Laplace-Runge-Lenz vector.  The apsis angle is read off the
-LRL vector per sample, unwrapped, and fitted linearly in time, which averages
-out the O(h^2) oscillation of the per-sample angle and exposes the secular
-drift.  trajectory_arrays and error_curve take a row range, the whole run
-by default, so that an output can be derived a chunk at a time.
+LRL vector per sample, unwrapped, and fitted with the closed-form
+least-squares line on the uniform step grid (as the energy is in
+energy_drift), which averages out the O(h^2) oscillation of the per-sample
+angle and exposes the secular drift.  trajectory_arrays and error_curve
+take a row range, the whole run by default, so that an output can be
+derived a chunk at a time.
 require_measurable decides from the period, the step and the step count
 alone whether a run can be measured, so a caller can ask before it
 integrates.  energy_drift summarises the energy, whose boundedness is the
@@ -75,43 +77,47 @@ def require_measurable(period: float, h: float, n_steps: int) -> None:
         )
 
 
+def _line(y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Least-squares line through samples y at k = 0 .. m-1, in closed form
+    on that uniform grid: its slope per sample, and y's residual about it."""
+    m = len(y)
+    k = np.arange(m) - 0.5 * (m - 1)
+    dev = y - y.mean()
+    slope = float(k @ dev) / (m * (m * m - 1) / 12)
+    return slope, dev - slope * k
+
+
 def measure_precession(traj: Trajectory) -> PrecessionEstimate:
     """Least-squares secular rate of the unwrapped LRL angle.
 
     Raises TooFewRevolutions first, through require_measurable, for a
     trajectory too short or too coarse to measure.  When velocities are
-    reconstructed by differences, the one-sided endpoint samples are dropped
-    from the fit (their reconstruction error is an order larger than the
-    interior one and they would bias short fits).
+    reconstructed by differences, only the central-difference rows 1 .. n-1
+    are read and fitted (the one-sided endpoints' reconstruction error is an
+    order larger than the interior one and they would bias short fits).
     """
-    period = traj.elements.T
-    require_measurable(period, traj.h, traj.n_steps)
-    t, X, V = trajectory_arrays(traj)
-    span = t[-1] - t[0]
-    if traj.velocities is None:
-        t, X, V = t[1:-1], X[1:-1], V[1:-1]
+    period, h, n = traj.elements.T, traj.h, traj.n_steps
+    require_measurable(period, h, n)
+    cut = int(traj.velocities is None)
+    _, X, V = trajectory_arrays(traj, cut, n + 1 - cut)
     _, _, lrl_a, lrl_b = observable_series(X, V)
-    omega = np.unwrap(np.arctan2(lrl_b, lrl_a))
-    slope, intercept = np.polyfit(t, omega, 1)
-    residual = omega - (slope * t + intercept)
+    slope, residual = _line(np.unwrap(np.arctan2(lrl_b, lrl_a)))
     return PrecessionEstimate(
-        rate_per_revolution=float(slope * period),
+        rate_per_revolution=slope / h * period,
         fit_residual_rms=float(np.sqrt(np.mean(residual ** 2))),
-        revolutions_observed=float(span / period),
+        revolutions_observed=float(h * n / period),
     )
 
 
 def energy_drift(traj: Trajectory) -> tuple[float, float]:
     """(secular_slope, oscillation_amplitude) of the energy along a
-    trajectory: the least-squares slope in time, and half the peak-to-peak
-    of the series about that line."""
+    trajectory: the slope in time of the least-squares line on the step
+    grid, and half the peak-to-peak of the series about that line."""
     t, X, V = trajectory_arrays(traj)
     if len(t) < 10:
         raise ValueError(f"need at least 10 samples, got {len(t)}")
-    energy = observable_series(X, V)[0]
-    slope, intercept = np.polyfit(t, energy, 1)
-    detrended = energy - (slope * t + intercept)
-    return float(slope), float(0.5 * (detrended.max() - detrended.min()))
+    slope, detrended = _line(observable_series(X, V)[0])
+    return slope / traj.h, float(0.5 * (detrended.max() - detrended.min()))
 
 
 def discrete_angular_momentum(traj: Trajectory) -> np.ndarray:

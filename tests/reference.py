@@ -4,14 +4,19 @@ are checked against, bit for bit where they share an operation order; the
 two-dimensional Newton solve of an implicit stencil step, an oracle that
 shares nothing with the kernel's radial solve; and the point-wise modified
 Lagrangian, which the modified flow's Euler-Lagrange residual and energy are
-checked against; and the perihelion state of a shape, from which the
-property tests build bound states."""
+checked against; the perihelion state of a shape, from which the
+property tests build bound states; and the dense precession estimator,
+np.unwrap and np.polyfit on the whole run, that measure_precession's
+closed-form line on the step grid is checked against."""
 
 import math
 
+import numpy as np
+
 from keplerlab import PlanarVector, SingularMassMatrix, State
+from keplerlab.analysis import trajectory_arrays
 from keplerlab.integrators import NEWTON_MAX_ITERATIONS, NEWTON_TOLERANCE
-from keplerlab.kepler import SINGULARITY_FLOOR, _ahead, _collision
+from keplerlab.kepler import SINGULARITY_FLOOR, _ahead, _collision, observable_series
 
 
 def perihelion_state(elements, apsis_angle):
@@ -182,3 +187,17 @@ def reference_flow(model, x0, v0, t_end, n_samples, reference_step):
         raise SingularMassMatrix(f"{model.method.value} modified flow at h = {model.h:g}, "
                                  f"substep from t = {t:.6g}: {err}") from err
     return samples
+
+
+def polyfit_precession(traj):
+    """(rate per revolution, fit residual rms) of a line fitted by np.polyfit
+    in time to np.unwrap of the LRL angle.  The arrays of the whole run are
+    built, and a position-only run's one-sided endpoint rows sliced off."""
+    t, X, V = trajectory_arrays(traj)
+    if traj.velocities is None:
+        t, X, V = t[1:-1], X[1:-1], V[1:-1]
+    _, _, lrl_a, lrl_b = observable_series(X, V)
+    omega = np.unwrap(np.arctan2(lrl_b, lrl_a))
+    slope, intercept = np.polyfit(t, omega, 1)
+    residual = omega - (slope * t + intercept)
+    return slope * traj.elements.T, np.sqrt(np.mean(residual ** 2))

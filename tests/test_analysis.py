@@ -24,6 +24,7 @@ from keplerlab import (
 from keplerlab.analysis import error_curve, trajectory_arrays
 
 from conftest import REF_ECC, REF_T, V0, X0, assert_close, assert_vector_close
+from reference import polyfit_precession
 
 
 def exact_trajectory(h=0.25, n_revolutions=4.0, rotate_per_rev=0.0):
@@ -173,6 +174,18 @@ class TestMeasurePrecession:
         traj = exact_trajectory(n_revolutions=3.0)
         est = measure_precession(traj)
         assert_close(est.revolutions_observed, 3.0, rtol=5e-3)
+
+    # the closed-form line on the step grid against the dense estimator,
+    # np.unwrap and np.polyfit on the whole run, at the scan's steps over 20
+    # revolutions of the default orbit
+    @pytest.mark.parametrize("method", list(MethodId), ids=lambda m: m.value)
+    def test_matches_the_polyfit_estimator(self, method):
+        for h in (0.0625, 0.125, 0.25, 0.5):
+            traj = integrate(method, X0, V0, h, int(round(20 * REF_T / h)))
+            est = measure_precession(traj)
+            rate, rms = polyfit_precession(traj)
+            assert abs(est.rate_per_revolution - rate) <= 1e-15, h
+            assert abs(est.fit_residual_rms - rms) <= 1e-12 * rms, h
 
 
 def energy_trajectory(t, energy):

@@ -832,7 +832,7 @@ class TestExitCodes:
     # the h = 0.5 row alone.  An implicit method gets the same refusal, not the
     # failure that integrating h = 40 ends in.
     FINE_ROWS = {"sv": (0.06920028862564427, 0.06737048229578152),
-                 "mp": (-0.15895305852084202, -0.13474096459156304)}
+                 "mp": (-0.15895305852084207, -0.13474096459156304)}
 
     @pytest.mark.parametrize("method, h_list, samples", [
         ("sv", "0.5,40", "0.50"), ("sv", "0.5,15", "1.32"), ("mp", "0.5,40", "0.50")])
