@@ -8,8 +8,8 @@ LRL vector per sample, unwrapped, and fitted with the closed-form
 least-squares line on the uniform step grid (as the energy is in
 energy_drift), which averages out the O(h^2) oscillation of the per-sample
 angle and exposes the secular drift.  trajectory_arrays and error_curve
-take a row range, the whole run by default, so that an output can be
-derived a chunk at a time.
+take a row range, the whole run by default, so that an output (and the
+angle that measure_precession fits) can be derived a chunk at a time.
 require_measurable decides from the period, the step and the step count
 alone whether a run can be measured, so a caller can ask before it
 integrates.  energy_drift summarises the energy, whose boundedness is the
@@ -32,6 +32,9 @@ from .kepler import observable_series
 # revolution (0.064 to 1.10), collapses to about 0 at 6 to 4 and reads -4.09
 # at 3; 8 keeps one sample of margin.
 MIN_SAMPLES_PER_REVOLUTION = 8
+
+# Rows whose LRL angle measure_precession derives at a time: it holds the angle only
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,8 @@ def _line(y: np.ndarray) -> tuple[float, np.ndarray]:
     m = len(y)
     k = np.arange(m) - 0.5 * (m - 1)
     dev = y - y.mean()
-    slope = float(k @ dev) / (m * (m * m - 1) / 12)
+    # a reduction, not the BLAS dot product, whose rounding hangs on its thread count
+    slope = float(np.add.reduce(k * dev)) / (m * (m * m - 1) / 12)
     return slope, dev - slope * k
 
 
@@ -99,9 +103,12 @@ def measure_precession(traj: Trajectory) -> PrecessionEstimate:
     period, h, n = traj.elements.T, traj.h, traj.n_steps
     require_measurable(period, h, n)
     cut = int(traj.velocities is None)
-    _, X, V = trajectory_arrays(traj, cut, n + 1 - cut)
-    _, _, lrl_a, lrl_b = observable_series(X, V)
-    slope, residual = _line(np.unwrap(np.arctan2(lrl_b, lrl_a)))
+    omega = np.empty(n + 1 - 2 * cut)
+    for lo in range(0, len(omega), _CHUNK_ROWS):
+        _, X, V = trajectory_arrays(traj, cut + lo, cut + min(lo + _CHUNK_ROWS, len(omega)))
+        _, _, lrl_a, lrl_b = observable_series(X, V)
+        np.arctan2(lrl_b, lrl_a, out=omega[lo:lo + len(X)])
+    slope, residual = _line(np.unwrap(omega))
     return PrecessionEstimate(
         rate_per_revolution=slope / h * period,
         fit_residual_rms=float(np.sqrt(np.mean(residual ** 2))),

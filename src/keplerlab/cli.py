@@ -13,7 +13,8 @@ declares every setting once, and _COMMANDS gives each subcommand its
 handler and its settings with their defaults.  Handlers hand _emit a row
 count and the columns of any row range; _emit asks for, formats and writes
 a fixed number of rows at a time, so the memory that simulate and
-error-curve hold beyond the trajectory does not grow with the run.
+error-curve hold beyond the trajectory does not grow with the run.  A chunk
+is written through one row template, a field per column, not a string per cell.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
 """
@@ -252,24 +253,36 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _csv_cells(column) -> list[str]:
-    """One column's CSV cells, formatted in one pass: "%.17g" for floats, str
-    for ints, strings as they are, and _fmt cell by cell for anything else."""
+def _csv_field(column) -> tuple[str, list]:
+    """One column's field of the CSV row template and the values it takes:
+    "%.17g" over floats (a numpy float array is not scanned cell by cell),
+    "%s" over ints and strings, and "%s" over _fmt's text of anything else."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return "%.17g", column.tolist()
+        column = column.tolist()
     kinds = set(map(type, column))
     if kinds <= {float}:
-        return list(map("%.17g".__mod__, column))
-    if kinds <= {int}:
-        return list(map(str, column))
-    if kinds <= {str}:
-        return list(column)
-    return list(map(_fmt, column))
+        return "%.17g", column
+    if kinds <= {int} or kinds <= {str}:
+        return "%s", column
+    return "%s", list(map(_fmt, column))
 
 
-def _json_cells(column) -> list[str]:
-    """One column's JSON cells, encoded in one json.dumps call.  A newline
-    separates the cells, because no encoded scalar can hold one."""
+def _json_field(column) -> tuple[str, list]:
+    """One column's field of the JSON row template and the values it takes.
+    The str() of an int or a finite float is its JSON text, so a range, an
+    integer array and a finite float array give their Python scalars; any
+    other column is encoded in one json.dumps call, whose cells a newline
+    separates, because no encoded scalar can hold one."""
+    if isinstance(column, range):
+        return "%s", column
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind in "iu" or column.dtype.kind == "f" and np.isfinite(column).all():
+            return "%s", column.tolist()
+        column = column.tolist()
     text = json.dumps(list(column), separators=("\n", ": "))
-    return text[1:-1].split("\n") if len(text) > 2 else []
+    return "%s", text[1:-1].split("\n") if len(text) > 2 else []
 
 
 # Rows derived, formatted and written at a time, so that the columns and the
@@ -279,14 +292,14 @@ _CHUNK_ROWS = 1024
 _Columns = Callable[[int, int], list]
 
 
-def _chunks(n_rows: int, columns: _Columns, cells: Callable[[Any], list[str]]
-            ) -> Iterator[list[list[str]]]:
-    """The formatted cells of each column, _CHUNK_ROWS rows at a time: the
-    columns of a chunk are asked for, formatted and dropped before the next
-    chunk's are, and a numpy column is turned into Python scalars (.tolist())."""
+def _chunks(n_rows: int, columns: _Columns, field: Callable[[Any], tuple[str, list]],
+            row: Callable[[tuple[str, ...]], str]) -> Iterator[Iterator[str]]:
+    """The table's rows as text, _CHUNK_ROWS rows at a time: each column of a
+    chunk becomes a field and its values, and row(fields) is the template that
+    writes the chunk's rows, before the next chunk's columns are asked for."""
     for lo in range(0, n_rows, _CHUNK_ROWS):
-        yield [cells(c.tolist() if isinstance(c, np.ndarray) else c)
-               for c in columns(lo, min(lo + _CHUNK_ROWS, n_rows))]
+        fields, values = zip(*map(field, columns(lo, min(lo + _CHUNK_ROWS, n_rows))))
+        yield map(row(fields).__mod__, zip(*values))
 
 
 def _rows(rows: list) -> tuple[int, _Columns]:
@@ -307,13 +320,18 @@ def _json_text(meta: dict, names: list[str], n_rows: int, columns: _Columns, rep
     text = json.dumps(dict(rows=None, metadata=meta, **extra), indent=2, sort_keys=True)
     head, tail = text.split('\n  "rows": null', 1)
     order = sorted(range(len(names)), key=names.__getitem__)
-    fields = ",\n".join("      " + json.dumps(names[i]).replace("%", "%%") + ": %s"
-                        for i in order)
-    template = "    {\n" + fields + "\n    }"
+    keys = ["      " + json.dumps(names[i]).replace("%", "%%") + ": " for i in order]
+
+    def sorted_columns(lo: int, hi: int) -> list:
+        return list(map(columns(lo, hi).__getitem__, order))
+
+    def row(fields: tuple[str, ...]) -> str:
+        return "    {\n" + ",\n".join(map(str.__add__, keys, fields)) + "\n    }"
+
     yield head + '\n  "rows": '
     opening, closing = "[\n", "[]"  # the list is "[]" until a row is written
-    for cells in _chunks(n_rows, columns, _json_cells):
-        yield opening + ",\n".join(map(template.__mod__, zip(*map(cells.__getitem__, order))))
+    for rows in _chunks(n_rows, sorted_columns, _json_field, row):
+        yield opening + ",\n".join(rows)
         opening, closing = ",\n", "\n  ]"
     yield closing + tail + "\n"
 
@@ -321,8 +339,8 @@ def _json_text(meta: dict, names: list[str], n_rows: int, columns: _Columns, rep
 def _csv_text(names: list[str], n_rows: int, columns: _Columns) -> Iterator[str]:
     """The CSV table in pieces: the header line, then one chunk of lines at a time."""
     yield ",".join(names) + "\n"
-    for cells in _chunks(n_rows, columns, _csv_cells):
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+    for rows in _chunks(n_rows, columns, _csv_field, ",".join):
+        yield "\n".join(rows) + "\n"
 
 
 def _emit(cfg: dict, meta: dict, names: list[str], n_rows: int, columns: _Columns,
@@ -332,8 +350,9 @@ def _emit(cfg: dict, meta: dict, names: list[str], n_rows: int, columns: _Column
     columns(lo, hi) gives the table's columns, in the order of `names`, at
     rows [lo, hi) (lists, ranges, tuples or numpy arrays of scalars).  They
     are asked for, formatted and written _CHUNK_ROWS rows at a time, so no
-    whole column and no whole text is built: CSV cells as _fmt writes them,
-    JSON laid out exactly as json.dumps(payload, indent=2, sort_keys=True).
+    whole column and no whole text is built, each through one row template
+    (_csv_field, _json_field): CSV cells as _fmt writes them, JSON laid out
+    exactly as json.dumps(payload, indent=2, sort_keys=True).
     The payload holds the metadata, any `extra` fields and the rows as
     objects keyed by column; a `report` is one row, merged into the payload
     itself.

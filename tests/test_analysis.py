@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,6 +178,22 @@ class TestMeasurePrecession:
         traj = exact_trajectory(n_revolutions=3.0)
         est = measure_precession(traj)
         assert_close(est.revolutions_observed, 3.0, rtol=5e-3)
+
+    # the slope's bits do not hang on the BLAS thread count: OpenBLAS splits a
+    # dot product of more than 10 000 samples across its threads, and its
+    # rounding with it; 31 790 samples is the default scan's finest step
+    def test_line_slope_is_independent_of_the_blas_thread_count(self):
+        code = ("import numpy as np; from keplerlab.analysis import _line; "
+                "k = np.arange(31790); print(_line(np.sin(0.2 * k) + 1e-6 * k)[0].hex())")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                        os.environ.get("PYTHONPATH")) if p)
+        slopes = [subprocess.run([sys.executable, "-c", code], env=dict(env, **threads),
+                                 capture_output=True, text=True, check=True).stdout
+                  for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {})]
+        assert slopes[0] == slopes[1]
 
     # the closed-form line on the step grid against the dense estimator,
     # np.unwrap and np.polyfit on the whole run, at the scan's steps over 20

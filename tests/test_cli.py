@@ -365,12 +365,59 @@ class TestEmit:
         _emit({"format": "csv"}, {"h": 0.5}, ["method", "value", "label"], *self.slices(table))
         assert capsys.readouterr().out == "\n".join(want) + "\n"
 
+    # numpy columns of each kind are written as their Python scalars are (float32
+    # widened to a double), and a float array with NaN, inf and -inf in it as
+    # json.dumps writes those; with chunks of 3 the last chunk's floats are finite
+    NUMPY_COLUMNS = {
+        "f32": np.array([0.1, -2.5, 1e-30, 3.0], dtype=np.float32),
+        "i64": np.array([0, -7, 2 ** 62, 5], dtype=np.int64),
+        "flag": np.array([True, False, True, False]),
+        "nonfinite": np.array([math.nan, math.inf, -math.inf, 0.5]),
+    }
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_numpy_columns_write_their_python_scalars(self, capsys, chunk_rows, output_format):
+        names, table = list(self.NUMPY_COLUMNS), list(self.NUMPY_COLUMNS.values())
+        rows = self.rows_of(table)
+        if output_format == "json":
+            want = json.dumps({"rows": [dict(zip(names, row)) for row in rows],
+                               "metadata": {"h": 0.5}}, indent=2, sort_keys=True)
+        else:
+            want = "\n".join([",".join(names)] + [",".join(map(self.old_cell, row))
+                                                   for row in rows])
+        _emit({"format": output_format}, {"h": 0.5}, names, *self.slices(table))
+        assert capsys.readouterr().out == want + "\n"
+
+    # a range, an integer array and a finite float array are written through
+    # the row template as they are: no json.dumps of their cells in JSON, no
+    # _fmt call in CSV
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_numeric_arrays_skip_the_encoder_and_the_cell_formatter(self, capsys, monkeypatch,
+                                                                     output_format):
+        names = ["step", "t", "count"]
+        table = [range(7), np.linspace(-1.0, 1e16, 7), np.arange(7, dtype=np.int64) - 3]
+        _emit({"format": output_format}, {"h": 0.5}, names, *self.slices(table))
+        want = capsys.readouterr()
+        dumps = json.dumps
+
+        def refuse_list(obj, **kwargs):
+            assert not isinstance(obj, list), f"json.dumps called on {obj!r}"
+            return dumps(obj, **kwargs)
+
+        def refuse(value):
+            raise AssertionError(f"_fmt called on {value!r}")
+
+        monkeypatch.setattr(keplerlab.cli.json, "dumps", refuse_list)
+        monkeypatch.setattr(keplerlab.cli, "_fmt", refuse)
+        _emit({"format": output_format}, {"h": 0.5}, names, *self.slices(table))
+        assert capsys.readouterr() == want
+
     # the columns and the text held while writing are bounded by a chunk: a
     # run twice as long raises the traced peak by the trajectory's arrays, 16 B
     # per step (32 B for fr, whose velocities are stored), plus 8 B of margin.
     # Deriving every column of the run before writing held 90 to 150 B per step
     @staticmethod
-    def peak_growth(monkeypatch, tmp_path, argv):
+    def peak_growth(monkeypatch, tmp_path, argv, steps=4000):
         monkeypatch.setattr(keplerlab.cli, "_CHUNK_ROWS", 256, raising=False)
         out = str(tmp_path / "out")
 
@@ -382,8 +429,8 @@ class TestEmit:
             finally:
                 tracemalloc.stop()
 
-        peak(10)  # the parser and the lazy imports are built once per process
-        return (peak(8000) - peak(4000)) / 4000
+        peak(100)  # the parser and the lazy imports are built once per process
+        return (peak(2 * steps) - peak(steps)) / steps
 
     @pytest.mark.parametrize("argv, bound", [
         (["--method", "sv", "--format", "json"], 24),
@@ -394,6 +441,17 @@ class TestEmit:
 
     def test_error_curve_memory_does_not_grow_with_the_output(self, monkeypatch, tmp_path):
         assert self.peak_growth(monkeypatch, tmp_path, ["error-curve", "--method", "sv"]) < 24
+
+    # precession holds the trajectory, the LRL angle and the fit's arrays of
+    # the whole run, 8 B per sample each, and derives the angle a chunk of rows
+    # at a time: sv reads 55 B per step and fr 71 B (velocities stored), where
+    # deriving every observable of the run at once read 96 for both.  Below
+    # 20 000 steps the kernel's own buffers hide the fit's growth
+    @pytest.mark.parametrize("method, bound", [("sv", 72), ("fr", 88)])
+    def test_precession_memory_holds_the_angle_not_every_observable(self, monkeypatch,
+                                                                    tmp_path, method, bound):
+        argv = ["precession", "--method", method]
+        assert self.peak_growth(monkeypatch, tmp_path, argv, steps=20000) < bound
 
 
 _DEFAULT_CHUNK_ROWS = keplerlab.cli._CHUNK_ROWS
