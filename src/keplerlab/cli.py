@@ -2,7 +2,7 @@
 
 Each subcommand reproduces one study as machine-readable data: trajectory
 dumps, precession measurements against theory, step-size scans, error
-curves, closed-form versus quadrature checks, and a timing benchmark.
+curves and closed-form versus quadrature checks.
 Outputs are deterministic CSV ("%.17g" floats, LF endings, single header
 row) or JSON mirrors (shortest-repr floats, laid out as json.dumps with
 indent=2 and sorted keys); effective settings are embedded in JSON payloads
@@ -26,7 +26,6 @@ import functools
 import json
 import math
 import sys
-import time
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -45,8 +44,6 @@ DEFAULT_SCAN_H = (0.0625, 0.125, 0.25, 0.5)
 # the linear fit's bias (it absorbs part of the O(h^2) orbital oscillation of
 # the LRL angle) falls below the h^4 methods' rates at the smallest step.
 DEFAULT_SCAN_REVOLUTIONS = 100
-DEFAULT_BENCH_STEPS = 20000
-DEFAULT_BENCH_H = 0.1
 DEFAULT_ERROR_T_END = 500.0
 
 _ALL_METHODS = tuple(m.value for m in MethodId)
@@ -307,17 +304,17 @@ def _rows(rows: list) -> tuple[int, _Columns]:
     return len(rows), lambda lo, hi: list(zip(*rows[lo:hi]))
 
 
-def _json_text(meta: dict, names: list[str], n_rows: int, columns: _Columns, report: bool,
-               extra: dict) -> Iterator[str]:
+def _json_text(meta: dict, names: list[str], n_rows: int, columns: _Columns,
+               report: bool) -> Iterator[str]:
     """The JSON payload in pieces, laid out as json.dumps(payload, indent=2,
     sort_keys=True): a `report` row is merged into the payload; other rows,
     one object per row with keys sorted, replace its top-level "rows": null
     line chunk by chunk."""
     if report:
         row = {name: column[0] for name, column in zip(names, columns(0, 1))}
-        yield json.dumps(dict(row, metadata=meta, **extra), indent=2, sort_keys=True) + "\n"
+        yield json.dumps(dict(row, metadata=meta), indent=2, sort_keys=True) + "\n"
         return
-    text = json.dumps(dict(rows=None, metadata=meta, **extra), indent=2, sort_keys=True)
+    text = json.dumps(dict(rows=None, metadata=meta), indent=2, sort_keys=True)
     head, tail = text.split('\n  "rows": null', 1)
     order = sorted(range(len(names)), key=names.__getitem__)
     keys = ["      " + json.dumps(names[i]).replace("%", "%%") + ": " for i in order]
@@ -344,7 +341,7 @@ def _csv_text(names: list[str], n_rows: int, columns: _Columns) -> Iterator[str]
 
 
 def _emit(cfg: dict, meta: dict, names: list[str], n_rows: int, columns: _Columns,
-          report: bool = False, **extra) -> None:
+          report: bool = False) -> None:
     """Write a table of n_rows rows as CSV, with the metadata on stderr, or as JSON.
 
     columns(lo, hi) gives the table's columns, in the order of `names`, at
@@ -353,12 +350,11 @@ def _emit(cfg: dict, meta: dict, names: list[str], n_rows: int, columns: _Column
     whole column and no whole text is built, each through one row template
     (_csv_field, _json_field): CSV cells as _fmt writes them, JSON laid out
     exactly as json.dumps(payload, indent=2, sort_keys=True).
-    The payload holds the metadata, any `extra` fields and the rows as
-    objects keyed by column; a `report` is one row, merged into the payload
-    itself.
+    The payload holds the metadata and the rows as objects keyed by column;
+    a `report` is one row, merged into the payload itself.
     """
     if cfg["format"] == "json":
-        pieces = _json_text(meta, names, n_rows, columns, report, extra)
+        pieces = _json_text(meta, names, n_rows, columns, report)
     else:
         print(f"# metadata: {json.dumps(meta, sort_keys=True)}", file=sys.stderr)
         pieces = _csv_text(names, n_rows, columns)
@@ -395,16 +391,19 @@ def _elements(cfg: dict) -> OrbitElements:
 
 
 def _run(cfg: dict, period: Optional[float] = None) -> tuple[Trajectory, dict]:
-    """The one integration of every subcommand, and the metadata of the run.
-    A run to be measured passes its orbit's period and is gated before it is
-    integrated."""
+    """The one integration of every subcommand, and the metadata of the run,
+    with the run's exact work counters under "work".  A run to be measured
+    passes its orbit's period and is gated before it is integrated."""
     method = MethodId.parse(cfg["method"])
     x0, v0 = _initial_state(cfg)
     steps = _steps_from(cfg)
     if period is not None:
         analysis.require_measurable(period, cfg["h"], steps)
     traj = integrate(method, x0, v0, cfg["h"], steps)
-    return traj, _metadata(cfg, method=method.value, steps=steps, **_NEWTON)
+    stats = traj.stats
+    work = {"gradientEvaluations": stats.gradient_evaluations,
+            "implicitSolves": stats.implicit_solves, "newtonIterations": stats.newton_iterations}
+    return traj, _metadata(cfg, method=method.value, steps=steps, work=work, **_NEWTON)
 
 
 def cmd_simulate(cfg: dict) -> None:
@@ -442,6 +441,11 @@ def cmd_scan(cfg: dict) -> None:
     for h in h_list:
         _positive_finite("h-list entry", h)
     methods = [MethodId.parse(m) for m in cfg["methods"]]
+    # a repeated entry integrates its cells twice and leaves no slope to fit
+    for flag, entries in (("--h-list", h_list), ("--methods", cfg["methods"])):
+        repeated = next((x for i, x in enumerate(entries) if x in entries[:i]), None)
+        if repeated is not None:
+            raise ConfigurationError(f"{flag} repeats the entry {repeated}")
     elements = _elements(cfg)
     raw_span = _t_end(cfg) or DEFAULT_SCAN_REVOLUTIONS * elements.T
     h_max = max(h_list)
@@ -502,20 +506,6 @@ def cmd_averages(cfg: dict) -> None:
     _emit(cfg, meta, ["power", "closedForm", "quadrature", "relDiff"], *_rows(rows))
 
 
-def cmd_bench(cfg: dict) -> None:
-    rows = []
-    for name in cfg["methods"]:
-        start = time.perf_counter()
-        traj, _ = _run(dict(cfg, method=name))
-        wall = time.perf_counter() - start
-        rows.append([traj.method.value, traj.n_steps, wall, traj.stats.implicit_solves,
-                     traj.stats.avg_newton_iterations])
-    _emit(cfg, _metadata(cfg, **_NEWTON), ["method", "steps", "wallSeconds",
-                                           "implicitSolveCount", "avgNewtonIterations"],
-          *_rows(rows),
-          note="wall-clock timings are machine-dependent and informative only")
-
-
 def _settings(output_format: str, **own) -> dict:
     """A subcommand's settings and their defaults: its own, then the initial
     state and the output, which every subcommand has."""
@@ -538,9 +528,6 @@ _COMMANDS = {
                         _settings("json", method=_REQUIRED, h=DEFAULT_H, a=None, e=None)),
     "averages": _Command(cmd_averages, "closed-form vs quadrature orbit averages",
                          _settings("json", a=None, e=None)),
-    "bench": _Command(cmd_bench, "wall-clock and Newton-iteration benchmark",
-                      _settings("json", methods=_ALL_METHODS, h=DEFAULT_BENCH_H,
-                                steps=DEFAULT_BENCH_STEPS)),
 }
 
 

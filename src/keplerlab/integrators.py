@@ -120,12 +120,6 @@ class IntegrationStats:
     newton_iterations: int = 0
     gradient_evaluations: int = 0
 
-    @property
-    def avg_newton_iterations(self) -> float:
-        if self.implicit_solves == 0:
-            return 0.0
-        return self.newton_iterations / self.implicit_solves
-
 
 @dataclass
 class Trajectory:

@@ -3,7 +3,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import shlex
 import subprocess
 import sys
@@ -35,11 +34,10 @@ PINNED_FLAGS = {
     "predict": {"--method", "--h", "--a", "--e", "--x0", "--v0", "--out", "--format",
                 "--config"},
     "averages": {"--a", "--e", "--x0", "--v0", "--out", "--format", "--config"},
-    "bench": {"--methods", "--h", "--steps", "--x0", "--v0", "--out", "--format",
-              "--config"},
 }
 
-_RUN_METADATA = {"format", "h", "maxIterations", "method", "steps", "tolerance", "v0", "x0"}
+_RUN_METADATA = {"format", "h", "maxIterations", "method", "steps", "tolerance", "v0", "work",
+                 "x0"}
 # a small JSON run of each subcommand, and the keys of its metadata
 PINNED_METADATA = {
     "simulate": (["--method", "sv", "--steps", "5"], _RUN_METADATA),
@@ -50,8 +48,6 @@ PINNED_METADATA = {
     "error-curve": (["--method", "sv", "--h", "0.1", "--t-end", "3"], _RUN_METADATA | {"tEnd"}),
     "predict": (["--method", "sv"], {"elements", "format", "h", "method", "v0", "x0"}),
     "averages": ([], {"elements", "format", "v0", "x0"}),
-    "bench": (["--methods", "sv", "--steps", "10"],
-              {"format", "h", "maxIterations", "methods", "steps", "tolerance", "v0", "x0"}),
 }
 
 # one value other than the default for every setting of a subcommand but
@@ -68,7 +64,6 @@ NON_DEFAULT_SETTINGS = {
                     "format": "json"},
     "predict": {"method": "mp", "h": 0.3, "a": 2.0, "e": 0.5, **_STATE, "format": "csv"},
     "averages": {"a": 1.5, "e": 0.39, **_STATE, "format": "csv"},
-    "bench": {"methods": ["sv", "mp"], "h": 0.2, "steps": 50, **_STATE, "format": "csv"},
 }
 
 
@@ -171,13 +166,23 @@ class TestJsonPayloadsAgainstSchemas:
         for row in payload.get("rows", [payload]):
             assert math.isclose(row[quad], row[closed], rel_tol=1e-12)
 
-    def test_bench(self, capsys):
-        payload = check_json(capsys, "bench", "--methods", "sv,mp",
-                             "--steps", "200")
-        by_method = {row["method"]: row for row in payload["rows"]}
-        assert by_method["sv"]["implicitSolveCount"] == 0
-        assert by_method["mp"]["implicitSolveCount"] == 200
-        assert by_method["mp"]["avgNewtonIterations"] > 0.0
+    # the metadata carries the run's own counters, in JSON and on the CSV
+    # metadata line alike
+    @pytest.mark.parametrize("method", [m.value for m in keplerlab.MethodId])
+    def test_simulate_work_is_the_runs(self, capsys, method):
+        argv = ["--method", method, "--h", "0.2", "--steps", "50"]
+        payload = check_json(capsys, "simulate", *argv)
+        x0, v0 = (keplerlab.PlanarVector(*s) for s in (keplerlab.cli.DEFAULT_X0,
+                                                        keplerlab.cli.DEFAULT_V0))
+        stats = keplerlab.integrate(keplerlab.MethodId(method), x0, v0, 0.2, 50).stats
+        assert payload["metadata"]["work"] == {
+            "gradientEvaluations": stats.gradient_evaluations,
+            "implicitSolves": stats.implicit_solves,
+            "newtonIterations": stats.newton_iterations}
+        code, _, err = run_cli(capsys, "simulate", *argv, "--format", "csv")
+        assert code == 0
+        meta = json.loads(err.split("# metadata: ", 1)[1])
+        assert meta == dict(payload["metadata"], format="csv")
 
 
 class TestCsvContract:
@@ -239,13 +244,13 @@ class TestCsvContract:
 # methods' points of the radial solve
 PINNED_STDOUT = [
     (["simulate", "--method", "fr", "--steps", "2000", "--format", "json"],
-     "884e051a093f51a6f916fce52a3cdf20059116ad322d00b7fd5d477483ab0b5f"),
+     "2b82220e5771380cf0a36507b15763352b77e4e502edfd2505fa26749d9ec688"),
     (["simulate", "--method", "mp", "--h", "0.1", "--steps", "2000"],
      "f29de853d0b3d0cb034b23fd899efde196ec70895eb2e14071748c4e04757ac0"),
     (["error-curve", "--method", "dec", "--h", "0.1", "--t-end", "200"],
      "4084b545efe4f5c88283ea5970f0a769e4fbfc3c2cb5c527c0f4fd4376e9fb1c"),
     (["error-curve", "--method", "dec", "--h", "0.1", "--t-end", "200", "--format", "json"],
-     "3e5392f3551bd22970c6bb91c641ff13442c895924512fcbec2ae8c64e839a1f"),
+     "b20cbb815e9306ac417f46a0463da2db38a038526bb091b24d83c6b2faeb2599"),
     # half a revolution: every measured cell is null
     (["scan", "--methods", "sv,mp", "--t-end", "10"],
      "d1d7715cccde8ba4bf87217f642eb062c726302d89f52fbc6e7ac00e42baa7f0"),
@@ -260,6 +265,28 @@ def test_pinned_stdout(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the JSON runs above as they were pinned before the metadata carried "work":
+# dropping the key and dumping the payload as the emitter lays it out gives
+# the earlier bytes, so the counters are the only change
+PINNED_STDOUT_WITHOUT_WORK = [
+    (["simulate", "--method", "fr", "--steps", "2000", "--format", "json"],
+     "884e051a093f51a6f916fce52a3cdf20059116ad322d00b7fd5d477483ab0b5f"),
+    (["error-curve", "--method", "dec", "--h", "0.1", "--t-end", "200", "--format", "json"],
+     "3e5392f3551bd22970c6bb91c641ff13442c895924512fcbec2ae8c64e839a1f"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT_WITHOUT_WORK,
+                         ids=[" ".join(a) for a, _ in PINNED_STDOUT_WITHOUT_WORK])
+def test_pinned_stdout_without_work(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    payload = json.loads(out)
+    del payload["metadata"]["work"]
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("method", ["sv", "mp", "ml", "lc", "dec", "fr"])
@@ -332,9 +359,9 @@ class TestEmit:
     @pytest.mark.parametrize("n_rows", [0, 1, 3, 6, 7])
     def test_json_equals_the_payload_dump(self, capsys, chunk_rows, n_rows, kind):
         table = self.table(n_rows, kind)
-        out, _ = self.emit(capsys, "json", table, note="x")
+        out, _ = self.emit(capsys, "json", table)
         payload = {"rows": [dict(zip(self.COLUMNS, row)) for row in self.rows_of(table)],
-                   "metadata": {"h": 0.5, "methods": ["sv"]}, "note": "x"}
+                   "metadata": {"h": 0.5, "methods": ["sv"]}}
         assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_json_report_merges_the_row(self, capsys):
@@ -617,6 +644,16 @@ class TestConfigResolution:
         assert err == ("error: --h-list entry 100.0 exceeds the scan span 45.0 "
                        "(--t-end, or 100 revolutions)\n")
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("h_list", [0.5, 0.25, 0.5], "--h-list repeats the entry 0.5"),
+        ("methods", ["sv", "mp", "sv"], "--methods repeats the entry sv")])
+    def test_scan_repeated_config_entry_is_rejected(self, capsys, tmp_path, key, value,
+                                                    message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run_cli(capsys, "scan", "--t-end", "45", "--config", str(cfg))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("command", list(NON_DEFAULT_SETTINGS))
     def test_config_writes_the_same_bytes_as_flags(self, capsys, tmp_path, command):
         target = tmp_path / "out.txt"
@@ -629,10 +666,7 @@ class TestConfigResolution:
         def run(*argv):
             code, out, err = run_cli(capsys, command, *argv)
             assert code == 0, err
-            text = target.read_text()
-            if command == "bench":  # the wall-clock column is the one nondeterminism
-                text = re.sub(r"^(\w+,\d+),[^,]+,", r"\1,W,", text, flags=re.M)
-            return out, err, text
+            return out, err, target.read_text()
 
         flags = ["--{}={}".format(k.replace("_", "-"),
                                   ",".join(map(str, v)) if isinstance(v, list) else v)
@@ -759,6 +793,9 @@ class TestExitCodes:
         (["simulate", "--method", "sv", "--steps", "0"], "steps must be >= 1, got 0"),
         (["simulate", "--method", "sv", "--steps", "-3"], "steps must be >= 1, got -3"),
         (["scan", "--methods", "sv", "--h-list", "0.5"], "scan needs at least 2 step sizes"),
+        (["scan", "--methods", "sv", "--h-list", "0.5,0.25,0.50"],
+         "error: --h-list repeats the entry 0.5\n"),
+        (["scan", "--methods", "sv,mp,SV"], "error: --methods repeats the entry sv\n"),
         (["simulate", "--method", "sv", "--config", "no-such-dir/config.json"],
          "cannot read config file 'no-such-dir/config.json'")])
     def test_refused_settings_exit_one(self, capsys, argv, message):
@@ -771,6 +808,14 @@ class TestExitCodes:
             main(["simulate", "--method", "sv", "--no-such-flag"])
         capsys.readouterr()
         assert excinfo.value.code == 1
+
+    # timings come from perfbench, and work counters from the run metadata
+    def test_bench_is_no_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        _, err = capsys.readouterr()
+        assert excinfo.value.code == 1
+        assert "invalid choice: 'bench'" in err
 
     def test_missing_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -814,8 +859,8 @@ class TestExitCodes:
     # elements are derived, so every subcommand names it before any step
     @pytest.mark.parametrize("argv", [
         ["simulate", "--method", "sv"], ["precession", "--method", "sv"], ["averages"],
-        ["error-curve", "--method", "sv"], ["predict", "--method", "sv"], ["scan"],
-        ["bench"]], ids=lambda argv: argv[0])
+        ["error-curve", "--method", "sv"], ["predict", "--method", "sv"], ["scan"]],
+        ids=lambda argv: argv[0])
     @pytest.mark.parametrize("x0, v0, a, e", [
         ("2e205,0", "0,2.23606797749979e-103", "2.0000000000000005e+205",
          "2.220446049250313e-16"),
@@ -862,10 +907,8 @@ class TestExitCodes:
          "4.94066e-324"),
         (["precession", "--method", "mp", "--h", "1e-300", "--t-end", "100"], "1e+302",
          "1e-300"),
-        (["error-curve", "--method", "dec", "--h", "1e-300"], "5e+302", "1e-300"),
-        (["bench", "--methods", "sv,fr", "--steps", "1000001"], "1000001", "0.1")],
-        ids=["simulate", "simulate-steps", "simulate-inf", "precession", "error-curve",
-             "bench"])
+        (["error-curve", "--method", "dec", "--h", "1e-300"], "5e+302", "1e-300")],
+        ids=["simulate", "simulate-steps", "simulate-inf", "precession", "error-curve"])
     def test_run_above_the_step_bound_exits_one(self, capsys, stub_kernels, argv, steps, h):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
@@ -950,6 +993,13 @@ class TestContract:
         payload = check_json(capsys, command, *argv)
         assert set(payload["metadata"]) == keys
 
+    # no schema outlives its subcommand; bench-record shapes the committed
+    # BENCH_*.json files
+    def test_one_schema_per_subcommand(self):
+        assert {path.name for path in SCHEMA_DIR.iterdir()} == {
+            *(f"{command}.schema.json" for command in keplerlab.cli._COMMANDS),
+            "bench-record.schema.json"}
+
 
 def test_readme_cli_examples_parse():
     # every `keplerlab ...` line of the README's CLI code block, comment dropped
@@ -957,7 +1007,7 @@ def test_readme_cli_examples_parse():
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
     examples = [line.split("#", 1)[0] for line in block.splitlines()
                 if line.startswith("keplerlab ")]
-    assert len(examples) == 8
+    assert len(examples) == 7
     for line in examples:
         build_parser().parse_args(shlex.split(line)[1:])
 
@@ -982,5 +1032,5 @@ class TestConsoleEntryPoint:
         proc = run_module("--help")
         assert proc.returncode == 0
         for sub in ("simulate", "precession", "scan", "error-curve",
-                    "predict", "averages", "bench"):
+                    "predict", "averages"):
             assert sub in proc.stdout
