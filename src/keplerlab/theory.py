@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailure, SingularMassMatrix
-from .integrators import STENCILS, MethodId
+from .integrators import MAX_STEPS, STENCILS, MethodId
 from .kepler import (CIRCULAR_ECCENTRICITY, SINGULARITY_FLOOR, OrbitElements, PlanarVector,
                      _collision, _out_of_range)
 
@@ -93,10 +93,17 @@ class ModifiedModel:
         return self.h * self.h / 24.0
 
 
-def _ill_conditioned(r: float, lo: float, hi: float) -> SingularMassMatrix:
-    """The one refusal of a velocity Hessian with eigenvalues lo <= hi at |x| = r."""
-    return SingularMassMatrix(f"velocity Hessian not safely invertible at |x| = {r:.3e} "
-                              f"(eigenvalues {lo:.3e}, {hi:.3e})")
+def _refuse_singular(r: float, r2: float, eps: float, c_v2: float, c_s2: float) -> None:
+    """A modified-flow stage's exact tests at |x| = r = sqrt(r2); None if both pass."""
+    if r < SINGULARITY_FLOOR:
+        raise _collision(r, SingularMassMatrix)
+    e3 = eps / (r2 * r)
+    lam_perp = 1.0 + c_v2 * e3
+    lam_par = lam_perp + c_s2 * e3
+    lo, hi = (lam_perp, lam_par) if lam_perp <= lam_par else (lam_par, lam_perp)
+    if lo <= 0.0 or hi > 1e8 * lo:
+        raise SingularMassMatrix(f"velocity Hessian not safely invertible at |x| = {r:.3e} "
+                                 f"(eigenvalues {lo:.3e}, {hi:.3e})")
 
 
 def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
@@ -105,9 +112,9 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate the modified flow with classical RK4 at a fixed small step.
 
-    Samples are returned at the n_samples + 1 uniform times covering
-    [0, t_end]; each sample segment is subdivided so the internal step never
-    exceeds reference_step.  Returns (times, positions, velocities).
+    Returns (times, positions, velocities) at the n_samples + 1 uniform times
+    covering [0, t_end], each segment cut into equal substeps of at most
+    reference_step; over MAX_STEPS substeps in all raise ConfigurationError.
 
     The flow is the Euler-Lagrange equation of the Lagrangian cut at h^2, so
     its precession agrees with the discrete method's only to h^2.  Where
@@ -123,9 +130,11 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
     lam_par = lam_perp + 2 eps c_s/r^3.  The rhs dL/dx - (d/dx dL/dv) v
     collapses to P x + Q v, and M^-1 divides the part along x by lam_par and
     the part normal to x by lam_perp; at h = 0 that is exactly -x/|x|^3.
-    SingularMassMatrix (a stage inside the collision guard, or M above
-    condition number 1e8) names the method, h and the failing substep's
-    start; NumericalFailure the first non-finite sample.
+    Only below r_guard = max(SINGULARITY_FLOOR, (4 S eps)^(1/3) (1 + 1e-9)),
+    S = 2|c_v| + 2|c_s|, set per run, can lam_perp or lam_par leave [3/4, 5/4],
+    so only there does a stage run the exact tests; their SingularMassMatrix
+    (collision guard, lo <= 0, condition above 1e8) names the method, h and
+    the failing substep's start, NumericalFailure the first non-finite sample.
     """
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ConfigurationError(f"t_end must be positive, got {t_end}")
@@ -134,7 +143,9 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
     if not (reference_step > 0.0 and math.isfinite(reference_step)):
         raise ConfigurationError(f"reference_step must be positive, got {reference_step}")
     segment = t_end / n_samples
-    substeps = max(1, math.ceil(segment / reference_step))
+    substeps = max(1, math.ceil(min(segment / reference_step, MAX_STEPS + 1)))  # inf refused below
+    if n_samples * substeps > MAX_STEPS:  # before any array is allocated
+        raise ConfigurationError(f"{n_samples} samples exceed MAX_STEPS = {MAX_STEPS} RK4 substeps")
     dt = segment / substeps
     times = segment * np.arange(n_samples + 1)
     X = np.empty((n_samples + 1, 2))
@@ -148,6 +159,7 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
     # per-run factors of the stage formula; Python multiplies left to right,
     # so 2.0 * c_v * e3 is (2.0 * c_v) * e3 and every stage keeps its bits
     c_v2, c_s2, c_r4 = 2.0 * c_v, 2.0 * c_s, -4.0 * c_r
+    r_guard = max(floor, (4.0 * (abs(c_v2) + abs(c_s2)) * eps) ** (1.0 / 3.0) * (1.0 + 1e-9))
     c_vs, c_s5, c_v6 = 3.0 * c_v + 2.0 * c_s, 5.0 * c_s, 6.0 * c_v
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -156,15 +168,12 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
             for j in range(substeps):
                 r2 = x1 * x1 + x2 * x2
                 r = sqrt(r2)
-                if r < floor:
-                    raise _collision(r, SingularMassMatrix)
+                if r < r_guard:
+                    _refuse_singular(r, r2, eps, c_v2, c_s2)
                 r3 = r2 * r
                 e3 = eps / r3
                 lam_perp = 1.0 + c_v2 * e3
                 lam_par = lam_perp + c_s2 * e3
-                lo, hi = (lam_perp, lam_par) if lam_perp <= lam_par else (lam_par, lam_perp)
-                if lo <= 0.0 or hi > 1e8 * lo:
-                    raise _ill_conditioned(r, lo, hi)
                 s = x1 * v1 + x2 * v2
                 p = -1.0 / r3 + e3 * (c_r4 / r3 - c_vs * (v1 * v1 + v2 * v2) / r2
                                       + c_s5 * s * s / (r2 * r2))
@@ -177,15 +186,12 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
                 pv1, pv2 = v1 + half * a1, v2 + half * b1
                 r2 = px * px + py * py
                 r = sqrt(r2)
-                if r < floor:
-                    raise _collision(r, SingularMassMatrix)
+                if r < r_guard:
+                    _refuse_singular(r, r2, eps, c_v2, c_s2)
                 r3 = r2 * r
                 e3 = eps / r3
                 lam_perp = 1.0 + c_v2 * e3
                 lam_par = lam_perp + c_s2 * e3
-                lo, hi = (lam_perp, lam_par) if lam_perp <= lam_par else (lam_par, lam_perp)
-                if lo <= 0.0 or hi > 1e8 * lo:
-                    raise _ill_conditioned(r, lo, hi)
                 s = px * pv1 + py * pv2
                 p = -1.0 / r3 + e3 * (c_r4 / r3 - c_vs * (pv1 * pv1 + pv2 * pv2) / r2
                                       + c_s5 * s * s / (r2 * r2))
@@ -198,15 +204,12 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
                 qv1, qv2 = v1 + half * a2, v2 + half * b2
                 r2 = qx * qx + qy * qy
                 r = sqrt(r2)
-                if r < floor:
-                    raise _collision(r, SingularMassMatrix)
+                if r < r_guard:
+                    _refuse_singular(r, r2, eps, c_v2, c_s2)
                 r3 = r2 * r
                 e3 = eps / r3
                 lam_perp = 1.0 + c_v2 * e3
                 lam_par = lam_perp + c_s2 * e3
-                lo, hi = (lam_perp, lam_par) if lam_perp <= lam_par else (lam_par, lam_perp)
-                if lo <= 0.0 or hi > 1e8 * lo:
-                    raise _ill_conditioned(r, lo, hi)
                 s = qx * qv1 + qy * qv2
                 p = -1.0 / r3 + e3 * (c_r4 / r3 - c_vs * (qv1 * qv1 + qv2 * qv2) / r2
                                       + c_s5 * s * s / (r2 * r2))
@@ -219,15 +222,12 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
                 rv1, rv2 = v1 + dt * a3, v2 + dt * b3
                 r2 = rx * rx + ry * ry
                 r = sqrt(r2)
-                if r < floor:
-                    raise _collision(r, SingularMassMatrix)
+                if r < r_guard:
+                    _refuse_singular(r, r2, eps, c_v2, c_s2)
                 r3 = r2 * r
                 e3 = eps / r3
                 lam_perp = 1.0 + c_v2 * e3
                 lam_par = lam_perp + c_s2 * e3
-                lo, hi = (lam_perp, lam_par) if lam_perp <= lam_par else (lam_par, lam_perp)
-                if lo <= 0.0 or hi > 1e8 * lo:
-                    raise _ill_conditioned(r, lo, hi)
                 s = rx * rv1 + ry * rv2
                 p = -1.0 / r3 + e3 * (c_r4 / r3 - c_vs * (rv1 * rv1 + rv2 * rv2) / r2
                                       + c_s5 * s * s / (r2 * r2))

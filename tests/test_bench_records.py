@@ -45,3 +45,22 @@ def test_traced_work_counters_hold(path):
             assert change[name] == parent[name], (key, name)
         for name in NO_RISE_COUNTERS:
             assert change[name] <= parent[name], (key, name)
+
+
+# an A/A comparison, where a record has one: the parent tree alone, run from
+# two checkouts whose directory names differ in length (a name's length alone
+# has moved medians), with every workload and seed run once from each
+AA_RECORDS = [p for p in RECORDS if "aa" in json.loads(p.read_text())]
+
+
+@pytest.mark.parametrize("path", AA_RECORDS, ids=[p.name for p in AA_RECORDS])
+def test_aa_runs_pair_two_checkouts(path):
+    aa = json.loads(path.read_text())["aa"]
+    checkouts = {run["checkout"] for run in aa}
+    assert len(checkouts) == 2 and len({len(name) for name in checkouts}) == 2, checkouts
+    runs = {}
+    for run in aa:
+        assert "--trace 0" in run["command"], run["command"]
+        runs.setdefault((run["workload"], run["seed"]), []).append(run["checkout"])
+    for key, names in runs.items():
+        assert sorted(names) == sorted(checkouts), (key, names)

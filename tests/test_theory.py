@@ -476,6 +476,50 @@ class TestKeplerScaling:
         assert_close(scaled.T, lam ** 1.5 * base.T, rtol=1e-13)
 
 
+# the brackets behind the folded guard's tests: sv's (c_v, c_s) = (-2, 6) and
+# ml's (-1, 3) make lam_perp fall toward the centre, mp's (1, -3) lam_par
+GUARD_METHODS = (MethodId.SV, MethodId.MP, MethodId.ML)
+
+
+def guard_radius(model):
+    """integrate_modified's per-run guard radius, from its docstring:
+    max(SINGULARITY_FLOOR, (4 S eps)^(1/3) (1 + 1e-9)), S = 2|c_v| + 2|c_s|."""
+    _, c_v, c_s = model.bracket
+    s = abs(2.0 * c_v) + abs(2.0 * c_s)
+    return max(SINGULARITY_FLOOR, (4.0 * s * model.epsilon) ** (1.0 / 3.0) * (1.0 + 1e-9))
+
+
+def run_against_reference(monkeypatch, model, x0, v0, t_end, n_samples, reference_step):
+    """Run integrate_modified and the reference loop from one start and assert
+    the same samples, bit for bit, or the same SingularMassMatrix message.
+    Returns the lowest stage radius of the reference loop, the refusal's
+    message ("" if none) and how many stages of integrate_modified ran the
+    exact tests."""
+    radii, exact_runs = [], []
+
+    def recorded(eps, alpha, beta, gamma, x1, x2, v1, v2):
+        radii.append(math.hypot(x1, x2))
+        return modified_acceleration_xy(eps, alpha, beta, gamma, x1, x2, v1, v2)
+
+    def counted(*args):
+        exact_runs.append(None)
+        return refuse(*args)
+
+    refuse = theory._refuse_singular
+    monkeypatch.setattr(reference, "modified_acceleration_xy", recorded)
+    monkeypatch.setattr(theory, "_refuse_singular", counted)
+    try:
+        want = reference_flow(model, x0, v0, t_end, n_samples, reference_step)
+    except SingularMassMatrix as err:
+        with pytest.raises(SingularMassMatrix) as excinfo:
+            integrate_modified(model, x0, v0, t_end, n_samples, reference_step)
+        assert str(excinfo.value) == str(err)
+        return min(radii), str(err), len(exact_runs)
+    _, X, V = integrate_modified(model, x0, v0, t_end, n_samples, reference_step)
+    assert np.array_equal(np.hstack((X, V)), np.array(want))
+    return min(radii), "", len(exact_runs)
+
+
 class TestIntegrateModified:
     def test_sample_layout(self):
         model = ModifiedModel(MethodId.SV, 0.5)
@@ -609,6 +653,75 @@ class TestIntegrateModified:
             integrate_modified(model, X0, V0, 10.0, 0)
         with pytest.raises(ConfigurationError):
             integrate_modified(model, X0, V0, 10.0, 10, reference_step=0.0)
+
+    # runs beyond integrate's MAX_STEPS = 10^6 are refused before any array is
+    # allocated: a substep ratio that overflows to inf, 10^9 samples (8 GB of
+    # times), one segment of 10^6 + 1 substeps, and 2001 segments of
+    # ceil(499.7) = 500 substeps (999,899.7 before rounding up).  numpy is
+    # taken from theory for the call, so a refusal that fails to come stops
+    # at the first array instead of allocating it.
+    @pytest.mark.parametrize("t_end, n_samples, reference_step", [
+        (10.0, 10, 1e-310), (10.0, 10**9, 0.005), (500000.5, 1, 0.5), (2001 * 4.997, 2001, 0.01)])
+    def test_work_bound(self, monkeypatch, t_end, n_samples, reference_step):
+        class NoArrays:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} reached before the refusal")
+
+        monkeypatch.setattr(theory, "np", NoArrays())
+        with pytest.raises(ConfigurationError) as excinfo:
+            integrate_modified(ModifiedModel(MethodId.SV, 0.1), X0, V0, t_end, n_samples,
+                               reference_step)
+        assert str(excinfo.value) == f"{n_samples} samples exceed MAX_STEPS = 1000000 RK4 substeps"
+
+    # The folded guard: a stage runs the exact tests only below the per-run
+    # radius, so it must refuse exactly what the reference loop, which runs
+    # them at every stage, refuses.  sv, mp and ml cover both sign patterns of
+    # (c_v, c_s) and two sizes of S; the starts are pericentres 0.2% above and
+    # below the guard radius, which the orbit leaves and comes back to, and a
+    # radial infall from rest that the mass-matrix test refuses.
+    @pytest.mark.parametrize("where", ["above", "below", "inside"])
+    @pytest.mark.parametrize("h", [0.5, 1.0])
+    @pytest.mark.parametrize("method", GUARD_METHODS)
+    def test_folded_guard_refuses_what_the_exact_tests_refuse(self, monkeypatch, method, h,
+                                                              where):
+        model = ModifiedModel(method, h)
+        r_guard = guard_radius(model)
+        if where == "inside":
+            x0, v0 = (2.0, 0.0), (0.0, 0.0)
+        else:
+            p = r_guard * (1.002 if where == "above" else 0.998)
+            x0, v0 = (p, 0.0), (0.0, 1.2 / math.sqrt(p))
+        lowest, refused, exact_runs = run_against_reference(monkeypatch, model, x0, v0,
+                                                            40.0, 40, 0.05)
+        if where == "above":
+            assert 1.0 <= lowest / r_guard < 1.01 and not refused and exact_runs == 0
+        elif where == "below":
+            assert 0.99 <= lowest / r_guard < 1.0 and not refused and exact_runs > 0
+        else:
+            assert refused and "velocity Hessian not safely invertible" in refused
+
+    # at h = 0 the guard radius is the collision floor: a start just above it
+    # never runs the exact tests, one just below is refused as a collision
+    @pytest.mark.parametrize("scale", [1.001, 0.999])
+    @pytest.mark.parametrize("method", GUARD_METHODS)
+    def test_zero_step_guard_is_the_collision_floor(self, monkeypatch, method, scale):
+        model = ModifiedModel(method, 0.0)
+        assert guard_radius(model) == SINGULARITY_FLOOR
+        x0, v0 = (scale * SINGULARITY_FLOOR, 0.0), (0.0, 1.0)
+        _, refused, exact_runs = run_against_reference(monkeypatch, model, x0, v0,
+                                                       1e-20, 1, 0.005)
+        if scale > 1.0:
+            assert not refused and exact_runs == 0
+        else:
+            assert "inside the collision guard" in refused and exact_runs == 1
+
+    @pytest.mark.parametrize("h", [0.0, 0.1, 0.5, 1.0, 10.0])
+    @pytest.mark.parametrize("method", GUARD_METHODS)
+    def test_exact_tests_pass_at_the_guard_radius(self, method, h):
+        model = ModifiedModel(method, h)
+        _, c_v, c_s = model.bracket
+        r = guard_radius(model)
+        assert theory._refuse_singular(r, r * r, model.epsilon, 2.0 * c_v, 2.0 * c_s) is None
 
 
 def _circular(r):
