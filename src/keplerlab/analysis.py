@@ -8,8 +8,9 @@ LRL vector per sample, unwrapped, and fitted with the closed-form
 least-squares line on the uniform step grid (as the energy is in
 energy_drift), which averages out the O(h^2) oscillation of the per-sample
 angle and exposes the secular drift.  trajectory_arrays and error_curve
-take a row range, the whole run by default, so that an output (and the
-angle that measure_precession fits) can be derived a chunk at a time.
+take a row range, the whole run by default, so that an output can be
+derived a chunk at a time; measure_precession so derives and unwraps the
+angle into one buffer, which the fit then overwrites.
 require_measurable decides from the period, the step and the step count
 alone whether a run can be measured, so a caller can ask before it
 integrates.  energy_drift summarises the energy, whose boundedness is the
@@ -33,7 +34,7 @@ from .kepler import observable_series
 # at 3; 8 keeps one sample of margin.
 MIN_SAMPLES_PER_REVOLUTION = 8
 
-# Rows whose LRL angle measure_precession derives at a time: it holds the angle only
+# Rows whose LRL angle measure_precession derives and unwraps at a time
 _CHUNK_ROWS = 4096
 
 
@@ -82,13 +83,20 @@ def require_measurable(period: float, h: float, n_steps: int) -> None:
 
 def _line(y: np.ndarray) -> tuple[float, np.ndarray]:
     """Least-squares line through samples y at k = 0 .. m-1, in closed form
-    on that uniform grid: its slope per sample, and y's residual about it."""
+    on that uniform grid: its slope per sample, and y's residual about it,
+    which overwrites y.  The centred grid is built twice rather than kept,
+    so the fit holds 16 B per sample at its peak, y included."""
     m = len(y)
-    k = np.arange(m) - 0.5 * (m - 1)
-    dev = y - y.mean()
+    y -= y.mean()
+    k = np.arange(0.5 * (1 - m), 0.5 * m)  # each i - (m - 1)/2, exactly
+    k *= y
     # a reduction, not the BLAS dot product, whose rounding hangs on its thread count
-    slope = float(np.add.reduce(k * dev)) / (m * (m * m - 1) / 12)
-    return slope, dev - slope * k
+    slope = float(np.add.reduce(k)) / (m * (m * m - 1) / 12)
+    del k
+    k = np.arange(0.5 * (1 - m), 0.5 * m)
+    k *= slope
+    y -= k
+    return slope, y
 
 
 def measure_precession(traj: Trajectory) -> PrecessionEstimate:
@@ -99,19 +107,34 @@ def measure_precession(traj: Trajectory) -> PrecessionEstimate:
     reconstructed by differences, only the central-difference rows 1 .. n-1
     are read and fitted (the one-sided endpoints' reconstruction error is an
     order larger than the interior one and they would bias short fits).
+    The angle is derived and unwrapped _CHUNK_ROWS at a time into one
+    buffer, with np.unwrap's arithmetic and bits, and _line fits it in
+    place: beyond the trajectory the peak is 16 B per sample.
     """
     period, h, n = traj.elements.T, traj.h, traj.n_steps
     require_measurable(period, h, n)
     cut = int(traj.velocities is None)
     omega = np.empty(n + 1 - 2 * cut)
+    last, carry = None, 0.0
     for lo in range(0, len(omega), _CHUNK_ROWS):
         _, X, V = trajectory_arrays(traj, cut + lo, cut + min(lo + _CHUNK_ROWS, len(omega)))
         _, _, lrl_a, lrl_b = observable_series(X, V)
-        np.arctan2(lrl_b, lrl_a, out=omega[lo:lo + len(X)])
-    slope, residual = _line(np.unwrap(omega))
+        chunk = np.arctan2(lrl_b, lrl_a, out=omega[lo:lo + len(X)])
+        # np.unwrap's arithmetic, the first difference against the last chunk's raw angle
+        dd = np.diff(chunk, prepend=last) if lo else np.diff(chunk)
+        last = chunk[-1]
+        fix = np.mod(dd + np.pi, 2 * np.pi) - np.pi
+        np.copyto(fix, np.pi, where=(fix == -np.pi) & (dd > 0))
+        fix -= dd
+        np.copyto(fix, 0.0, where=np.abs(dd) < np.pi)
+        # add.accumulate is sequential: carried on from the last chunk's sum, it keeps the bits
+        fix = np.cumsum(np.concatenate(([carry], fix)))
+        carry = fix[-1]
+        chunk[len(chunk) - len(dd):] += fix[1:]
+    slope, residual = _line(omega)
     return PrecessionEstimate(
         rate_per_revolution=slope / h * period,
-        fit_residual_rms=float(np.sqrt(np.mean(residual ** 2))),
+        fit_residual_rms=float(np.sqrt(np.mean(np.square(residual, out=residual)))),
         revolutions_observed=float(h * n / period),
     )
 

@@ -103,7 +103,9 @@ NEWTON_MAX_ITERATIONS = 50
 # span asks for.  At 10^6 steps integrate peaks near 47 MB (sv) and 63 MB
 # (fr), 28 MB of it the import; `keplerlab simulate` and `error-curve`,
 # which derive and write their rows in fixed-size chunks, peak near the
-# same (48 MB for sv, CSV, 65 MB for fr, JSON, 48 MB for error-curve dec).
+# same (48 MB for sv, CSV, 65 MB for fr, JSON, 48 MB for error-curve dec),
+# and `precession`, which adds the angle and its fit's grid, near 61 MB
+# (sv) and 79 MB (fr).
 MAX_STEPS = 10**6
 
 # Steps a kernel takes between copies of its points into the trajectory's

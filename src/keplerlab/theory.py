@@ -18,6 +18,7 @@ and by quadrature at uniform true anomalies, with no Kepler solve.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -114,7 +115,8 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
 
     Returns (times, positions, velocities) at the n_samples + 1 uniform times
     covering [0, t_end], each segment cut into equal substeps of at most
-    reference_step; over MAX_STEPS substeps in all raise ConfigurationError.
+    reference_step; a non-integer n_samples, or over MAX_STEPS substeps in
+    all, raise ConfigurationError before any division or array.
 
     The flow is the Euler-Lagrange equation of the Lagrangian cut at h^2, so
     its precession agrees with the discrete method's only to h^2.  Where
@@ -138,10 +140,14 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
     """
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ConfigurationError(f"t_end must be positive, got {t_end}")
+    if not isinstance(n_samples, numbers.Integral):
+        raise ConfigurationError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 1:
         raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")
     if not (reference_step > 0.0 and math.isfinite(reference_step)):
         raise ConfigurationError(f"reference_step must be positive, got {reference_step}")
+    if n_samples > MAX_STEPS:  # each sample takes a substep; and t_end / 10**400 overflows
+        raise ConfigurationError(f"{n_samples} samples exceed MAX_STEPS = {MAX_STEPS} RK4 substeps")
     segment = t_end / n_samples
     substeps = max(1, math.ceil(min(segment / reference_step, MAX_STEPS + 1)))  # inf refused below
     if n_samples * substeps > MAX_STEPS:  # before any array is allocated

@@ -5,9 +5,11 @@ two-dimensional Newton solve of an implicit stencil step, an oracle that
 shares nothing with the kernel's radial solve; and the point-wise modified
 Lagrangian, which the modified flow's Euler-Lagrange residual and energy are
 checked against; the perihelion state of a shape, from which the
-property tests build bound states; and the dense precession estimator,
+property tests build bound states; the dense precession estimator,
 np.unwrap and np.polyfit on the whole run, that measure_precession's
-closed-form line on the step grid is checked against."""
+closed-form line on the step grid is checked against; and np.unwrap with
+the closed-form line on whole-run arrays, which measure_precession's
+chunked unwrap and in-place fit must equal bit for bit."""
 
 import math
 
@@ -189,15 +191,40 @@ def reference_flow(model, x0, v0, t_end, n_samples, reference_step):
     return samples
 
 
+def whole_run_angle(traj):
+    """The raw LRL angle of the rows measure_precession reads, derived from
+    the arrays of the whole run: a position-only run's one-sided endpoint
+    rows sliced off."""
+    _, X, V = trajectory_arrays(traj)
+    if traj.velocities is None:
+        X, V = X[1:-1], V[1:-1]
+    _, _, lrl_a, lrl_b = observable_series(X, V)
+    return np.arctan2(lrl_b, lrl_a)
+
+
+def closed_form_line(y):
+    """The least-squares line through y at k = 0 .. m-1 on fresh arrays:
+    (slope per sample, residual), y untouched."""
+    m = len(y)
+    k = np.arange(m) - 0.5 * (m - 1)
+    dev = y - y.mean()
+    slope = float(np.add.reduce(k * dev)) / (m * (m * m - 1) / 12)
+    return slope, dev - slope * k
+
+
+def unwrap_line_precession(traj):
+    """(rate per revolution, fit residual rms) of closed_form_line through
+    np.unwrap of the whole run's angle."""
+    slope, residual = closed_form_line(np.unwrap(whole_run_angle(traj)))
+    return slope / traj.h * traj.elements.T, float(np.sqrt(np.mean(residual ** 2)))
+
+
 def polyfit_precession(traj):
     """(rate per revolution, fit residual rms) of a line fitted by np.polyfit
-    in time to np.unwrap of the LRL angle.  The arrays of the whole run are
-    built, and a position-only run's one-sided endpoint rows sliced off."""
-    t, X, V = trajectory_arrays(traj)
-    if traj.velocities is None:
-        t, X, V = t[1:-1], X[1:-1], V[1:-1]
-    _, _, lrl_a, lrl_b = observable_series(X, V)
-    omega = np.unwrap(np.arctan2(lrl_b, lrl_a))
+    in time to np.unwrap of the whole run's LRL angle."""
+    omega = np.unwrap(whole_run_angle(traj))
+    cut = int(traj.velocities is None)
+    t = traj.h * np.arange(cut, cut + len(omega))
     slope, intercept = np.polyfit(t, omega, 1)
     residual = omega - (slope * t + intercept)
     return slope * traj.elements.T, np.sqrt(np.mean(residual ** 2))

@@ -25,10 +25,11 @@ from keplerlab import (
     measure_precession,
     observable_series,
 )
+from keplerlab import analysis
 from keplerlab.analysis import error_curve, trajectory_arrays
 
 from conftest import REF_ECC, REF_T, V0, X0, assert_close, assert_vector_close
-from reference import polyfit_precession
+from reference import polyfit_precession, unwrap_line_precession, whole_run_angle
 
 
 def exact_trajectory(h=0.25, n_revolutions=4.0, rotate_per_rev=0.0):
@@ -206,6 +207,29 @@ class TestMeasurePrecession:
             rate, rms = polyfit_precession(traj)
             assert abs(est.rate_per_revolution - rate) <= 1e-15, h
             assert abs(est.fit_residual_rms - rms) <= 1e-12 * rms, h
+
+    # the angle is derived, unwrapped and fitted a chunk of rows at a time, in
+    # one buffer: any chunk gives the bits of np.unwrap and the closed-form
+    # line on the arrays of the whole run.  The start is the default one turned
+    # by pi, so at h = 1 the apsis sits on the angle's branch cut and the angle
+    # wraps within the first chunks; chunks of 64 rows end runs of 191, 192
+    # and 193 samples just before, on and after a chunk edge
+    CHUNK_CASES = [(rows, 200) for rows in (1, 2, 3, 7, 10**9)] + [(64, n) for n in (191, 192, 193)]
+
+    @pytest.mark.parametrize("method", [MethodId.SV, MethodId.MP, MethodId.DEC, MethodId.FR],
+                             ids=lambda m: m.value)
+    def test_any_chunk_gives_the_bits_of_the_whole_run(self, monkeypatch, method):
+        for rows, samples in self.CHUNK_CASES:
+            steps = samples - 1 if method is MethodId.FR else samples + 1
+            traj = integrate(method, PlanarVector(-X0.x1, -X0.x2), PlanarVector(-V0.x1, -V0.x2),
+                             1.0, steps)
+            raw = whole_run_angle(traj)
+            assert len(raw) == samples and np.abs(np.diff(raw[:64])).max() > math.pi
+            want = [value.hex() for value in unwrap_line_precession(traj)]
+            monkeypatch.setattr(analysis, "_CHUNK_ROWS", rows)
+            est = measure_precession(traj)
+            got = [est.rate_per_revolution.hex(), est.fit_residual_rms.hex()]
+            assert got == want, (rows, samples)
 
 
 def energy_trajectory(t, energy):

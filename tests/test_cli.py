@@ -444,7 +444,7 @@ class TestEmit:
     # per step (32 B for fr, whose velocities are stored), plus 8 B of margin.
     # Deriving every column of the run before writing held 90 to 150 B per step
     @staticmethod
-    def peak_growth(monkeypatch, tmp_path, argv, steps=4000):
+    def peak_growth(monkeypatch, tmp_path, argv):
         monkeypatch.setattr(keplerlab.cli, "_CHUNK_ROWS", 256, raising=False)
         out = str(tmp_path / "out")
 
@@ -457,7 +457,7 @@ class TestEmit:
                 tracemalloc.stop()
 
         peak(100)  # the parser and the lazy imports are built once per process
-        return (peak(2 * steps) - peak(steps)) / steps
+        return (peak(8000) - peak(4000)) / 4000
 
     @pytest.mark.parametrize("argv, bound", [
         (["--method", "sv", "--format", "json"], 24),
@@ -469,16 +469,20 @@ class TestEmit:
     def test_error_curve_memory_does_not_grow_with_the_output(self, monkeypatch, tmp_path):
         assert self.peak_growth(monkeypatch, tmp_path, ["error-curve", "--method", "sv"]) < 24
 
-    # precession holds the trajectory, the LRL angle and the fit's arrays of
-    # the whole run, 8 B per sample each, and derives the angle a chunk of rows
-    # at a time: sv reads 55 B per step and fr 71 B (velocities stored), where
-    # deriving every observable of the run at once read 96 for both.  Below
-    # 20 000 steps the kernel's own buffers hide the fit's growth
-    @pytest.mark.parametrize("method, bound", [("sv", 72), ("fr", 88)])
+    # precession holds the trajectory and the LRL angle, 8 B per sample, which
+    # it derives and unwraps a chunk of rows at a time and fits in place with
+    # one grid of 8 B per sample: sv reads 31 B per step and fr 47 B
+    # (velocities stored); an unwrap and a fit on fresh arrays read 71 and 87.
+    # Small kernel, angle and quadrature buffers keep their fixed peaks from
+    # hiding that growth at 4000 steps
+    @pytest.mark.parametrize("method, bound", [("sv", 40), ("fr", 56)])
     def test_precession_memory_holds_the_angle_not_every_observable(self, monkeypatch,
                                                                     tmp_path, method, bound):
+        monkeypatch.setattr(keplerlab.integrators, "_CHUNK_STEPS", 64)
+        monkeypatch.setattr(keplerlab.analysis, "_CHUNK_ROWS", 256)
+        monkeypatch.setattr(keplerlab.theory, "DEFAULT_AVERAGE_NODES", 64)
         argv = ["precession", "--method", method]
-        assert self.peak_growth(monkeypatch, tmp_path, argv, steps=20000) < bound
+        assert self.peak_growth(monkeypatch, tmp_path, argv) < bound
 
 
 _DEFAULT_CHUNK_ROWS = keplerlab.cli._CHUNK_ROWS

@@ -654,24 +654,35 @@ class TestIntegrateModified:
         with pytest.raises(ConfigurationError):
             integrate_modified(model, X0, V0, 10.0, 10, reference_step=0.0)
 
-    # runs beyond integrate's MAX_STEPS = 10^6 are refused before any array is
-    # allocated: a substep ratio that overflows to inf, 10^9 samples (8 GB of
-    # times), one segment of 10^6 + 1 substeps, and 2001 segments of
-    # ceil(499.7) = 500 substeps (999,899.7 before rounding up).  numpy is
-    # taken from theory for the call, so a refusal that fails to come stops
-    # at the first array instead of allocating it.
-    @pytest.mark.parametrize("t_end, n_samples, reference_step", [
-        (10.0, 10, 1e-310), (10.0, 10**9, 0.005), (500000.5, 1, 0.5), (2001 * 4.997, 2001, 0.01)])
-    def test_work_bound(self, monkeypatch, t_end, n_samples, reference_step):
+    # numpy is taken from theory for the call, so a refusal that fails to come
+    # stops at the first array instead of allocating it
+    @pytest.fixture
+    def no_arrays(self, monkeypatch):
         class NoArrays:
             def __getattr__(self, name):
                 raise AssertionError(f"np.{name} reached before the refusal")
 
         monkeypatch.setattr(theory, "np", NoArrays())
+
+    # runs beyond integrate's MAX_STEPS = 10^6 are refused before any array is
+    # allocated: a substep ratio that overflows to inf, 10^9 samples (8 GB of
+    # times), 10^400 samples (beyond the float range, so t_end / n_samples
+    # would overflow), one segment of 10^6 + 1 substeps, and 2001 segments of
+    # ceil(499.7) = 500 substeps (999,899.7 before rounding up)
+    @pytest.mark.parametrize("t_end, n_samples, reference_step", [
+        (10.0, 10, 1e-310), (10.0, 10**9, 0.005), (500000.5, 1, 0.5), (2001 * 4.997, 2001, 0.01),
+        pytest.param(10.0, 10**400, 0.005, id="10.0-1e400-0.005")])
+    def test_work_bound(self, no_arrays, t_end, n_samples, reference_step):
         with pytest.raises(ConfigurationError) as excinfo:
             integrate_modified(ModifiedModel(MethodId.SV, 0.1), X0, V0, t_end, n_samples,
                                reference_step)
         assert str(excinfo.value) == f"{n_samples} samples exceed MAX_STEPS = 1000000 RK4 substeps"
+
+    @pytest.mark.parametrize("n_samples", [2.5, 20.0, "20"])
+    def test_sample_count_must_be_an_integer(self, no_arrays, n_samples):
+        with pytest.raises(ConfigurationError) as excinfo:
+            integrate_modified(ModifiedModel(MethodId.SV, 0.1), X0, V0, 10.0, n_samples)
+        assert str(excinfo.value) == f"n_samples must be an integer, got {n_samples!r}"
 
     # The folded guard: a stage runs the exact tests only below the per-run
     # radius, so it must refuse exactly what the reference loop, which runs
