@@ -12,7 +12,9 @@ freezes the Kepler apsis line, and the resulting apsis drift per revolution
 follows from the orbit average of the correction's Euler-Lagrange deficit
 paired against the symmetry generator of the Laplace-Runge-Lenz component.
 This module carries those objects and the orbit averages, in closed form
-and by quadrature at uniform true anomalies, with no Kepler solve.
+and by quadrature at uniform true anomalies, with no Kepler solve, and the
+modified flow itself, which keeps the rotation symmetry: it integrates the
+radial motion and takes the angle from the conserved Noether charge.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from .integrators import MAX_STEPS, STENCILS, MethodId
 from .kepler import (CIRCULAR_ECCENTRICITY, SINGULARITY_FLOOR, OrbitElements, PlanarVector,
                      _collision, _out_of_range)
 
-# Largest RK4 step of the modified flow (integrate_modified's default), and
-# the rectangle-rule nodes of every orbit average.
+# Largest RK4 step of the modified flow's reduced (r, rdot, theta) system
+# (integrate_modified's default), and the rectangle-rule nodes of every
+# orbit average.
 REFERENCE_STEP = 0.005
 DEFAULT_AVERAGE_NODES = 2048
 
@@ -95,8 +98,11 @@ class ModifiedModel:
 
 
 def _refuse_singular(r: float, r2: float, eps: float, c_v2: float, c_s2: float) -> None:
-    """A modified-flow stage's exact tests at |x| = r = sqrt(r2); None if both pass."""
+    """A modified-flow stage's exact tests at radius r, r2 = r * r; None if both pass.
+    A negative r is where the flow stepped through the centre."""
     if r < SINGULARITY_FLOOR:
+        if r < 0.0:
+            raise SingularMassMatrix(f"radius r = {r:.3e} < 0: the flow stepped through the centre")
         raise _collision(r, SingularMassMatrix)
     e3 = eps / (r2 * r)
     lam_perp = 1.0 + c_v2 * e3
@@ -124,19 +130,28 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
     the Lagrangian is cut, not from the method: ml at e = 0.3, h = 0.1 reads
     +4.30e-3 against a discrete -3.93e-3 (ratios to sv's closed form).
 
-    Each stage solves M(x, v) xddot = rhs(x, v) inline, on plain floats, with
-    the bracket (c_r, c_v, c_s) of 1/r^4, |v|^2/r^3, s^2/r^5.  M is a multiple
-    of the identity plus a rank-one term along x, so its eigenvalues are
-    closed forms: |v|^2/2 + eps c_v |v|^2/r^3 gives lam_perp = 1 + 2 eps c_v/r^3
-    in every direction, and eps c_s s^2/r^5 adds 2 eps c_s/r^3 along x,
-    lam_par = lam_perp + 2 eps c_s/r^3.  The rhs dL/dx - (d/dx dL/dv) v
-    collapses to P x + Q v, and M^-1 divides the part along x by lam_par and
-    the part normal to x by lam_perp; at h = 0 that is exactly -x/|x|^3.
+    L_h depends on x and v only through r = |x|, |v|^2 and x.v, so with the
+    bracket (c_r, c_v, c_s) of 1/r^4, |v|^2/r^3, s^2/r^5 it reads, in polar
+    coordinates, L_h = A rdot^2/2 + r^2 B thetadot^2/2 + 1/r + eps c_r/r^4,
+    where A = lam_par = 1 + 2 eps (c_v + c_s)/r^3 and B = lam_perp =
+    1 + 2 eps c_v/r^3 are the velocity Hessian's eigenvalues along x and
+    normal to it.  theta is cyclic: its Noether charge l = r^2 B thetadot =
+    B(|x0|) (x0 x v0) is constant, and the flow reduces to
+        thetadot = l/(r^2 B),
+        rddot = [3 eps (c_v + c_s) rdot^2/r^4 + (r - eps c_v/r^2) thetadot^2
+                 - 1/r^2 - 4 eps c_r/r^5] / A.
+    RK4 steps (r, rdot) on plain floats, and theta by the same weights from
+    each stage's thetadot; at h = 0 this is the Kepler problem.  A sample's
+    (r, rdot, theta) becomes x = r (cos, sin) and v = rdot (cos, sin) +
+    r thetadot (-sin, cos), with math.cos and math.sin so that numpy's SIMD
+    dispatch does not decide the bits; the first sample is (x0, v0) as given.
     Only below r_guard = max(SINGULARITY_FLOOR, (4 S eps)^(1/3) (1 + 1e-9)),
-    S = 2|c_v| + 2|c_s|, set per run, can lam_perp or lam_par leave [3/4, 5/4],
-    so only there does a stage run the exact tests; their SingularMassMatrix
-    (collision guard, lo <= 0, condition above 1e8) names the method, h and
-    the failing substep's start, NumericalFailure the first non-finite sample.
+    S = 2|c_v| + 2|c_s|, set per run, can A or B leave [3/4, 5/4], so only
+    there does a stage, or the last sample, which no later stage tests, run
+    the exact tests; their SingularMassMatrix (the collision guard, which
+    names a radius below 0, where the flow stepped through the centre, as
+    such; lo <= 0; condition above 1e8) names the method, h and the failing
+    substep's start, NumericalFailure the first non-finite sample.
     """
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ConfigurationError(f"t_end must be positive, got {t_end}")
@@ -154,104 +169,78 @@ def integrate_modified(model: ModifiedModel, x0: PlanarVector, v0: PlanarVector,
         raise ConfigurationError(f"{n_samples} samples exceed MAX_STEPS = {MAX_STEPS} RK4 substeps")
     dt = segment / substeps
     times = segment * np.arange(n_samples + 1)
-    X = np.empty((n_samples + 1, 2))
-    V = np.empty((n_samples + 1, 2))
     x1, x2 = float(x0[0]), float(x0[1])
     v1, v2 = float(v0[0]), float(v0[1])
-    X[0] = (x1, x2)
-    V[0] = (v1, v2)
-    sqrt, floor = math.sqrt, SINGULARITY_FLOOR
     eps, (c_r, c_v, c_s) = model.epsilon, model.bracket
-    # per-run factors of the stage formula; Python multiplies left to right,
-    # so 2.0 * c_v * e3 is (2.0 * c_v) * e3 and every stage keeps its bits
-    c_v2, c_s2, c_r4 = 2.0 * c_v, 2.0 * c_s, -4.0 * c_r
-    r_guard = max(floor, (4.0 * (abs(c_v2) + abs(c_s2)) * eps) ** (1.0 / 3.0) * (1.0 + 1e-9))
-    c_vs, c_s5, c_v6 = 3.0 * c_v + 2.0 * c_s, 5.0 * c_s, 6.0 * c_v
+    c_v2, c_s2 = 2.0 * c_v, 2.0 * c_s
+    r_guard = max(SINGULARITY_FLOOR,
+                  (4.0 * (abs(c_v2) + abs(c_s2)) * eps) ** (1.0 / 3.0) * (1.0 + 1e-9))
+    # per-run factors of a stage: A = 1 + k_a/r^3 and r^2 B = r^2 + k_b/r
+    k_a, k_b = eps * (c_v2 + c_s2), eps * c_v2
+    k_rd, k_v, k_r = 3.0 * eps * (c_v + c_s), eps * c_v, 4.0 * eps * c_r
     half = 0.5 * dt
     sixth = dt / 6.0
+    r, theta = math.hypot(x1, x2), math.atan2(x2, x1)
+    samples = [(r, 0.0, theta)]  # row 0 is (x0, v0) as given
+    i, j = 1, 0
     try:
+        if r < r_guard:  # before the start divides by r
+            _refuse_singular(r, r * r, eps, c_v2, c_s2)
+        rd = (x1 * v1 + x2 * v2) / r
+        ell = (1.0 + k_b / (r * r * r)) * (x1 * v2 - x2 * v1)
         for i in range(1, n_samples + 1):
             for j in range(substeps):
-                r2 = x1 * x1 + x2 * x2
-                r = sqrt(r2)
+                r2 = r * r
                 if r < r_guard:
                     _refuse_singular(r, r2, eps, c_v2, c_s2)
                 r3 = r2 * r
-                e3 = eps / r3
-                lam_perp = 1.0 + c_v2 * e3
-                lam_par = lam_perp + c_s2 * e3
-                s = x1 * v1 + x2 * v2
-                p = -1.0 / r3 + e3 * (c_r4 / r3 - c_vs * (v1 * v1 + v2 * v2) / r2
-                                      + c_s5 * s * s / (r2 * r2))
-                q = c_v6 * e3 * s / r2
-                qs = q * s / r2
-                kx = (p + qs) / lam_par - qs / lam_perp
-                kv = q / lam_perp
-                a1, b1 = kx * x1 + kv * v1, kx * x2 + kv * v2
-                px, py = x1 + half * v1, x2 + half * v2
-                pv1, pv2 = v1 + half * a1, v2 + half * b1
-                r2 = px * px + py * py
-                r = sqrt(r2)
-                if r < r_guard:
-                    _refuse_singular(r, r2, eps, c_v2, c_s2)
-                r3 = r2 * r
-                e3 = eps / r3
-                lam_perp = 1.0 + c_v2 * e3
-                lam_par = lam_perp + c_s2 * e3
-                s = px * pv1 + py * pv2
-                p = -1.0 / r3 + e3 * (c_r4 / r3 - c_vs * (pv1 * pv1 + pv2 * pv2) / r2
-                                      + c_s5 * s * s / (r2 * r2))
-                q = c_v6 * e3 * s / r2
-                qs = q * s / r2
-                kx = (p + qs) / lam_par - qs / lam_perp
-                kv = q / lam_perp
-                a2, b2 = kx * px + kv * pv1, kx * py + kv * pv2
-                qx, qy = x1 + half * pv1, x2 + half * pv2
-                qv1, qv2 = v1 + half * a2, v2 + half * b2
-                r2 = qx * qx + qy * qy
-                r = sqrt(r2)
-                if r < r_guard:
-                    _refuse_singular(r, r2, eps, c_v2, c_s2)
-                r3 = r2 * r
-                e3 = eps / r3
-                lam_perp = 1.0 + c_v2 * e3
-                lam_par = lam_perp + c_s2 * e3
-                s = qx * qv1 + qy * qv2
-                p = -1.0 / r3 + e3 * (c_r4 / r3 - c_vs * (qv1 * qv1 + qv2 * qv2) / r2
-                                      + c_s5 * s * s / (r2 * r2))
-                q = c_v6 * e3 * s / r2
-                qs = q * s / r2
-                kx = (p + qs) / lam_par - qs / lam_perp
-                kv = q / lam_perp
-                a3, b3 = kx * qx + kv * qv1, kx * qy + kv * qv2
-                rx, ry = x1 + dt * qv1, x2 + dt * qv2
-                rv1, rv2 = v1 + dt * a3, v2 + dt * b3
-                r2 = rx * rx + ry * ry
-                r = sqrt(r2)
-                if r < r_guard:
-                    _refuse_singular(r, r2, eps, c_v2, c_s2)
-                r3 = r2 * r
-                e3 = eps / r3
-                lam_perp = 1.0 + c_v2 * e3
-                lam_par = lam_perp + c_s2 * e3
-                s = rx * rv1 + ry * rv2
-                p = -1.0 / r3 + e3 * (c_r4 / r3 - c_vs * (rv1 * rv1 + rv2 * rv2) / r2
-                                      + c_s5 * s * s / (r2 * r2))
-                q = c_v6 * e3 * s / r2
-                qs = q * s / r2
-                kx = (p + qs) / lam_par - qs / lam_perp
-                kv = q / lam_perp
-                a4, b4 = kx * rx + kv * rv1, kx * ry + kv * rv2
-                x1 += sixth * (v1 + 2.0 * pv1 + 2.0 * qv1 + rv1)
-                x2 += sixth * (v2 + 2.0 * pv2 + 2.0 * qv2 + rv2)
-                v1 += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-                v2 += sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            X[i] = (x1, x2)
-            V[i] = (v1, v2)
+                w1 = ell / (r2 + k_b / r)
+                a1 = (k_rd * rd * rd / (r3 * r) + (r - k_v / r2) * w1 * w1 - 1.0 / r2
+                      - k_r / (r3 * r2)) / (1.0 + k_a / r3)
+                pr, prd = r + half * rd, rd + half * a1
+                r2 = pr * pr
+                if pr < r_guard:
+                    _refuse_singular(pr, r2, eps, c_v2, c_s2)
+                r3 = r2 * pr
+                w2 = ell / (r2 + k_b / pr)
+                a2 = (k_rd * prd * prd / (r3 * pr) + (pr - k_v / r2) * w2 * w2 - 1.0 / r2
+                      - k_r / (r3 * r2)) / (1.0 + k_a / r3)
+                qr, qrd = r + half * prd, rd + half * a2
+                r2 = qr * qr
+                if qr < r_guard:
+                    _refuse_singular(qr, r2, eps, c_v2, c_s2)
+                r3 = r2 * qr
+                w3 = ell / (r2 + k_b / qr)
+                a3 = (k_rd * qrd * qrd / (r3 * qr) + (qr - k_v / r2) * w3 * w3 - 1.0 / r2
+                      - k_r / (r3 * r2)) / (1.0 + k_a / r3)
+                sr, srd = r + dt * qrd, rd + dt * a3
+                r2 = sr * sr
+                if sr < r_guard:
+                    _refuse_singular(sr, r2, eps, c_v2, c_s2)
+                r3 = r2 * sr
+                w4 = ell / (r2 + k_b / sr)
+                a4 = (k_rd * srd * srd / (r3 * sr) + (sr - k_v / r2) * w4 * w4 - 1.0 / r2
+                      - k_r / (r3 * r2)) / (1.0 + k_a / r3)
+                r += sixth * (rd + 2.0 * prd + 2.0 * qrd + srd)
+                rd += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                theta += sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
+            samples.append((r, rd, theta))
+        if r < r_guard:  # the last sample, which no later stage tests
+            _refuse_singular(r, r * r, eps, c_v2, c_s2)
     except SingularMassMatrix as err:
         t = (i - 1) * segment + j * dt
         raise SingularMassMatrix(f"{model.method.value} modified flow at h = {model.h:g}, "
                                  f"substep from t = {t:.6g}: {err}") from err
+    R, RD, TH = np.array(samples).T
+    TH[np.isinf(TH)] = np.nan  # math.cos refuses an infinite angle; nan marks the sample
+    cos = np.fromiter(map(math.cos, TH.tolist()), float, n_samples + 1)
+    sin = np.fromiter(map(math.sin, TH.tolist()), float, n_samples + 1)
+    X, V = np.empty((n_samples + 1, 2)), np.empty((n_samples + 1, 2))
+    with np.errstate(all="ignore"):  # an overflow is refused below, as a non-finite sample
+        RW = R * (ell / (R * R + k_b / R))
+        X[:, 0], X[:, 1] = R * cos, R * sin
+        V[:, 0], V[:, 1] = RD * cos - RW * sin, RD * sin + RW * cos
+    X[0], V[0] = (x1, x2), (v1, v2)
     finite = np.isfinite(X).all(axis=1) & np.isfinite(V).all(axis=1)
     if not finite.all():
         raise NumericalFailure(f"{model.method.value} modified flow at h = {model.h:g}: "

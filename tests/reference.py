@@ -1,6 +1,8 @@
-"""Scalar force formulas and the modified-flow RK4 loop, one function call per
-evaluation: the references that the inline kernels of integrators and theory
-are checked against, bit for bit where they share an operation order; the
+"""Scalar force formulas and the reduced modified flow's RK4 loop, one function
+call per evaluation: the references that the inline kernels of integrators
+and theory are checked against, bit for bit where they share an operation
+order; the Cartesian modified flow's RK4 loop, which shares no stage
+arithmetic with the reduced one and is the oracle it converges to; the
 two-dimensional Newton solve of an implicit stencil step, an oracle that
 shares nothing with the kernel's radial solve; and the point-wise modified
 Lagrangian, which the modified flow's Euler-Lagrange residual and energy are
@@ -105,17 +107,13 @@ def newton_step_2d(p, q, r, h, weights):
     raise AssertionError("the two-dimensional Newton solve did not converge")
 
 
-def modified_acceleration_xy(eps, alpha, beta, gamma, x1, x2, v1, v2):
-    """Acceleration of the modified flow with epsilon eps and bracket (alpha,
-    beta, gamma): M(x, v) xddot = rhs(x, v) solved through the closed-form
-    eigenvalues lam_perp and lam_par of M (see theory.integrate_modified).
+def mass_matrix_eigenvalues(eps, beta, gamma, r, r2):
+    """(eps/r^3, lam_perp, lam_par) of the modified flow's mass matrix at
+    |x| = r, r2 = r^2 (see theory.integrate_modified), after its exact tests:
     SingularMassMatrix inside the collision guard or above condition 1e8."""
-    r2 = x1 * x1 + x2 * x2
-    r = math.sqrt(r2)
     if r < SINGULARITY_FLOOR:
         raise _collision(r, SingularMassMatrix)
-    r3 = r2 * r
-    e3 = eps / r3
+    e3 = eps / (r2 * r)
     lam_perp = 1.0 + 2.0 * beta * e3
     lam_par = lam_perp + 2.0 * gamma * e3
     lo, hi = (lam_perp, lam_par) if lam_perp <= lam_par else (lam_par, lam_perp)
@@ -124,6 +122,17 @@ def modified_acceleration_xy(eps, alpha, beta, gamma, x1, x2, v1, v2):
             f"velocity Hessian not safely invertible at |x| = {r:.3e} "
             f"(eigenvalues {lo:.3e}, {hi:.3e})"
         )
+    return e3, lam_perp, lam_par
+
+
+def modified_acceleration_xy(eps, alpha, beta, gamma, x1, x2, v1, v2):
+    """Acceleration of the modified flow with epsilon eps and bracket (alpha,
+    beta, gamma): M(x, v) xddot = rhs(x, v) solved through the closed-form
+    eigenvalues lam_perp and lam_par of M, with their exact tests."""
+    r2 = x1 * x1 + x2 * x2
+    r = math.sqrt(r2)
+    e3, lam_perp, lam_par = mass_matrix_eigenvalues(eps, beta, gamma, r, r2)
+    r3 = r2 * r
     u = v1 * v1 + v2 * v2
     s = x1 * v1 + x2 * v2
     p = -1.0 / r3 + e3 * (-4.0 * alpha / r3 - (3.0 * beta + 2.0 * gamma) * u / r2
@@ -184,6 +193,67 @@ def reference_flow(model, x0, v0, t_end, n_samples, reference_step):
                 v1 += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
                 v2 += sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             samples.append((x1, x2, v1, v2))
+    except SingularMassMatrix as err:
+        t = (i - 1) * segment + j * dt
+        raise SingularMassMatrix(f"{model.method.value} modified flow at h = {model.h:g}, "
+                                 f"substep from t = {t:.6g}: {err}") from err
+    return samples
+
+
+def reduced_acceleration(eps, alpha, beta, gamma, ell, r, rd):
+    """(rddot, thetadot) of the modified flow reduced by its Noether charge
+    ell, with epsilon eps and bracket (alpha, beta, gamma), at radius r and
+    radial speed rd (see theory.integrate_modified).  SingularMassMatrix at a
+    negative r and where mass_matrix_eigenvalues refuses."""
+    if r < 0.0:
+        raise SingularMassMatrix(f"radius r = {r:.3e} < 0: the flow stepped through the centre")
+    r2 = r * r
+    mass_matrix_eigenvalues(eps, beta, gamma, r, r2)
+    r3 = r2 * r
+    thetadot = ell / (r2 + eps * (2.0 * beta) / r)
+    rddot = (3.0 * eps * (beta + gamma) * rd * rd / (r3 * r)
+             + (r - eps * beta / r2) * thetadot * thetadot - 1.0 / r2
+             - 4.0 * eps * alpha / (r3 * r2)) / (1.0 + eps * (2.0 * beta + 2.0 * gamma) / r3)
+    return rddot, thetadot
+
+
+def reduced_flow(model, x0, v0, t_end, n_samples, reference_step):
+    """The n_samples + 1 samples (x1, x2, v1, v2) of the reduced modified
+    flow's RK4 loop on (r, rdot), theta by the same weights, four
+    reduced_acceleration calls per substep and one at the last sample;
+    SingularMassMatrix with integrate_modified's message."""
+    segment = t_end / n_samples
+    substeps = max(1, math.ceil(segment / reference_step))
+    dt = segment / substeps
+    (x1, x2), (v1, v2) = x0, v0
+    samples = [(x1, x2, v1, v2)]
+    eps, (alpha, beta, gamma) = model.epsilon, model.bracket
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    r, theta = math.hypot(x1, x2), math.atan2(x2, x1)
+    rd = (x1 * v1 + x2 * v2) / r
+    ell = (1.0 + eps * (2.0 * beta) / (r * r * r)) * (x1 * v2 - x2 * v1)
+
+    def acc(r, rd):
+        return reduced_acceleration(eps, alpha, beta, gamma, ell, r, rd)
+
+    try:
+        for i in range(1, n_samples + 1):
+            for j in range(substeps):
+                a1, w1 = acc(r, rd)
+                pr, prd = r + half * rd, rd + half * a1
+                a2, w2 = acc(pr, prd)
+                qr, qrd = r + half * prd, rd + half * a2
+                a3, w3 = acc(qr, qrd)
+                sr, srd = r + dt * qrd, rd + dt * a3
+                a4, w4 = acc(sr, srd)
+                r += sixth * (rd + 2.0 * prd + 2.0 * qrd + srd)
+                rd += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                theta += sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
+            cos, sin = math.cos(theta), math.sin(theta)
+            rw = r * (ell / (r * r + eps * (2.0 * beta) / r))
+            samples.append((r * cos, r * sin, rd * cos - rw * sin, rd * sin + rw * cos))
+        acc(r, rd)  # the last sample's exact tests
     except SingularMassMatrix as err:
         t = (i - 1) * segment + j * dt
         raise SingularMassMatrix(f"{model.method.value} modified flow at h = {model.h:g}, "

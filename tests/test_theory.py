@@ -18,7 +18,9 @@ from keplerlab import (
     PlanarVector,
     SingularMassMatrix,
     State,
+    Trajectory,
     integrate_modified,
+    measure_precession,
     observable_series,
     orbit_average,
     orbit_average_closed_form,
@@ -33,9 +35,10 @@ from keplerlab.theory import (lagrangian_bracket, lrl_symmetry_field, mean_midpo
                               perturbation_field)
 
 import reference
-from conftest import REF_A, REF_ECC, V0, X0, assert_close, assert_vector_close
+from conftest import (REF_A, REF_ECC, REF_R_PERI, REF_SPEED_PERI, V0, X0, assert_close,
+                      assert_vector_close)
 from reference import (modified_acceleration_xy, modified_lagrangian, potential_gradient_xy,
-                       reference_flow)
+                       reduced_acceleration, reduced_flow, reference_flow)
 
 # frozen against a 50-digit evaluation of the corrected Lagrangian at
 # x=(1.1,-0.3), v=(0.2,0.8), h=0.4
@@ -490,26 +493,26 @@ def guard_radius(model):
 
 
 def run_against_reference(monkeypatch, model, x0, v0, t_end, n_samples, reference_step):
-    """Run integrate_modified and the reference loop from one start and assert
-    the same samples, bit for bit, or the same SingularMassMatrix message.
-    Returns the lowest stage radius of the reference loop, the refusal's
-    message ("" if none) and how many stages of integrate_modified ran the
-    exact tests."""
+    """Run integrate_modified and the reduced reference loop from one start and
+    assert the same samples, bit for bit, or the same SingularMassMatrix
+    message.  Returns the lowest stage radius of the reference loop, the
+    refusal's message ("" if none) and how many times integrate_modified ran
+    the exact tests."""
     radii, exact_runs = [], []
 
-    def recorded(eps, alpha, beta, gamma, x1, x2, v1, v2):
-        radii.append(math.hypot(x1, x2))
-        return modified_acceleration_xy(eps, alpha, beta, gamma, x1, x2, v1, v2)
+    def recorded(*args):
+        radii.append(args[-2])
+        return reduced_acceleration(*args)
 
     def counted(*args):
         exact_runs.append(None)
         return refuse(*args)
 
     refuse = theory._refuse_singular
-    monkeypatch.setattr(reference, "modified_acceleration_xy", recorded)
+    monkeypatch.setattr(reference, "reduced_acceleration", recorded)
     monkeypatch.setattr(theory, "_refuse_singular", counted)
     try:
-        want = reference_flow(model, x0, v0, t_end, n_samples, reference_step)
+        want = reduced_flow(model, x0, v0, t_end, n_samples, reference_step)
     except SingularMassMatrix as err:
         with pytest.raises(SingularMassMatrix) as excinfo:
             integrate_modified(model, x0, v0, t_end, n_samples, reference_step)
@@ -557,13 +560,13 @@ class TestIntegrateModified:
         values = np.array(values)
         assert np.abs(values - values[0]).max() < 1e-8
 
-    # final state at h = 0.1, t = 100, 1000 samples, recorded before the
-    # mass matrix was solved in closed form
+    # final state at h = 0.1, t = 100, 1000 samples, recorded from the
+    # reduced flow
     PINNED_FINAL = {
-        MethodId.SV: ((-2.9788836923779245, 0.2602594117553999),
-                      (0.06838395552343025, 0.44721559784743214)),
-        MethodId.MP: ((-2.9677779702656415, 0.3708735536090112),
-                      (0.08399901427102771, 0.44438856855399483)),
+        MethodId.SV: ((-2.978883692388269, 0.2602594116417298),
+                      (0.06838395550718891, 0.44721559784993153)),
+        MethodId.MP: ((-2.967777970280438, 0.3708735534940078),
+                      (0.08399901425462152, 0.4443885685571097)),
     }
 
     @pytest.mark.parametrize("method", list(PINNED_FINAL))
@@ -577,11 +580,11 @@ class TestIntegrateModified:
     @pytest.mark.parametrize("h", [0.1, 0.5])
     @pytest.mark.parametrize("method", TWO_STEP)
     def test_equals_the_reference_loop(self, method, h, reference_step):
-        # the inline stages against four modified_acceleration_xy calls per
+        # the inline stages against four reduced_acceleration calls per
         # substep, bit for bit
         model = ModifiedModel(method, h)
         t, X, V = integrate_modified(model, X0, V0, 10.0, 20, reference_step=reference_step)
-        want = reference_flow(model, X0, V0, 10.0, 20, reference_step)
+        want = reduced_flow(model, X0, V0, 10.0, 20, reference_step)
         assert np.array_equal(t, 0.5 * np.arange(21))
         assert np.array_equal(np.hstack((X, V)), np.array(want))
 
@@ -592,24 +595,24 @@ class TestIntegrateModified:
     @pytest.mark.parametrize("h, x0, v0, t_end, n_samples, reference_step, stage, detail", [
         (0.0, (5e-13, 0.0), (1.0, 0.0), 2.0, 4, 0.1, 1,
          "substep from t = 0: |x| = 5.000e-13 inside the collision guard 1.000e-12"),
-        (0.0, (1.0, 0.0), (-0.5554356603050392, 0.0), 2.0, 4, 0.1, 2,
-         "substep from t = 0.7: |x| = 6.661e-16 inside the collision guard 1.000e-12"),
+        (0.0, (1.0, 0.0), (-0.5554356603050397, 0.0), 2.0, 4, 0.1, 2,
+         "substep from t = 0.7: |x| = 0.000e+00 inside the collision guard 1.000e-12"),
         (0.0, (1.0, 0.0), (-0.5279471606038294, 0.0), 2.0, 4, 0.1, 3,
          "substep from t = 0.7: |x| = 1.943e-16 inside the collision guard 1.000e-12"),
-        (0.0, (1.0, 0.0), (-0.4320100636924278, 0.0), 2.0, 4, 0.1, 4,
+        (0.0, (1.0, 0.0), (-0.43201006369242767, 0.0), 2.0, 4, 0.1, 4,
          "substep from t = 0.7: |x| = 5.551e-17 inside the collision guard 1.000e-12"),
-        (0.5, (1.0, 0.0), (0.0, 0.15), 10.0, 100, 0.1, 1,
-         "substep from t = 1.1: velocity Hessian not safely invertible at |x| = 3.464e-01 "
-         "(eigenvalues -2.198e-03, 3.004e+00)"),
-        (0.5, (1.0, 0.0), (0.0, 0.15), 10.0, 100, 0.05, 2,
-         "substep from t = 1.1: velocity Hessian not safely invertible at |x| = 3.350e-01 "
-         "(eigenvalues -1.081e-01, 3.216e+00)"),
-        (0.5, (1.0, 0.0), (0.0, 0.24), 10.0, 100, 0.05, 3,
-         "substep from t = 1.15: velocity Hessian not safely invertible at |x| = 3.416e-01 "
-         "(eigenvalues -4.499e-02, 3.090e+00)"),
-        (0.5, (1.0, 0.0), (0.0, 0.23), 10.0, 100, 0.05, 4,
-         "substep from t = 1.1: velocity Hessian not safely invertible at |x| = 2.692e-01 "
-         "(eigenvalues -1.135e+00, 5.270e+00)")],
+        (0.5, (1.0, 0.0), (-0.76, 0.05), 10.0, 100, 0.1, 1,
+         "substep from t = 0.6: velocity Hessian not safely invertible at |x| = 3.464e-01 "
+         "(eigenvalues -2.155e-03, 3.004e+00)"),
+        (0.5, (1.0, 0.0), (-0.47, 0.05), 10.0, 100, 0.1, 2,
+         "substep from t = 0.7: velocity Hessian not safely invertible at |x| = 3.189e-01 "
+         "(eigenvalues -2.844e-01, 3.569e+00)"),
+        (0.5, (1.0, 0.0), (-0.43, 0.05), 10.0, 100, 0.1, 3,
+         "substep from t = 0.7: velocity Hessian not safely invertible at |x| = 3.460e-01 "
+         "(eigenvalues -5.734e-03, 3.011e+00)"),
+        (0.5, (1.0, 0.0), (-0.37, 0.05), 10.0, 100, 0.1, 4,
+         "substep from t = 0.7: velocity Hessian not safely invertible at |x| = 3.284e-01 "
+         "(eigenvalues -1.766e-01, 3.353e+00)")],
         ids=[f"{guard}-stage-{k}" for guard in ("collision", "eigenvalues") for k in range(1, 5)])
     def test_first_failure_at_each_stage(self, monkeypatch, h, x0, v0, t_end, n_samples,
                                          reference_step, stage, detail):
@@ -621,13 +624,42 @@ class TestIntegrateModified:
 
         def counted(*args):
             calls.append(None)
-            return modified_acceleration_xy(*args)
+            return reduced_acceleration(*args)
 
-        monkeypatch.setattr(reference, "modified_acceleration_xy", counted)
+        monkeypatch.setattr(reference, "reduced_acceleration", counted)
         with pytest.raises(SingularMassMatrix) as want:
-            reference_flow(model, x0, v0, t_end, n_samples, reference_step)
+            reduced_flow(model, x0, v0, t_end, n_samples, reference_step)
         assert str(want.value) == str(excinfo.value)
         assert (len(calls) - 1) % 4 + 1 == stage
+
+    # a radial infall from |x| = 1 (E < 0, no angular momentum) falls into
+    # the centre: the stage that steps through it reaches r < 0, where a
+    # Cartesian flow would come out of the far side with the wrong energy;
+    # in one substep of 0.84 every stage stays outside, but the substep's
+    # end, the last sample, lands at r < 0
+    @pytest.mark.parametrize("v1, t_end, n_samples, reference_step, detail", [
+        (-1.0, 2.0, 4, 0.1, "substep from t = 0.5: radius r = -2.016e-01 < 0: "
+                            "the flow stepped through the centre"),
+        (-2.0, 2.0, 4, 0.1, "substep from t = 0.3: radius r = -1.439e-01 < 0: "
+                            "the flow stepped through the centre"),
+        (-0.5, 0.84, 1, 1.0, "substep from t = 0: radius r = -3.838e-02 < 0: "
+                             "the flow stepped through the centre")])
+    def test_radial_infall_is_refused_at_the_centre(self, v1, t_end, n_samples, reference_step,
+                                                    detail):
+        model = ModifiedModel(MethodId.SV, 0.0)
+        with pytest.raises(SingularMassMatrix) as excinfo:
+            integrate_modified(model, (1.0, 0.0), (v1, 0.0), t_end, n_samples, reference_step)
+        assert str(excinfo.value) == f"sv modified flow at h = 0, {detail}"
+        with pytest.raises(SingularMassMatrix) as want:
+            reduced_flow(model, (1.0, 0.0), (v1, 0.0), t_end, n_samples, reference_step)
+        assert str(want.value) == str(excinfo.value)
+
+    def test_start_at_the_centre_is_a_collision(self):
+        # the start is tested before its radial speed and charge divide by |x0|
+        with pytest.raises(SingularMassMatrix) as excinfo:
+            integrate_modified(ModifiedModel(MethodId.SV, 0.1), (0.0, 0.0), (1.0, 0.0), 1.0, 2)
+        assert str(excinfo.value) == ("sv modified flow at h = 0.1, substep from t = 0: "
+                                      "|x| = 0.000e+00 inside the collision guard 1.000e-12")
 
     def test_non_finite_flow_raises(self):
         # |v| = 1e200 squares to inf: the state turns NaN, which no guard refuses
@@ -635,6 +667,15 @@ class TestIntegrateModified:
             integrate_modified(ModifiedModel(MethodId.SV, 0.1), (1.0, 0.0), (1e200, 0.0), 1.0, 2)
         assert type(excinfo.value) is NumericalFailure
         assert str(excinfo.value) == "sv modified flow at h = 0.1: non-finite state at t = 0.5"
+
+    def test_infinite_angle_is_a_non_finite_sample(self):
+        # |v| = 1e308 at |x| = 0.5 overflows the angle rate, and the one
+        # substep ends at an infinite angle, whose cosine math.cos refuses
+        with pytest.raises(NumericalFailure) as excinfo:
+            integrate_modified(ModifiedModel(MethodId.SV, 0.1), (0.5, 0.0), (0.0, 1e308), 1.0, 1,
+                               reference_step=1.0)
+        assert type(excinfo.value) is NumericalFailure
+        assert str(excinfo.value) == "sv modified flow at h = 0.1: non-finite state at t = 1"
 
     def test_singular_flow_names_method_h_and_time(self):
         # mp at h = 1 falls inside r^3 = 4 eps = 1/6 on its way in from 0.6
@@ -733,6 +774,82 @@ class TestIntegrateModified:
         _, c_v, c_s = model.bracket
         r = guard_radius(model)
         assert theory._refuse_singular(r, r * r, model.epsilon, 2.0 * c_v, 2.0 * c_s) is None
+
+
+# The reduced flow against the Cartesian RK4 loop of tests/reference.py, which
+# shares no stage arithmetic with it, from the default orbit's pericentre,
+# where the step's error is largest, for a quarter of its period: at an eighth
+# of the default step both forms reach one converged flow, and at the default
+# step the reduced form is no farther from it than the Cartesian loop is
+@pytest.mark.parametrize("h", [0.1, 0.5])
+@pytest.mark.parametrize("method", [MethodId.SV, MethodId.MP, MethodId.ML])
+def test_converges_to_the_cartesian_flow(method, h):
+    model = ModifiedModel(method, h)
+    x0, v0, fine = (REF_R_PERI, 0.0), (0.0, -REF_SPEED_PERI), theory.REFERENCE_STEP / 8
+    converged = np.array(reference_flow(model, x0, v0, 5.0, 10, fine))
+
+    def gap(X, V):
+        return np.abs(np.hstack((X, V)) - converged).max()
+
+    assert gap(*integrate_modified(model, x0, v0, 5.0, 10, fine)[1:]) <= 1e-12
+    cartesian = np.abs(np.array(reference_flow(model, x0, v0, 5.0, 10, theory.REFERENCE_STEP))
+                       - converged).max()
+    assert gap(*integrate_modified(model, x0, v0, 5.0, 10)[1:]) <= cartesian
+
+
+class TestModifiedFlowSymmetries:
+    """The modified flow of every two-step stencil keeps the Kepler problem's
+    rotation, reflection and scaling symmetries and its own Noether charge.
+    Three revolutions at h = 0.5, at a step coarser than the default: the
+    symmetries hold at any step."""
+
+    T_END, SAMPLES, STEP = 60.0, 120, 0.02
+
+    def flow(self, method, x0, v0, lam=1.0):
+        """Samples from (x0, v0) at h = 0.5, with time, h and the step scaled by lam^(3/2)."""
+        k = lam ** 1.5
+        _, X, V = integrate_modified(ModifiedModel(method, 0.5 * k), x0, v0,
+                                     self.T_END * k, self.SAMPLES, self.STEP * k)
+        return X, V
+
+    def rate(self, method, x0, v0):
+        X, V = self.flow(method, x0, v0)
+        start = State(PlanarVector(*x0), PlanarVector(*v0))
+        traj = Trajectory(method, self.T_END / self.SAMPLES, X, start.velocity,
+                          elements_from_state(start), velocities=V)
+        return measure_precession(traj).rate_per_revolution
+
+    @pytest.mark.parametrize("method", TWO_STEP)
+    def test_a_rotated_start_rotates_every_sample(self, method):
+        turn = np.array([[math.cos(0.7), -math.sin(0.7)], [math.sin(0.7), math.cos(0.7)]])
+        X, V = self.flow(method, X0, V0)
+        Xr, Vr = self.flow(method, turn @ X0, turn @ V0)
+        assert np.abs(Xr - X @ turn.T).max() <= 1e-12 * np.abs(X).max()
+        assert np.abs(Vr - V @ turn.T).max() <= 1e-12 * np.abs(V).max()
+
+    @pytest.mark.parametrize("method", TWO_STEP)
+    def test_a_reflected_start_flips_the_precession(self, method):
+        x0, v0 = (-3.0, 0.3), (0.0, 0.45)
+        rate = self.rate(method, x0, v0)
+        mirrored = self.rate(method, (x0[0], -x0[1]), (v0[0], -v0[1]))
+        assert rate != 0.0 and abs(mirrored + rate) <= 1e-12 * abs(rate)
+
+    @pytest.mark.parametrize("method", TWO_STEP)
+    def test_kepler_scaling_scales_every_sample(self, method):
+        lam = 3.0
+        X, V = self.flow(method, X0, V0)
+        Xs, Vs = self.flow(method, lam * np.array(X0), np.array(V0) / math.sqrt(lam), lam)
+        assert np.abs(Xs / lam - X).max() <= 1e-12 * np.abs(X).max()
+        assert np.abs(Vs * math.sqrt(lam) - V).max() <= 1e-12 * np.abs(V).max()
+
+    @pytest.mark.parametrize("method", TWO_STEP)
+    def test_noether_charge_is_constant(self, method):
+        # l = lam_perp(|x|) (x x v), lam_perp = 1 + 2 eps c_v/|x|^3
+        model = ModifiedModel(method, 0.5)
+        X, V = self.flow(method, X0, V0)
+        lam_perp = 1.0 + 2.0 * model.epsilon * model.bracket[1] / np.hypot(*X.T) ** 3
+        charge = lam_perp * (X[:, 0] * V[:, 1] - X[:, 1] * V[:, 0])
+        assert np.abs(charge / charge[0] - 1.0).max() <= 1e-14
 
 
 def _circular(r):
