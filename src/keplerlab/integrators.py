@@ -9,21 +9,24 @@ composition of leapfrog, a one-step map on (x, v).
 
 Both are run-level kernels on plain floats that compute each constant of
 the run once and write n points into preallocated arrays, _CHUNK_STEPS at a
-time: _stencil evaluates U' inline and solves each implicit step as one
-scalar equation.  The force is central, so the forward midpoint lies along
-a vector the step already knows, and Newton's method runs on its radius
-alone, stopped at a residual relative to the step's size; the midpoint's
-gradient is carried into the next step's b-term.  _fr takes n fr steps with
-U' inline.  integrate calls one of them once per run, into the trajectory's
-arrays, after init_second_point (the stencil kernel with n = 1) for a
-two-step method, and decides where a failed run stopped.
+time.  _stencil runs each weight cycle in its own straight-line code,
+generated from the rows once per process: U' is evaluated inline where a
+weight is nonzero, and each implicit step is solved as one scalar equation.
+The force is central, so the forward midpoint lies along a vector the step
+already knows, and Newton's method runs on its radius alone, stopped at a
+residual relative to the step's size; the midpoint's gradient is carried
+into the next step's b-term.  _fr takes n fr steps, its three leapfrog
+substeps written out, with U' inline.  integrate calls one of them once per
+run, into the trajectory's arrays, after init_second_point (the stencil
+kernel with n = 1) for a two-step method, and decides where a failed run
+stopped.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -172,122 +175,163 @@ def _stencil(out: np.ndarray, n: int, p1: float, p2: float, q1: float, q2: float
     into the rows of out: step k = phase, ..., phase + n - 1 takes the
     weights cycle[k % len(cycle)] and advances (p, q) to (q, z).  The first
     step starts from x_prev = p, x_cur = q and the free flight r, later ones
-    from r = 2q - p.  A gradient is evaluated only where its weight is
-    nonzero, with U' = x/|x|^3 inline behind the collision guard.
-    With C = r - h^2 [a U'(q) + b U'((p + q)/2)], B = (q + C)/2 and
-    kappa = c h^2/2, the forward midpoint m = (q + z)/2 solves
-    m (1 + kappa/|m|^3) = B: m = (rho/beta) B, beta = |B|, where
-    phi(rho) = rho + kappa/rho^2 - beta, half the planar residual of z, is 0.
-    phi is convex and least at rho = (2 kappa)^(1/3), where phi + beta is the
-    fold (3/2) (2 kappa)^(1/3).  Two steps of rho <- beta - kappa/rho^2 from
-    beta start right of the root, and Newton's method falls monotonically to
-    it, stopped once 2 phi < NEWTON_TOLERANCE beta (scale-free) within
-    NEWTON_MAX_ITERATIONS updates, both read at each call.  Then z = 2m - q,
-    and U'(m) = m/rho^3, U'((q + z)/2) to round-off but not bit for bit, is
-    carried into a b-term right after an implicit step.  A non-finite B, a
-    spent budget or beta at or below the fold (phi' <= 0, or rho inside the
-    collision guard: no solution) raise SolverFailure, a rho inside the guard
-    above the fold NearSingularity, prefixed with label.  The rows
-    (a, b, c, kappa), turned to start at phase, are built once.  The points
-    gather in a list copied into out every _CHUNK_STEPS steps and at a
-    failure, which then carries .filled, the rows written.  The run's implicit
-    solves, Newton updates and gradient evaluations (m/rho^3 is one) are
-    added to stats at the end.
+    from r = 2q - p.  The steps are taken by _stencil_kernel's kernel of the
+    cycle turned to start at phase, whose counters are added to stats.
     """
+    k = phase % len(cycle)
+    kernel = _stencil_kernel(tuple(cycle[k:]) + tuple(cycle[:k]))
+    solves, iterations, gradients = kernel(out, n, p1, p2, q1, q2, r1, r2, h, label)
+    stats.implicit_solves += solves
+    stats.newton_iterations += iterations
+    stats.gradient_evaluations += gradients
+
+
+# One step of a stencil kernel.  A line is emitted where its tag holds: a for
+# a != 0, f for a b-gradient evaluated afresh, af for both, c for an implicit
+# step, p where the next row's fresh b-gradient reads p, z always.
+_STEP = """\
+a  r = hypot(q1, q2)
+a  if r < floor:
+a      raise _collision(r)
+a  r3 = r * r * r
+af f1 = 0.0 + %(a)r * (q1 / r3)
+af f2 = 0.0 + %(a)r * (q2 / r3)
+f  m1 = 0.5 * (p1 + q1)
+f  m2 = 0.5 * (p2 + q2)
+f  r = hypot(m1, m2)
+f  if r < floor:
+f      raise _collision(r)
+f  r3 = r * r * r
+f  gb1 = m1 / r3
+f  gb2 = m2 / r3
+z  z1 = r1 - h2 * (%(force1)s)
+z  z2 = r2 - h2 * (%(force2)s)
+c  b1 = 0.5 * (q1 + z1)
+c  b2 = 0.5 * (q2 + z2)
+c  beta = hypot(b1, b2)
+c  if not beta < inf:
+c      raise SolverFailure(f"{label}: the explicit part of the step is not "
+c                          f"finite (|(q + C)/2| = {beta})")
+c  limit = half_tol * beta
+c  rho = beta
+c  if rho >= floor:
+c      rho = beta - %(kappa)s / (rho * rho)
+c      if rho >= floor:
+c          rho = beta - %(kappa)s / (rho * rho)
+c  applied = 0
+c  while True:
+c      if rho < floor:
+c          raise _midpoint_failure(label, beta, %(kappa)s, rho)
+c      rr = rho * rho
+c      phi = rho + %(kappa)s / rr - beta
+c      if phi < limit:
+c          break
+c      if applied == max_iter:
+c          raise SolverFailure(f"{label}: Newton residual stayed above {tol} "
+c                              f"|B| after {max_iter} iterations")
+c      slope = 1.0 - 2.0 * %(kappa)s / (rr * rho)
+c      if slope <= 0.0:
+c          raise _midpoint_failure(label, beta, %(kappa)s)
+c      rho -= phi / slope
+c      applied += 1
+c  iterations += applied
+c  r3 = rr * rho
+c  s = rho / beta
+c  m1 = s * b1
+c  m2 = s * b2
+c  gb1 = m1 / r3
+c  gb2 = m2 / r3
+c  z1 = 2.0 * m1 - q1
+c  z2 = 2.0 * m2 - q2
+z  append(z1)
+z  append(z2)
+z  r1 = 2.0 * z1 - q1
+z  r2 = 2.0 * z2 - q2
+p  p1, p2 = q1, q2
+z  q1, q2 = z1, z2
+"""
+_KERNEL = """\
+def kernel(out, n, p1, p2, q1, q2, r1, r2, h, label):
     tol, max_iter = NEWTON_TOLERANCE, NEWTON_MAX_ITERATIONS
     hypot, inf, floor = math.hypot, math.inf, SINGULARITY_FLOOR
     h2 = h * h
     half_tol = 0.5 * tol
-    rows = [(a, b, c, 0.5 * c * h2) for a, b, c in cycle]
-    k = phase % len(rows)
-    steps = itertools.cycle(rows[k:] + rows[:k])
-    points: list[float] = []  # x1 x2 per point
-    filled = solves = iterations = gradients = 0
-    c_prev = 0.0  # nonzero when (gb1, gb2) already holds U'((p + q)/2)
+%(kappas)s    points = []  # z1 z2 per point
+    append = points.append
+    filled = iterations = 0
     gb1 = gb2 = 0.0
+    cycles, tail = divmod(n, %(period)d)
+    chunk = max(1, _CHUNK_STEPS // %(period)d)  # cycles per copy into out
     try:
-        for start in range(0, n, _CHUNK_STEPS):
-            for a, b, c, kappa in itertools.islice(steps, min(_CHUNK_STEPS, n - start)):
-                f1 = f2 = 0.0
-                if a:
-                    r = hypot(q1, q2)
-                    if r < floor:
-                        raise _collision(r)
-                    r3 = r * r * r
-                    f1 += a * (q1 / r3)
-                    f2 += a * (q2 / r3)
-                    gradients += 1
-                if b:
-                    if not c_prev:
-                        m1 = 0.5 * (p1 + q1)
-                        m2 = 0.5 * (p2 + q2)
-                        r = hypot(m1, m2)
-                        if r < floor:
-                            raise _collision(r)
-                        r3 = r * r * r
-                        gb1 = m1 / r3
-                        gb2 = m2 / r3
-                        gradients += 1
-                    f1 += b * gb1
-                    f2 += b * gb2
-                c1 = r1 - h2 * f1
-                c2 = r2 - h2 * f2
-                if c:
-                    b1 = 0.5 * (q1 + c1)
-                    b2 = 0.5 * (q2 + c2)
-                    beta = hypot(b1, b2)
-                    if not beta < inf:
-                        raise SolverFailure(f"{label}: the explicit part of the step is not "
-                                            f"finite (|(q + C)/2| = {beta})")
-                    limit = half_tol * beta
-                    rho = beta
-                    if rho >= floor:
-                        rho = beta - kappa / (rho * rho)
-                        if rho >= floor:
-                            rho = beta - kappa / (rho * rho)
-                    applied = 0
-                    while True:
-                        if rho < floor:
-                            raise _midpoint_failure(label, beta, kappa, rho)
-                        rr = rho * rho
-                        phi = rho + kappa / rr - beta
-                        if phi < limit:
-                            break
-                        if applied == max_iter:
-                            raise SolverFailure(f"{label}: Newton residual stayed above {tol} "
-                                                f"|B| after {max_iter} iterations")
-                        slope = 1.0 - 2.0 * kappa / (rr * rho)
-                        if slope <= 0.0:
-                            raise _midpoint_failure(label, beta, kappa)
-                        rho -= phi / slope
-                        applied += 1
-                    r3 = rr * rho
-                    s = rho / beta
-                    m1 = s * b1
-                    m2 = s * b2
-                    gb1 = m1 / r3
-                    gb2 = m2 / r3
-                    z1 = 2.0 * m1 - q1
-                    z2 = 2.0 * m2 - q2
-                    solves += 1
-                    iterations += applied
-                    gradients += 1
-                else:
-                    z1, z2 = c1, c2
-                points.append(z1)
-                points.append(z2)
-                p1, p2 = q1, q2
-                q1, q2 = z1, z2
-                c_prev = c
-                r1 = 2.0 * q1 - p1
-                r2 = 2.0 * q2 - p2
-            filled = _flush(points, filled, out)
+%(first)s        for start in range(0, cycles, chunk):
+            for _ in range(min(chunk, cycles - start)):
+%(cycle)s            filled = _flush(points, filled, out)
+%(tail)s        _flush(points, filled, out)
     except NumericalFailure as err:
         err.filled = _flush(points, filled, out)
         raise
-    stats.implicit_solves += solves
-    stats.newton_iterations += iterations
-    stats.gradient_evaluations += gradients
+    return (%(solves)d * cycles + %(solves_at)s[tail], iterations,
+            %(gradients)d * cycles + %(gradients_at)s[tail] + %(first_gradient)d * (n > 0))
+"""
+
+
+@functools.cache
+def _stencil_kernel(rows: tuple[Weights, ...]):
+    """The kernel of _stencil for the weight rows, a cycle of period P:
+    kernel(out, n, p1, p2, q1, q2, r1, r2, h, label) takes n // P cycles of
+    _STEP written out, then its first n % P rows, and returns the run's
+    implicit solves, Newton updates and gradient evaluations (m/rho^3 is
+    one).  It is generated and compiled at its first use, and reads the
+    Newton budget, SINGULARITY_FLOOR and _CHUNK_STEPS at each call.
+
+    A step sums f = 0.0 + a U'(q) + b U'((p + q)/2), U' = x/|x|^3 inline
+    behind the collision guard, into z = r - h^2 f.  With B = (q + z)/2 and
+    kappa = c h^2/2, the forward midpoint m = (q + z')/2 of an implicit step
+    solves m (1 + kappa/|m|^3) = B: m = (rho/beta) B, beta = |B|, where
+    phi(rho) = rho + kappa/rho^2 - beta, half the planar residual of z', is
+    0.  phi is convex and least at rho = (2 kappa)^(1/3), where phi + beta is
+    the fold (3/2) (2 kappa)^(1/3).  Two steps of rho <- beta - kappa/rho^2
+    from beta start right of the root, and Newton's method falls
+    monotonically to it, stopped once 2 phi < NEWTON_TOLERANCE beta
+    (scale-free) within NEWTON_MAX_ITERATIONS updates.  Then z' = 2m - q,
+    and U'(m) = m/rho^3, U'((q + z')/2) to round-off but not bit for bit, is
+    carried into the b-term of the next row; the call's first step carries
+    none, so U'((p + q)/2) is evaluated before the loop if row 0 would carry
+    one.  A non-finite B, a spent budget or beta at or below the fold
+    (phi' <= 0, or rho inside the collision guard: no solution) raise
+    SolverFailure, a rho inside the guard above the fold NearSingularity,
+    prefixed with label.  The points gather in a list copied into out every
+    P max(1, _CHUNK_STEPS // P) steps and at a failure, which then carries
+    .filled, the rows written.
+    """
+    def emit(indent: int, **tags) -> str:
+        return "".join(" " * indent + line[3:] for line in _STEP.splitlines(True)
+                       if tags.get(line[:3].rstrip()))
+
+    period = len(rows)
+    cycle, tail, solves, gradients = "", "", [0], [0]
+    for i, (a, b, c) in enumerate(rows):
+        fresh = bool(b) and not rows[i - 1][2]
+        force = "f%d" if a and fresh else "0.0" + (f" + {float(a)!r} * (q%d / r3)" if a else "")
+        force += f" + {float(b)!r} * gb%d" if b else ""
+        tags = dict(a=a, af=a and fresh, f=fresh, c=c, p=rows[(i + 1) % period][1] and not c)
+        values = dict(a=float(a), force1=force.replace("%d", "1"),
+                      force2=force.replace("%d", "2"), kappa=f"kappa{i}")
+        cycle += emit(16, z=True, **tags) % values
+        if i < period - 1:
+            tail += f"        if tail > {i}:\n" + emit(12, z=True, **tags) % values
+        solves.append(solves[-1] + bool(c))
+        gradients.append(gradients[-1] + bool(a) + fresh + bool(c))
+    first = bool(rows[0][1] and rows[-1][2])
+    source = _KERNEL % dict(
+        period=period, cycle=cycle, tail=tail, solves=solves.pop(), solves_at=tuple(solves),
+        gradients=gradients.pop(), gradients_at=tuple(gradients), first_gradient=first,
+        kappas="".join(f"    kappa{i} = 0.5 * {float(c)!r} * h2\n"
+                       for i, (_, _, c) in enumerate(rows) if c),
+        first="        if n:\n" + emit(12, a=rows[0][0], f=True) if first else "")
+    namespace: dict = {}
+    exec(compile(source, f"<stencil kernel {rows}>", "exec"), globals(), namespace)
+    return namespace["kernel"]
 
 
 def _midpoint_failure(label: str, beta: float, kappa: float,
@@ -305,33 +349,53 @@ def _midpoint_failure(label: str, beta: float, kappa: float,
 def _fr(xs: np.ndarray, vs: np.ndarray, n: int, x1: float, x2: float, v1: float,
         v2: float, h: float, stats: IntegrationStats) -> None:
     """Write n triple-jump steps from (x, v) into the rows of xs and vs; each
-    is three leapfrog substeps (drift dt/2, kick dt, drift dt/2) with
-    dt = (theta, 1 - 2 theta, theta) h, whose (dt/2, dt) are built once, one
-    gradient per kick, counted in stats; U' = x/|x|^3 is written out in the
-    kick, behind the collision guard.  The points reach xs and vs as in
-    _stencil, with .filled on a failure."""
+    is three leapfrog substeps (drift dt/2, kick dt, drift dt/2), written out,
+    with dt = (theta, 1 - 2 theta, theta) h, whose (dt/2, dt) are built once,
+    one gradient per kick, counted in stats; U' = x/|x|^3 is written out in
+    the kick, behind the collision guard.  The points reach xs and vs
+    _CHUNK_STEPS at a time and at a failure, which then carries .filled."""
     hypot, floor = math.hypot, SINGULARITY_FLOOR
-    substeps = [(0.5 * (w * h), w * h) for w in _FR_WEIGHTS]
+    (half, dt), (half_mid, dt_mid) = [(0.5 * (w * h), w * h) for w in _FR_WEIGHTS[:2]]
     points: list[float] = []  # x1 x2 v1 v2 per point
+    append = points.append
     filled = 0
     try:
         for start in range(0, n, _CHUNK_STEPS):
             for _ in range(min(_CHUNK_STEPS, n - start)):
-                for half, dt in substeps:
-                    x1 += half * v1
-                    x2 += half * v2
-                    r = hypot(x1, x2)
-                    if r < floor:
-                        raise _collision(r)
-                    r3 = r * r * r
-                    v1 -= dt * (x1 / r3)
-                    v2 -= dt * (x2 / r3)
-                    x1 += half * v1
-                    x2 += half * v2
-                points.append(x1)
-                points.append(x2)
-                points.append(v1)
-                points.append(v2)
+                x1 += half * v1
+                x2 += half * v2
+                r = hypot(x1, x2)
+                if r < floor:
+                    raise _collision(r)
+                r3 = r * r * r
+                v1 -= dt * (x1 / r3)
+                v2 -= dt * (x2 / r3)
+                x1 += half * v1
+                x2 += half * v2
+                x1 += half_mid * v1
+                x2 += half_mid * v2
+                r = hypot(x1, x2)
+                if r < floor:
+                    raise _collision(r)
+                r3 = r * r * r
+                v1 -= dt_mid * (x1 / r3)
+                v2 -= dt_mid * (x2 / r3)
+                x1 += half_mid * v1
+                x2 += half_mid * v2
+                x1 += half * v1
+                x2 += half * v2
+                r = hypot(x1, x2)
+                if r < floor:
+                    raise _collision(r)
+                r3 = r * r * r
+                v1 -= dt * (x1 / r3)
+                v2 -= dt * (x2 / r3)
+                x1 += half * v1
+                x2 += half * v2
+                append(x1)
+                append(x2)
+                append(v1)
+                append(v2)
             filled = _flush(points, filled, xs, vs)
     except NumericalFailure as err:
         err.filled = _flush(points, filled, xs, vs)
@@ -376,7 +440,8 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
               n_steps: int) -> Trajectory:
     """Run n_steps of a scheme from (x0, v0) with fixed step h, each implicit
     step solved within the Newton budget (NEWTON_TOLERANCE, NEWTON_MAX_ITERATIONS).
-    n_steps above MAX_STEPS raises ConfigurationError before any step.
+    n_steps not an integer, or above MAX_STEPS, raises ConfigurationError
+    before any array is allocated.
 
     x0, v0 and h are taken as Python floats, which the kernels run fastest on.
     The initial condition must describe a bound, non-radial orbit (the exact
@@ -387,6 +452,8 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ConfigurationError(f"step size must be positive, got {h}")
+    if not (isinstance(n_steps, numbers.Integral) or n_steps == math.inf):
+        raise ConfigurationError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 1:
         raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
     if n_steps > MAX_STEPS:

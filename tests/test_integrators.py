@@ -1,11 +1,15 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keplerlab import (
@@ -26,7 +30,7 @@ from keplerlab.integrators import (FR_THETA, NEWTON_TOLERANCE, STENCILS, Integra
                                    _fr, _stencil, init_second_point, reconstruct_velocities)
 
 from conftest import V0, X0, KernelReached, assert_close, assert_vector_close, bound_states
-from reference import explicit_part, newton_step_2d, potential_gradient_xy
+from reference import explicit_part, newton_step_2d, potential_gradient_xy, reference_stencil
 
 ALL_METHODS = list(MethodId)
 TWO_STEP_METHODS = [m for m in MethodId if m is not MethodId.FR]
@@ -274,6 +278,79 @@ class TestKernelReference:
         n = integrators._CHUNK_STEPS + 4
         want = reference_positions(method, x0, v0, h, n)
         assert np.array_equal(integrate(method, x0, v0, h, n).positions, want)
+
+
+# the weights a cycle's rows draw from; a one-row cycle with c = 0 and a, b != 0
+# evaluates U'(q) and then U'((p + q)/2) afresh in each step
+WEIGHT = st.sampled_from([0.0, 1.0 / 6.0, 0.25, 0.5, 2.0 / 3.0, 1.0])
+CYCLES = st.lists(st.tuples(WEIGHT, WEIGHT, WEIGHT), min_size=1, max_size=3).map(tuple)
+
+
+class TestCompiledKernels:
+    """_stencil runs each cycle in a kernel compiled from its weight rows.
+    Against the interpreted loop of tests/reference.py, from the points 9 and
+    10 of an sv run, every bit, every counter and every failure must be the
+    same: at each phase, for every n up to two cycles and two steps and for a
+    long run, with chunks of a few steps."""
+
+    @staticmethod
+    def run(kernel, cycle, phase, n, h, start):
+        """What kernel writes from start = (p, q): the points and counters, or
+        the failure with the rows it filled."""
+        (p1, p2), (q1, q2) = start
+        out, stats = np.full((n, 2), np.nan), IntegrationStats()
+        try:
+            kernel(out, n, p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2, h, cycle, phase,
+                   "implicit step", stats)
+        except NumericalFailure as err:
+            return type(err), str(err), err.filled, out.tobytes(), stats
+        return out.tobytes(), stats
+
+    def check(self, cycle, h, chunk, floor=None):
+        period = len(cycle)
+        start = integrate(MethodId.SV, X0, V0, h, 10).positions[-2:].tolist()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(integrators, "_CHUNK_STEPS", chunk)
+            if floor is not None:
+                patch.setattr(kepler, "SINGULARITY_FLOOR", floor)
+                patch.setattr(integrators, "SINGULARITY_FLOOR", floor)
+            for phase in range(period):
+                for n in [*range(1, 2 * period + 3), 4099]:
+                    want = self.run(reference_stencil, cycle, phase, n, h, start)
+                    assert self.run(_stencil, cycle, phase, n, h, start) == want, (phase, n)
+
+    @given(cycle=CYCLES, h=st.sampled_from([0.1, 0.5, 1.3]), chunk=st.sampled_from([1, 2, 5]))
+    @example(cycle=((0.5, 0.5, 0.0),), h=0.5, chunk=5)
+    @example(cycle=((2.0 / 3.0, 1.0 / 6.0, 0.0),), h=0.1, chunk=1)
+    @settings(max_examples=40, deadline=None)
+    def test_equal_the_interpreted_loop(self, cycle, h, chunk):
+        self.check(cycle, h, chunk)
+
+    # a guard of |x| = 2 meets the default orbit (1.31 <= |x| <= 3) within a
+    # revolution; one of 3.5 fails the first gradient of the first step, so
+    # that a kernel evaluating U'((p + q)/2) before its loop (row 0 of the
+    # second example at phase 0) must still meet U'(q)'s guard first (at
+    # h = 0.5 the two radii differ in the message's four digits)
+    @given(cycle=CYCLES, floor=st.sampled_from([2.0, 3.5]), chunk=st.sampled_from([1, 5]))
+    @example(cycle=((0.5, 0.5, 0.0),), floor=2.0, chunk=5)
+    @example(cycle=((1.0, 1.0, 0.0), (0.0, 0.0, 0.5)), floor=3.5, chunk=5)
+    @settings(max_examples=30, deadline=None)
+    def test_fail_as_the_interpreted_loop(self, cycle, floor, chunk):
+        self.check(cycle, 0.5, chunk, floor)
+
+    def test_compiled_once_per_cycle_at_first_use(self):
+        # a fresh interpreter imports keplerlab without compiling a kernel
+        code = ("import keplerlab; from keplerlab.integrators import _stencil_kernel; "
+                "print(_stencil_kernel.cache_info().currsize)")
+        src = str(Path(integrators.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout.strip() == "0"
+        for method in TWO_STEP_METHODS:
+            integrate(method, X0, V0, 0.1, 20)
+            misses = integrators._stencil_kernel.cache_info().misses
+            integrate(method, X0, V0, 0.1, 20)
+            assert integrators._stencil_kernel.cache_info().misses == misses, method
 
 
 class TestChunks:
@@ -652,6 +729,19 @@ class TestIntegrate:
             integrate(MethodId.SV, X0, V0, 0.5, 0)
         with pytest.raises(UnboundOrbit):
             integrate(MethodId.SV, PlanarVector(3.0, 0.0), PlanarVector(0.0, 1.0), 0.5, 10)
+
+    # a step count that is not an integer is refused before any array is
+    # allocated, as integrate_modified refuses its n_samples; an inf count,
+    # which the CLI passes when t-end / h overflows, meets the step bound
+    @pytest.mark.parametrize("n_steps, message", [
+        (10.0, "n_steps must be an integer, got 10.0"),
+        (10.5, "n_steps must be an integer, got 10.5"),
+        (math.nan, "n_steps must be an integer, got nan"),
+        (math.inf, "inf steps of h = 0.1 exceed the bound MAX_STEPS = 1000000")])
+    def test_a_step_count_that_is_not_an_integer(self, n_steps, message):
+        with pytest.raises(ConfigurationError) as refused:
+            integrate(MethodId.SV, (-3, 0), (0, 0.45), 0.1, n_steps)
+        assert str(refused.value) == message
 
     # a numpy start and step are taken as plain floats: the kernels see no
     # numpy scalar (np.float64 is a float subclass), and the points and the
