@@ -15,6 +15,9 @@ count and the columns of any row range; _emit asks for, formats and writes
 a fixed number of rows at a time, so the memory that simulate and
 error-curve hold beyond the trajectory does not grow with the run.  A chunk
 is written through one row template, a field per column, not a string per cell.
+A table of two or more chunks is formatted on two CPUs where two are free to
+the process: a forked child formats every second chunk and this process
+writes its text in order, so the bytes are those of one process.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
 """
@@ -22,10 +25,15 @@ Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import gc
 import json
 import math
+import os
+import pickle
 import sys
+import threading
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -286,17 +294,122 @@ def _json_field(column) -> tuple[str, list]:
 # text held at once are bounded by a chunk, not by the run length.
 _CHUNK_ROWS = 1024
 
+# Bytes of text the formatting child sends at a time: one pipe buffer.
+_BLOCK = 1 << 16
+
 _Columns = Callable[[int, int], list]
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _fork(text: Callable[[list], str]) -> Optional[tuple[int, Any, Any]]:
+    """Fork a child that formats chunks; return its pid and the pipes down to
+    it and up from it, or None where this process cannot fork (now), may run
+    on one CPU only, or runs another Python thread: from Python 3.12 on,
+    whose fork warns of them, any thread; before, an idle OpenBLAS pool does
+    not matter, as the child calls no BLAS.  The child sends text(columns)
+    for each chunk's columns pickled down, in length-prefixed blocks and an
+    empty one, until the pipe down closes, and leaves by os._exit: it never
+    unwinds this stack nor flushes the parent's files and stdout buffer.
+    """
+    if not hasattr(os, "fork") or _cpus() < 2 or threading.active_count() > 1 or (
+            sys.version_info >= (3, 12) and len(os.listdir("/proc/self/task")) > 1):
+        return None
+    (down_r, down_w), (up_r, up_w) = os.pipe(), os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: this one writes alone
+        for fd in (down_r, down_w, up_r, up_w):
+            os.close(fd)
+        return None
+    if pid:
+        os.close(down_r)
+        os.close(up_w)
+        return pid, os.fdopen(down_w, "wb"), os.fdopen(up_r, "rb")
+    status = 1
+    try:
+        gc.disable()  # no finalizer of the parent's objects runs here
+        os.close(down_w)
+        os.close(up_r)
+        down, up = os.fdopen(down_r, "rb"), os.fdopen(up_w, "wb")
+        with contextlib.suppress(EOFError):
+            while True:
+                chunk = text(pickle.load(down))
+                for i in range(0, len(chunk), _BLOCK):
+                    data = chunk[i:i + _BLOCK].encode()
+                    up.write(len(data).to_bytes(4, "little") + data)
+                up.write(bytes(4))
+                up.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _received(up) -> Iterator[str]:
+    """One chunk's text from the child, a block at a time."""
+    while True:
+        head = up.read(4)
+        size = int.from_bytes(head, "little")
+        data = up.read(size)
+        if len(head) < 4 or len(data) < size:
+            raise ChildProcessError("the process formatting every second chunk stopped")
+        if not size:
+            return
+        yield data.decode()
+
+
 def _chunks(n_rows: int, columns: _Columns, field: Callable[[Any], tuple[str, list]],
-            row: Callable[[tuple[str, ...]], str]) -> Iterator[Iterator[str]]:
+            row: Callable[[tuple[str, ...]], str], sep: str) -> Iterator[str]:
     """The table's rows as text, _CHUNK_ROWS rows at a time: each column of a
     chunk becomes a field and its values, and row(fields) is the template that
-    writes the chunk's rows, before the next chunk's columns are asked for."""
-    for lo in range(0, n_rows, _CHUNK_ROWS):
-        fields, values = zip(*map(field, columns(lo, min(lo + _CHUNK_ROWS, n_rows))))
-        yield map(row(fields).__mod__, zip(*values))
+    writes the chunk's rows, joined by `sep`, which also leads every chunk but
+    the first.  A numerical failure while chunk k is derived is raised after
+    chunks 0 to k - 1 are written.
+
+    Where _fork starts a child, this process still derives every chunk's
+    columns: it streams every second chunk's, pickled, to the child, then
+    derives and formats the chunk before it while the child formats that
+    one, and copies the child's text through in order.  The child is reaped
+    before the generator finishes or is closed; a child that fails raises
+    ChildProcessError.
+    """
+    def text(cols: list, lead: str = sep) -> str:
+        fields, values = zip(*map(field, cols))
+        return lead + sep.join(map(row(fields).__mod__, zip(*values)))
+
+    def cols(lo: int) -> list:
+        return columns(lo, min(lo + _CHUNK_ROWS, n_rows))
+
+    child = _fork(text) if n_rows > _CHUNK_ROWS else None
+    if child is None:
+        for lo in range(0, n_rows, _CHUNK_ROWS):
+            yield text(cols(lo), sep if lo else "")
+        return
+    pid, down, up = child
+    try:
+        for lo in range(0, n_rows, 2 * _CHUNK_ROWS):
+            mid, lead = lo + _CHUNK_ROWS, sep if lo else ""
+            if mid < n_rows:
+                try:
+                    pickle.dump(cols(mid), down, pickle.HIGHEST_PROTOCOL)
+                    down.flush()
+                except Exception:  # the chunks before the one that failed are written
+                    yield text(cols(lo), lead)
+                    raise
+            yield text(cols(lo), lead)
+            if mid < n_rows:
+                yield from _received(up)
+    finally:
+        with contextlib.suppress(BrokenPipeError):  # raised again if the child is gone
+            down.close()  # the child reads the end of its input and exits
+        up.close()
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise ChildProcessError(f"the process formatting every second chunk exited with "
+                                f"status {status}")
 
 
 def _rows(rows: list) -> tuple[int, _Columns]:
@@ -323,21 +436,17 @@ def _json_text(meta: dict, names: list[str], n_rows: int, columns: _Columns,
         return list(map(columns(lo, hi).__getitem__, order))
 
     def row(fields: tuple[str, ...]) -> str:
-        return "    {\n" + ",\n".join(map(str.__add__, keys, fields)) + "\n    }"
+        return "\n    {\n" + ",\n".join(map(str.__add__, keys, fields)) + "\n    }"
 
-    yield head + '\n  "rows": '
-    opening, closing = "[\n", "[]"  # the list is "[]" until a row is written
-    for rows in _chunks(n_rows, sorted_columns, _json_field, row):
-        yield opening + ",\n".join(rows)
-        opening, closing = ",\n", "\n  ]"
-    yield closing + tail + "\n"
+    yield head + '\n  "rows": ['
+    yield from _chunks(n_rows, sorted_columns, _json_field, row, ",")
+    yield ("\n  ]" if n_rows else "]") + tail + "\n"
 
 
 def _csv_text(names: list[str], n_rows: int, columns: _Columns) -> Iterator[str]:
     """The CSV table in pieces: the header line, then one chunk of lines at a time."""
     yield ",".join(names) + "\n"
-    for rows in _chunks(n_rows, columns, _csv_field, ",".join):
-        yield "\n".join(rows) + "\n"
+    yield from _chunks(n_rows, columns, _csv_field, lambda fields: ",".join(fields) + "\n", "")
 
 
 def _emit(cfg: dict, meta: dict, names: list[str], n_rows: int, columns: _Columns,
@@ -349,7 +458,9 @@ def _emit(cfg: dict, meta: dict, names: list[str], n_rows: int, columns: _Column
     are asked for, formatted and written _CHUNK_ROWS rows at a time, so no
     whole column and no whole text is built, each through one row template
     (_csv_field, _json_field): CSV cells as _fmt writes them, JSON laid out
-    exactly as json.dumps(payload, indent=2, sort_keys=True).
+    exactly as json.dumps(payload, indent=2, sort_keys=True).  A child that
+    _chunks forks to format every second chunk is reaped before _emit
+    returns or raises.
     The payload holds the metadata and the rows as objects keyed by column;
     a `report` is one row, merged into the payload itself.
     """
@@ -358,11 +469,12 @@ def _emit(cfg: dict, meta: dict, names: list[str], n_rows: int, columns: _Column
     else:
         print(f"# metadata: {json.dumps(meta, sort_keys=True)}", file=sys.stderr)
         pieces = _csv_text(names, n_rows, columns)
-    if cfg.get("out"):
-        with open(cfg["out"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(pieces)
-    else:
-        sys.stdout.writelines(pieces)
+    with contextlib.closing(pieces):  # a failed write still reaps _chunks' child
+        if cfg.get("out"):
+            with open(cfg["out"], "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(pieces)
+        else:
+            sys.stdout.writelines(pieces)
 
 
 # The Newton budget of the implicit solves, in the metadata of every

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -488,10 +489,36 @@ class TestEmit:
 _DEFAULT_CHUNK_ROWS = keplerlab.cli._CHUNK_ROWS
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the formatting children that _chunks forks, in order."""
+    pids, fork = [], keplerlab.cli._fork
+
+    def counted(text):
+        child = fork(text)
+        if child is not None:
+            pids.append(child[0])
+        return child
+
+    monkeypatch.setattr(keplerlab.cli, "_fork", counted)
+    return pids
+
+
+def report_cpus(monkeypatch, n):
+    """Make the CPU check of the two-process write report n CPUs."""
+    monkeypatch.setattr(keplerlab.cli, "_cpus", lambda: n, raising=False)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestStreamedColumns:
     """simulate and error-curve derive their columns a chunk of rows at a time,
     each row reading its neighbours across the chunk's edges: any chunk size
-    writes the bytes of one chunk that holds the whole run."""
+    writes the bytes of one chunk that holds the whole run, to stdout and to
+    --out, with every second chunk formatted by a child process or not."""
 
     COMMANDS = [["simulate", "--method", m] for m in ("sv", "mp", "dec", "fr")] + [
         ["error-curve", "--method", m] for m in ("sv", "dec")]
@@ -501,13 +528,127 @@ class TestStreamedColumns:
 
     @pytest.mark.parametrize("output_format", ["csv", "json"])
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv[::2]))
-    def test_any_chunk_writes_the_bytes_of_one(self, capsys, monkeypatch, argv, output_format):
+    def test_any_chunk_writes_the_bytes_of_one(self, capsys, monkeypatch, tmp_path, forks, argv,
+                                               output_format):
+        out = tmp_path / "out"
         for chunk_rows, steps in self.CASES:
             run = [*argv, "--h", "0.1", "--steps", str(steps), "--format", output_format]
             monkeypatch.setattr(keplerlab.cli, "_CHUNK_ROWS", 10**9)
-            want = run_cli(capsys, *run)
+            code, text, err = want = run_cli(capsys, *run)
             monkeypatch.setattr(keplerlab.cli, "_CHUNK_ROWS", chunk_rows)
-            assert run_cli(capsys, *run) == want, (chunk_rows, steps)
+            for cpus in (2, 1):
+                report_cpus(monkeypatch, cpus)
+                forked = len(forks)
+                assert run_cli(capsys, *run) == want, (chunk_rows, steps, cpus)
+                assert run_cli(capsys, *run, "--out", str(out)) == (code, "", err)
+                assert out.read_text(encoding="utf-8") == text, (chunk_rows, steps, cpus)
+                two_chunks = cpus == 2 and steps + 1 > chunk_rows
+                assert len(forks) - forked == (2 if two_chunks else 0), (chunk_rows, steps)
+                assert_no_child()
+
+
+class TestTwoProcessWrite:
+    """A table of two or more chunks is written by this process and a forked
+    child, which formats every second chunk; the README's failure contract
+    and the exit codes are those of one process, and no child outlives _emit."""
+
+    ROWS = 3  # rows per chunk; 15 rows make 5 chunks
+    RUN = ["--method", "sv", "--h", "0.1", "--steps", "14"]
+
+    @staticmethod
+    def first_rows(text, output_format, n):
+        """The output up to the end of row n - 1: the header and n rows."""
+        if output_format == "csv":
+            return "".join(text.splitlines(keepends=True)[:1 + n])
+        return ",\n    {\n".join(text.split(",\n    {\n")[:n])
+
+    # a numerical failure while chunk k is derived exits 2 after the header
+    # and chunks 0 to k - 1 are written, whichever process formats them
+    @pytest.mark.parametrize("cpus", [2, 1])
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    @pytest.mark.parametrize("command, derive", [("simulate", "trajectory_arrays"),
+                                                 ("error-curve", "error_curve")])
+    def test_failure_while_deriving_a_chunk_writes_the_chunks_before(
+            self, capsys, monkeypatch, command, derive, output_format, cpus):
+        monkeypatch.setattr(keplerlab.cli, "_CHUNK_ROWS", self.ROWS)
+        report_cpus(monkeypatch, cpus)
+        argv = [command, *self.RUN, "--format", output_format]
+        code, full, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert_no_child()
+        derived = getattr(keplerlab.analysis, derive)
+        for k in (1, 2, 3):
+            def failing(traj, lo, hi, k=k):
+                if lo == k * self.ROWS:
+                    raise keplerlab.NumericalFailure(f"chunk {k} failed")
+                return derived(traj, lo, hi)
+
+            monkeypatch.setattr(keplerlab.analysis, derive, failing)
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and err.endswith(f"error: chunk {k} failed\n"), err
+            assert out == self.first_rows(full, output_format, k * self.ROWS), k
+            assert_no_child()
+
+    # a child that fails exits non-zero, and so does the write, however many
+    # rows reached the output
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_failing_child_fails_the_write(self, capsys, monkeypatch, forks, output_format):
+        report_cpus(monkeypatch, 2)
+        monkeypatch.setattr(keplerlab.cli, "_CHUNK_ROWS", self.ROWS)
+        parent = os.getpid()
+        name = f"_{output_format}_field"
+        field = getattr(keplerlab.cli, name)
+
+        def child_fails(column):
+            if os.getpid() != parent:
+                raise RuntimeError("formatting failed")
+            return field(column)
+
+        monkeypatch.setattr(keplerlab.cli, name, child_fails)
+        code, _, err = run_cli(capsys, "error-curve", *self.RUN, "--format", output_format)
+        assert code == 1 and "every second chunk" in err
+        assert len(forks) == 1
+        assert_no_child()
+
+    # the write stays in one process where os.fork is missing or fails, where
+    # the process may run on one CPU, while another Python thread runs, and
+    # on Python 3.12+ while any other thread runs (os.fork warns there);
+    # before 3.12 a thread outside Python, as OpenBLAS's pool, does not stop
+    # the fork
+    @pytest.mark.parametrize("case, forked", [
+        ("no-fork", 0), ("fork-fails", 0), ("one-cpu", 0), ("thread", 0),
+        ("os-thread-3.12", 0), ("os-thread-3.11", 1)])
+    def test_one_process_unless_forking_is_safe(self, capsys, monkeypatch, forks, case, forked):
+        monkeypatch.setattr(keplerlab.cli, "_CHUNK_ROWS", self.ROWS)
+        report_cpus(monkeypatch, 1 if case == "one-cpu" else 2)
+        want = run_cli(capsys, "simulate", *self.RUN)
+        del forks[:]
+        fds = len(os.listdir("/proc/self/fd"))
+        if case == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        if case == "fork-fails":
+            def no_process():
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", no_process)
+        if case.startswith("os-thread"):
+            listdir = os.listdir
+            monkeypatch.setattr(os, "listdir", lambda path: (
+                ["1", "2"] if path == "/proc/self/task" else listdir(path)))
+            monkeypatch.setattr(sys, "version_info", (3, int(case[-2:]), 0, "final", 0))
+        stop = threading.Event()
+        waiter = threading.Thread(target=stop.wait)
+        if case == "thread":
+            waiter.start()
+        try:
+            assert run_cli(capsys, "simulate", *self.RUN) == want
+        finally:
+            stop.set()
+            if case == "thread":
+                waiter.join()
+        assert len(forks) == forked
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert_no_child()
 
 
 class TestConfigResolution:
