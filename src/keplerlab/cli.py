@@ -15,9 +15,9 @@ count and the columns of any row range; _emit asks for, formats and writes
 a fixed number of rows at a time, so the memory that simulate and
 error-curve hold beyond the trajectory does not grow with the run.  A chunk
 is written through one row template, a field per column, not a string per cell.
-A table of two or more chunks is formatted on two CPUs where two are free to
-the process: a forked child formats every second chunk and this process
-writes its text in order, so the bytes are those of one process.
+A table of two or more chunks is derived and formatted on two CPUs where two
+are free: a forked child takes every second chunk, this process the others and
+writes the child's text among them in order, so the bytes are one process's.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
 """
@@ -25,13 +25,13 @@ Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import functools
 import gc
 import json
 import math
 import os
-import pickle
 import sys
 import threading
 from typing import Any, Callable, Iterator, NamedTuple, Optional
@@ -294,8 +294,11 @@ def _json_field(column) -> tuple[str, list]:
 # text held at once are bounded by a chunk, not by the run length.
 _CHUNK_ROWS = 1024
 
-# Bytes of text the formatting child sends at a time: one pipe buffer.
+# Bytes of the formatting child's text read at a time: one pipe buffer.
 _BLOCK = 1 << 16
+
+# What the formatting child sends, in place of a length, for a chunk it cannot derive.
+_UNDERIVED = b"\xff" * 8
 
 _Columns = Callable[[int, int], list]
 
@@ -305,60 +308,36 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _fork(text: Callable[[list], str]) -> Optional[tuple[int, Any, Any]]:
-    """Fork a child that formats chunks; return its pid and the pipes down to
-    it and up from it, or None where this process cannot fork (now), may run
-    on one CPU only, or runs another Python thread: from Python 3.12 on,
-    whose fork warns of them, any thread; before, an idle OpenBLAS pool does
-    not matter, as the child calls no BLAS.  The child sends text(columns)
-    for each chunk's columns pickled down, in length-prefixed blocks and an
-    empty one, until the pipe down closes, and leaves by os._exit: it never
-    unwinds this stack nor flushes the parent's files and stdout buffer.
+def _fork(send: Callable[[Any], None]) -> Optional[tuple[int, Any]]:
+    """Fork a child that runs send(pipe); return its pid and the pipe up from
+    it, or None where this process cannot fork (now), may run on one CPU
+    only, or runs another Python thread: from Python 3.12 on, whose fork
+    warns of them, any thread; before, an idle OpenBLAS pool does not
+    matter, as the child calls no BLAS.  The child exits 0 once send returns
+    and 1 if it raises, by os._exit: it never unwinds this stack nor flushes
+    the parent's files and stdout buffer.
     """
     if not hasattr(os, "fork") or _cpus() < 2 or threading.active_count() > 1 or (
             sys.version_info >= (3, 12) and len(os.listdir("/proc/self/task")) > 1):
         return None
-    (down_r, down_w), (up_r, up_w) = os.pipe(), os.pipe()
+    up_r, up_w = os.pipe()
     try:
         pid = os.fork()
     except OSError:  # no process to spare: this one writes alone
-        for fd in (down_r, down_w, up_r, up_w):
-            os.close(fd)
+        os.close(up_r)
+        os.close(up_w)
         return None
     if pid:
-        os.close(down_r)
         os.close(up_w)
-        return pid, os.fdopen(down_w, "wb"), os.fdopen(up_r, "rb")
-    status = 1
+        return pid, os.fdopen(up_r, "rb")
     try:
         gc.disable()  # no finalizer of the parent's objects runs here
-        os.close(down_w)
         os.close(up_r)
-        down, up = os.fdopen(down_r, "rb"), os.fdopen(up_w, "wb")
-        with contextlib.suppress(EOFError):
-            while True:
-                chunk = text(pickle.load(down))
-                for i in range(0, len(chunk), _BLOCK):
-                    data = chunk[i:i + _BLOCK].encode()
-                    up.write(len(data).to_bytes(4, "little") + data)
-                up.write(bytes(4))
-                up.flush()
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _received(up) -> Iterator[str]:
-    """One chunk's text from the child, a block at a time."""
-    while True:
-        head = up.read(4)
-        size = int.from_bytes(head, "little")
-        data = up.read(size)
-        if len(head) < 4 or len(data) < size:
-            raise ChildProcessError("the process formatting every second chunk stopped")
-        if not size:
-            return
-        yield data.decode()
+        with os.fdopen(up_w, "wb") as up:
+            send(up)
+    except BaseException:
+        os._exit(1)
+    os._exit(0)
 
 
 def _chunks(n_rows: int, columns: _Columns, field: Callable[[Any], tuple[str, list]],
@@ -369,47 +348,53 @@ def _chunks(n_rows: int, columns: _Columns, field: Callable[[Any], tuple[str, li
     the first.  A numerical failure while chunk k is derived is raised after
     chunks 0 to k - 1 are written.
 
-    Where _fork starts a child, this process still derives every chunk's
-    columns: it streams every second chunk's, pickled, to the child, then
-    derives and formats the chunk before it while the child formats that
-    one, and copies the child's text through in order.  The child is reaped
-    before the generator finishes or is closed; a child that fails raises
-    ChildProcessError.
+    A child that _fork starts derives and formats every second chunk itself
+    and sends each as a length and its text, which this process reads in, in
+    order, at most _BLOCK bytes at a time.  For a chunk it cannot derive the
+    child sends _UNDERIVED and exits, and this process derives that chunk and
+    raises the failure.  The child is reaped before the generator ends or is
+    closed; a child that fails raises ChildProcessError.
     """
-    def text(cols: list, lead: str = sep) -> str:
-        fields, values = zip(*map(field, cols))
-        return lead + sep.join(map(row(fields).__mod__, zip(*values)))
+    def text(chunk: list, lo: int) -> str:
+        fields, values = zip(*map(field, chunk))
+        return (sep if lo else "") + sep.join(map(row(fields).__mod__, zip(*values)))
 
-    def cols(lo: int) -> list:
-        return columns(lo, min(lo + _CHUNK_ROWS, n_rows))
+    def send(up) -> None:  # the child's part
+        for lo in range(_CHUNK_ROWS, n_rows, 2 * _CHUNK_ROWS):
+            try:
+                chunk = columns(lo, min(lo + _CHUNK_ROWS, n_rows))
+            except Exception:
+                up.write(_UNDERIVED)
+                return
+            data = text(chunk, lo).encode()
+            up.write(len(data).to_bytes(8, "little") + data)
+            up.flush()
 
-    child = _fork(text) if n_rows > _CHUNK_ROWS else None
-    if child is None:
-        for lo in range(0, n_rows, _CHUNK_ROWS):
-            yield text(cols(lo), sep if lo else "")
-        return
-    pid, down, up = child
+    def read(size: int) -> bytes:  # size bytes from the child, which has stopped if fewer come
+        data = up.read(size)
+        if len(data) < size:
+            raise ChildProcessError("the process formatting every second chunk stopped")
+        return data
+
+    pid, up = (_fork(send) if n_rows > _CHUNK_ROWS else None) or (0, None)
+    decode = codecs.getincrementaldecoder("utf-8")().decode
     try:
-        for lo in range(0, n_rows, 2 * _CHUNK_ROWS):
-            mid, lead = lo + _CHUNK_ROWS, sep if lo else ""
-            if mid < n_rows:
-                try:
-                    pickle.dump(cols(mid), down, pickle.HIGHEST_PROTOCOL)
-                    down.flush()
-                except Exception:  # the chunks before the one that failed are written
-                    yield text(cols(lo), lead)
-                    raise
-            yield text(cols(lo), lead)
-            if mid < n_rows:
-                yield from _received(up)
+        for lo in range(0, n_rows, _CHUNK_ROWS):
+            head = read(8) if pid and lo // _CHUNK_ROWS % 2 else _UNDERIVED
+            if head == _UNDERIVED:  # this process's chunk, or one the child could not derive
+                yield text(columns(lo, min(lo + _CHUNK_ROWS, n_rows)), lo)
+                continue
+            size = int.from_bytes(head, "little")
+            while size:  # the decoder holds back a character that a read splits
+                data = read(min(size, _BLOCK))
+                size -= len(data)
+                yield decode(data)
     finally:
-        with contextlib.suppress(BrokenPipeError):  # raised again if the child is gone
-            down.close()  # the child reads the end of its input and exits
-        up.close()
-        status = os.waitpid(pid, 0)[1]
-    if status:
-        raise ChildProcessError(f"the process formatting every second chunk exited with "
-                                f"status {status}")
+        if pid:
+            up.close()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if pid and status:
+        raise ChildProcessError(f"the process formatting every second chunk exited with {status}")
 
 
 def _rows(rows: list) -> tuple[int, _Columns]:
@@ -458,9 +443,9 @@ def _emit(cfg: dict, meta: dict, names: list[str], n_rows: int, columns: _Column
     are asked for, formatted and written _CHUNK_ROWS rows at a time, so no
     whole column and no whole text is built, each through one row template
     (_csv_field, _json_field): CSV cells as _fmt writes them, JSON laid out
-    exactly as json.dumps(payload, indent=2, sort_keys=True).  A child that
-    _chunks forks to format every second chunk is reaped before _emit
-    returns or raises.
+    exactly as json.dumps(payload, indent=2, sort_keys=True).  Every second
+    chunk's columns may be asked for in a child that _chunks forks, which is
+    reaped before _emit returns or raises.
     The payload holds the metadata and the rows as objects keyed by column;
     a `report` is one row, merged into the payload itself.
     """

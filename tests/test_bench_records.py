@@ -47,6 +47,14 @@ def test_traced_work_counters_hold(path):
             assert change[name] <= parent[name], (key, name)
 
 
+# every record from BENCH_31 on carries an A/A block; the schema cannot
+# require one, as BENCH_8 to BENCH_30 predate it
+@pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
+def test_records_from_31_on_carry_an_aa_block(path):
+    if int(path.stem.removeprefix("BENCH_")) >= 31:
+        assert "aa" in json.loads(path.read_text()), path.name
+
+
 # an A/A comparison, where a record has one: the parent tree alone, run from
 # two checkouts whose directory names differ in length (a name's length alone
 # has moved medians), with every workload and seed run once from each

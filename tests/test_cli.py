@@ -393,6 +393,17 @@ class TestEmit:
         _emit({"format": "csv"}, {"h": 0.5}, ["method", "value", "label"], *self.slices(table))
         assert capsys.readouterr().out == "\n".join(want) + "\n"
 
+    # this process reads the child's text _BLOCK bytes at a time, and a read
+    # that ends inside a character does not split it
+    def test_a_read_inside_a_character_keeps_it_whole(self, capsys, monkeypatch, forks):
+        labels = ["\u03c9", "2\u03c0", "\u20ac", "\U0001d11e", "a\u00e9", "\u03c9\u03c0", "x"]
+        monkeypatch.setattr(keplerlab.cli, "_CHUNK_ROWS", 3)
+        monkeypatch.setattr(keplerlab.cli, "_BLOCK", 1)
+        report_cpus(monkeypatch, 2)
+        _emit({"format": "csv"}, {"h": 0.5}, ["label"], *self.slices([labels]))
+        assert capsys.readouterr().out == "\n".join(["label", *labels]) + "\n"
+        assert len(forks) == 1
+
     # numpy columns of each kind are written as their Python scalars are (float32
     # widened to a double), and a float array with NaN, inf and -inf in it as
     # json.dumps writes those; with chunks of 3 the last chunk's floats are finite
@@ -518,7 +529,8 @@ class TestStreamedColumns:
     """simulate and error-curve derive their columns a chunk of rows at a time,
     each row reading its neighbours across the chunk's edges: any chunk size
     writes the bytes of one chunk that holds the whole run, to stdout and to
-    --out, with every second chunk formatted by a child process or not."""
+    --out, with every second chunk derived and formatted by a child process
+    or not."""
 
     COMMANDS = [["simulate", "--method", m] for m in ("sv", "mp", "dec", "fr")] + [
         ["error-curve", "--method", m] for m in ("sv", "dec")]
@@ -649,6 +661,29 @@ class TestTwoProcessWrite:
         assert len(forks) == forked
         assert len(os.listdir("/proc/self/fd")) == fds
         assert_no_child()
+
+
+# each process derives the chunks that it formats: this one chunks 0, 2 and 4
+# of 5 where a child takes 1 and 3, in order, and all five where it writes alone
+@pytest.mark.parametrize("cpus, derived", [(2, [0, 2, 4]), (1, [0, 1, 2, 3, 4])])
+@pytest.mark.parametrize("command, derive", [("simulate", "trajectory_arrays"),
+                                             ("error-curve", "error_curve")])
+def test_this_process_derives_only_its_own_chunks(capsys, monkeypatch, command, derive, cpus,
+                                                  derived):
+    rows = TestTwoProcessWrite.ROWS
+    monkeypatch.setattr(keplerlab.cli, "_CHUNK_ROWS", rows)
+    report_cpus(monkeypatch, cpus)
+    parent, starts, spied = os.getpid(), [], getattr(keplerlab.analysis, derive)
+
+    def spy(traj, lo, hi):
+        if os.getpid() == parent:
+            starts.append(lo)
+        return spied(traj, lo, hi)
+
+    monkeypatch.setattr(keplerlab.analysis, derive, spy)
+    assert run_cli(capsys, command, *TestTwoProcessWrite.RUN)[0] == 0
+    assert starts == [k * rows for k in derived]
+    assert_no_child()
 
 
 class TestConfigResolution:
