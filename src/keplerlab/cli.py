@@ -297,9 +297,6 @@ _CHUNK_ROWS = 1024
 # Bytes of the formatting child's text read at a time: one pipe buffer.
 _BLOCK = 1 << 16
 
-# What the formatting child sends, in place of a length, for a chunk it cannot derive.
-_UNDERIVED = b"\xff" * 8
-
 _Columns = Callable[[int, int], list]
 
 
@@ -348,45 +345,36 @@ def _chunks(n_rows: int, columns: _Columns, field: Callable[[Any], tuple[str, li
     the first.  A numerical failure while chunk k is derived is raised after
     chunks 0 to k - 1 are written.
 
-    A child that _fork starts derives and formats every second chunk itself
-    and sends each as a length and its text, which this process reads in, in
-    order, at most _BLOCK bytes at a time.  For a chunk it cannot derive the
-    child sends _UNDERIVED and exits, and this process derives that chunk and
-    raises the failure.  The child is reaped before the generator ends or is
-    closed; a child that fails raises ChildProcessError.
+    A child that _fork starts derives, formats and sends every second chunk
+    until it cannot: each as a length and its text, which this process reads
+    in, in order, at most _BLOCK bytes at a time.  This process derives every
+    chunk the child did not send, so a chunk the child cannot derive raises
+    here, at its place in the table.  The child is reaped before the
+    generator ends or is closed; a child that fails raises ChildProcessError.
     """
-    def text(chunk: list, lo: int) -> str:
-        fields, values = zip(*map(field, chunk))
+    def text(lo: int) -> str:
+        fields, values = zip(*map(field, columns(lo, min(lo + _CHUNK_ROWS, n_rows))))
         return (sep if lo else "") + sep.join(map(row(fields).__mod__, zip(*values)))
 
     def send(up) -> None:  # the child's part
         for lo in range(_CHUNK_ROWS, n_rows, 2 * _CHUNK_ROWS):
-            try:
-                chunk = columns(lo, min(lo + _CHUNK_ROWS, n_rows))
-            except Exception:
-                up.write(_UNDERIVED)
-                return
-            data = text(chunk, lo).encode()
+            data = text(lo).encode()
             up.write(len(data).to_bytes(8, "little") + data)
             up.flush()
-
-    def read(size: int) -> bytes:  # size bytes from the child, which has stopped if fewer come
-        data = up.read(size)
-        if len(data) < size:
-            raise ChildProcessError("the process formatting every second chunk stopped")
-        return data
 
     pid, up = (_fork(send) if n_rows > _CHUNK_ROWS else None) or (0, None)
     decode = codecs.getincrementaldecoder("utf-8")().decode
     try:
         for lo in range(0, n_rows, _CHUNK_ROWS):
-            head = read(8) if pid and lo // _CHUNK_ROWS % 2 else _UNDERIVED
-            if head == _UNDERIVED:  # this process's chunk, or one the child could not derive
-                yield text(columns(lo, min(lo + _CHUNK_ROWS, n_rows)), lo)
+            head = up.read(8) if pid and lo // _CHUNK_ROWS % 2 else b""
+            if len(head) < 8:  # this process's chunk, or one the child did not send
+                yield text(lo)
                 continue
             size = int.from_bytes(head, "little")
             while size:  # the decoder holds back a character that a read splits
-                data = read(min(size, _BLOCK))
+                data = up.read(min(size, _BLOCK))
+                if not data:
+                    raise ChildProcessError("the process formatting every second chunk stopped")
                 size -= len(data)
                 yield decode(data)
     finally:
@@ -443,9 +431,9 @@ def _emit(cfg: dict, meta: dict, names: list[str], n_rows: int, columns: _Column
     are asked for, formatted and written _CHUNK_ROWS rows at a time, so no
     whole column and no whole text is built, each through one row template
     (_csv_field, _json_field): CSV cells as _fmt writes them, JSON laid out
-    exactly as json.dumps(payload, indent=2, sort_keys=True).  Every second
-    chunk's columns may be asked for in a child that _chunks forks, which is
-    reaped before _emit returns or raises.
+    exactly as json.dumps(payload, indent=2, sort_keys=True).  A child that
+    _chunks forks, and reaps before _emit returns or raises, may derive every
+    second chunk; this process derives every chunk the child did not send.
     The payload holds the metadata and the rows as objects keyed by column;
     a `report` is one row, merged into the payload itself.
     """

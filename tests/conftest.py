@@ -1,5 +1,13 @@
 import dataclasses
 import math
+import os
+
+# One BLAS and OpenMP thread, set before numpy is first imported: a pool
+# thread of OpenBLAS is a second thread of this process, and from Python
+# 3.12 on the two-process write refuses to fork beside any other thread.
+# A variable set outside the suite is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import pytest
 from hypothesis import strategies as st

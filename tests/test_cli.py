@@ -525,6 +525,15 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+# the suite pins one BLAS thread (conftest.py): a dot product that OpenBLAS
+# would split across its pool starts no thread beside this one, so on Python
+# 3.12+, where _fork refuses beside any thread, the two-process write runs
+def test_a_large_dot_product_starts_no_thread():
+    samples = np.arange(31790.0)
+    assert np.dot(samples, samples) > 0
+    assert len(os.listdir("/proc/self/task")) == 1
+
+
 class TestStreamedColumns:
     """simulate and error-curve derive their columns a chunk of rows at a time,
     each row reading its neighbours across the chunk's edges: any chunk size
@@ -601,12 +610,17 @@ class TestTwoProcessWrite:
             assert out == self.first_rows(full, output_format, k * self.ROWS), k
             assert_no_child()
 
-    # a child that fails exits non-zero, and so does the write, however many
-    # rows reached the output
+    # a child that fails exits non-zero, and so does the write, after this
+    # process has derived and written every chunk the child did not send: all
+    # rows, and JSON without the lines that close the payload
     @pytest.mark.parametrize("output_format", ["csv", "json"])
     def test_failing_child_fails_the_write(self, capsys, monkeypatch, forks, output_format):
         report_cpus(monkeypatch, 2)
         monkeypatch.setattr(keplerlab.cli, "_CHUNK_ROWS", self.ROWS)
+        argv = ["error-curve", *self.RUN, "--format", output_format]
+        code, full, _ = run_cli(capsys, *argv)
+        assert code == 0
+        del forks[:]
         parent = os.getpid()
         name = f"_{output_format}_field"
         field = getattr(keplerlab.cli, name)
@@ -617,9 +631,44 @@ class TestTwoProcessWrite:
             return field(column)
 
         monkeypatch.setattr(keplerlab.cli, name, child_fails)
-        code, _, err = run_cli(capsys, "error-curve", *self.RUN, "--format", output_format)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 1 and "every second chunk" in err
+        assert out == (full if output_format == "csv" else full[:full.rindex("\n  ]")])
         assert len(forks) == 1
+        assert_no_child()
+
+    # a child that stops inside a chunk fails the write at that chunk, which
+    # this process has copied through only in part, and leaves no fd open
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_child_stopping_inside_a_chunk_fails_the_write(self, capsys, monkeypatch, forks,
+                                                           output_format):
+        report_cpus(monkeypatch, 2)
+        monkeypatch.setattr(keplerlab.cli, "_CHUNK_ROWS", self.ROWS)
+        monkeypatch.setattr(keplerlab.cli, "_BLOCK", 4)
+        argv = ["simulate", *self.RUN, "--format", output_format]
+        code, full, _ = run_cli(capsys, *argv)
+        assert code == 0
+        del forks[:]
+        fds = len(os.listdir("/proc/self/fd"))
+
+        class HalfWrite:  # the child's pipe: half of the first write, then the child is gone
+            def __init__(self, up):
+                self.up = up
+
+            def write(self, data):
+                self.up.write(data[:len(data) // 2])
+                self.up.flush()
+                os._exit(1)
+
+        fork = keplerlab.cli._fork
+        monkeypatch.setattr(keplerlab.cli, "_fork",
+                            lambda send: fork(lambda up: send(HalfWrite(up))))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and "stopped" in err, err
+        assert len(self.first_rows(full, output_format, self.ROWS)) < len(out) < len(full)
+        assert full.startswith(out)
+        assert len(forks) == 1
+        assert len(os.listdir("/proc/self/fd")) == fds
         assert_no_child()
 
     # the write stays in one process where os.fork is missing or fails, where
