@@ -6,11 +6,13 @@ invariants per sample come from kepler.observable_series, the one formula
 for E, L and the Laplace-Runge-Lenz vector.  The apsis angle is read off the
 LRL vector per sample, unwrapped, and fitted with the closed-form
 least-squares line on the uniform step grid (as the energy is in
-energy_drift), which averages out the O(h^2) oscillation of the per-sample
-angle and exposes the secular drift.  trajectory_arrays and error_curve
-take a row range, the whole run by default, so that an output can be
-derived a chunk at a time; measure_precession so derives and unwraps the
-angle into one buffer, which the fit then overwrites.
+energy_drift), which exposes the secular drift.  The line does not
+average out the O(h^2) oscillation of the per-sample angle but absorbs part
+of it, a bias that falls with the span (hence cli.DEFAULT_SCAN_REVOLUTIONS
+= 100).  trajectory_arrays and error_curve take a row range, the whole run
+by default, so that an output can be derived a chunk at a time;
+measure_precession so derives and unwraps the angle into one buffer, which
+the fit then overwrites.
 require_measurable decides from the period, the step and the step count
 alone whether a run can be measured, so a caller can ask before it
 integrates.  energy_drift summarises the energy, whose boundedness is the

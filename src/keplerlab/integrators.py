@@ -8,7 +8,7 @@ see _stencil and the table STENCILS.  fr is the fourth-order triple-jump
 composition of leapfrog, a one-step map on (x, v).
 
 Both are run-level kernels on plain floats that compute each constant of
-the run once and write n points into preallocated arrays, _CHUNK_STEPS at a
+the run once and write n points into a preallocated array, _CHUNK_STEPS at a
 time.  _stencil runs each weight cycle in its own straight-line code,
 generated from the rows once per process: U' is evaluated inline where a
 weight is nonzero, and each implicit step is solved as one scalar equation.
@@ -17,9 +17,9 @@ already knows, and Newton's method runs on its radius alone, stopped at a
 residual relative to the step's size; the midpoint's gradient is carried
 into the next step's b-term.  _fr takes n fr steps, its three leapfrog
 substeps written out, with U' inline.  integrate calls one of them once per
-run, into the trajectory's arrays, after init_second_point (the stencil
-kernel with n = 1) for a two-step method, and decides where a failed run
-stopped.
+run, into the run's one state array (rows x1 x2, and v1 v2 for fr), after
+init_second_point (the stencil kernel with n = 1) for a two-step method, and
+decides where a failed run stopped.
 """
 
 from __future__ import annotations
@@ -103,12 +103,12 @@ NEWTON_MAX_ITERATIONS = 50
 
 # The longest run integrate accepts: 30 times the 31,800 steps of the longest
 # scan cell, far below a count that never finishes, as h = 1e-300 over a unit
-# span asks for.  At 10^6 steps integrate peaks near 47 MB (sv) and 63 MB
+# span asks for.  At 10^6 steps integrate peaks near 47 MB (sv) and 65 MB
 # (fr), 28 MB of it the import; `keplerlab simulate` and `error-curve`,
 # which derive and write their rows in fixed-size chunks, peak near the
-# same (48 MB for sv, CSV, 65 MB for fr, JSON, 48 MB for error-curve dec),
+# same (48 MB for sv, CSV, 66 MB for fr, JSON, 48 MB for error-curve dec),
 # and `precession`, which adds the angle and its fit's grid, near 61 MB
-# (sv) and 79 MB (fr).
+# (sv) and 76 MB (fr).
 MAX_STEPS = 10**6
 
 # Steps a kernel takes between copies of its points into the trajectory's
@@ -187,23 +187,21 @@ def _stencil(out: np.ndarray, n: int, p1: float, p2: float, q1: float, q2: float
 
 
 # One step of a stencil kernel.  A line is emitted where its tag holds: a for
-# a != 0, f for a b-gradient evaluated afresh, af for both, c for an implicit
-# step, p where the next row's fresh b-gradient reads p, z always.
+# a != 0 (U'(q), radius r), f for a b-gradient evaluated afresh (radius rb), c
+# for an implicit step, p where the next row's fresh b-gradient reads p, z always.
 _STEP = """\
 a  r = hypot(q1, q2)
 a  if r < floor:
 a      raise _collision(r)
 a  r3 = r * r * r
-af f1 = 0.0 + %(a)r * (q1 / r3)
-af f2 = 0.0 + %(a)r * (q2 / r3)
 f  m1 = 0.5 * (p1 + q1)
 f  m2 = 0.5 * (p2 + q2)
-f  r = hypot(m1, m2)
-f  if r < floor:
-f      raise _collision(r)
-f  r3 = r * r * r
-f  gb1 = m1 / r3
-f  gb2 = m2 / r3
+f  rb = hypot(m1, m2)
+f  if rb < floor:
+f      raise _collision(rb)
+f  rb3 = rb * rb * rb
+f  gb1 = m1 / rb3
+f  gb2 = m2 / rb3
 z  z1 = r1 - h2 * (%(force1)s)
 z  z2 = r2 - h2 * (%(force2)s)
 c  b1 = 0.5 * (q1 + z1)
@@ -235,12 +233,12 @@ c          raise _midpoint_failure(label, beta, %(kappa)s)
 c      rho -= phi / slope
 c      applied += 1
 c  iterations += applied
-c  r3 = rr * rho
+c  rb3 = rr * rho
 c  s = rho / beta
 c  m1 = s * b1
 c  m2 = s * b2
-c  gb1 = m1 / r3
-c  gb2 = m2 / r3
+c  gb1 = m1 / rb3
+c  gb2 = m2 / rb3
 c  z1 = 2.0 * m1 - q1
 c  z2 = 2.0 * m2 - q2
 z  append(z1)
@@ -312,11 +310,11 @@ def _stencil_kernel(rows: tuple[Weights, ...]):
     cycle, tail, solves, gradients = "", "", [0], [0]
     for i, (a, b, c) in enumerate(rows):
         fresh = bool(b) and not rows[i - 1][2]
-        force = "f%d" if a and fresh else "0.0" + (f" + {float(a)!r} * (q%d / r3)" if a else "")
-        force += f" + {float(b)!r} * gb%d" if b else ""
-        tags = dict(a=a, af=a and fresh, f=fresh, c=c, p=rows[(i + 1) % period][1] and not c)
-        values = dict(a=float(a), force1=force.replace("%d", "1"),
-                      force2=force.replace("%d", "2"), kappa=f"kappa{i}")
+        force = ("0.0" + (f" + {float(a)!r} * (q%d / r3)" if a else "")
+                 + (f" + {float(b)!r} * gb%d" if b else ""))
+        tags = dict(a=a, f=fresh, c=c, p=rows[(i + 1) % period][1] and not c)
+        values = dict(force1=force.replace("%d", "1"), force2=force.replace("%d", "2"),
+                      kappa=f"kappa{i}")
         cycle += emit(16, z=True, **tags) % values
         if i < period - 1:
             tail += f"        if tail > {i}:\n" + emit(12, z=True, **tags) % values
@@ -346,14 +344,14 @@ def _midpoint_failure(label: str, beta: float, kappa: float,
                            f"the collision guard {SINGULARITY_FLOOR:.3e}")
 
 
-def _fr(xs: np.ndarray, vs: np.ndarray, n: int, x1: float, x2: float, v1: float,
-        v2: float, h: float, stats: IntegrationStats) -> None:
-    """Write n triple-jump steps from (x, v) into the rows of xs and vs; each
-    is three leapfrog substeps (drift dt/2, kick dt, drift dt/2), written out,
-    with dt = (theta, 1 - 2 theta, theta) h, whose (dt/2, dt) are built once,
-    one gradient per kick, counted in stats; U' = x/|x|^3 is written out in
-    the kick, behind the collision guard.  The points reach xs and vs
-    _CHUNK_STEPS at a time and at a failure, which then carries .filled."""
+def _fr(out: np.ndarray, n: int, x1: float, x2: float, v1: float, v2: float, h: float,
+        stats: IntegrationStats) -> None:
+    """Write n triple-jump steps from (x, v) into the rows (x1, x2, v1, v2) of
+    out; each is three leapfrog substeps (drift dt/2, kick dt, drift dt/2),
+    written out, with dt = (theta, 1 - 2 theta, theta) h, whose (dt/2, dt)
+    are built once, one gradient per kick, counted in stats; U' = x/|x|^3 is
+    written out in the kick, behind the collision guard.  The points reach
+    out _CHUNK_STEPS at a time and at a failure, which then carries .filled."""
     hypot, floor = math.hypot, SINGULARITY_FLOOR
     (half, dt), (half_mid, dt_mid) = [(0.5 * (w * h), w * h) for w in _FR_WEIGHTS[:2]]
     points: list[float] = []  # x1 x2 v1 v2 per point
@@ -396,19 +394,18 @@ def _fr(xs: np.ndarray, vs: np.ndarray, n: int, x1: float, x2: float, v1: float,
                 append(x2)
                 append(v1)
                 append(v2)
-            filled = _flush(points, filled, xs, vs)
+            filled = _flush(points, filled, out)
     except NumericalFailure as err:
-        err.filled = _flush(points, filled, xs, vs)
+        err.filled = _flush(points, filled, out)
         raise
     stats.gradient_evaluations += len(_FR_WEIGHTS) * n
 
 
-def _flush(flat: list[float], start: int, *outs: np.ndarray) -> int:
-    """Copy flat, an x1 x2 pair for each array of outs per point, into their
-    rows from start on; empty flat and return the row after the last written."""
-    points = np.fromiter(flat, float, len(flat)).reshape(-1, 2 * len(outs))
-    for i, out in enumerate(outs):
-        out[start:start + len(points)] = points[:, 2 * i:2 * i + 2]
+def _flush(flat: list[float], start: int, out: np.ndarray) -> int:
+    """Copy flat, one row of out after another, into out's rows from start
+    on; empty flat and return the row after the last written."""
+    points = np.fromiter(flat, float, len(flat)).reshape(-1, out.shape[1])
+    out[start:start + len(points)] = points
     flat.clear()
     return start + len(points)
 
@@ -462,29 +459,27 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
     h, x0, v0 = float(h), PlanarVector(*map(float, x0)), PlanarVector(*map(float, v0))
     elements = elements_from_state(State(x0, v0, 0.0))
     stats = IntegrationStats()
-    positions = np.empty((n_steps + 1, 2))
-    velocities = np.empty_like(positions) if method is MethodId.FR else None
-    positions[0] = x0
-    filled, failure = 1, None  # rows of positions written, and why the run stopped
+    fr = method is MethodId.FR
+    start = (*x0, *v0) if fr else x0
+    states = np.empty((n_steps + 1, len(start)))  # rows x1 x2, and v1 v2 for fr
+    states[0] = start
+    filled, failure = 1, None  # rows of states written, and why the run stopped
     try:
-        if velocities is not None:
-            velocities[0] = v0
-            _fr(positions[1:], velocities[1:], n_steps, *x0, *v0, h, stats)
+        if fr:
+            _fr(states[1:], n_steps, *start, h, stats)
         else:
             (p1, p2), (q1, q2) = x0, init_second_point(method, x0, v0, h, stats)
-            positions[1], filled = (q1, q2), 2
-            _stencil(positions[2:], n_steps - 1, p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2,
+            states[1], filled = (q1, q2), 2
+            _stencil(states[2:], n_steps - 1, p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2,
                      h, STENCILS[method].cycle, 1, "implicit step", stats)
         filled = n_steps + 1
     except NumericalFailure as err:
         filled, failure = filled + err.filled, err
-    # positions and velocities apart, so that no (n, 4) copy is made
-    finite = np.isfinite(positions[:filled]).all(axis=1)
-    if velocities is not None:
-        finite &= np.isfinite(velocities[:filled]).all(axis=1)
+    finite = np.isfinite(states[:filled]).all(axis=1)
     if finite.all():
         if failure is None:
-            return Trajectory(method, h, positions, v0, elements, velocities, stats)
+            velocities = states[:, 2:] if fr else None
+            return Trajectory(method, h, states[:, :2], v0, elements, velocities, stats)
         point = filled
     else:
         point = int(np.argmin(finite))
@@ -492,7 +487,7 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
         failure.__cause__ = cause
     failure.method = method
     failure.step_index = point
-    failure.partial_positions = positions[:point]
+    failure.partial_positions = states[:point, :2]
     detail = failure.args[0] if failure.args else failure.__class__.__name__
     failure.args = (f"{method.value} failed computing point {point}: {detail}",)
     raise failure

@@ -74,6 +74,12 @@ class PrecessionPrediction:
     leading_order: int
 
 
+def _check_step(h: float) -> None:
+    """ConfigurationError unless the step h is finite and nonnegative."""
+    if not (h >= 0.0 and math.isfinite(h)):
+        raise ConfigurationError(f"step size must be nonnegative, got {h}")
+
+
 @dataclass(frozen=True)
 class ModifiedModel:
     """Continuous system interpolating a two-step stencil to O(h^4).
@@ -87,8 +93,7 @@ class ModifiedModel:
     bracket: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.h >= 0.0 and math.isfinite(self.h)):
-            raise ConfigurationError(f"step size must be nonnegative, got {self.h}")
+        _check_step(self.h)
         object.__setattr__(self, "bracket",
                            lagrangian_bracket(mean_midpoint_weight(self.method)))
 
@@ -365,8 +370,7 @@ def precession_closed_form(method: MethodId, elements: OrbitElements,
     this order (leading error order 4).  A shape factor out of the float
     range, or a rate that overflows, raises NumericalFailure.
     """
-    if not (h >= 0.0 and math.isfinite(h)):
-        raise ConfigurationError(f"step size must be nonnegative, got {h}")
+    _check_step(h)
     factor = 1.0 - 6.0 * mean_midpoint_weight(method) if method in STENCILS else 0.0
     if factor == 0.0:
         return PrecessionPrediction(0.0, 4)
@@ -388,7 +392,9 @@ def precession_quadrature(method: MethodId, elements: OrbitElements, h: float) -
     is zero up to round-off.  None for fr, which has no two-step stencil,
     and at e <= CIRCULAR_ECCENTRICITY, which has no apsis (the rate's
     round-off grows like 1.5e-17/e); a non-finite rate raises NumericalFailure.
+    A step that is negative or not finite raises ConfigurationError first.
     """
+    _check_step(h)
     if method not in STENCILS or elements.e <= CIRCULAR_ECCENTRICITY:
         return None
     model = ModifiedModel(method, h)

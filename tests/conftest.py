@@ -60,10 +60,10 @@ def stub_kernels(monkeypatch):
             raise KernelReached(n + 1)
         return stencil(xs, n, *args)
 
-    def stub_fr(xs, vs, n, *args):
+    def stub_fr(out, n, *args):
         if n > 1000:
             raise KernelReached(n)
-        return fr(xs, vs, n, *args)
+        return fr(out, n, *args)
 
     monkeypatch.setattr(integrators, "_stencil", stub_stencil)
     monkeypatch.setattr(integrators, "_fr", stub_fr)

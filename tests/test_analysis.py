@@ -57,7 +57,7 @@ class TestTrajectoryArrays:
         traj = integrate(MethodId.FR, X0, V0, 0.2, 10)
         t, X, V = trajectory_arrays(traj)
         # the stored array itself, as a view of all its rows: nothing is copied
-        assert V.base is traj.velocities and V.shape == traj.velocities.shape
+        assert np.shares_memory(V, traj.velocities) and V.shape == traj.velocities.shape
 
     # rows [lo, hi), times k h included, are the whole run's rows bit for bit,
     # and so are the error curve's

@@ -55,9 +55,9 @@ def step(xp, xc, h, weights, r=None):
 
 def fr_step(x1, x2, v1, v2, h):
     """One triple-jump step from (x, v), as (x1, x2, v1, v2)."""
-    xs, vs = np.empty((1, 2)), np.empty((1, 2))
-    _fr(xs, vs, 1, x1, x2, v1, v2, h, IntegrationStats())
-    return (*xs[0].tolist(), *vs[0].tolist())
+    out = np.empty((1, 4))
+    _fr(out, 1, x1, x2, v1, v2, h, IntegrationStats())
+    return tuple(out[0].tolist())
 
 
 def grad(x):
@@ -463,9 +463,9 @@ class TestTimeReversal:
         x_0 (x_{N-1} .. x_0 for fr); for a stencil, at the phase that fits best."""
         X, h, n = traj.positions, traj.h, traj.n_steps
         if traj.method is MethodId.FR:
-            xs, vs = np.empty((n, 2)), np.empty((n, 2))
-            _fr(xs, vs, n, *X[-1], *traj.velocities[-1], -h, IntegrationStats())
-            return farthest(xs, X[-2::-1])
+            out = np.empty((n, 4))
+            _fr(out, n, *X[-1], *traj.velocities[-1], -h, IntegrationStats())
+            return farthest(out[:, :2], X[-2::-1])
         cycle = STENCILS[traj.method].cycle
         (p1, p2), (q1, q2) = X[-1], X[-2]
         gaps = []
@@ -858,6 +858,24 @@ class TestIntegrate:
         assert err.partial_positions.shape == (point, 2)
         assert np.isfinite(err.partial_positions).all()
         assert str(err) == f"{method.value} failed computing point {point}: {detail}"
+
+    # fr's velocities are checked with its positions: a NaN velocity written
+    # into row k, its position finite, stops the run at point k
+    def test_a_non_finite_velocity_stops_fr(self, monkeypatch):
+        fr, k = integrators._fr, 7
+
+        def nan_velocity(out, n, *args):
+            fr(out, n, *args)
+            out[k - 1, 3] = math.nan  # out holds rows 1 .. n
+
+        monkeypatch.setattr(integrators, "_fr", nan_velocity)
+        with pytest.raises(NumericalFailure) as excinfo:
+            integrate(MethodId.FR, X0, V0, 0.1, 50)
+        err = excinfo.value
+        assert (type(err), err.method, err.step_index) == (NumericalFailure, MethodId.FR, k)
+        assert err.partial_positions.shape == (k, 2)
+        assert np.isfinite(err.partial_positions).all()
+        assert str(err) == f"fr failed computing point {k}: the state is no longer finite"
 
     # an absolute residual test cannot be met once round-off in |z| exceeds
     # it: ml at h = 50 stopped at point 179 under |f| < 1e-12; the relative

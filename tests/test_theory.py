@@ -438,6 +438,18 @@ class TestPrecessionQuadrature:
     def test_rejects_fr(self, default_elements):
         assert precession_quadrature(MethodId.FR, default_elements, 0.5) is None
 
+    # the step is checked before fr or a circular orbit returns None, as
+    # precession_closed_form and ModifiedModel check it
+    @pytest.mark.parametrize("predict", [precession_closed_form, precession_quadrature],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("method, e, h", [(MethodId.FR, 0.3, -1.0),
+                                              (MethodId.SV, 0.0, math.nan),
+                                              (MethodId.MP, 0.3, math.inf)])
+    def test_an_invalid_step_is_refused_first(self, predict, method, e, h):
+        with pytest.raises(ConfigurationError) as refused:
+            predict(method, OrbitElements.from_shape(1.0, e), h)
+        assert str(refused.value) == f"step size must be nonnegative, got {h}"
+
     # the rate's round-off is about 1.5e-17/e relative: 3e-6 at e = 1e-11
     # (sv), and past 1% somewhere below 1e-15, where the apsis is lost
     @pytest.mark.parametrize("method", [MethodId.SV, MethodId.MP])
