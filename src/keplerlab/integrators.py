@@ -7,19 +7,19 @@ differs between methods only in the cycle of gradient weights it applies;
 see _stencil and the table STENCILS.  fr is the fourth-order triple-jump
 composition of leapfrog, a one-step map on (x, v).
 
-Both are run-level kernels on plain floats that compute each constant of
-the run once and write n points into a preallocated array, _CHUNK_STEPS at a
-time.  _stencil runs each weight cycle in its own straight-line code,
-generated from the rows once per process: U' is evaluated inline where a
-weight is nonzero, and each implicit step is solved as one scalar equation.
-The force is central, so the forward midpoint lies along a vector the step
-already knows, and Newton's method runs on its radius alone, stopped at a
-residual relative to the step's size; the midpoint's gradient is carried
-into the next step's b-term.  _fr takes n fr steps, its three leapfrog
-substeps written out, with U' inline.  integrate calls one of them once per
-run, into the run's one state array (rows x1 x2, and v1 v2 for fr), after
-init_second_point (the stencil kernel with n = 1) for a two-step method, and
-decides where a failed run stopped.
+Both are run-level kernels on plain floats that compute each constant of the
+run once and store each of n points straight into a preallocated array,
+through a float memoryview of it.  _stencil runs each weight cycle in its
+own straight-line code, generated from the rows once per process: U' is
+evaluated inline where a weight is nonzero, and each implicit step is solved
+as one scalar equation.  The force is central, so the forward midpoint lies
+along a vector the step already knows, and Newton's method runs on its
+radius alone, stopped at a residual relative to the step's size; the
+midpoint's gradient is carried into the next step's b-term.  _fr takes n fr
+steps, its three leapfrog substeps written out, with U' inline.  integrate
+calls one of them once per run, into the run's one state array (rows x1 x2,
+and v1 v2 for fr), after init_second_point (the stencil kernel with n = 1)
+for a two-step method, and decides where a failed run stopped.
 """
 
 from __future__ import annotations
@@ -103,17 +103,17 @@ NEWTON_MAX_ITERATIONS = 50
 
 # The longest run integrate accepts: 30 times the 31,800 steps of the longest
 # scan cell, far below a count that never finishes, as h = 1e-300 over a unit
-# span asks for.  At 10^6 steps integrate peaks near 47 MB (sv) and 65 MB
+# span asks for.  At 10^6 steps integrate peaks near 44 MB (sv) and 59 MB
 # (fr), 28 MB of it the import; `keplerlab simulate` and `error-curve`,
 # which derive and write their rows in fixed-size chunks, peak near the
-# same (48 MB for sv, CSV, 66 MB for fr, JSON, 48 MB for error-curve dec),
+# same (46 MB for sv, CSV, 62 MB for fr, JSON, 46 MB for error-curve dec),
 # and `precession`, which adds the angle and its fit's grid, near 61 MB
 # (sv) and 76 MB (fr).
 MAX_STEPS = 10**6
 
-# Steps a kernel takes between copies of its points into the trajectory's
-# arrays, so that a run holds a short list of floats, not one per step.
-_CHUNK_STEPS = 4096
+# Rows of a run's states that integrate checks for finiteness at once, so that
+# the check's masks are bounded by a block, not by the run.
+_FINITE_ROWS = 4096
 
 
 @dataclass
@@ -176,8 +176,11 @@ def _stencil(out: np.ndarray, n: int, p1: float, p2: float, q1: float, q2: float
     weights cycle[k % len(cycle)] and advances (p, q) to (q, z).  The first
     step starts from x_prev = p, x_cur = q and the free flight r, later ones
     from r = 2q - p.  The steps are taken by _stencil_kernel's kernel of the
-    cycle turned to start at phase, whose counters are added to stats.
+    cycle turned to start at phase, whose counters are added to stats; n = 0
+    writes nothing (a memoryview of an empty out cannot be cast) and counts 0.
     """
+    if not n:
+        return
     k = phase % len(cycle)
     kernel = _stencil_kernel(tuple(cycle[k:]) + tuple(cycle[:k]))
     solves, iterations, gradients = kernel(out, n, p1, p2, q1, q2, r1, r2, h, label)
@@ -241,8 +244,9 @@ c  gb1 = m1 / rb3
 c  gb2 = m2 / rb3
 c  z1 = 2.0 * m1 - q1
 c  z2 = 2.0 * m2 - q2
-z  append(z1)
-z  append(z2)
+z  w[j] = z1
+z  w[j + 1] = z2
+z  j += 2
 z  r1 = 2.0 * z1 - q1
 z  r2 = 2.0 * z2 - q2
 p  p1, p2 = q1, q2
@@ -254,33 +258,28 @@ def kernel(out, n, p1, p2, q1, q2, r1, r2, h, label):
     hypot, inf, floor = math.hypot, math.inf, SINGULARITY_FLOOR
     h2 = h * h
     half_tol = 0.5 * tol
-%(kappas)s    points = []  # z1 z2 per point
-    append = points.append
-    filled = iterations = 0
+%(kappas)s    w = memoryview(out).cast("B").cast("d")  # z1 z2 per row
+    j = iterations = 0
     gb1 = gb2 = 0.0
     cycles, tail = divmod(n, %(period)d)
-    chunk = max(1, _CHUNK_STEPS // %(period)d)  # cycles per copy into out
     try:
-%(first)s        for start in range(0, cycles, chunk):
-            for _ in range(min(chunk, cycles - start)):
-%(cycle)s            filled = _flush(points, filled, out)
-%(tail)s        _flush(points, filled, out)
-    except NumericalFailure as err:
-        err.filled = _flush(points, filled, out)
+%(first)s        for _ in range(cycles):
+%(cycle)s%(tail)s    except NumericalFailure as err:
+        err.filled = j // 2
         raise
     return (%(solves)d * cycles + %(solves_at)s[tail], iterations,
-            %(gradients)d * cycles + %(gradients_at)s[tail] + %(first_gradient)d * (n > 0))
+            %(gradients)d * cycles + %(gradients_at)s[tail] + %(first_gradient)d)
 """
 
 
 @functools.cache
 def _stencil_kernel(rows: tuple[Weights, ...]):
     """The kernel of _stencil for the weight rows, a cycle of period P:
-    kernel(out, n, p1, p2, q1, q2, r1, r2, h, label) takes n // P cycles of
-    _STEP written out, then its first n % P rows, and returns the run's
-    implicit solves, Newton updates and gradient evaluations (m/rho^3 is
-    one).  It is generated and compiled at its first use, and reads the
-    Newton budget, SINGULARITY_FLOOR and _CHUNK_STEPS at each call.
+    kernel(out, n, p1, p2, q1, q2, r1, r2, h, label), n >= 1, takes n // P
+    cycles of _STEP written out, then its first n % P rows, and returns the
+    run's implicit solves, Newton updates and gradient evaluations (m/rho^3
+    is one).  It is generated and compiled at its first use, and reads the
+    Newton budget and SINGULARITY_FLOOR at each call.
 
     A step sums f = 0.0 + a U'(q) + b U'((p + q)/2), U' = x/|x|^3 inline
     behind the collision guard, into z = r - h^2 f.  With B = (q + z)/2 and
@@ -298,9 +297,9 @@ def _stencil_kernel(rows: tuple[Weights, ...]):
     one.  A non-finite B, a spent budget or beta at or below the fold
     (phi' <= 0, or rho inside the collision guard: no solution) raise
     SolverFailure, a rho inside the guard above the fold NearSingularity,
-    prefixed with label.  The points gather in a list copied into out every
-    P max(1, _CHUNK_STEPS // P) steps and at a failure, which then carries
-    .filled, the rows written.
+    prefixed with label.  Each point is stored into its row of out, which
+    must be C-contiguous, as soon as it is computed, so a failure carries
+    .filled, the rows written, j // 2 of the float index j.
     """
     def emit(indent: int, **tags) -> str:
         return "".join(" " * indent + line[3:] for line in _STEP.splitlines(True)
@@ -315,7 +314,7 @@ def _stencil_kernel(rows: tuple[Weights, ...]):
         tags = dict(a=a, f=fresh, c=c, p=rows[(i + 1) % period][1] and not c)
         values = dict(force1=force.replace("%d", "1"), force2=force.replace("%d", "2"),
                       kappa=f"kappa{i}")
-        cycle += emit(16, z=True, **tags) % values
+        cycle += emit(12, z=True, **tags) % values
         if i < period - 1:
             tail += f"        if tail > {i}:\n" + emit(12, z=True, **tags) % values
         solves.append(solves[-1] + bool(c))
@@ -326,7 +325,7 @@ def _stencil_kernel(rows: tuple[Weights, ...]):
         gradients=gradients.pop(), gradients_at=tuple(gradients), first_gradient=first,
         kappas="".join(f"    kappa{i} = 0.5 * {float(c)!r} * h2\n"
                        for i, (_, _, c) in enumerate(rows) if c),
-        first="        if n:\n" + emit(12, a=rows[0][0], f=True) if first else "")
+        first=emit(8, a=rows[0][0], f=True) if first else "")
     namespace: dict = {}
     exec(compile(source, f"<stencil kernel {rows}>", "exec"), globals(), namespace)
     return namespace["kernel"]
@@ -350,64 +349,52 @@ def _fr(out: np.ndarray, n: int, x1: float, x2: float, v1: float, v2: float, h: 
     out; each is three leapfrog substeps (drift dt/2, kick dt, drift dt/2),
     written out, with dt = (theta, 1 - 2 theta, theta) h, whose (dt/2, dt)
     are built once, one gradient per kick, counted in stats; U' = x/|x|^3 is
-    written out in the kick, behind the collision guard.  The points reach
-    out _CHUNK_STEPS at a time and at a failure, which then carries .filled."""
+    written out in the kick, behind the collision guard.  Each step is stored
+    into its row of out, C-contiguous, as soon as it is taken, so a failure
+    carries .filled, the rows written, j // 4 of the float index j."""
     hypot, floor = math.hypot, SINGULARITY_FLOOR
-    (half, dt), (half_mid, dt_mid) = [(0.5 * (w * h), w * h) for w in _FR_WEIGHTS[:2]]
-    points: list[float] = []  # x1 x2 v1 v2 per point
-    append = points.append
-    filled = 0
+    (half, dt), (half_mid, dt_mid) = [(0.5 * (frac * h), frac * h) for frac in _FR_WEIGHTS[:2]]
+    w = memoryview(out).cast("B").cast("d")  # x1 x2 v1 v2 per row
     try:
-        for start in range(0, n, _CHUNK_STEPS):
-            for _ in range(min(_CHUNK_STEPS, n - start)):
-                x1 += half * v1
-                x2 += half * v2
-                r = hypot(x1, x2)
-                if r < floor:
-                    raise _collision(r)
-                r3 = r * r * r
-                v1 -= dt * (x1 / r3)
-                v2 -= dt * (x2 / r3)
-                x1 += half * v1
-                x2 += half * v2
-                x1 += half_mid * v1
-                x2 += half_mid * v2
-                r = hypot(x1, x2)
-                if r < floor:
-                    raise _collision(r)
-                r3 = r * r * r
-                v1 -= dt_mid * (x1 / r3)
-                v2 -= dt_mid * (x2 / r3)
-                x1 += half_mid * v1
-                x2 += half_mid * v2
-                x1 += half * v1
-                x2 += half * v2
-                r = hypot(x1, x2)
-                if r < floor:
-                    raise _collision(r)
-                r3 = r * r * r
-                v1 -= dt * (x1 / r3)
-                v2 -= dt * (x2 / r3)
-                x1 += half * v1
-                x2 += half * v2
-                append(x1)
-                append(x2)
-                append(v1)
-                append(v2)
-            filled = _flush(points, filled, out)
+        for j in range(0, 4 * n, 4):
+            x1 += half * v1
+            x2 += half * v2
+            r = hypot(x1, x2)
+            if r < floor:
+                raise _collision(r)
+            r3 = r * r * r
+            v1 -= dt * (x1 / r3)
+            v2 -= dt * (x2 / r3)
+            x1 += half * v1
+            x2 += half * v2
+            x1 += half_mid * v1
+            x2 += half_mid * v2
+            r = hypot(x1, x2)
+            if r < floor:
+                raise _collision(r)
+            r3 = r * r * r
+            v1 -= dt_mid * (x1 / r3)
+            v2 -= dt_mid * (x2 / r3)
+            x1 += half_mid * v1
+            x2 += half_mid * v2
+            x1 += half * v1
+            x2 += half * v2
+            r = hypot(x1, x2)
+            if r < floor:
+                raise _collision(r)
+            r3 = r * r * r
+            v1 -= dt * (x1 / r3)
+            v2 -= dt * (x2 / r3)
+            x1 += half * v1
+            x2 += half * v2
+            w[j] = x1
+            w[j + 1] = x2
+            w[j + 2] = v1
+            w[j + 3] = v2
     except NumericalFailure as err:
-        err.filled = _flush(points, filled, out)
+        err.filled = j // 4
         raise
     stats.gradient_evaluations += len(_FR_WEIGHTS) * n
-
-
-def _flush(flat: list[float], start: int, out: np.ndarray) -> int:
-    """Copy flat, one row of out after another, into out's rows from start
-    on; empty flat and return the row after the last written."""
-    points = np.fromiter(flat, float, len(flat)).reshape(-1, out.shape[1])
-    out[start:start + len(points)] = points
-    flat.clear()
-    return start + len(points)
 
 
 def init_second_point(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
@@ -475,16 +462,18 @@ def integrate(method: MethodId, x0: PlanarVector, v0: PlanarVector, h: float,
         filled = n_steps + 1
     except NumericalFailure as err:
         filled, failure = filled + err.filled, err
-    finite = np.isfinite(states[:filled]).all(axis=1)
-    if finite.all():
+    for lo in range(0, filled, _FINITE_ROWS):
+        finite = np.isfinite(states[lo:min(lo + _FINITE_ROWS, filled)]).all(axis=1)
+        if not finite.all():
+            point = lo + int(np.argmin(finite))
+            cause, failure = failure, NumericalFailure("the state is no longer finite")
+            failure.__cause__ = cause
+            break
+    else:
         if failure is None:
             velocities = states[:, 2:] if fr else None
             return Trajectory(method, h, states[:, :2], v0, elements, velocities, stats)
         point = filled
-    else:
-        point = int(np.argmin(finite))
-        cause, failure = failure, NumericalFailure("the state is no longer finite")
-        failure.__cause__ = cause
     failure.method = method
     failure.step_index = point
     failure.partial_positions = states[:point, :2]

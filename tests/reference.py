@@ -23,7 +23,7 @@ from keplerlab import PlanarVector, SingularMassMatrix, State
 from keplerlab import integrators
 from keplerlab.analysis import trajectory_arrays
 from keplerlab.errors import NumericalFailure, SolverFailure
-from keplerlab.integrators import NEWTON_MAX_ITERATIONS, NEWTON_TOLERANCE, _flush, _midpoint_failure
+from keplerlab.integrators import NEWTON_MAX_ITERATIONS, NEWTON_TOLERANCE, _midpoint_failure
 from keplerlab.kepler import SINGULARITY_FLOOR, _ahead, _collision, observable_series
 
 
@@ -308,101 +308,97 @@ def reference_stencil(out, n, p1, p2, q1, q2, r1, r2, h, cycle, phase, label, st
     """The interpreted stencil loop that integrators._stencil's compiled
     kernels replaced, with _stencil's signature: each step unpacks its row
     (a, b, c, kappa) from an itertools.cycle of the rows turned to phase and
-    tests each weight, and whether the b-gradient is carried, as it runs.
-    It reads the Newton budget, SINGULARITY_FLOOR and _CHUNK_STEPS from
-    integrators at each call, as the kernels do, so that it takes the same
-    patches."""
+    tests each weight, and whether the b-gradient is carried, as it runs,
+    and assigns each point to its row of out.  It reads the Newton budget and
+    SINGULARITY_FLOOR from integrators at each call, as the kernels do, so
+    that it takes the same patches."""
     tol, max_iter = integrators.NEWTON_TOLERANCE, integrators.NEWTON_MAX_ITERATIONS
     hypot, inf, floor = math.hypot, math.inf, integrators.SINGULARITY_FLOOR
-    chunk = integrators._CHUNK_STEPS
     h2 = h * h
     half_tol = 0.5 * tol
     rows = [(a, b, c, 0.5 * c * h2) for a, b, c in cycle]
     k = phase % len(rows)
     steps = itertools.cycle(rows[k:] + rows[:k])
-    points: list[float] = []  # x1 x2 per point
     filled = solves = iterations = gradients = 0
     c_prev = 0.0  # nonzero when (gb1, gb2) already holds U'((p + q)/2)
     gb1 = gb2 = 0.0
     try:
-        for start in range(0, n, chunk):
-            for a, b, c, kappa in itertools.islice(steps, min(chunk, n - start)):
-                f1 = f2 = 0.0
-                if a:
-                    r = hypot(q1, q2)
+        for a, b, c, kappa in itertools.islice(steps, n):
+            f1 = f2 = 0.0
+            if a:
+                r = hypot(q1, q2)
+                if r < floor:
+                    raise _collision(r)
+                r3 = r * r * r
+                f1 += a * (q1 / r3)
+                f2 += a * (q2 / r3)
+                gradients += 1
+            if b:
+                if not c_prev:
+                    m1 = 0.5 * (p1 + q1)
+                    m2 = 0.5 * (p2 + q2)
+                    r = hypot(m1, m2)
                     if r < floor:
                         raise _collision(r)
                     r3 = r * r * r
-                    f1 += a * (q1 / r3)
-                    f2 += a * (q2 / r3)
-                    gradients += 1
-                if b:
-                    if not c_prev:
-                        m1 = 0.5 * (p1 + q1)
-                        m2 = 0.5 * (p2 + q2)
-                        r = hypot(m1, m2)
-                        if r < floor:
-                            raise _collision(r)
-                        r3 = r * r * r
-                        gb1 = m1 / r3
-                        gb2 = m2 / r3
-                        gradients += 1
-                    f1 += b * gb1
-                    f2 += b * gb2
-                c1 = r1 - h2 * f1
-                c2 = r2 - h2 * f2
-                if c:
-                    b1 = 0.5 * (q1 + c1)
-                    b2 = 0.5 * (q2 + c2)
-                    beta = hypot(b1, b2)
-                    if not beta < inf:
-                        raise SolverFailure(f"{label}: the explicit part of the step is not "
-                                            f"finite (|(q + C)/2| = {beta})")
-                    limit = half_tol * beta
-                    rho = beta
-                    if rho >= floor:
-                        rho = beta - kappa / (rho * rho)
-                        if rho >= floor:
-                            rho = beta - kappa / (rho * rho)
-                    applied = 0
-                    while True:
-                        if rho < floor:
-                            raise _midpoint_failure(label, beta, kappa, rho)
-                        rr = rho * rho
-                        phi = rho + kappa / rr - beta
-                        if phi < limit:
-                            break
-                        if applied == max_iter:
-                            raise SolverFailure(f"{label}: Newton residual stayed above {tol} "
-                                                f"|B| after {max_iter} iterations")
-                        slope = 1.0 - 2.0 * kappa / (rr * rho)
-                        if slope <= 0.0:
-                            raise _midpoint_failure(label, beta, kappa)
-                        rho -= phi / slope
-                        applied += 1
-                    r3 = rr * rho
-                    s = rho / beta
-                    m1 = s * b1
-                    m2 = s * b2
                     gb1 = m1 / r3
                     gb2 = m2 / r3
-                    z1 = 2.0 * m1 - q1
-                    z2 = 2.0 * m2 - q2
-                    solves += 1
-                    iterations += applied
                     gradients += 1
-                else:
-                    z1, z2 = c1, c2
-                points.append(z1)
-                points.append(z2)
-                p1, p2 = q1, q2
-                q1, q2 = z1, z2
-                c_prev = c
-                r1 = 2.0 * q1 - p1
-                r2 = 2.0 * q2 - p2
-            filled = _flush(points, filled, out)
+                f1 += b * gb1
+                f2 += b * gb2
+            c1 = r1 - h2 * f1
+            c2 = r2 - h2 * f2
+            if c:
+                b1 = 0.5 * (q1 + c1)
+                b2 = 0.5 * (q2 + c2)
+                beta = hypot(b1, b2)
+                if not beta < inf:
+                    raise SolverFailure(f"{label}: the explicit part of the step is not "
+                                        f"finite (|(q + C)/2| = {beta})")
+                limit = half_tol * beta
+                rho = beta
+                if rho >= floor:
+                    rho = beta - kappa / (rho * rho)
+                    if rho >= floor:
+                        rho = beta - kappa / (rho * rho)
+                applied = 0
+                while True:
+                    if rho < floor:
+                        raise _midpoint_failure(label, beta, kappa, rho)
+                    rr = rho * rho
+                    phi = rho + kappa / rr - beta
+                    if phi < limit:
+                        break
+                    if applied == max_iter:
+                        raise SolverFailure(f"{label}: Newton residual stayed above {tol} "
+                                            f"|B| after {max_iter} iterations")
+                    slope = 1.0 - 2.0 * kappa / (rr * rho)
+                    if slope <= 0.0:
+                        raise _midpoint_failure(label, beta, kappa)
+                    rho -= phi / slope
+                    applied += 1
+                r3 = rr * rho
+                s = rho / beta
+                m1 = s * b1
+                m2 = s * b2
+                gb1 = m1 / r3
+                gb2 = m2 / r3
+                z1 = 2.0 * m1 - q1
+                z2 = 2.0 * m2 - q2
+                solves += 1
+                iterations += applied
+                gradients += 1
+            else:
+                z1, z2 = c1, c2
+            out[filled] = z1, z2
+            filled += 1
+            p1, p2 = q1, q2
+            q1, q2 = z1, z2
+            c_prev = c
+            r1 = 2.0 * q1 - p1
+            r2 = 2.0 * q2 - p2
     except NumericalFailure as err:
-        err.filled = _flush(points, filled, out)
+        err.filled = filled
         raise
     stats.implicit_solves += solves
     stats.newton_iterations += iterations

@@ -485,12 +485,11 @@ class TestEmit:
     # it derives and unwraps a chunk of rows at a time and fits in place with
     # one grid of 8 B per sample: sv reads 31 B per step and fr 47 B
     # (velocities stored); an unwrap and a fit on fresh arrays read 71 and 87.
-    # Small kernel, angle and quadrature buffers keep their fixed peaks from
+    # Small angle and quadrature buffers keep their fixed peaks from
     # hiding that growth at 4000 steps
     @pytest.mark.parametrize("method, bound", [("sv", 40), ("fr", 56)])
     def test_precession_memory_holds_the_angle_not_every_observable(self, monkeypatch,
                                                                     tmp_path, method, bound):
-        monkeypatch.setattr(keplerlab.integrators, "_CHUNK_STEPS", 64)
         monkeypatch.setattr(keplerlab.analysis, "_CHUNK_ROWS", 256)
         monkeypatch.setattr(keplerlab.theory, "DEFAULT_AVERAGE_NODES", 64)
         argv = ["precession", "--method", method]

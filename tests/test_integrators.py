@@ -270,12 +270,10 @@ class TestKernelReference:
         assert np.array_equal(integrate(method, x0, v0, h, 300).positions, want)
         assert init_second_point(method, x0, v0, h, IntegrationStats()) == tuple(want[1])
 
-    # the kernel's points x_2 .. x_N reach the trajectory _CHUNK_STEPS at a
-    # time: this run copies a first full chunk and then a second
     @pytest.mark.parametrize("method", TWO_STEP_METHODS)
-    def test_a_run_across_a_chunk_boundary_equals_the_reference(self, method):
+    def test_a_long_run_equals_the_reference(self, method):
         x0, v0, h = self.STARTS["default"]
-        n = integrators._CHUNK_STEPS + 4
+        n = 4100
         want = reference_positions(method, x0, v0, h, n)
         assert np.array_equal(integrate(method, x0, v0, h, n).positions, want)
 
@@ -291,7 +289,7 @@ class TestCompiledKernels:
     Against the interpreted loop of tests/reference.py, from the points 9 and
     10 of an sv run, every bit, every counter and every failure must be the
     same: at each phase, for every n up to two cycles and two steps and for a
-    long run, with chunks of a few steps."""
+    long run."""
 
     @staticmethod
     def run(kernel, cycle, phase, n, h, start):
@@ -306,11 +304,10 @@ class TestCompiledKernels:
             return type(err), str(err), err.filled, out.tobytes(), stats
         return out.tobytes(), stats
 
-    def check(self, cycle, h, chunk, floor=None):
+    def check(self, cycle, h, floor=None):
         period = len(cycle)
         start = integrate(MethodId.SV, X0, V0, h, 10).positions[-2:].tolist()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(integrators, "_CHUNK_STEPS", chunk)
             if floor is not None:
                 patch.setattr(kepler, "SINGULARITY_FLOOR", floor)
                 patch.setattr(integrators, "SINGULARITY_FLOOR", floor)
@@ -319,24 +316,24 @@ class TestCompiledKernels:
                     want = self.run(reference_stencil, cycle, phase, n, h, start)
                     assert self.run(_stencil, cycle, phase, n, h, start) == want, (phase, n)
 
-    @given(cycle=CYCLES, h=st.sampled_from([0.1, 0.5, 1.3]), chunk=st.sampled_from([1, 2, 5]))
-    @example(cycle=((0.5, 0.5, 0.0),), h=0.5, chunk=5)
-    @example(cycle=((2.0 / 3.0, 1.0 / 6.0, 0.0),), h=0.1, chunk=1)
+    @given(cycle=CYCLES, h=st.sampled_from([0.1, 0.5, 1.3]))
+    @example(cycle=((0.5, 0.5, 0.0),), h=0.5)
+    @example(cycle=((2.0 / 3.0, 1.0 / 6.0, 0.0),), h=0.1)
     @settings(max_examples=40, deadline=None)
-    def test_equal_the_interpreted_loop(self, cycle, h, chunk):
-        self.check(cycle, h, chunk)
+    def test_equal_the_interpreted_loop(self, cycle, h):
+        self.check(cycle, h)
 
     # a guard of |x| = 2 meets the default orbit (1.31 <= |x| <= 3) within a
     # revolution; one of 3.5 fails the first gradient of the first step, so
     # that a kernel evaluating U'((p + q)/2) before its loop (row 0 of the
     # second example at phase 0) must still meet U'(q)'s guard first (at
     # h = 0.5 the two radii differ in the message's four digits)
-    @given(cycle=CYCLES, floor=st.sampled_from([2.0, 3.5]), chunk=st.sampled_from([1, 5]))
-    @example(cycle=((0.5, 0.5, 0.0),), floor=2.0, chunk=5)
-    @example(cycle=((1.0, 1.0, 0.0), (0.0, 0.0, 0.5)), floor=3.5, chunk=5)
+    @given(cycle=CYCLES, floor=st.sampled_from([2.0, 3.5]))
+    @example(cycle=((0.5, 0.5, 0.0),), floor=2.0)
+    @example(cycle=((1.0, 1.0, 0.0), (0.0, 0.0, 0.5)), floor=3.5)
     @settings(max_examples=30, deadline=None)
-    def test_fail_as_the_interpreted_loop(self, cycle, floor, chunk):
-        self.check(cycle, 0.5, chunk, floor)
+    def test_fail_as_the_interpreted_loop(self, cycle, floor):
+        self.check(cycle, 0.5, floor)
 
     def test_compiled_once_per_cycle_at_first_use(self):
         # a fresh interpreter imports keplerlab without compiling a kernel
@@ -351,49 +348,6 @@ class TestCompiledKernels:
             misses = integrators._stencil_kernel.cache_info().misses
             integrate(method, X0, V0, 0.1, 20)
             assert integrators._stencil_kernel.cache_info().misses == misses, method
-
-
-class TestChunks:
-    """A kernel copies its points into the trajectory's arrays every
-    _CHUNK_STEPS steps and at a failure: where the chunks end moves no bit,
-    no counter and no failure.  300 steps fit in one default chunk."""
-
-    @pytest.mark.parametrize("chunk", [1, 7])
-    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
-    def test_chunks_leave_every_bit(self, monkeypatch, method, chunk):
-        want = integrate(method, X0, V0, 0.1, 300)
-        monkeypatch.setattr(integrators, "_CHUNK_STEPS", chunk)
-        got = integrate(method, X0, V0, 0.1, 300)
-        assert got.positions.tobytes() == want.positions.tobytes()
-        assert (None if got.velocities is None else got.velocities.tobytes()) == (
-            None if want.velocities is None else want.velocities.tobytes())
-        assert got.stats == want.stats
-
-    # ml's Newton solve failing at point 16 under a cap of one update (the
-    # first step of the stencil kernel's third 7-step chunk), fr meeting a
-    # collision guard raised to |x| = 2 at point 69, and lc's first
-    # non-finite point 1 winning over its failure at point 3 (h^2 overflows)
-    @pytest.mark.parametrize("chunk", [1, 7])
-    @pytest.mark.parametrize("method, h, floor, max_iter", [
-        (MethodId.ML, 0.5, None, 1), (MethodId.FR, 0.1, 2.0, 50),
-        (MethodId.LC, 1e200, None, 50)], ids=["ml", "fr", "lc"])
-    def test_a_failure_in_a_later_chunk_stops_where_it_did(self, monkeypatch, method, h, floor,
-                                                          max_iter, chunk):
-        if floor is not None:
-            monkeypatch.setattr(kepler, "SINGULARITY_FLOOR", floor)
-            monkeypatch.setattr(integrators, "SINGULARITY_FLOOR", floor)
-        monkeypatch.setattr(integrators, "NEWTON_MAX_ITERATIONS", max_iter)
-
-        def failure():
-            with pytest.raises(NumericalFailure) as excinfo:
-                integrate(method, X0, V0, h, 500)
-            err = excinfo.value
-            return (type(err), err.step_index, str(err), err.partial_positions.tobytes(),
-                    repr(err.__cause__))
-
-        want = failure()
-        monkeypatch.setattr(integrators, "_CHUNK_STEPS", chunk)
-        assert failure() == want
 
 
 class TestRadialSolve:
@@ -779,25 +733,38 @@ class TestIntegrate:
         assert str(refused.value) == ("1000001 steps of h = 0.1 exceed the bound "
                                       "MAX_STEPS = 1000000")
 
-    # integrate holds its positions, 16 B per step (and fr's velocities, 16
-    # more), and a chunk of floats: a run twice as long raises the traced
-    # peak by the arrays and the finite check's masks, 19 B per step (36 B
-    # for fr).  A flat float list of every point held 83 B (199 B for fr)
-    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
-    def test_memory_grows_by_the_arrays_alone(self, monkeypatch, method):
-        monkeypatch.setattr(integrators, "_CHUNK_STEPS", 16, raising=False)
-
-        def peak(steps):
+    @staticmethod
+    def peak_growth(method, steps):
+        """How much the traced peak of integrate grows per step from a run
+        of steps to one twice as long."""
+        def peak(n):
             tracemalloc.start()
             try:
-                integrate(method, X0, V0, 0.1, steps)
+                integrate(method, X0, V0, 0.1, n)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         peak(10)
+        return (peak(2 * steps) - peak(steps)) / steps
+
+    # integrate holds its positions, 16 B per step (and fr's velocities, 16
+    # more).  A flat float list of every point held 83 B (199 B for fr)
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_memory_grows_by_the_arrays_alone(self, method):
         bound = 40 if method is MethodId.FR else 24
-        assert (peak(8000) - peak(4000)) / 4000 < bound
+        assert self.peak_growth(method, 4000) < bound
+
+    # with kernels that only fill their rows, what integrate holds itself:
+    # the state array, 16 B per step (32 B for fr), and finite-check masks
+    # over a block of rows, not the run, within 1 B per step of margin.
+    # Masks over the whole run added 3 B per step (5 B for fr)
+    @pytest.mark.parametrize("method", [MethodId.SV, MethodId.FR], ids=lambda m: m.value)
+    def test_memory_grows_by_the_state_array_alone(self, monkeypatch, method):
+        monkeypatch.setattr(integrators, "_stencil", lambda out, *args: out.fill(1.0))
+        monkeypatch.setattr(integrators, "_fr", lambda out, *args: out.fill(1.0))
+        row = 32 if method is MethodId.FR else 16
+        assert self.peak_growth(method, 100000) < row + 1
 
     @pytest.mark.parametrize("positions, velocities, message", [
         (np.zeros((3, 3)), None, r"positions must have shape \(n, 2\)"),
@@ -830,22 +797,33 @@ class TestIntegrate:
     # (perihelion 1.31) crosses mid-run, and at h = 1e200, where h^2
     # overflows to inf, a NaN explicit part in mp's initializer, and sv's,
     # lc's and dec's explicit first step turning inf and NaN (before lc's and
-    # dec's first implicit step meets a NaN explicit part at point 3)
-    @pytest.mark.parametrize("method, h, floor, max_iter, error, point, detail", [
+    # dec's first implicit step meets a NaN explicit part at point 3, the
+    # cause of the first non-finite point's failure).  The rows kept are the
+    # reference's, or for fr those of one-step runs, taken with the default
+    # guard and budget, which the run did not reach before it stopped
+    @pytest.mark.parametrize("method, h, floor, max_iter, error, point, detail, cause", [
         (MethodId.MP, 5.0, None, 50, SolverFailure, 1,
          "initialization: the step has no solution: |(q + C)/2| = 3.204 is at or below "
-         "the fold 3.48119"),
+         "the fold 3.48119", None),
         (MethodId.ML, 0.5, None, 1, SolverFailure, 16,
-         "implicit step: Newton residual stayed above 1e-15 |B| after 1 iterations"),
+         "implicit step: Newton residual stayed above 1e-15 |B| after 1 iterations", None),
         (MethodId.FR, 0.1, 2.0, 50, NearSingularity, 69,
-         "|x| = 1.972e+00 inside the collision guard 2.000e+00"),
+         "|x| = 1.972e+00 inside the collision guard 2.000e+00", None),
         (MethodId.MP, 1e200, None, 50, SolverFailure, 1,
-         "initialization: the explicit part of the step is not finite (|(q + C)/2| = nan)"),
-        (MethodId.SV, 1e200, None, 50, NumericalFailure, 1, "the state is no longer finite"),
-        (MethodId.LC, 1e200, None, 50, NumericalFailure, 1, "the state is no longer finite"),
-        (MethodId.DEC, 1e200, None, 50, NumericalFailure, 1, "the state is no longer finite")])
+         "initialization: the explicit part of the step is not finite (|(q + C)/2| = nan)", None),
+        (MethodId.SV, 1e200, None, 50, NumericalFailure, 1, "the state is no longer finite", None),
+        *((method, 1e200, None, 50, NumericalFailure, 1, "the state is no longer finite",
+           "implicit step: the explicit part of the step is not finite (|(q + C)/2| = nan)")
+          for method in (MethodId.LC, MethodId.DEC))])
     def test_failure_mid_run_keeps_partial(self, monkeypatch, method, h, floor, max_iter, error,
-                                           point, detail):
+                                           point, detail, cause):
+        if method is MethodId.FR:
+            rows = [(*X0, *V0)]
+            for _ in range(point - 1):
+                rows.append(fr_step(*rows[-1], h))
+            want = np.array(rows)[:, :2]
+        else:
+            want = reference_positions(method, X0, V0, h, point - 1) if point > 1 else [X0]
         if floor is not None:
             monkeypatch.setattr(kepler, "SINGULARITY_FLOOR", floor)
             monkeypatch.setattr(integrators, "SINGULARITY_FLOOR", floor)
@@ -855,14 +833,19 @@ class TestIntegrate:
         err = excinfo.value
         assert type(err) is error
         assert (err.method, err.step_index) == (method, point)
-        assert err.partial_positions.shape == (point, 2)
-        assert np.isfinite(err.partial_positions).all()
+        assert np.array_equal(err.partial_positions, want)
         assert str(err) == f"{method.value} failed computing point {point}: {detail}"
+        if cause is None:
+            assert err.__cause__ is None
+        else:
+            assert (type(err.__cause__), str(err.__cause__)) == (SolverFailure, cause)
 
     # fr's velocities are checked with its positions: a NaN velocity written
-    # into row k, its position finite, stops the run at point k
-    def test_a_non_finite_velocity_stops_fr(self, monkeypatch):
-        fr, k = integrators._fr, 7
+    # into row k, its position finite, stops the run at point k, also at the
+    # end and the start of a block of the finite check
+    @pytest.mark.parametrize("k", [7, integrators._FINITE_ROWS - 1, integrators._FINITE_ROWS])
+    def test_a_non_finite_velocity_stops_fr(self, monkeypatch, k):
+        fr = integrators._fr
 
         def nan_velocity(out, n, *args):
             fr(out, n, *args)
@@ -870,7 +853,7 @@ class TestIntegrate:
 
         monkeypatch.setattr(integrators, "_fr", nan_velocity)
         with pytest.raises(NumericalFailure) as excinfo:
-            integrate(MethodId.FR, X0, V0, 0.1, 50)
+            integrate(MethodId.FR, X0, V0, 0.1, k + 50)
         err = excinfo.value
         assert (type(err), err.method, err.step_index) == (NumericalFailure, MethodId.FR, k)
         assert err.partial_positions.shape == (k, 2)
@@ -884,15 +867,6 @@ class TestIntegrate:
         traj = integrate(MethodId.ML, X0, V0, 50.0, 500)
         assert traj.stats.implicit_solves == 500
         assert np.isfinite(traj.positions).all()
-
-    @pytest.mark.parametrize("method", [MethodId.LC, MethodId.DEC])
-    def test_first_non_finite_point_wins_over_a_later_newton_failure(self, method):
-        with pytest.raises(NumericalFailure) as excinfo:
-            integrate(method, X0, V0, 1e200, 500)
-        cause = excinfo.value.__cause__
-        assert type(cause) is SolverFailure
-        assert str(cause) == ("implicit step: the explicit part of the step is not finite "
-                              "(|(q + C)/2| = nan)")
 
 
 class TestCollisionGuard:
