@@ -350,6 +350,82 @@ class TestCompiledKernels:
             assert integrators._stencil_kernel.cache_info().misses == misses, method
 
 
+class TestStores:
+    """Each kernel stores a point into its row of out as soon as it is
+    computed, through a float memoryview of out: a failure leaves the rows
+    before it written and the rows after it as they were, and an out that is
+    not C-contiguous is refused, not written into a copy."""
+
+    UNWRITTEN = -7.0
+
+    @staticmethod
+    def run(kernel, method, out, n, h):
+        """kernel (_fr for fr, _stencil or reference_stencil for a two-step
+        method) run n steps into out from (X0, V0), as integrate runs it after
+        the points it starts from; the failure it raised, or None."""
+        stats = IntegrationStats()
+        try:
+            if method is MethodId.FR:
+                kernel(out, n, *X0, *V0, h, stats)
+            else:
+                (p1, p2), (q1, q2) = X0, init_second_point(method, X0, V0, h, IntegrationStats())
+                kernel(out, n, p1, p2, q1, q2, 2.0 * q1 - p1, 2.0 * q2 - p2, h,
+                       STENCILS[method].cycle, 1, "implicit step", stats)
+        except NumericalFailure as err:
+            return err
+        return None
+
+    # the failures integrate meets at points 16 (ml), 69 (fr) and 3 (lc, the
+    # first kernel point of h = 1e200 already non-finite) are the kernel's
+    # rows 14, 68 and 1
+    @pytest.mark.parametrize("method, h, floor, max_iter, filled", [
+        (MethodId.ML, 0.5, None, 1, 14), (MethodId.FR, 0.1, 2.0, 50, 68),
+        (MethodId.LC, 1e200, None, 50, 1)], ids=["ml", "fr", "lc"])
+    def test_a_failure_leaves_the_rows_after_it_unwritten(self, monkeypatch, method, h, floor,
+                                                          max_iter, filled):
+        n, width = 500, 4 if method is MethodId.FR else 2
+        if method is MethodId.FR:
+            rows = [(*X0, *V0)]
+            for _ in range(filled):
+                rows.append(fr_step(*rows[-1], h))
+            want = np.array(rows[1:])
+        if floor is not None:
+            monkeypatch.setattr(kepler, "SINGULARITY_FLOOR", floor)
+            monkeypatch.setattr(integrators, "SINGULARITY_FLOOR", floor)
+        monkeypatch.setattr(integrators, "NEWTON_MAX_ITERATIONS", max_iter)
+        kernel = _fr if method is MethodId.FR else _stencil
+        out = np.full((n, width), self.UNWRITTEN)
+        err = self.run(kernel, method, out, n, h)
+        assert err.filled == filled
+        assert (out[filled:] == self.UNWRITTEN).all()
+        if method is MethodId.FR:
+            assert out[:filled].tobytes() == want.tobytes()
+        else:
+            ref = np.full((n, width), self.UNWRITTEN)
+            ref_err = self.run(reference_stencil, method, ref, n, h)
+            assert (type(err), str(err), err.filled) == (type(ref_err), str(ref_err),
+                                                         ref_err.filled)
+            assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.value)
+    def test_an_out_that_is_not_contiguous_is_refused(self, method):
+        width = 4 if method is MethodId.FR else 2
+        base = np.full((20, 2 * width), self.UNWRITTEN)
+        kernel = _fr if method is MethodId.FR else _stencil
+        with pytest.raises(TypeError, match="C-contiguous"):
+            self.run(kernel, method, base[:, :width], 20, 0.1)
+        assert (base == self.UNWRITTEN).all()
+
+    # a one-step two-step run asks _stencil for no points after its second
+    def test_no_points_write_nothing_and_count_nothing(self):
+        for method in TWO_STEP_METHODS:
+            stats = IntegrationStats()
+            for phase in range(len(STENCILS[method].cycle)):
+                _stencil(np.empty((0, 2)), 0, *X0, *X0, *X0, 0.1, STENCILS[method].cycle, phase,
+                         "implicit step", stats)
+            assert stats == IntegrationStats(), method
+
+
 class TestRadialSolve:
     """The kernel's radial solve against the two-dimensional Newton solve of
     tests/reference.py, which shares none of its algebra, from the same
@@ -859,6 +935,33 @@ class TestIntegrate:
         assert err.partial_positions.shape == (k, 2)
         assert np.isfinite(err.partial_positions).all()
         assert str(err) == f"fr failed computing point {k}: the state is no longer finite"
+
+    # a NaN coordinate written into row k of a two-step run, before the
+    # kernel fails at its last point, stops the run at point k with that
+    # failure as the cause, also at the end and the start of a block of the
+    # finite check
+    @pytest.mark.parametrize("k", [2, integrators._FINITE_ROWS - 1, integrators._FINITE_ROWS])
+    def test_a_non_finite_point_wins_over_a_later_kernel_failure(self, monkeypatch, k):
+        stencil = integrators._stencil
+
+        def nan_then_failure(out, n, *args):
+            stencil(out, n, *args)
+            if n == 1:  # init_second_point's step
+                return
+            out[k - 2, 1] = math.nan  # out holds rows 2 .. n
+            late = SolverFailure("implicit step: late")
+            late.filled = n - 1
+            raise late
+
+        monkeypatch.setattr(integrators, "_stencil", nan_then_failure)
+        with pytest.raises(NumericalFailure) as excinfo:
+            integrate(MethodId.SV, X0, V0, 0.1, k + 50)
+        err = excinfo.value
+        assert (type(err), err.method, err.step_index) == (NumericalFailure, MethodId.SV, k)
+        assert err.partial_positions.shape == (k, 2)
+        assert np.isfinite(err.partial_positions).all()
+        assert str(err) == f"sv failed computing point {k}: the state is no longer finite"
+        assert (type(err.__cause__), str(err.__cause__)) == (SolverFailure, "implicit step: late")
 
     # an absolute residual test cannot be met once round-off in |z| exceeds
     # it: ml at h = 50 stopped at point 179 under |f| < 1e-12; the relative
