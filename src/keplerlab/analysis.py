@@ -12,7 +12,8 @@ of it, a bias that falls with the span (hence cli.DEFAULT_SCAN_REVOLUTIONS
 = 100).  trajectory_arrays and error_curve take a row range, the whole run
 by default, so that an output can be derived a chunk at a time;
 measure_precession so derives and unwraps the angle into one buffer, which
-the fit then overwrites.
+the fit then overwrites.  Few chunks wrap: one that does not only adds the
+correction carried from the chunks before it.
 require_measurable decides from the period, the step and the step count
 alone whether a run can be measured, so a caller can ask before it
 integrates.  energy_drift summarises the energy, whose boundedness is the
@@ -111,7 +112,11 @@ def measure_precession(traj: Trajectory) -> PrecessionEstimate:
     order larger than the interior one and they would bias short fits).
     The angle is derived and unwrapped _CHUNK_ROWS at a time into one
     buffer, with np.unwrap's arithmetic and bits, and _line fits it in
-    place: beyond the trajectory the peak is 16 B per sample.
+    place: beyond the trajectory the peak is 16 B per sample.  Where no
+    difference in a chunk reaches pi, np.unwrap's correction is +0.0 at each
+    row and its running sum is the carried one, so the chunk only adds the
+    carry: the same bits, as the carry, a sum from +0.0 of +0.0 and nonzero
+    corrections, is never -0.0.
     """
     period, h, n = traj.elements.T, traj.h, traj.n_steps
     require_measurable(period, h, n)
@@ -125,10 +130,14 @@ def measure_precession(traj: Trajectory) -> PrecessionEstimate:
         # np.unwrap's arithmetic, the first difference against the last chunk's raw angle
         dd = np.diff(chunk, prepend=last) if lo else np.diff(chunk)
         last = chunk[-1]
+        small = np.abs(dd) < np.pi
+        if small.all():  # no wrap
+            chunk[len(chunk) - len(dd):] += carry
+            continue
         fix = np.mod(dd + np.pi, 2 * np.pi) - np.pi
         np.copyto(fix, np.pi, where=(fix == -np.pi) & (dd > 0))
         fix -= dd
-        np.copyto(fix, 0.0, where=np.abs(dd) < np.pi)
+        np.copyto(fix, 0.0, where=small)
         # add.accumulate is sequential: carried on from the last chunk's sum, it keeps the bits
         fix = np.cumsum(np.concatenate(([carry], fix)))
         carry = fix[-1]

@@ -281,8 +281,8 @@ def _stencil_kernel(rows: tuple[Weights, ...]):
     is one).  It is generated and compiled at its first use, and reads the
     Newton budget and SINGULARITY_FLOOR at each call.
 
-    A step sums f = 0.0 + a U'(q) + b U'((p + q)/2), U' = x/|x|^3 inline
-    behind the collision guard, into z = r - h^2 f.  With B = (q + z)/2 and
+    A step sums f = a U'(q) + b U'((p + q)/2), U' = x/|x|^3 inline behind
+    the collision guard, into z = r - h^2 f.  With B = (q + z)/2 and
     kappa = c h^2/2, the forward midpoint m = (q + z')/2 of an implicit step
     solves m (1 + kappa/|m|^3) = B: m = (rho/beta) B, beta = |B|, where
     phi(rho) = rho + kappa/rho^2 - beta, half the planar residual of z', is
@@ -300,6 +300,20 @@ def _stencil_kernel(rows: tuple[Weights, ...]):
     prefixed with label.  Each point is stored into its row of out, which
     must be C-contiguous, as soon as it is computed, so a failure carries
     .filled, the rows written, j // 2 of the float index j.
+
+    f holds only the terms whose weight is nonzero, without a factor 1.0
+    (1.0 * x is x for every float), and is 0.0 where no weight is.  z keeps
+    the bits of the interpreted sum 0.0 + a U'(q) + b U'((p + q)/2) save the
+    sign of a zero, and that only through subnormal arithmetic.  0.0 + t
+    differs from t only at t = -0.0, and r - h^2 f then only where r's
+    component is -0.0 too: r = 2q - p is -0.0 only where q = -0.0 follows
+    p = +0.0, and the first step's x0 + h v0 only where both terms are -0.0.
+    A step writes a -0.0 only from such an r or from an implicit step's
+    explicit part at the least subnormal, so without subnormals a turned
+    sign needs x0 and v0 both zero in a component: L = 0, a radial orbit,
+    which elements_from_state refuses before any step.  With them it can
+    turn: from x0 = (-0.0, 1), v0 = (-0.4, 1) at h = 5e-324, sv's point 1 is
+    (0.0, 1), not (-0.0, 1).
     """
     def emit(indent: int, **tags) -> str:
         return "".join(" " * indent + line[3:] for line in _STEP.splitlines(True)
@@ -309,8 +323,8 @@ def _stencil_kernel(rows: tuple[Weights, ...]):
     cycle, tail, solves, gradients = "", "", [0], [0]
     for i, (a, b, c) in enumerate(rows):
         fresh = bool(b) and not rows[i - 1][2]
-        force = ("0.0" + (f" + {float(a)!r} * (q%d / r3)" if a else "")
-                 + (f" + {float(b)!r} * gb%d" if b else ""))
+        force = " + ".join(term if w == 1 else f"{float(w)!r} * {term}"
+                           for w, term in ((a, "(q%d / r3)"), (b, "gb%d")) if w) or "0.0"
         tags = dict(a=a, f=fresh, c=c, p=rows[(i + 1) % period][1] and not c)
         values = dict(force1=force.replace("%d", "1"), force2=force.replace("%d", "2"),
                       kappa=f"kappa{i}")

@@ -316,9 +316,13 @@ class TestCompiledKernels:
                     want = self.run(reference_stencil, cycle, phase, n, h, start)
                     assert self.run(_stencil, cycle, phase, n, h, start) == want, (phase, n)
 
+    # the last two examples pin a force with no weight factor, q1 / r3, and
+    # one with no term at all, 0.0: the force sums its nonzero terms alone
     @given(cycle=CYCLES, h=st.sampled_from([0.1, 0.5, 1.3]))
     @example(cycle=((0.5, 0.5, 0.0),), h=0.5)
     @example(cycle=((2.0 / 3.0, 1.0 / 6.0, 0.0),), h=0.1)
+    @example(cycle=((1.0, 0.0, 0.0),), h=0.5)
+    @example(cycle=((0.0, 0.0, 0.5),), h=0.5)
     @settings(max_examples=40, deadline=None)
     def test_equal_the_interpreted_loop(self, cycle, h):
         self.check(cycle, h)
@@ -331,6 +335,8 @@ class TestCompiledKernels:
     @given(cycle=CYCLES, floor=st.sampled_from([2.0, 3.5]))
     @example(cycle=((0.5, 0.5, 0.0),), floor=2.0)
     @example(cycle=((1.0, 1.0, 0.0), (0.0, 0.0, 0.5)), floor=3.5)
+    @example(cycle=((1.0, 0.0, 0.0),), floor=2.0)
+    @example(cycle=((0.0, 0.0, 0.5),), floor=2.0)
     @settings(max_examples=30, deadline=None)
     def test_fail_as_the_interpreted_loop(self, cycle, floor):
         self.check(cycle, 0.5, floor)
