@@ -19,7 +19,7 @@ class UnboundOrbit(KeplerLabError, ValueError):
 
 
 class DegenerateOrbit(KeplerLabError, ValueError):
-    """Zero angular momentum: radial collision orbit, no well-defined ellipse."""
+    """Angular momentum zero to double precision: a radial orbit, no ellipse."""
 
 
 class TooFewRevolutions(KeplerLabError, ValueError):

@@ -219,7 +219,7 @@ c  if rho >= floor:
 c      rho = beta - %(kappa)s / (rho * rho)
 c      if rho >= floor:
 c          rho = beta - %(kappa)s / (rho * rho)
-c  applied = 0
+c  budget = iterations + max_iter
 c  while True:
 c      if rho < floor:
 c          raise _midpoint_failure(label, beta, %(kappa)s, rho)
@@ -227,15 +227,14 @@ c      rr = rho * rho
 c      phi = rho + %(kappa)s / rr - beta
 c      if phi < limit:
 c          break
-c      if applied == max_iter:
+c      if iterations == budget:
 c          raise SolverFailure(f"{label}: Newton residual stayed above {tol} "
 c                              f"|B| after {max_iter} iterations")
-c      slope = 1.0 - 2.0 * %(kappa)s / (rr * rho)
+c      slope = 1.0 - %(twokappa)s / (rr * rho)
 c      if slope <= 0.0:
 c          raise _midpoint_failure(label, beta, %(kappa)s)
 c      rho -= phi / slope
-c      applied += 1
-c  iterations += applied
+c      iterations += 1
 c  rb3 = rr * rho
 c  s = rho / beta
 c  m1 = s * b1
@@ -260,7 +259,6 @@ def kernel(out, n, p1, p2, q1, q2, r1, r2, h, label):
     half_tol = 0.5 * tol
 %(kappas)s    w = memoryview(out).cast("B").cast("d")  # z1 z2 per row
     j = iterations = 0
-    gb1 = gb2 = 0.0
     cycles, tail = divmod(n, %(period)d)
     try:
 %(first)s        for _ in range(cycles):
@@ -288,32 +286,33 @@ def _stencil_kernel(rows: tuple[Weights, ...]):
     phi(rho) = rho + kappa/rho^2 - beta, half the planar residual of z', is
     0.  phi is convex and least at rho = (2 kappa)^(1/3), where phi + beta is
     the fold (3/2) (2 kappa)^(1/3).  Two steps of rho <- beta - kappa/rho^2
-    from beta start right of the root, and Newton's method falls
+    from beta start right of the root, and Newton's method (slope
+    1 - 2 kappa/rho^3; kappa and 2 kappa are formed once a run) falls
     monotonically to it, stopped once 2 phi < NEWTON_TOLERANCE beta
-    (scale-free) within NEWTON_MAX_ITERATIONS updates.  Then z' = 2m - q,
-    and U'(m) = m/rho^3, U'((q + z')/2) to round-off but not bit for bit, is
-    carried into the b-term of the next row; the call's first step carries
-    none, so U'((p + q)/2) is evaluated before the loop if row 0 would carry
-    one.  A non-finite B, a spent budget or beta at or below the fold
-    (phi' <= 0, or rho inside the collision guard: no solution) raise
-    SolverFailure, a rho inside the guard above the fold NearSingularity,
-    prefixed with label.  Each point is stored into its row of out, which
-    must be C-contiguous, as soon as it is computed, so a failure carries
-    .filled, the rows written, j // 2 of the float index j.
+    (scale-free) within NEWTON_MAX_ITERATIONS updates, each counted straight
+    into the run's total.  Then z' = 2m - q, and U'(m) = m/rho^3,
+    U'((q + z')/2) to round-off but not bit for bit, is carried into the
+    b-term of the next row; the call's first step carries none, so
+    U'((p + q)/2) is evaluated before the loop if row 0 would carry one.  As
+    every read of the b-gradient follows a fresh, a carried or that one, it
+    has no seed: a generator slip raises UnboundLocalError, not a zero force.
+    A non-finite B, a spent budget or beta at or below the fold (phi' <= 0,
+    or rho inside the collision guard: no solution) raise SolverFailure, a
+    rho inside the guard above the fold NearSingularity, prefixed with
+    label.  Each point is stored into its row of out, C-contiguous, once
+    computed, so a failure carries .filled, the rows written: j // 2.
 
     f holds only the terms whose weight is nonzero, without a factor 1.0
-    (1.0 * x is x for every float), and is 0.0 where no weight is.  z keeps
-    the bits of the interpreted sum 0.0 + a U'(q) + b U'((p + q)/2) save the
-    sign of a zero, and that only through subnormal arithmetic.  0.0 + t
-    differs from t only at t = -0.0, and r - h^2 f then only where r's
-    component is -0.0 too: r = 2q - p is -0.0 only where q = -0.0 follows
-    p = +0.0, and the first step's x0 + h v0 only where both terms are -0.0.
-    A step writes a -0.0 only from such an r or from an implicit step's
-    explicit part at the least subnormal, so without subnormals a turned
-    sign needs x0 and v0 both zero in a component: L = 0, a radial orbit,
-    which elements_from_state refuses before any step.  With them it can
-    turn: from x0 = (-0.0, 1), v0 = (-0.4, 1) at h = 5e-324, sv's point 1 is
-    (0.0, 1), not (-0.0, 1).
+    (1.0 * x is x), and is 0.0 where no weight is.  z keeps the bits of the
+    interpreted sum 0.0 + a U'(q) + b U'((p + q)/2) save the sign of a zero,
+    and that only through subnormal arithmetic: 0.0 + t differs from t only
+    at t = -0.0, and r - h^2 f then only where r's component is -0.0 too.
+    r = 2q - p is -0.0 only where q = -0.0 follows p = +0.0, x0 + h v0 only
+    where both terms are -0.0, and a step writes a -0.0 only from such an r
+    or from an implicit step's explicit part at the least subnormal.  So
+    without subnormals a turned sign needs x0 and v0 both zero in a
+    component (L = 0, refused by elements_from_state); with them, sv's point
+    1 from x0 = (-0.0, 1), v0 = (-0.4, 1) at h = 5e-324 is (0.0, 1).
     """
     def emit(indent: int, **tags) -> str:
         return "".join(" " * indent + line[3:] for line in _STEP.splitlines(True)
@@ -327,7 +326,7 @@ def _stencil_kernel(rows: tuple[Weights, ...]):
                            for w, term in ((a, "(q%d / r3)"), (b, "gb%d")) if w) or "0.0"
         tags = dict(a=a, f=fresh, c=c, p=rows[(i + 1) % period][1] and not c)
         values = dict(force1=force.replace("%d", "1"), force2=force.replace("%d", "2"),
-                      kappa=f"kappa{i}")
+                      kappa=f"kappa{i}", twokappa=f"twokappa{i}")
         cycle += emit(12, z=True, **tags) % values
         if i < period - 1:
             tail += f"        if tail > {i}:\n" + emit(12, z=True, **tags) % values
@@ -337,7 +336,7 @@ def _stencil_kernel(rows: tuple[Weights, ...]):
     source = _KERNEL % dict(
         period=period, cycle=cycle, tail=tail, solves=solves.pop(), solves_at=tuple(solves),
         gradients=gradients.pop(), gradients_at=tuple(gradients), first_gradient=first,
-        kappas="".join(f"    kappa{i} = 0.5 * {float(c)!r} * h2\n"
+        kappas="".join(f"    kappa{i} = 0.5 * {float(c)!r} * h2\n    twokappa{i} = 2.0 * kappa{i}\n"
                        for i, (_, _, c) in enumerate(rows) if c),
         first=emit(8, a=rows[0][0], f=True) if first else "")
     namespace: dict = {}

@@ -93,6 +93,16 @@ def observable_series(X: np.ndarray, V: np.ndarray):
 _ELEMENT_RTOL = 1e-12
 
 
+def _minor_axis(a: float, e: float) -> float:
+    """a sqrt(1 - e^2), the b that OrbitElements checks b against."""
+    return a * math.sqrt(max(0.0, 1.0 - e * e))
+
+
+def _agrees(got: float, want: float) -> bool:
+    """got equals want to _ELEMENT_RTOL: relative above 1, absolute below."""
+    return abs(got - want) <= _ELEMENT_RTOL * max(1.0, abs(want))
+
+
 @dataclass(frozen=True)
 class OrbitElements:
     """Shape and sense of a bound orbit, not its orientation.
@@ -118,8 +128,8 @@ class OrbitElements:
         # e is validated in b-space: recovering e from b is ill-conditioned
         # near circularity (the roundoff blows up by 1/e)
         for name, got, want in (("L^2", self.L * self.L, self.b * self.b / self.a),
-                                ("b", self.b, self.a * math.sqrt(max(0.0, 1.0 - self.e * self.e)))):
-            if not abs(got - want) <= _ELEMENT_RTOL * max(1.0, abs(want)):
+                                ("b", self.b, _minor_axis(self.a, self.e))):
+            if not _agrees(got, want):
                 raise ValueError(f"inconsistent elements: {name} = {got}, expected {want}")
 
     @property
@@ -148,20 +158,25 @@ def elements_from_state(state: State) -> OrbitElements:
     """Orbital elements of the bound orbit through a phase-space point.
 
     e is sqrt(1 - (b/a)^2), or |A| below _LRL_ECCENTRICITY.  Raises
-    UnboundOrbit when E >= 0, DegenerateOrbit when L = 0 and NumericalFailure
-    when the period overflows.
+    UnboundOrbit when E >= 0, DegenerateOrbit when the orbit is radial to
+    double precision, and NumericalFailure when the period overflows.  Radial
+    means L = 0, or L so small against a that e rounds to 1 or no longer
+    gives b back to OrbitElements' tolerance, which would refuse such
+    elements: from x0 = (1, 0), 215 of 400 log-spaced |v0| in [1e-10, 0.1],
+    all below 1.9e-5.
     """
     E, L, A1, A2 = map(float, observable_series(np.asarray(state.position),
                                                 np.asarray(state.velocity)))
     if E >= 0.0:
         raise UnboundOrbit(f"energy {E:.6g} is nonnegative; orbit is not bound")
-    if L == 0.0:
-        raise DegenerateOrbit("zero angular momentum: radial orbit")
     a = -1.0 / (2.0 * E)
     b = math.sqrt(L * L * a)
     e = math.sqrt(max(0.0, 1.0 - (b / a) ** 2))
     if e < _LRL_ECCENTRICITY:
         e = math.hypot(A1, A2)
+    elif not (e < 1.0 and _agrees(b, _minor_axis(a, e))):
+        raise DegenerateOrbit(f"angular momentum L = {L:.3g} is too small for a = {a:.6g}: "
+                              f"the orbit is radial to double precision")
     # the period 2 pi a^1.5 is inf above a = 9.3e204 (a ** 1.5 raises above 3.2e205)
     try:
         period = _TWO_PI * a ** 1.5

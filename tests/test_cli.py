@@ -1099,6 +1099,19 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"error: a = {a}, e = {e} is beyond the floating-point range\n"
 
+    # L = 1e-200 gives b = 0, 1e-9 gives e = 1.0, and 1e-6 an e that no longer
+    # gives b back: each is refused as radial, naming L, with no traceback
+    @pytest.mark.parametrize("argv, L", [
+        *[(["simulate", "--method", "sv", "--h", "0.1", "--steps", "10", f"--v0=0.0,{v}"], L)
+          for v, L in (("1e-200", "1e-200"), ("1e-9", "1e-09"), ("1e-6", "1e-06"))],
+        (["predict", "--method", "sv", "--v0=0.0,1e-200"], "1e-200")],
+        ids=["simulate-1e-200", "simulate-1e-9", "simulate-1e-6", "predict-1e-200"])
+    def test_a_numerically_radial_state_exits_one(self, capsys, argv, L):
+        code, out, err = run_cli(capsys, *argv, "--x0=1.0,0.0")
+        assert (code, out) == (1, "")
+        assert err == (f"error: angular momentum L = {L} is too small for a = 0.5: "
+                       f"the orbit is radial to double precision\n")
+
     def test_perihelion_inside_the_collision_guard_exits_two(self, capsys):
         # a (1 - e) = 1.1e-16 at a = 1, e = 1 - 1.1e-16
         code, out, err = run_cli(capsys, "predict", "--method", "sv", "--h", "0.5",

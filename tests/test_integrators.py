@@ -304,13 +304,15 @@ class TestCompiledKernels:
             return type(err), str(err), err.filled, out.tobytes(), stats
         return out.tobytes(), stats
 
-    def check(self, cycle, h, floor=None):
+    def check(self, cycle, h, floor=None, max_iter=None):
         period = len(cycle)
         start = integrate(MethodId.SV, X0, V0, h, 10).positions[-2:].tolist()
         with pytest.MonkeyPatch.context() as patch:
             if floor is not None:
                 patch.setattr(kepler, "SINGULARITY_FLOOR", floor)
                 patch.setattr(integrators, "SINGULARITY_FLOOR", floor)
+            if max_iter is not None:
+                patch.setattr(integrators, "NEWTON_MAX_ITERATIONS", max_iter)
             for phase in range(period):
                 for n in [*range(1, 2 * period + 3), 4099]:
                     want = self.run(reference_stencil, cycle, phase, n, h, start)
@@ -340,6 +342,18 @@ class TestCompiledKernels:
     @settings(max_examples=30, deadline=None)
     def test_fail_as_the_interpreted_loop(self, cycle, floor):
         self.check(cycle, 0.5, floor)
+
+    # at h = 0.5 a solve takes one or two updates, so a budget of 0 stops the
+    # first solve that needs an update and a budget of 1 the first that needs
+    # two: each solve's budget must be spent as the interpreted loop spends it
+    @given(cycle=CYCLES, max_iter=st.sampled_from([0, 1]))
+    @example(cycle=((0.0, 0.5, 0.5),), max_iter=0)
+    @example(cycle=((0.0, 0.5, 0.5),), max_iter=1)
+    @example(cycle=LC, max_iter=1)
+    @example(cycle=DEC, max_iter=1)
+    @settings(max_examples=30, deadline=None)
+    def test_spend_the_budget_as_the_interpreted_loop(self, cycle, max_iter):
+        self.check(cycle, 0.5, max_iter=max_iter)
 
     def test_compiled_once_per_cycle_at_first_use(self):
         # a fresh interpreter imports keplerlab without compiling a kernel

@@ -220,6 +220,35 @@ class TestOrbitElements:
         with pytest.raises(DegenerateOrbit):
             elements_from_state(State(PlanarVector(2.0, 0.0), PlanarVector(0.3, 0.0)))
 
+    # from x0 = (1, 0) (a = 0.5): L = 0, b = 0 (L^2 a underflows), e = 1.0,
+    # and an e that no longer gives b back are one refusal, naming L
+    @pytest.mark.parametrize("v2, L", [(0.0, "0"), (1e-200, "1e-200"), (1e-9, "1e-09"),
+                                       (1e-6, "1e-06")])
+    def test_a_numerically_radial_state_is_degenerate(self, v2, L):
+        message = (f"angular momentum L = {L} is too small for a = 0.5: "
+                   f"the orbit is radial to double precision")
+        with pytest.raises(DegenerateOrbit, match=f"^{re.escape(message)}$"):
+            elements_from_state(State(PlanarVector(1.0, 0.0), PlanarVector(0.0, v2)))
+
+    # states that are not radial to double precision keep every bit of their
+    # elements; |v0| = 4.3e-7 from x0 = (1, 0) lies among refused neighbours
+    @pytest.mark.parametrize("x0, v0, bits", [
+        ((1.0, 0.0), (0.0, 4.281332398719396e-07),
+         ("0x1.000000000019dp-1", "0x1.450f6a4ef0d5ap-22", "0x1.ffffffffff98dp-1",
+          "0x1.cbb45e6e35716p-22")),
+        ((1.0, 0.0), (0.0, 1e-5),
+         ("0x1.0000000036f9cp-1", "0x1.da88051edb332p-18", "0x1.ffffffff24190p-1",
+          "0x1.4f8b588e368f1p-17")),
+        ((1.0, 0.0), (0.0, 3e-5),
+         ("0x1.00000001eec7cp-1", "0x1.63e603d8561d4p-16", "0x1.fffffff844e10p-1",
+          "0x1.f75104d551d69p-16")),
+        ((-3.0, 0.0), (0.0, 0.45),
+         ("0x1.13c35506e4e23p+1", "0x1.fb446580ebc4dp+0", "0x1.91eb851eb8521p-2",
+          "-0x1.599999999999ap+0"))], ids=["4.3e-7", "1e-5", "3e-5", "default"])
+    def test_accepted_states_keep_their_elements(self, x0, v0, bits):
+        el = elements_from_state(State(PlanarVector(*x0), PlanarVector(*v0)))
+        assert (el.a.hex(), el.b.hex(), el.e.hex(), el.L.hex()) == bits
+
     @given(a=st.floats(0.5, 8.0), e=st.floats(0.0, 0.95),
            ccw=st.booleans(), apsis=st.floats(-3.0, 3.0))
     @settings(max_examples=60)
